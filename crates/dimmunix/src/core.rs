@@ -8,7 +8,7 @@
 //! that can unblock *other* threads returns [`Wake`] instructions the
 //! runtime must apply.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use communix_clock::Clock;
@@ -19,7 +19,7 @@ use crate::fp::FalsePositiveDetector;
 use crate::frame::CallStack;
 use crate::history::{AddOutcome, History};
 use crate::ids::{LockId, ThreadId};
-use crate::matcher::{AvoidanceMatcher, LockRecord};
+use crate::matcher::{AvoidanceMatcher, Instantiation, RecordRef};
 use crate::signature::{SigEntry, Signature};
 
 /// Outcome of a lock request, from the requester's point of view.
@@ -72,8 +72,52 @@ struct WaitInfo {
 
 #[derive(Debug, Clone, Default)]
 struct ThreadState {
-    holds: HashMap<LockId, HoldInfo>,
+    /// Ordered, like `DimmunixCore::threads`: see [`published`].
+    holds: BTreeMap<LockId, HoldInfo>,
     waiting: Option<WaitInfo>,
+}
+
+/// Every published hold and wait, borrowed (suspended requests excluded —
+/// they yielded before publishing). The order is fixed — thread id, then
+/// the thread's holds by lock id, then its wait — because the matcher
+/// takes the first eligible record: which participants it reports and how
+/// much `match_work` it charges must follow from the calls made, not from
+/// a hash seed.
+fn published(
+    threads: &BTreeMap<ThreadId, ThreadState>,
+) -> impl Iterator<Item = RecordRef<'_>> + Clone {
+    threads.iter().flat_map(|(&thread, ts)| {
+        let holds = ts.holds.iter().map(move |(&lock, h)| RecordRef {
+            thread,
+            lock,
+            stack: &h.stack,
+        });
+        let wait = ts.waiting.iter().map(move |w| RecordRef {
+            thread,
+            lock: w.lock,
+            stack: &w.stack,
+        });
+        holds.chain(wait)
+    })
+}
+
+/// The avoidance decision: would `thread` taking `lock` with `stack`
+/// complete an instantiation of a history signature? Borrows the
+/// candidate and every published record; a top site no signature names
+/// costs one hash probe.
+fn instantiation(
+    matcher: &mut AvoidanceMatcher,
+    threads: &BTreeMap<ThreadId, ThreadState>,
+    thread: ThreadId,
+    lock: LockId,
+    stack: &CallStack,
+) -> Option<Instantiation> {
+    let candidate = RecordRef {
+        thread,
+        lock,
+        stack,
+    };
+    matcher.would_instantiate_ref(candidate, published(threads))
 }
 
 #[derive(Debug, Clone, Default)]
@@ -82,7 +126,7 @@ struct LockState {
     queue: VecDeque<ThreadId>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SuspendedReq {
     thread: ThreadId,
     lock: LockId,
@@ -120,9 +164,10 @@ pub struct DimmunixCore {
     matcher: AvoidanceMatcher,
     fp: FalsePositiveDetector,
     locks: HashMap<LockId, LockState>,
-    threads: HashMap<ThreadId, ThreadState>,
+    threads: BTreeMap<ThreadId, ThreadState>,
     suspended: Vec<SuspendedReq>,
-    events: VecDeque<Event>,
+    /// Pushed at the back, handed over whole by `drain_events`.
+    events: Vec<Event>,
     clock: Arc<dyn Clock>,
     stats: CoreStats,
     seq: u64,
@@ -142,9 +187,9 @@ impl DimmunixCore {
             matcher: AvoidanceMatcher::default(),
             fp,
             locks: HashMap::new(),
-            threads: HashMap::new(),
+            threads: BTreeMap::new(),
             suspended: Vec::new(),
-            events: VecDeque::new(),
+            events: Vec::new(),
             clock,
             stats: CoreStats::default(),
             seq: 0,
@@ -188,9 +233,10 @@ impl DimmunixCore {
         s
     }
 
-    /// Drains pending events.
+    /// Drains pending events: the buffer itself is handed over, nothing
+    /// is copied.
     pub fn drain_events(&mut self) -> Vec<Event> {
-        self.events.drain(..).collect()
+        std::mem::take(&mut self.events)
     }
 
     /// Whether the false-positive detector flagged `sig_index`.
@@ -207,13 +253,13 @@ impl DimmunixCore {
         &mut self,
         thread: ThreadId,
         lock: LockId,
-        stack: CallStack,
+        mut stack: CallStack,
     ) -> (RequestOutcome, Vec<Wake>) {
         // Reentrant re-acquisition: Java monitors are reentrant; no new
         // record is published and avoidance is bypassed.
         if let Some(hold) = self.threads.entry(thread).or_default().holds.get_mut(&lock) {
             hold.reentrancy += 1;
-            self.events.push_back(Event::Acquired {
+            self.events.push(Event::Acquired {
                 thread,
                 lock,
                 reentrant: true,
@@ -223,57 +269,46 @@ impl DimmunixCore {
 
         self.stats.requests += 1;
 
-        if self.config.avoidance && !self.matcher.is_empty() {
-            let candidate = LockRecord {
-                thread,
-                lock,
-                stack: stack.clone(),
-            };
-            let records = self.current_records();
-            if let Some(inst) = self.matcher.would_instantiate(&candidate, &records) {
-                self.stats.suspensions += 1;
-                let now = self.clock.now();
-                if self.fp.record_instantiation(inst.sig_index, now) {
-                    self.events.push_back(Event::FalsePositiveSuspect {
-                        sig_index: inst.sig_index,
-                    });
-                }
-                self.events.push_back(Event::Suspended {
-                    thread,
-                    lock,
+        let inst = if self.config.avoidance {
+            instantiation(&mut self.matcher, &self.threads, thread, lock, &stack)
+        } else {
+            None
+        };
+        if let Some(inst) = inst {
+            self.stats.suspensions += 1;
+            let now = self.clock.now();
+            if self.fp.record_instantiation(inst.sig_index, now) {
+                self.events.push(Event::FalsePositiveSuspect {
                     sig_index: inst.sig_index,
                 });
-                let blockers: Vec<ThreadId> = inst
-                    .participants
-                    .iter()
-                    .map(|(t, _)| *t)
-                    .filter(|t| *t != thread)
-                    .collect();
-                self.seq += 1;
-                self.suspended.push(SuspendedReq {
-                    thread,
-                    lock,
-                    stack: stack.clone(),
-                    blockers,
-                    seq: self.seq,
-                });
-                // Avoidance-induced starvation: if the yield closes a
-                // cycle (the blockers transitively wait on this thread),
-                // cancel it and let the thread through (best-effort, as in
-                // Dimmunix; detection will catch any real deadlock).
-                if self.in_extended_cycle(thread) {
-                    self.remove_suspended(thread);
-                    self.stats.forced_grants += 1;
-                    self.events.push_back(Event::ForcedGrant {
-                        thread,
-                        lock,
-                        sig_index: inst.sig_index,
-                    });
-                    // fall through to the publish path below
-                } else {
-                    return (RequestOutcome::Parked, Vec::new());
-                }
             }
+            self.events.push(Event::Suspended {
+                thread,
+                lock,
+                sig_index: inst.sig_index,
+            });
+            self.seq += 1;
+            self.suspended.push(SuspendedReq {
+                thread,
+                lock,
+                stack,
+                blockers: blockers_of(&inst, thread),
+                seq: self.seq,
+            });
+            // Avoidance-induced starvation: if the yield closes a
+            // cycle (the blockers transitively wait on this thread),
+            // cancel it and let the thread through (best-effort, as in
+            // Dimmunix; detection will catch any real deadlock).
+            if !self.in_extended_cycle(thread) {
+                return (RequestOutcome::Parked, Vec::new());
+            }
+            stack = self.suspended.pop().expect("pushed above").stack;
+            self.stats.forced_grants += 1;
+            self.events.push(Event::ForcedGrant {
+                thread,
+                lock,
+                sig_index: inst.sig_index,
+            });
         }
 
         self.publish_request(thread, lock, stack)
@@ -295,7 +330,7 @@ impl DimmunixCore {
             return Vec::new();
         }
         ts.holds.remove(&lock);
-        self.events.push_back(Event::Released { thread, lock });
+        self.events.push(Event::Released { thread, lock });
 
         let mut wakes = Vec::new();
         let ls = self.locks.entry(lock).or_default();
@@ -315,7 +350,7 @@ impl DimmunixCore {
                     reentrancy: 1,
                 },
             );
-            self.events.push_back(Event::Granted { thread: next, lock });
+            self.events.push(Event::Granted { thread: next, lock });
             wakes.push(Wake::Granted(next));
         }
 
@@ -387,7 +422,7 @@ impl DimmunixCore {
                     },
                 );
                 self.stats.immediate_acquisitions += 1;
-                self.events.push_back(Event::Acquired {
+                self.events.push(Event::Acquired {
                     thread,
                     lock,
                     reentrant: false,
@@ -396,12 +431,9 @@ impl DimmunixCore {
             }
             Some(_owner) => {
                 ls.queue.push_back(thread);
-                self.threads.entry(thread).or_default().waiting = Some(WaitInfo {
-                    lock,
-                    stack: stack.clone(),
-                });
+                self.threads.entry(thread).or_default().waiting = Some(WaitInfo { lock, stack });
                 self.stats.blocks += 1;
-                self.events.push_back(Event::Blocked { thread, lock });
+                self.events.push(Event::Blocked { thread, lock });
 
                 if self.config.detection {
                     if let Some(cycle) = self.find_wait_cycle(thread) {
@@ -411,29 +443,6 @@ impl DimmunixCore {
                 (RequestOutcome::Parked, Vec::new())
             }
         }
-    }
-
-    /// All published hold + wait records (suspended requests excluded —
-    /// they yielded before publishing).
-    fn current_records(&self) -> Vec<LockRecord> {
-        let mut records = Vec::new();
-        for (t, ts) in &self.threads {
-            for (l, h) in &ts.holds {
-                records.push(LockRecord {
-                    thread: *t,
-                    lock: *l,
-                    stack: h.stack.clone(),
-                });
-            }
-            if let Some(w) = &ts.waiting {
-                records.push(LockRecord {
-                    thread: *t,
-                    lock: w.lock,
-                    stack: w.stack.clone(),
-                });
-            }
-        }
-        records
     }
 
     /// Walks the wait graph from `start`: each waiting thread points at
@@ -494,7 +503,7 @@ impl DimmunixCore {
         if self.history.add(signature.clone()) == AddOutcome::Added {
             self.matcher.rebuild(&self.history);
         }
-        self.events.push_back(Event::DeadlockDetected {
+        self.events.push(Event::DeadlockDetected {
             signature,
             threads: cycle.clone(),
             locks,
@@ -511,7 +520,7 @@ impl DimmunixCore {
                 if let Some(ls) = self.locks.get_mut(&requested_lock) {
                     ls.queue.retain(|t| *t != requester);
                 }
-                self.events.push_back(Event::VictimAborted {
+                self.events.push(Event::VictimAborted {
                     thread: requester,
                     lock: requested_lock,
                 });
@@ -530,60 +539,41 @@ impl DimmunixCore {
         self.suspended.sort_by_key(|s| s.seq);
         let mut i = 0;
         while i < self.suspended.len() {
-            let req = self.suspended[i].clone();
-            let candidate = LockRecord {
-                thread: req.thread,
-                lock: req.lock,
-                stack: req.stack.clone(),
-            };
-            let records = self.current_records();
-            match self.matcher.would_instantiate(&candidate, &records) {
+            let SuspendedReq {
+                thread,
+                lock,
+                ref stack,
+                ..
+            } = self.suspended[i];
+            match instantiation(&mut self.matcher, &self.threads, thread, lock, stack) {
                 None => {
                     // Safe now: re-admit through the normal path.
-                    self.suspended.remove(i);
-                    self.events.push_back(Event::Resumed {
-                        thread: req.thread,
-                        lock: req.lock,
-                    });
-                    let (outcome, mut w) = self.publish_request(req.thread, req.lock, req.stack);
-                    wakes.append(&mut w);
-                    match outcome {
-                        RequestOutcome::Acquired => wakes.push(Wake::Granted(req.thread)),
-                        RequestOutcome::Aborted => wakes.push(Wake::Aborted(req.thread)),
-                        RequestOutcome::Parked => {}
-                    }
-                    // Restart: the admission may have changed records.
-                    i = 0;
+                    self.events.push(Event::Resumed { thread, lock });
                 }
                 Some(inst) => {
-                    self.suspended[i].blockers = inst
-                        .participants
-                        .iter()
-                        .map(|(t, _)| *t)
-                        .filter(|t| *t != req.thread)
-                        .collect();
-                    if self.in_extended_cycle(req.thread) {
-                        self.suspended.remove(i);
-                        self.stats.forced_grants += 1;
-                        self.events.push_back(Event::ForcedGrant {
-                            thread: req.thread,
-                            lock: req.lock,
-                            sig_index: inst.sig_index,
-                        });
-                        let (outcome, mut w) =
-                            self.publish_request(req.thread, req.lock, req.stack);
-                        wakes.append(&mut w);
-                        match outcome {
-                            RequestOutcome::Acquired => wakes.push(Wake::Granted(req.thread)),
-                            RequestOutcome::Aborted => wakes.push(Wake::Aborted(req.thread)),
-                            RequestOutcome::Parked => {}
-                        }
-                        i = 0;
-                    } else {
+                    self.suspended[i].blockers = blockers_of(&inst, thread);
+                    if !self.in_extended_cycle(thread) {
                         i += 1;
+                        continue;
                     }
+                    self.stats.forced_grants += 1;
+                    self.events.push(Event::ForcedGrant {
+                        thread,
+                        lock,
+                        sig_index: inst.sig_index,
+                    });
                 }
             }
+            let req = self.suspended.remove(i);
+            let (outcome, mut w) = self.publish_request(thread, lock, req.stack);
+            wakes.append(&mut w);
+            match outcome {
+                RequestOutcome::Acquired => wakes.push(Wake::Granted(thread)),
+                RequestOutcome::Aborted => wakes.push(Wake::Aborted(thread)),
+                RequestOutcome::Parked => {}
+            }
+            // Restart: the admission may have changed records.
+            i = 0;
         }
     }
 
@@ -622,6 +612,16 @@ impl DimmunixCore {
         }
         false
     }
+}
+
+/// The threads a suspended `thread` yields to: the other participants of
+/// the instantiation that stopped it.
+fn blockers_of(inst: &Instantiation, thread: ThreadId) -> Vec<ThreadId> {
+    inst.participants
+        .iter()
+        .map(|(t, _)| *t)
+        .filter(|t| *t != thread)
+        .collect()
 }
 
 #[cfg(test)]
@@ -918,6 +918,47 @@ mod tests {
         }
         assert!(suspect, "noisy signature must be flagged");
         assert!(c.is_fp_suspect(0));
+    }
+
+    #[test]
+    fn decision_is_a_function_of_the_calls_not_of_hash_seeds() {
+        let sig = deadlock_ab(&mut core());
+        let run = || {
+            let mut h = History::new();
+            h.add(sig.clone());
+            let mut c = DimmunixCore::with_history(
+                DimmunixConfig::default(),
+                Arc::new(VirtualClock::new()),
+                h,
+            );
+            // Three threads fill the lockA position, each also holding a
+            // lock taken elsewhere; any of the three completes the
+            // signature for t9 at the lockB position.
+            for t in [3, 1, 2] {
+                let (o, _) = c.request(ThreadId(t), LockId(t), cs(&[("other", 7)]));
+                assert_eq!(o, RequestOutcome::Acquired);
+                let (o, _) = c.request(
+                    ThreadId(t),
+                    LockId(10 + t),
+                    cs(&[("run", 1), ("lockA", 10)]),
+                );
+                assert_eq!(o, RequestOutcome::Acquired);
+            }
+            let before = c.stats().match_work;
+            let (o, _) = c.request(ThreadId(9), LockId(9), cs(&[("run", 2), ("lockB", 20)]));
+            assert_eq!(o, RequestOutcome::Parked);
+            (
+                c.suspended[0].blockers.clone(),
+                c.stats().match_work - before,
+            )
+        };
+        // One slot at lockB's site, then t1's records in lock order: l1
+        // (taken elsewhere) before l11 (lockA: fills the position).
+        let first = run();
+        assert_eq!(first, (vec![ThreadId(1)], 3));
+        for _ in 0..19 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]

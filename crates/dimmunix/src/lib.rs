@@ -46,5 +46,5 @@ pub use fp::FalsePositiveDetector;
 pub use frame::{CallStack, Frame, ParseFrameError, Site};
 pub use history::{AddOutcome, BatchMergeReport, History, HistoryError};
 pub use ids::{LockId, ThreadId};
-pub use matcher::{AvoidanceMatcher, Instantiation, LockRecord};
+pub use matcher::{AvoidanceMatcher, Instantiation, LockRecord, RecordRef};
 pub use signature::{ParseSignatureError, SigEntry, SigOrigin, Signature};

@@ -32,6 +32,30 @@ pub struct LockRecord {
     pub stack: CallStack,
 }
 
+/// A [`LockRecord`] by reference: what the matcher reads. The core hands
+/// the matcher its published holds and waits in this form, so deciding an
+/// acquisition copies no stack.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordRef<'a> {
+    /// The thread.
+    pub thread: ThreadId,
+    /// The lock held or waited for.
+    pub lock: LockId,
+    /// Call stack at acquisition / blocked request.
+    pub stack: &'a CallStack,
+}
+
+impl LockRecord {
+    /// This record, borrowed.
+    pub fn as_ref(&self) -> RecordRef<'_> {
+        RecordRef {
+            thread: self.thread,
+            lock: self.lock,
+            stack: &self.stack,
+        }
+    }
+}
+
 /// A completed instantiation found by the matcher.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instantiation {
@@ -48,8 +72,12 @@ pub struct AvoidanceMatcher {
     /// Outer stacks per signature.
     positions: Vec<Vec<CallStack>>,
     /// Top-frame site → (signature, position) pairs whose outer stack ends
-    /// at that site. Suffix matching requires equal top frames, so this
-    /// prunes candidates to near-nothing on the hot path.
+    /// at that site. Suffix matching requires equal top frames, so a
+    /// candidate whose top site no signature names costs one probe of this
+    /// map and nothing else. What the index does not prune: at a named
+    /// site every listed slot still pays a suffix comparison, and every
+    /// slot whose suffix matches pays a backtracking pass over the
+    /// published records.
     by_top: HashMap<Site, Vec<(usize, usize)>>,
     /// Cumulative count of stack-suffix comparisons performed — the cost
     /// driver of signature matching. Runtimes convert the delta per
@@ -111,18 +139,39 @@ impl AvoidanceMatcher {
         candidate: &LockRecord,
         records: &[LockRecord],
     ) -> Option<Instantiation> {
+        self.would_instantiate_ref(candidate.as_ref(), records.iter().map(LockRecord::as_ref))
+    }
+
+    /// [`would_instantiate`](Self::would_instantiate) over borrowed
+    /// records. `records` is walked once per open signature position, in
+    /// its own order, so the order decides which of several eligible
+    /// records is reported and how much [`work`](Self::work) is charged.
+    pub fn would_instantiate_ref<'a>(
+        &mut self,
+        candidate: RecordRef<'_>,
+        records: impl Iterator<Item = RecordRef<'a>> + Clone,
+    ) -> Option<Instantiation> {
         let top = candidate.stack.top()?;
         let slots = self.by_top.get(&top.site)?;
-        let slots = slots.clone();
-        for (si, pi) in slots {
+        for &(si, pi) in slots {
             self.work += 1;
-            if !self.positions[si][pi].is_suffix_of(&candidate.stack) {
+            let outers = &self.positions[si];
+            if !outers[pi].is_suffix_of(candidate.stack) {
                 continue;
             }
-            if let Some(participants) = self.try_complete(si, pi, candidate, records) {
+            let mut assignment = vec![None; outers.len()];
+            assignment[pi] = Some((candidate.thread, candidate.lock));
+            if backtrack(
+                &mut self.work,
+                outers,
+                &records,
+                &mut assignment,
+                0,
+                Some(candidate.thread),
+            ) {
                 return Some(Instantiation {
                     sig_index: si,
-                    participants,
+                    participants: assignment.into_iter().flatten().collect(),
                 });
             }
         }
@@ -136,69 +185,53 @@ impl AvoidanceMatcher {
         si: usize,
         records: &[LockRecord],
     ) -> Option<Vec<(ThreadId, LockId)>> {
-        let outers = self.positions.get(si)?.clone();
-        let mut assignment: Vec<Option<(ThreadId, LockId)>> = vec![None; outers.len()];
-        if self.backtrack(&outers, records, &mut assignment, 0, None) {
-            Some(assignment.into_iter().flatten().collect())
-        } else {
-            None
-        }
+        let outers = self.positions.get(si)?;
+        let mut assignment = vec![None; outers.len()];
+        let records = records.iter().map(LockRecord::as_ref);
+        backtrack(&mut self.work, outers, &records, &mut assignment, 0, None)
+            .then(|| assignment.into_iter().flatten().collect())
     }
+}
 
-    fn try_complete(
-        &mut self,
-        si: usize,
-        pi: usize,
-        candidate: &LockRecord,
-        records: &[LockRecord],
-    ) -> Option<Vec<(ThreadId, LockId)>> {
-        let outers = self.positions[si].clone();
-        let mut assignment: Vec<Option<(ThreadId, LockId)>> = vec![None; outers.len()];
-        assignment[pi] = Some((candidate.thread, candidate.lock));
-        if self.backtrack(&outers, records, &mut assignment, 0, Some(candidate.thread)) {
-            Some(assignment.into_iter().flatten().collect())
-        } else {
-            None
+/// Fills unassigned positions from `records`, requiring pairwise distinct
+/// threads and locks. `exclude_thread` (the candidate's thread) may not
+/// fill any other position. Every suffix comparison is added to `work`.
+fn backtrack<'a, I>(
+    work: &mut u64,
+    outers: &[CallStack],
+    records: &I,
+    assignment: &mut [Option<(ThreadId, LockId)>],
+    from: usize,
+    exclude_thread: Option<ThreadId>,
+) -> bool
+where
+    I: Iterator<Item = RecordRef<'a>> + Clone,
+{
+    let Some(pos) = (from..outers.len()).find(|i| assignment[*i].is_none()) else {
+        return true; // all positions filled
+    };
+    for r in records.clone() {
+        if Some(r.thread) == exclude_thread {
+            continue;
         }
-    }
-
-    /// Fills unassigned positions from `records`, requiring pairwise
-    /// distinct threads and locks. `exclude_thread` (the candidate's
-    /// thread) may not fill any other position.
-    fn backtrack(
-        &mut self,
-        outers: &[CallStack],
-        records: &[LockRecord],
-        assignment: &mut [Option<(ThreadId, LockId)>],
-        from: usize,
-        exclude_thread: Option<ThreadId>,
-    ) -> bool {
-        let Some(pos) = (from..outers.len()).find(|i| assignment[*i].is_none()) else {
-            return true; // all positions filled
-        };
-        for r in records {
-            if Some(r.thread) == exclude_thread {
-                continue;
-            }
-            let clash = assignment
-                .iter()
-                .flatten()
-                .any(|(t, l)| *t == r.thread || *l == r.lock);
-            if clash {
-                continue;
-            }
-            self.work += 1;
-            if !outers[pos].is_suffix_of(&r.stack) {
-                continue;
-            }
-            assignment[pos] = Some((r.thread, r.lock));
-            if self.backtrack(outers, records, assignment, pos + 1, exclude_thread) {
-                return true;
-            }
-            assignment[pos] = None;
+        let clash = assignment
+            .iter()
+            .flatten()
+            .any(|(t, l)| *t == r.thread || *l == r.lock);
+        if clash {
+            continue;
         }
-        false
+        *work += 1;
+        if !outers[pos].is_suffix_of(r.stack) {
+            continue;
+        }
+        assignment[pos] = Some((r.thread, r.lock));
+        if backtrack(work, outers, records, assignment, pos + 1, exclude_thread) {
+            return true;
+        }
+        assignment[pos] = None;
     }
+    false
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //! the avoidance matcher.
 
 use communix_dimmunix::{
-    AvoidanceMatcher, CallStack, Frame, History, LockId, LockRecord, SigEntry, SigOrigin,
-    Signature, ThreadId,
+    AvoidanceMatcher, CallStack, Frame, History, LockId, LockRecord, RecordRef, SigEntry,
+    SigOrigin, Signature, ThreadId,
 };
 use proptest::prelude::*;
 
@@ -38,6 +38,25 @@ fn arb_signature() -> impl Strategy<Value = Signature> {
                 },
             )
         })
+}
+
+/// Stacks over four sites and at most two frames, so that top frames and
+/// whole suffixes collide often enough for the matcher to get past its
+/// index, into backtracking, and to an instantiation.
+fn arb_colliding_stack() -> impl Strategy<Value = CallStack> {
+    proptest::collection::vec((0..2u8, 1..3u32), 1..=2).prop_map(|frames| {
+        frames
+            .into_iter()
+            .map(|(m, l)| Frame::new("pkg.Class", format!("method{m}"), l))
+            .collect()
+    })
+}
+
+fn arb_colliding_history() -> impl Strategy<Value = History> {
+    let entry = (arb_colliding_stack(), arb_colliding_stack())
+        .prop_map(|(outer, inner)| SigEntry::new(outer, inner));
+    let signature = proptest::collection::vec(entry, 2..4).prop_map(Signature::local);
+    proptest::collection::vec(signature, 0..6).prop_map(|sigs| sigs.into_iter().collect())
 }
 
 proptest! {
@@ -145,6 +164,41 @@ proptest! {
             prop_assert_eq!(locks.len(), inst.participants.len());
             prop_assert!(inst.participants.contains(&(candidate.thread, candidate.lock)));
         }
+    }
+
+    /// The borrowed walk and the owned-records `would_instantiate` decide
+    /// alike and charge the same work, whatever holds the records.
+    #[test]
+    fn borrowed_walk_agrees_with_owned_records(
+        history in arb_colliding_history(),
+        records in proptest::collection::vec(
+            (1..5u64, 1..5u64, arb_colliding_stack()),
+            0..8
+        ),
+        cand in (1..5u64, 1..5u64, arb_colliding_stack()),
+    ) {
+        let owned: Vec<LockRecord> = records
+            .iter()
+            .map(|(t, l, s)| LockRecord { thread: ThreadId(*t), lock: LockId(*l), stack: s.clone() })
+            .collect();
+        let candidate = LockRecord {
+            thread: ThreadId(cand.0),
+            lock: LockId(cand.1),
+            stack: cand.2,
+        };
+        let mut by_slice = AvoidanceMatcher::new(&history);
+        let mut by_ref = by_slice.clone();
+
+        let expected = by_slice.would_instantiate(&candidate, &owned);
+        let borrowed = records.iter().map(|(t, l, s)| RecordRef {
+            thread: ThreadId(*t),
+            lock: LockId(*l),
+            stack: s,
+        });
+        let got = by_ref.would_instantiate_ref(candidate.as_ref(), borrowed);
+
+        prop_assert_eq!(got, expected);
+        prop_assert_eq!(by_ref.work(), by_slice.work());
     }
 
     /// Truncating to a suffix then re-checking: the truncated stack is a

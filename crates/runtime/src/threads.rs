@@ -42,6 +42,9 @@ struct Parker {
     cv: Condvar,
 }
 
+/// Events stay in the core until [`DlxRuntime::drain_events`] takes them
+/// under the same `core` mutex every acquisition takes: with one lock
+/// there is no order for a drain and an acquisition to disagree on.
 #[derive(Debug)]
 struct Inner {
     core: Mutex<DimmunixCore>,
@@ -49,7 +52,6 @@ struct Inner {
     lock_names: Mutex<HashMap<String, LockId>>,
     next_thread: AtomicU64,
     next_lock: AtomicU64,
-    events: Mutex<Vec<Event>>,
 }
 
 /// A shared runtime hosting one [`DimmunixCore`] for many OS threads.
@@ -87,7 +89,6 @@ impl DlxRuntime {
                 lock_names: Mutex::new(HashMap::new()),
                 next_thread: AtomicU64::new(1),
                 next_lock: AtomicU64::new(1),
-                events: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -111,10 +112,7 @@ impl DlxRuntime {
     /// Drains events accumulated since the last call (deadlocks,
     /// suspensions, FP warnings…).
     pub fn drain_events(&self) -> Vec<Event> {
-        let mut out = self.inner.events.lock();
-        let mut core = self.inner.core.lock();
-        out.extend(core.drain_events());
-        std::mem::take(&mut *out)
+        self.inner.core.lock().drain_events()
     }
 
     /// Interns a named global lock (Java: a static lock object).
@@ -216,13 +214,7 @@ impl DlxThread {
     /// dropping its other guards.
     pub fn lock(&self, lock: LockId) -> Result<DlxGuard<'_>, DeadlockAborted> {
         let stack = self.stack.borrow().clone();
-        let (outcome, wakes) = {
-            let mut core = self.runtime.inner.core.lock();
-            let r = core.request(self.id, lock, stack);
-            let mut ev = self.runtime.inner.events.lock();
-            ev.extend(core.drain_events());
-            r
-        };
+        let (outcome, wakes) = self.runtime.inner.core.lock().request(self.id, lock, stack);
         self.runtime.deliver(wakes);
         match outcome {
             RequestOutcome::Acquired => Ok(DlxGuard {
@@ -266,13 +258,7 @@ impl DlxThread {
     }
 
     fn release(&self, lock: LockId) {
-        let wakes = {
-            let mut core = self.runtime.inner.core.lock();
-            let w = core.release(self.id, lock);
-            let mut ev = self.runtime.inner.events.lock();
-            ev.extend(core.drain_events());
-            w
-        };
+        let wakes = self.runtime.inner.core.lock().release(self.id, lock);
         self.runtime.deliver(wakes);
     }
 }
