@@ -12,7 +12,7 @@
 //! that passed the hash check but failed the nesting check — those are
 //! re-checked when new classes are loaded (§III-C3).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -160,13 +160,19 @@ impl LocalRepository {
     ///
     /// Propagates I/O failures when disk-backed.
     pub fn merge(&mut self, sigs: impl IntoIterator<Item = String>) -> io::Result<usize> {
-        let mut seen: std::collections::HashSet<String> = self.sigs.iter().cloned().collect();
+        // Membership is decided against borrowed texts — the held ones and
+        // the batch's own — and only then are the newcomers moved in.
+        let incoming: Vec<String> = sigs.into_iter().collect();
+        let mut seen: HashSet<&str> = self.sigs.iter().map(String::as_str).collect();
+        let fresh: Vec<bool> = incoming.iter().map(|s| seen.insert(s)).collect();
+        drop(seen);
         let before = self.sigs.len();
-        for s in sigs {
-            if seen.insert(s.clone()) {
-                self.sigs.push(s);
-            }
-        }
+        self.sigs.extend(
+            incoming
+                .into_iter()
+                .zip(fresh)
+                .filter_map(|(s, fresh)| fresh.then_some(s)),
+        );
         let added = self.sigs.len() - before;
         if added > 0 {
             self.persist()?;
@@ -388,6 +394,15 @@ mod tests {
         // still valid and only the merged-in newcomer awaits inspection.
         let idx: Vec<usize> = r.uninspected().map(|(i, _)| i).collect();
         assert_eq!(idx, vec![2]);
+        // A text repeated within one batch is stored once, where it first
+        // appears.
+        let added = r
+            .merge([sig_text(4), sig_text(1), sig_text(4), sig_text(5)])
+            .unwrap();
+        assert_eq!(added, 2);
+        assert_eq!(r.len(), 5);
+        assert_eq!(r.sig(3), Some(sig_text(4).as_str()));
+        assert_eq!(r.sig(4), Some(sig_text(5).as_str()));
     }
 
     #[test]

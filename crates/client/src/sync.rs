@@ -171,7 +171,9 @@ pub fn sync_delta(
                 max: max_per_round,
             })
             .map_err(SyncError::Transport)?;
-        match reply {
+        // An in-process connector hands over the server's reply as it is,
+        // texts still shared with the store; take the decoded form.
+        match reply.into_owned() {
             Reply::Delta {
                 from: got_from,
                 total,

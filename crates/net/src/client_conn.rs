@@ -28,13 +28,15 @@ use std::time::Duration;
 use bytes::{Buf, BytesMut};
 use polling::{Events, Poller};
 
-use crate::codec::{deframe, frame_request_into, Reply, Request};
+use crate::codec::{frame_len, frame_request_into, Reply, Request};
 use crate::tcp::ClientError;
 
 /// Poller key of the connection's single descriptor.
 const KEY: usize = 0;
 
-/// Per-read chunk size (matches both server transports).
+/// Minimum room offered to a socket read while no frame header is in.
+/// Not a copy granularity: reads land in the receive buffer, which is
+/// sized to the frame being received once its header is.
 const CHUNK: usize = 16 * 1024;
 
 /// A nonblocking framed connection to a Communix server, for clients
@@ -76,7 +78,8 @@ impl NonblockingClient {
             stream,
             poller,
             events: Events::new(),
-            inbuf: BytesMut::with_capacity(8 * 1024),
+            // Allocated by the first read, which makes `CHUNK` of room.
+            inbuf: BytesMut::new(),
             out: BytesMut::with_capacity(8 * 1024),
             want_write: false,
             eof: false,
@@ -125,31 +128,17 @@ impl NonblockingClient {
         Ok(self.out.is_empty())
     }
 
-    /// Returns the next complete reply, if one is available: drains the
-    /// socket's readable bytes into the reassembly buffer and splits
-    /// off at most one frame. `Ok(None)` means no complete frame yet.
+    /// Returns the next complete reply, if one is available: reads the
+    /// socket's readable bytes straight into the reassembly buffer and
+    /// decodes at most one frame out of it. `Ok(None)` means no complete
+    /// frame yet.
     ///
     /// # Errors
     ///
     /// Returns [`ClientError`] on socket failures, malformed replies,
     /// or a server that disconnected with no complete frame pending.
     pub fn try_recv(&mut self) -> Result<Option<Reply>, ClientError> {
-        let mut chunk = [0u8; CHUNK];
-        loop {
-            if let Some(payload) = deframe(&mut self.inbuf)? {
-                return Ok(Some(Reply::decode(payload)?));
-            }
-            if self.eof {
-                return Err(ClientError::Disconnected);
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => self.eof = true,
-                Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
+        recv_reply(&mut self.inbuf, &mut self.eof, &mut self.stream)
     }
 
     /// Blocks until the socket is ready to make progress or `timeout`
@@ -168,6 +157,39 @@ impl NonblockingClient {
             self.want_write = want_write;
         }
         Ok(self.poller.wait(&mut self.events, timeout)? > 0)
+    }
+}
+
+/// The receive half of the connection's state machine, over any byte
+/// source: decodes the frame at the front of `inbuf` where it lies, or
+/// reads more of it in place. Once the header is in, the buffer is sized
+/// for the whole frame (the header was bounded by `MAX_FRAME`, and this
+/// client chose its server) and each read asks for all that is missing.
+fn recv_reply(
+    inbuf: &mut BytesMut,
+    eof: &mut bool,
+    src: &mut impl Read,
+) -> Result<Option<Reply>, ClientError> {
+    loop {
+        let min_room = match frame_len(inbuf)? {
+            Some(len) if inbuf.len() >= 4 + len => {
+                let reply = Reply::decode_from(&inbuf[4..4 + len]);
+                inbuf.advance(4 + len);
+                return Ok(Some(reply?));
+            }
+            Some(len) => 4 + len - inbuf.len(),
+            None => CHUNK,
+        };
+        if *eof {
+            return Err(ClientError::Disconnected);
+        }
+        match inbuf.read_from(src, min_room) {
+            Ok(0) => *eof = true,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        }
     }
 }
 
@@ -280,6 +302,7 @@ mod tests {
     use std::time::Instant;
 
     use crate::tcp::{Handler, TcpServer};
+    use crate::test_io::{trickle, Scripted};
 
     fn echo_server() -> TcpServer {
         let handler: Handler = Arc::new(|req| match req {
@@ -360,5 +383,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every reply `recv_reply` yields from `reads`, until it would block.
+    fn recv_all(reads: Vec<Vec<u8>>) -> Vec<Reply> {
+        let mut src = Scripted::new(reads);
+        let (mut inbuf, mut eof) = (BytesMut::new(), false);
+        let mut replies = Vec::new();
+        while let Some(reply) = recv_reply(&mut inbuf, &mut eof, &mut src).expect("receive") {
+            replies.push(reply);
+        }
+        assert!(inbuf.is_empty(), "whole frames only");
+        replies
+    }
+
+    #[test]
+    fn fragmented_reads_yield_the_same_replies_in_order() {
+        let replies = vec![
+            Reply::Id { id: [1u8; 16] },
+            Reply::Delta {
+                from: 0,
+                total: 3,
+                sigs: vec!["a".repeat(300), String::new(), "c".repeat(40_000)],
+            },
+            Reply::AddAck {
+                accepted: false,
+                reason: "adjacent".into(),
+            },
+            Reply::Sigs {
+                from: 7,
+                sigs: vec!["s".repeat(90)],
+            },
+        ];
+        let mut wire = BytesMut::new();
+        for r in &replies {
+            crate::codec::frame_reply_into(r, &mut wire);
+        }
+        assert_eq!(recv_all(vec![wire.to_vec()]), replies);
+
+        // 1..=7 bytes a read.
+        assert_eq!(recv_all(trickle(&wire)), replies);
+
+        // Three frames and a half in one read, the remainder in the next.
+        let mut fourth = BytesMut::new();
+        crate::codec::frame_reply_into(&replies[3], &mut fourth);
+        let cut = wire.len() - fourth.len() / 2;
+        let split = vec![wire[..cut].to_vec(), wire[cut..].to_vec()];
+        assert_eq!(recv_all(split), replies);
+    }
+
+    #[test]
+    fn receive_buffer_is_sized_from_the_header_once() {
+        // A 1 MB frame arriving in 16 KB reads: the buffer is sized when
+        // the header is in, not regrown as the payload trickles.
+        let reply = Reply::Stats {
+            json: "j".repeat(1 << 20),
+        };
+        let mut wire = BytesMut::new();
+        crate::codec::frame_reply_into(&reply, &mut wire);
+        let mut src = Scripted::new(wire.chunks(CHUNK).map(<[u8]>::to_vec));
+        let (mut inbuf, mut eof) = (BytesMut::new(), false);
+        let got = recv_reply(&mut inbuf, &mut eof, &mut src).unwrap();
+        assert_eq!(got, Some(reply));
+        assert!(inbuf.capacity() >= wire.len());
+        assert!(
+            inbuf.capacity() < wire.len() + 2 * CHUNK,
+            "sized to the frame, not doubled past it: {}",
+            inbuf.capacity()
+        );
     }
 }

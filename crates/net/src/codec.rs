@@ -29,18 +29,28 @@
 //! Framing: every message is a 4-byte big-endian length followed by the
 //! payload. Payloads start with a tag byte.
 //!
-//! # Zero-copy hot path
+//! # One copy each way
 //!
-//! [`Request::encode`]/[`Reply::encode`] allocate a fresh buffer per
-//! message — fine for one-shot callers, wasteful inside a pipelined
-//! burst. The `*_into` variants ([`Request::encode_into`],
-//! [`frame_request_into`], [`frame_reply_into`]) append the framed
-//! message directly into a caller-owned [`BytesMut`], so a connection
-//! that reuses its write buffer encodes an entire burst without a
-//! single per-frame allocation. [`deframe`] was already zero-copy: it
-//! splits the payload out of the receive buffer in place.
+//! A frame's bytes are written once by user-space code on the way in and
+//! once on the way out, whatever the frame's size:
+//!
+//! * **in** — the transports read from the socket straight into the
+//!   connection's receive buffer ([`BytesMut::read_from`]), peek the header
+//!   with [`frame_len`], decode out of `inbuf[4..4 + len]` with
+//!   [`Request::decode_from`]/[`Reply::decode_from`] — the one copy, from
+//!   the buffer into the message's owned fields — and then advance past
+//!   the frame. Nothing is split off or staged in between.
+//! * **out** — [`frame_request_into`]/[`frame_reply_into`] append header
+//!   and payload to the connection's reusable write buffer, copying each
+//!   field from where it lives (for [`Reply::SharedDelta`], the server's
+//!   stored text) and reserving a signature list's size once.
+//!
+//! [`Request::encode`]/[`Reply::encode`]/[`frame`] allocate a buffer per
+//! message and [`deframe`] copies the payload out into an owned [`Bytes`]
+//! (which `decode` then copies from again); they are for one-shot callers.
 
 use std::fmt;
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -153,6 +163,20 @@ pub enum Reply {
         /// Signature texts (at most the effective window size).
         sigs: Vec<String>,
     },
+    /// [`Reply::Delta`] over texts the sender shares rather than owns:
+    /// what a server that stores each text once hands the transport, which
+    /// encodes straight from the shared text. Encode-only — on the wire it
+    /// *is* a `Delta` (same tag, same bytes), so decoding never yields it;
+    /// an in-process receiver gets the decoded form from
+    /// [`Reply::into_owned`].
+    SharedDelta {
+        /// Index of the first signature in `sigs`.
+        from: u64,
+        /// Total signatures the server holds.
+        total: u64,
+        /// Signature texts (at most the effective window size).
+        sigs: Vec<Arc<str>>,
+    },
     /// The server's telemetry snapshot ([`Request::Stats`]).
     Stats {
         /// The snapshot rendered as JSON (counters, gauges with peaks,
@@ -207,19 +231,73 @@ fn put_string(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_string(buf: &mut Bytes) -> Result<String, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::Truncated);
+/// Appends a signature list: its count, then each text, after reserving
+/// the whole list's size once.
+fn put_sigs<S: AsRef<str>>(buf: &mut BytesMut, sigs: &[S]) {
+    buf.reserve(4 + sigs.iter().map(|s| 4 + s.as_ref().len()).sum::<usize>());
+    buf.put_u32(sigs.len() as u32);
+    for s in sigs {
+        put_string(buf, s.as_ref());
     }
-    let len = buf.get_u32() as usize;
-    if len > MAX_FRAME || buf.remaining() < len {
-        return Err(CodecError::Truncated);
+}
+
+/// A read cursor over a borrowed payload: every getter checks what is
+/// left and fails with [`CodecError::Truncated`] instead of panicking.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        if self.0.len() < n {
+            return Err(CodecError::Truncated);
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
     }
-    // `Bytes` is contiguous: validate in place, copy exactly once.
-    let s = std::str::from_utf8(&buf[..len]).map_err(|_| CodecError::BadUtf8)?;
-    let owned = s.to_owned();
-    buf.advance(len);
-    Ok(owned)
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, CodecError> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, CodecError> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    /// An element count, refused above `limit` before anything is sized
+    /// by it.
+    fn count(&mut self, limit: usize) -> Result<usize, CodecError> {
+        let count = self.u32()? as usize;
+        if count > limit {
+            return Err(CodecError::TooLarge(count));
+        }
+        Ok(count)
+    }
+
+    /// A length-prefixed string: validated in place, copied exactly once.
+    fn string(&mut self) -> Result<String, CodecError> {
+        let len = self.u32()? as usize;
+        let bytes = self.take(len)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|_| CodecError::BadUtf8)
+    }
+
+    fn strings(&mut self, limit: usize) -> Result<Vec<String>, CodecError> {
+        let count = self.count(limit)?;
+        let mut out = Vec::with_capacity(count.min(4096));
+        for _ in 0..count {
+            out.push(self.string()?);
+        }
+        Ok(out)
+    }
 }
 
 impl Request {
@@ -244,7 +322,7 @@ impl Request {
     }
 
     /// Appends the request payload (no frame header) to `buf` without
-    /// allocating a fresh buffer — the zero-copy counterpart of
+    /// allocating a fresh buffer — the reusable-buffer counterpart of
     /// [`Request::encode`] for callers that reuse a write buffer.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         match self {
@@ -280,70 +358,46 @@ impl Request {
         }
     }
 
-    /// Parses a request payload.
+    /// Parses a request payload held in a [`Bytes`]; see
+    /// [`Request::decode_from`].
     ///
     /// # Errors
     ///
     /// Returns [`CodecError`] on truncated or malformed input.
-    pub fn decode(mut payload: Bytes) -> Result<Self, CodecError> {
-        if payload.remaining() < 1 {
-            return Err(CodecError::Truncated);
-        }
-        match payload.get_u8() {
-            TAG_ADD => {
-                if payload.remaining() < 16 {
-                    return Err(CodecError::Truncated);
-                }
-                let mut sender = [0u8; 16];
-                payload.copy_to_slice(&mut sender);
-                let sig_text = get_string(&mut payload)?;
-                Ok(Request::Add { sender, sig_text })
-            }
-            TAG_GET => {
-                if payload.remaining() < 8 {
-                    return Err(CodecError::Truncated);
-                }
-                Ok(Request::Get {
-                    from: payload.get_u64(),
-                })
-            }
-            TAG_ISSUE_ID => {
-                if payload.remaining() < 8 {
-                    return Err(CodecError::Truncated);
-                }
-                Ok(Request::IssueId {
-                    user: payload.get_u64(),
-                })
-            }
+    pub fn decode(payload: Bytes) -> Result<Self, CodecError> {
+        Request::decode_from(&payload)
+    }
+
+    /// Parses a request payload where it lies, copying only into the
+    /// request's own fields.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError`] on truncated or malformed input.
+    pub fn decode_from(payload: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader(payload);
+        match r.u8()? {
+            TAG_ADD => Ok(Request::Add {
+                sender: r.array()?,
+                sig_text: r.string()?,
+            }),
+            TAG_GET => Ok(Request::Get { from: r.u64()? }),
+            TAG_ISSUE_ID => Ok(Request::IssueId { user: r.u64()? }),
             TAG_ADD_BATCH => {
-                if payload.remaining() < 4 {
-                    return Err(CodecError::Truncated);
-                }
-                let count = payload.get_u32() as usize;
-                if count > MAX_FRAME / 20 {
-                    return Err(CodecError::TooLarge(count));
-                }
+                let count = r.count(MAX_FRAME / 20)?;
                 let mut adds = Vec::with_capacity(count.min(4096));
                 for _ in 0..count {
-                    if payload.remaining() < 16 {
-                        return Err(CodecError::Truncated);
-                    }
-                    let mut sender = [0u8; 16];
-                    payload.copy_to_slice(&mut sender);
-                    let sig_text = get_string(&mut payload)?;
-                    adds.push(BatchAdd { sender, sig_text });
+                    adds.push(BatchAdd {
+                        sender: r.array()?,
+                        sig_text: r.string()?,
+                    });
                 }
                 Ok(Request::AddBatch { adds })
             }
-            TAG_GET_DELTA => {
-                if payload.remaining() < 12 {
-                    return Err(CodecError::Truncated);
-                }
-                Ok(Request::GetDelta {
-                    from: payload.get_u64(),
-                    max: payload.get_u32(),
-                })
-            }
+            TAG_GET_DELTA => Ok(Request::GetDelta {
+                from: r.u64()?,
+                max: r.u32()?,
+            }),
             TAG_STATS => Ok(Request::Stats),
             t => Err(CodecError::BadTag(t)),
         }
@@ -359,7 +413,7 @@ impl Reply {
     }
 
     /// Appends the reply payload (no frame header) to `buf` without
-    /// allocating a fresh buffer — the zero-copy counterpart of
+    /// allocating a fresh buffer — the reusable-buffer counterpart of
     /// [`Reply::encode`] for callers that reuse a write buffer.
     pub fn encode_into(&self, buf: &mut BytesMut) {
         match self {
@@ -371,10 +425,7 @@ impl Reply {
             Reply::Sigs { from, sigs } => {
                 buf.put_u8(TAG_SIGS);
                 buf.put_u64(*from);
-                buf.put_u32(sigs.len() as u32);
-                for s in sigs {
-                    put_string(buf, s);
-                }
+                put_sigs(buf, sigs);
             }
             Reply::Id { id } => {
                 buf.put_u8(TAG_ID);
@@ -396,10 +447,13 @@ impl Reply {
                 buf.put_u8(TAG_DELTA);
                 buf.put_u64(*from);
                 buf.put_u64(*total);
-                buf.put_u32(sigs.len() as u32);
-                for s in sigs {
-                    put_string(buf, s);
-                }
+                put_sigs(buf, sigs);
+            }
+            Reply::SharedDelta { from, total, sigs } => {
+                buf.put_u8(TAG_DELTA);
+                buf.put_u64(*from);
+                buf.put_u64(*total);
+                put_sigs(buf, sigs);
             }
             Reply::Stats { json } => {
                 buf.put_u8(TAG_STATS_REPLY);
@@ -408,89 +462,70 @@ impl Reply {
         }
     }
 
-    /// Parses a reply payload.
+    /// Parses a reply payload held in a [`Bytes`]; see
+    /// [`Reply::decode_from`].
     ///
     /// # Errors
     ///
     /// Returns [`CodecError`] on truncated or malformed input.
-    pub fn decode(mut payload: Bytes) -> Result<Self, CodecError> {
-        if payload.remaining() < 1 {
-            return Err(CodecError::Truncated);
-        }
-        match payload.get_u8() {
-            TAG_ADD_ACK => {
-                if payload.remaining() < 1 {
-                    return Err(CodecError::Truncated);
-                }
-                let accepted = payload.get_u8() != 0;
-                let reason = get_string(&mut payload)?;
-                Ok(Reply::AddAck { accepted, reason })
-            }
-            TAG_SIGS => {
-                if payload.remaining() < 12 {
-                    return Err(CodecError::Truncated);
-                }
-                let from = payload.get_u64();
-                let count = payload.get_u32() as usize;
-                if count > MAX_FRAME / 4 {
-                    return Err(CodecError::TooLarge(count));
-                }
-                let mut sigs = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    sigs.push(get_string(&mut payload)?);
-                }
-                Ok(Reply::Sigs { from, sigs })
-            }
-            TAG_ID => {
-                if payload.remaining() < 16 {
-                    return Err(CodecError::Truncated);
-                }
-                let mut id = [0u8; 16];
-                payload.copy_to_slice(&mut id);
-                Ok(Reply::Id { id })
-            }
+    pub fn decode(payload: Bytes) -> Result<Self, CodecError> {
+        Reply::decode_from(&payload)
+    }
+
+    /// Parses a reply payload where it lies, copying only into the
+    /// reply's own fields.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError`] on truncated or malformed input.
+    pub fn decode_from(payload: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader(payload);
+        match r.u8()? {
+            TAG_ADD_ACK => Ok(Reply::AddAck {
+                accepted: r.u8()? != 0,
+                reason: r.string()?,
+            }),
+            TAG_SIGS => Ok(Reply::Sigs {
+                from: r.u64()?,
+                sigs: r.strings(MAX_FRAME / 4)?,
+            }),
+            TAG_ID => Ok(Reply::Id { id: r.array()? }),
             TAG_ERROR => Ok(Reply::Error {
-                message: get_string(&mut payload)?,
+                message: r.string()?,
             }),
             TAG_BATCH_ACK => {
-                if payload.remaining() < 4 {
-                    return Err(CodecError::Truncated);
-                }
-                let count = payload.get_u32() as usize;
-                if count > MAX_FRAME / 5 {
-                    return Err(CodecError::TooLarge(count));
-                }
+                let count = r.count(MAX_FRAME / 5)?;
                 let mut results = Vec::with_capacity(count.min(4096));
                 for _ in 0..count {
-                    if payload.remaining() < 1 {
-                        return Err(CodecError::Truncated);
-                    }
-                    let accepted = payload.get_u8() != 0;
-                    let reason = get_string(&mut payload)?;
-                    results.push(AddResult { accepted, reason });
+                    results.push(AddResult {
+                        accepted: r.u8()? != 0,
+                        reason: r.string()?,
+                    });
                 }
                 Ok(Reply::BatchAck { results })
             }
-            TAG_DELTA => {
-                if payload.remaining() < 20 {
-                    return Err(CodecError::Truncated);
-                }
-                let from = payload.get_u64();
-                let total = payload.get_u64();
-                let count = payload.get_u32() as usize;
-                if count > MAX_FRAME / 4 {
-                    return Err(CodecError::TooLarge(count));
-                }
-                let mut sigs = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    sigs.push(get_string(&mut payload)?);
-                }
-                Ok(Reply::Delta { from, total, sigs })
-            }
-            TAG_STATS_REPLY => Ok(Reply::Stats {
-                json: get_string(&mut payload)?,
+            TAG_DELTA => Ok(Reply::Delta {
+                from: r.u64()?,
+                total: r.u64()?,
+                sigs: r.strings(MAX_FRAME / 4)?,
             }),
+            TAG_STATS_REPLY => Ok(Reply::Stats { json: r.string()? }),
             t => Err(CodecError::BadTag(t)),
+        }
+    }
+
+    /// The reply as a receiver across the wire would decode it: a
+    /// [`Reply::SharedDelta`] becomes the [`Reply::Delta`] owning copies of
+    /// its texts, every other reply is returned as it is. For callers
+    /// handed a server's reply in process.
+    pub fn into_owned(self) -> Reply {
+        match self {
+            Reply::SharedDelta { from, total, sigs } => Reply::Delta {
+                from,
+                total,
+                sigs: sigs.iter().map(|s| String::from(&**s)).collect(),
+            },
+            other => other,
         }
     }
 }
@@ -527,26 +562,41 @@ pub fn frame_reply_into(reply: &Reply, buf: &mut BytesMut) {
     frame_into(buf, |b| reply.encode_into(b));
 }
 
-/// Splits one frame off the front of `buf`, if complete. Returns the
-/// payload.
+/// Reads the length header at the front of `buf`: the payload length it
+/// announces, or `None` while fewer than 4 bytes have arrived. The frame
+/// is complete once `buf` holds `4 + len` bytes; its payload is
+/// `buf[4..4 + len]`.
+///
+/// # Errors
+///
+/// Returns [`CodecError::TooLarge`] when the header announces a frame
+/// beyond [`MAX_FRAME`] (the caller should drop the connection).
+pub(crate) fn frame_len(buf: &[u8]) -> Result<Option<usize>, CodecError> {
+    let Some(header) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_be_bytes(*header) as usize;
+    if len > MAX_FRAME {
+        return Err(CodecError::TooLarge(len));
+    }
+    Ok(Some(len))
+}
+
+/// Splits one frame off the front of `buf`, if complete. Returns a copy
+/// of the payload.
 ///
 /// # Errors
 ///
 /// Returns [`CodecError::TooLarge`] when the header announces a frame
 /// beyond [`MAX_FRAME`] (the caller should drop the connection).
 pub fn deframe(buf: &mut BytesMut) -> Result<Option<Bytes>, CodecError> {
-    if buf.len() < 4 {
-        return Ok(None);
+    match frame_len(buf)? {
+        Some(len) if buf.len() >= 4 + len => {
+            buf.advance(4);
+            Ok(Some(buf.split_to_frozen(len)))
+        }
+        _ => Ok(None),
     }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > MAX_FRAME {
-        return Err(CodecError::TooLarge(len));
-    }
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    buf.advance(4);
-    Ok(Some(buf.split_to_frozen(len)))
 }
 
 #[cfg(test)]

@@ -38,6 +38,8 @@ mod event;
 mod reactor;
 mod simnet;
 mod tcp;
+#[cfg(all(test, unix))]
+mod test_io;
 
 #[cfg(unix)]
 pub use client_conn::{NonblockingClient, ReadinessPool};

@@ -15,10 +15,12 @@
 //! Each connection is a small state machine over the length-prefixed
 //! codec (unchanged from the single-loop transport):
 //!
-//! * **framed reads** — bytes accumulate in a per-connection buffer;
-//!   complete frames are decoded, handled, and their replies appended to
-//!   the connection's write buffer. Partial frames simply wait for the
-//!   next readiness event.
+//! * **framed reads** — the socket is read straight into the
+//!   per-connection buffer; complete frames are decoded where they lie,
+//!   handled, and their replies appended to the connection's write
+//!   buffer. Partial frames simply wait for the next readiness event. The
+//!   buffer grows with the bytes that actually arrived, never with what a
+//!   length header merely announces.
 //! * **short-write resumption** — whatever the kernel doesn't accept
 //!   stays queued; the connection registers write interest and resumes
 //!   on the next writable event.
@@ -44,7 +46,7 @@ use bytes::{Buf, BytesMut};
 use communix_telemetry::{Counter, Gauge, Registry};
 use polling::{BackendKind, Events, Poller, Waker};
 
-use crate::codec::{deframe, frame_reply_into, Reply, Request};
+use crate::codec::{frame_len, frame_reply_into, Reply, Request};
 use crate::tcp::{CloseCause, Handler, SharedStats, TcpServerConfig};
 
 /// Reserved poller key for the shard's waker.
@@ -55,7 +57,9 @@ const KEY_FIRST_CONN: usize = 1;
 /// Queued-reply bytes above which a connection stops being read.
 pub(crate) const HIGH_WATER: usize = 1 << 20;
 
-/// Per-read chunk size (matches the threaded transport).
+/// Minimum room offered to each socket read; a read that returns less
+/// has drained the kernel buffer. Not a copy granularity: reads land in
+/// the connection's buffer, and may fill all the room it has.
 const CHUNK: usize = 16 * 1024;
 
 /// The accept thread's handle to one shard: a wake-able queue of
@@ -109,9 +113,10 @@ impl Handoff {
     }
 }
 
-/// One connection's state machine.
-struct Conn {
-    stream: TcpStream,
+/// One connection's state machine, over its socket `S` (a byte stream
+/// standing in for it in tests).
+struct Conn<S> {
+    stream: S,
     /// Trace-event id assigned at accept time.
     id: u64,
     /// Bytes received but not yet assembled into a complete frame.
@@ -128,12 +133,14 @@ struct Conn {
     backpressured: bool,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, id: u64, now: Instant) -> Conn {
+impl<S> Conn<S> {
+    fn new(stream: S, id: u64, now: Instant) -> Conn<S> {
         Conn {
             stream,
             id,
-            inbuf: BytesMut::with_capacity(8 * 1024),
+            // Both buffers are allocated by their first use: the first
+            // read makes `CHUNK` of room.
+            inbuf: BytesMut::new(),
             out: BytesMut::new(),
             last_activity: now,
             want_read: true,
@@ -153,7 +160,7 @@ pub(crate) struct Reactor {
     stop: Arc<AtomicBool>,
     stats: Arc<SharedStats>,
     handoff: Arc<Handoff>,
-    conns: HashMap<usize, Conn>,
+    conns: HashMap<usize, Conn<TcpStream>>,
     next_key: usize,
     /// `transport.reactor.<i>.connections` — this shard's share of the
     /// aggregate `transport.connections` gauge.
@@ -330,25 +337,23 @@ impl Reactor {
 /// Runs reads, frame handling, and writes for one event. Returns the
 /// [`CloseCause`] when the connection must be dropped (EOF, error,
 /// protocol violation).
-fn drive(
+fn drive<S: Read + Write>(
     handler: &Handler,
     stats: &SharedStats,
     frames: &Counter,
-    conn: &mut Conn,
+    conn: &mut Conn<S>,
     readable: bool,
     writable: bool,
     now: Instant,
 ) -> Result<(), CloseCause> {
     if readable {
-        let mut chunk = [0u8; CHUNK];
         loop {
             if conn.out.len() >= HIGH_WATER {
                 break; // backpressure: drain before reading more
             }
-            match conn.stream.read(&mut chunk) {
+            match conn.inbuf.read_from(&mut conn.stream, CHUNK) {
                 Ok(0) => return Err(CloseCause::Peer),
                 Ok(n) => {
-                    conn.inbuf.extend_from_slice(&chunk[..n]);
                     conn.last_activity = now;
                     process_frames(handler, stats, frames, conn)?;
                     if n < CHUNK {
@@ -384,31 +389,31 @@ fn drive(
 /// Decodes and handles every complete frame in `inbuf`, subject to the
 /// write high-water mark. Fails with [`CloseCause::Framing`] on a
 /// framing violation.
-fn process_frames(
+fn process_frames<S>(
     handler: &Handler,
     stats: &SharedStats,
     frames: &Counter,
-    conn: &mut Conn,
+    conn: &mut Conn<S>,
 ) -> Result<(), CloseCause> {
     while conn.out.len() < HIGH_WATER {
-        match deframe(&mut conn.inbuf) {
-            Ok(Some(payload)) => {
-                // Count before dispatch so a STATS snapshot taken by the
-                // handler includes the frame that requested it.
-                frames.inc();
-                let reply = match Request::decode(payload) {
-                    Ok(req) => handler(req),
-                    Err(e) => Reply::Error {
-                        message: format!("bad request: {e}"),
-                    },
-                };
-                // Zero-copy: the reply frames straight into the
-                // connection's reusable write buffer.
-                frame_reply_into(&reply, &mut conn.out);
-            }
-            Ok(None) => break,
+        let len = match frame_len(&conn.inbuf) {
+            Ok(Some(len)) if conn.inbuf.len() >= 4 + len => len,
+            Ok(_) => break,
             Err(_) => return Err(CloseCause::Framing), // oversized/absurd frame: drop
-        }
+        };
+        // Count before dispatch so a STATS snapshot taken by the
+        // handler includes the frame that requested it.
+        frames.inc();
+        // The request is decoded where it lies and the reply framed
+        // straight into the connection's reusable write buffer.
+        let reply = match Request::decode_from(&conn.inbuf[4..4 + len]) {
+            Ok(req) => handler(req),
+            Err(e) => Reply::Error {
+                message: format!("bad request: {e}"),
+            },
+        };
+        conn.inbuf.advance(4 + len);
+        frame_reply_into(&reply, &mut conn.out);
     }
     // Trace the high-water crossing once; the flag resets when a flush
     // drains the queue back below the mark.
@@ -420,7 +425,7 @@ fn process_frames(
 }
 
 /// Writes queued replies until done or the kernel would block.
-fn flush(conn: &mut Conn, now: Instant) -> bool {
+fn flush<S: Write>(conn: &mut Conn<S>, now: Instant) -> bool {
     while !conn.out.is_empty() {
         match conn.stream.write(&conn.out) {
             Ok(0) => return false,
@@ -438,7 +443,7 @@ fn flush(conn: &mut Conn, now: Instant) -> bool {
 
 /// Re-registers the connection when its desired interest changed:
 /// readable unless backpressured, writable while replies are queued.
-fn sync_interest(poller: &Poller, key: usize, conn: &mut Conn) -> bool {
+fn sync_interest(poller: &Poller, key: usize, conn: &mut Conn<TcpStream>) -> bool {
     let want_read = conn.out.len() < HIGH_WATER;
     let want_write = !conn.out.is_empty();
     if (want_read, want_write) != (conn.want_read, conn.want_write) {
@@ -452,4 +457,97 @@ fn sync_interest(poller: &Poller, key: usize, conn: &mut Conn) -> bool {
         conn.want_write = want_write;
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::{frame_request_into, MAX_FRAME};
+    use crate::test_io::{trickle, Scripted};
+
+    fn echo() -> Handler {
+        Arc::new(|req| match req {
+            Request::IssueId { user } => Reply::Id {
+                id: [(user & 0xff) as u8; 16],
+            },
+            Request::Add { sig_text, .. } => Reply::AddAck {
+                accepted: true,
+                reason: sig_text,
+            },
+            other => Reply::Error {
+                message: format!("unexpected {other:?}"),
+            },
+        })
+    }
+
+    /// Runs `reads` through `drive`, one readiness event per scripted
+    /// read at most, and returns the connection as it ended up.
+    fn drive_all(reads: Vec<Vec<u8>>) -> Conn<Scripted> {
+        let registry = Registry::new();
+        let stats = SharedStats::resolve(&registry);
+        let frames = registry.counter("frames");
+        let now = Instant::now();
+        let events = reads.len() + 1;
+        let mut conn = Conn::new(Scripted::new(reads), 0, now);
+        for _ in 0..events {
+            drive(&echo(), &stats, &frames, &mut conn, true, false, now).expect("stays open");
+        }
+        conn
+    }
+
+    fn requests() -> (Vec<Request>, Vec<u8>) {
+        let requests = vec![
+            Request::IssueId { user: 1 },
+            Request::Add {
+                sender: [3u8; 16],
+                sig_text: "x".repeat(300),
+            },
+            Request::IssueId { user: 2 },
+            Request::Add {
+                sender: [4u8; 16],
+                sig_text: "y".repeat(40),
+            },
+        ];
+        let mut wire = BytesMut::new();
+        for r in &requests {
+            frame_request_into(r, &mut wire);
+        }
+        (requests, wire.to_vec())
+    }
+
+    #[test]
+    fn fragmented_reads_yield_the_same_replies_in_order() {
+        let (requests, wire) = requests();
+        let whole = drive_all(vec![wire.clone()]).stream.written;
+        let mut expected = BytesMut::new();
+        for r in requests.clone() {
+            frame_reply_into(&echo()(r), &mut expected);
+        }
+        assert_eq!(whole, expected.to_vec());
+
+        // 1..=7 bytes a read.
+        assert_eq!(drive_all(trickle(&wire)).stream.written, whole);
+
+        // Three frames and a half in one read, the remainder in the next.
+        let mut fourth = BytesMut::new();
+        frame_request_into(&requests[3], &mut fourth);
+        let cut = wire.len() - fourth.len() / 2;
+        let split = vec![wire[..cut].to_vec(), wire[cut..].to_vec()];
+        assert_eq!(drive_all(split).stream.written, whole);
+    }
+
+    #[test]
+    fn an_announced_length_does_not_size_the_buffer() {
+        // A header announcing MAX_FRAME, 1 KB of it, then silence.
+        let mut sent = (MAX_FRAME as u32).to_be_bytes().to_vec();
+        sent.extend_from_slice(&[0xAB; 1024]);
+        let conn = drive_all(vec![sent]);
+        assert_eq!(conn.inbuf.len(), 4 + 1024, "the partial frame waits");
+        assert!(
+            conn.inbuf.capacity() < 64 * 1024,
+            "buffer grew to {} on an unverified header",
+            conn.inbuf.capacity()
+        );
+        assert!(conn.stream.written.is_empty());
+    }
 }

@@ -7,7 +7,9 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use communix_net::{frame, Handler, Reply, Request, TcpClient, TcpServer, TcpServerConfig};
+use communix_net::{
+    frame, Handler, Reply, Request, TcpClient, TcpServer, TcpServerConfig, MAX_FRAME,
+};
 use communix_telemetry::{EventKind, EvictReason};
 
 /// GET(k) answers with k constant-size signatures — large k makes a
@@ -183,6 +185,64 @@ fn slow_loris_mid_frame_is_evicted() {
             t0.elapsed()
         );
     }
+}
+
+#[test]
+fn stranger_announcing_max_frame_is_evicted_while_its_shard_keeps_serving() {
+    // A header may announce 64 MB; only bytes that arrive cost the server
+    // anything (the reactor's own test holds its buffer under 64 KB on
+    // exactly these bytes). The stalled connection goes the way of any
+    // idle one, and its single shard serves a neighbour throughout.
+    let server = event_server(TcpServerConfig {
+        idle_timeout: Some(Duration::from_millis(300)),
+        reactors: 1,
+        ..TcpServerConfig::default()
+    });
+    let mut stranger = TcpStream::connect(server.addr()).unwrap();
+    stranger
+        .write_all(&(MAX_FRAME as u32).to_be_bytes())
+        .unwrap();
+    stranger.write_all(&[0xAB; 1024]).unwrap();
+    stranger.set_nonblocking(true).unwrap();
+
+    let mut neighbour = TcpClient::connect(server.addr()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut served = 0u64;
+    let mut chunk = [0u8; 64];
+    loop {
+        let reply = neighbour.call(&Request::IssueId { user: served }).unwrap();
+        assert_eq!(
+            reply,
+            Reply::Id {
+                id: [(served & 0xff) as u8; 16]
+            }
+        );
+        served += 1;
+        match stranger.read(&mut chunk) {
+            Ok(0) => break, // evicted
+            Ok(_) => panic!("a partial frame earns no reply"),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(_) => break, // reset: evicted as well
+        }
+        assert!(Instant::now() < deadline, "stranger never evicted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        served > 10,
+        "neighbour served only {served} times meanwhile"
+    );
+    // The EOF can outrun the close's accounting.
+    while server.stats().current_connections > 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let events = server.tracer().events();
+    let evictions: Vec<_> = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Evicted(_)))
+        .collect();
+    assert_eq!(evictions.len(), 1, "exactly the stranger: {events:?}");
+    assert_eq!(evictions[0].kind, EventKind::Evicted(EvictReason::Idle));
+    assert_eq!(server.stats().current_connections, 1, "the neighbour stays");
 }
 
 #[test]

@@ -1,8 +1,10 @@
 //! Property-based tests for the wire codec and the simulated network.
 
+use std::sync::Arc;
+
 use bytes::BytesMut;
 use communix_clock::Duration;
-use communix_net::{deframe, frame, NicConfig, NodeId, Reply, Request, SimNet};
+use communix_net::{deframe, frame, frame_reply_into, NicConfig, NodeId, Reply, Request, SimNet};
 use proptest::prelude::*;
 
 fn arb_request() -> impl Strategy<Value = Request> {
@@ -39,6 +41,29 @@ proptest! {
     #[test]
     fn reply_roundtrip(reply in arb_reply()) {
         prop_assert_eq!(Reply::decode(reply.encode()).unwrap(), reply);
+    }
+
+    /// A shared delta is a delta on the wire: the same bytes through either
+    /// encoding path, decoding (from a `Bytes` or in place) to the owned
+    /// form, which is also what an in-process receiver gets.
+    #[test]
+    fn shared_delta_is_a_delta_on_the_wire(
+        from in any::<u64>(),
+        total in any::<u64>(),
+        sigs in proptest::collection::vec("[ -~]{0,200}", 0..12),
+    ) {
+        let shared = Reply::SharedDelta {
+            from,
+            total,
+            sigs: sigs.iter().map(|s| Arc::from(s.as_str())).collect(),
+        };
+        let owned = Reply::Delta { from, total, sigs };
+        let mut framed = BytesMut::new();
+        frame_reply_into(&shared, &mut framed);
+        prop_assert_eq!(&framed[..], &frame(&owned.encode())[..]);
+        prop_assert_eq!(Reply::decode(shared.encode()).unwrap(), owned.clone());
+        prop_assert_eq!(Reply::decode_from(&framed[4..]).unwrap(), owned.clone());
+        prop_assert_eq!(shared.into_owned(), owned);
     }
 
     /// deframe(frame(x)) == x, and works under arbitrary fragmentation:

@@ -264,7 +264,8 @@ mod tests {
             .unwrap();
         assert_eq!(server.db().shard_count(), 1, "db_shards(0) = single lock");
         assert!(Arc::ptr_eq(server.telemetry(), &registry));
-        let Reply::Delta { sigs, .. } = server.handle(Request::GetDelta { from: 0, max: 0 }) else {
+        let Reply::SharedDelta { sigs, .. } = server.handle(Request::GetDelta { from: 0, max: 0 })
+        else {
             panic!("expected Delta")
         };
         assert!(sigs.is_empty());

@@ -24,6 +24,15 @@
 //! The pre-sharding implementation — one `RwLock` around a contiguous
 //! `Vec` — is preserved behind [`SignatureDb::single_lock`] as the
 //! benchmark baseline (`server_throughput` compares the two).
+//!
+//! # One text, shared
+//!
+//! Dedup'd ADDs are never rewritten, so a signature's text is immutable
+//! from the moment its log slot is published. It is therefore stored
+//! once, as an `Arc<str>`: the dedup index's key and the log slot are the
+//! same allocation, and [`SignatureDb::delta`] hands readers further
+//! handles to it instead of copies. Only [`SignatureDb::get_from`] (the
+//! old GET verb's owned reply) copies text out.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
@@ -119,13 +128,16 @@ impl SignatureDb {
         }
     }
 
-    /// All signatures from index `from` (clones; the caller ships them).
+    /// All signatures from index `from` (copies; the caller ships them).
     pub fn get_from(&self, from: usize) -> Vec<String> {
         match &self.store {
             Store::SingleLock(l) => l.get_from(from),
             Store::Sharded(s) => {
-                let total = s.log.committed();
-                s.log.collect(from as u64, total)
+                let (from, total) = (from as u64, s.log.committed());
+                let mut sigs = Vec::with_capacity(total.saturating_sub(from) as usize);
+                s.log
+                    .for_each(from, total, |t| sigs.push(String::from(&**t)));
+                sigs
             }
         }
     }
@@ -133,7 +145,8 @@ impl SignatureDb {
     /// At most `max` signatures from index `from`, plus the current
     /// total — the server-side windowing behind `GET_DELTA`. `max == 0`
     /// means "no client-side cap" (the server still applies its own).
-    pub fn delta(&self, from: usize, max: usize) -> (Vec<String>, usize) {
+    /// The texts are handles to the stored ones, not copies.
+    pub fn delta(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
         match &self.store {
             Store::SingleLock(l) => l.delta(from, max),
             Store::Sharded(s) => {
@@ -144,7 +157,10 @@ impl SignatureDb {
                 } else {
                     from.saturating_add(max as u64)
                 };
-                (s.log.collect(from, cap.min(total)), total as usize)
+                let to = cap.min(total);
+                let mut sigs = Vec::with_capacity((to - from) as usize);
+                s.log.for_each(from, to, |t| sigs.push(t.clone()));
+                (sigs, total as usize)
             }
         }
     }
@@ -233,7 +249,7 @@ impl SignatureDb {
                 for shard in s.shards.iter() {
                     for (text, &i) in shard.index.read().iter() {
                         if i >= from as u64 {
-                            tail.push((i, text.clone()));
+                            tail.push((i, String::from(&**text)));
                         }
                     }
                 }
@@ -257,8 +273,9 @@ struct Sharded {
 
 #[derive(Debug, Default)]
 struct Shard {
-    /// Signature text → global log index.
-    index: RwLock<HashMap<String, u64>>,
+    /// Signature text → global log index. The key is the log slot's
+    /// allocation.
+    index: RwLock<HashMap<Arc<str>, u64>>,
     count: AtomicUsize,
     bytes: AtomicUsize,
 }
@@ -276,8 +293,7 @@ impl Sharded {
         // Hash the whole text: a prefix/suffix shortcut would let an
         // adversary craft distinct signatures that collapse every dedup
         // probe onto one shard (this server's whole point is surviving
-        // hostile senders, §III-C). SipHash over 1.7 KB costs far less
-        // than the allocations an accepted add performs anyway.
+        // hostile senders, §III-C).
         &self.shards[(self.hasher.hash_one(sig_text) as usize) % self.shards.len()]
     }
 
@@ -300,16 +316,21 @@ impl Sharded {
             return (i as usize, false);
         }
         let i = self.log.reserve();
-        index.insert(sig_text.to_string(), i);
+        // The one copy of the text: index key and log slot share it.
+        let text: Arc<str> = Arc::from(sig_text);
+        index.insert(text.clone(), i);
         shard.count.fetch_add(1, Ordering::AcqRel);
         shard.bytes.fetch_add(sig_text.len(), Ordering::AcqRel);
         // Publish while still holding the shard write lock, so that a
         // racing duplicate add observing the index entry also observes
         // the committed log slot.
-        self.log.publish(i, sig_text.to_string());
+        self.log.publish(i, text);
         (i as usize, true)
     }
 }
+
+/// One fixed-size run of log slots, each written exactly once.
+type Segment = Arc<[OnceLock<Arc<str>>]>;
 
 /// A segmented append-only log of signature texts.
 ///
@@ -321,7 +342,7 @@ impl Sharded {
 /// segment is allocated — reads share it uncontended.
 #[derive(Debug, Default)]
 struct AppendLog {
-    segments: RwLock<Vec<Arc<[OnceLock<String>]>>>,
+    segments: RwLock<Vec<Segment>>,
     next: AtomicU64,
     committed: AtomicU64,
 }
@@ -348,7 +369,7 @@ impl AppendLog {
     /// contiguous filled slot. Writers cooperate: whichever writer
     /// observes the frontier slot filled advances it, so a slot finished
     /// out of order is published by the (slower) writer in front of it.
-    fn publish(&self, i: u64, text: String) {
+    fn publish(&self, i: u64, text: Arc<str>) {
         {
             let segments = self.segments.read();
             let slot = &segments[(i as usize) >> SEG_SHIFT][(i as usize) & (SEG_LEN - 1)];
@@ -384,11 +405,11 @@ impl AppendLog {
     /// the directory — and, through lock fairness, every other reader
     /// behind that waiting writer. Segments are `Arc`s precisely so a
     /// reader can pin them and iterate lock-free.
-    fn for_each(&self, from: u64, to: u64, mut f: impl FnMut(&String)) {
+    fn for_each(&self, from: u64, to: u64, mut f: impl FnMut(&Arc<str>)) {
         if from >= to {
             return;
         }
-        let segments: Vec<Arc<[OnceLock<String>]>> = self.segments.read().clone();
+        let segments: Vec<Segment> = self.segments.read().clone();
         let mut seg = (from as usize) >> SEG_SHIFT;
         let mut off = (from as usize) & (SEG_LEN - 1);
         let mut remaining = (to - from) as usize;
@@ -405,14 +426,7 @@ impl AppendLog {
         }
     }
 
-    /// Clones the texts in `[from, to)`; `to` must be ≤ committed.
-    fn collect(&self, from: u64, to: u64) -> Vec<String> {
-        let mut out = Vec::with_capacity(to.saturating_sub(from) as usize);
-        self.for_each(from, to, |s| out.push(s.clone()));
-        out
-    }
-
-    /// `(count, bytes)` over `[from, to)` without cloning.
+    /// `(count, bytes)` over `[from, to)`.
     fn scan(&self, from: u64, to: u64) -> (usize, usize) {
         let mut bytes = 0;
         self.for_each(from, to, |s| bytes += s.len());
@@ -421,7 +435,7 @@ impl AppendLog {
 }
 
 // ---------------------------------------------------------------------
-// Single-lock baseline (the pre-sharding implementation, verbatim)
+// Single-lock baseline (the pre-sharding implementation)
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Default)]
@@ -431,8 +445,8 @@ struct Legacy {
 
 #[derive(Debug, Default)]
 struct LegacyInner {
-    sigs: Vec<String>,
-    index: HashMap<String, usize>,
+    sigs: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, usize>,
 }
 
 impl Legacy {
@@ -445,8 +459,9 @@ impl Legacy {
             return (i, false);
         }
         let i = inner.sigs.len();
-        inner.sigs.push(sig_text.to_string());
-        inner.index.insert(sig_text.to_string(), i);
+        let text: Arc<str> = Arc::from(sig_text);
+        inner.sigs.push(text.clone());
+        inner.index.insert(text, i);
         (i, true)
     }
 
@@ -456,13 +471,14 @@ impl Legacy {
 
     fn get_from(&self, from: usize) -> Vec<String> {
         let inner = self.inner.read();
-        if from >= inner.sigs.len() {
-            return Vec::new();
-        }
-        inner.sigs[from..].to_vec()
+        let from = from.min(inner.sigs.len());
+        inner.sigs[from..]
+            .iter()
+            .map(|t| String::from(&**t))
+            .collect()
     }
 
-    fn delta(&self, from: usize, max: usize) -> (Vec<String>, usize) {
+    fn delta(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
         let inner = self.inner.read();
         let total = inner.sigs.len();
         let from = from.min(total);
@@ -480,7 +496,7 @@ impl Legacy {
             return (0, 0);
         }
         let slice = &inner.sigs[from..];
-        (slice.len(), slice.iter().map(String::len).sum())
+        (slice.len(), slice.iter().map(|t| t.len()).sum())
     }
 
     fn len(&self) -> usize {
@@ -488,7 +504,7 @@ impl Legacy {
     }
 
     fn stored_bytes(&self) -> usize {
-        self.inner.read().sigs.iter().map(String::len).sum()
+        self.inner.read().sigs.iter().map(|t| t.len()).sum()
     }
 }
 
@@ -566,7 +582,8 @@ mod tests {
             }
             let (sigs, total) = db.delta(3, 4);
             assert_eq!(total, 10);
-            assert_eq!(sigs, vec!["sig-3", "sig-4", "sig-5", "sig-6"]);
+            let texts: Vec<&str> = sigs.iter().map(|s| &**s).collect();
+            assert_eq!(texts, ["sig-3", "sig-4", "sig-5", "sig-6"]);
             // Window past the end clamps.
             let (sigs, total) = db.delta(8, 100);
             assert_eq!((sigs.len(), total), (2, 10));
@@ -574,7 +591,7 @@ mod tests {
             let (sigs, _) = db.delta(0, 0);
             assert_eq!(sigs.len(), 10);
             // from beyond the end is empty, not a panic.
-            assert_eq!(db.delta(99, 5).0, Vec::<String>::new());
+            assert!(db.delta(99, 5).0.is_empty());
             // from + max overflowing usize saturates instead of wrapping.
             let (sigs, total) = db.delta(1, usize::MAX);
             assert_eq!((sigs.len(), total), (9, 10));

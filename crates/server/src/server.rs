@@ -523,7 +523,9 @@ impl CommunixServer {
         let (sigs, total) = self.store.delta(from as usize, window);
         self.metrics.deltas.inc();
         self.metrics.sigs_served.add(sigs.len() as u64);
-        Reply::Delta {
+        // Handles to the stored texts: the transport encodes the `DELTA`
+        // frame straight from them.
+        Reply::SharedDelta {
             from,
             total: total as u64,
             sigs,
@@ -957,20 +959,24 @@ mod tests {
         for i in 0..7 {
             add(&srv, 1, &sig(10 + i));
         }
-        let Reply::Delta { from, total, sigs } = srv.handle(Request::GetDelta { from: 2, max: 3 })
+        let Reply::SharedDelta { from, total, sigs } =
+            srv.handle(Request::GetDelta { from: 2, max: 3 })
         else {
             panic!("expected Delta");
         };
         assert_eq!((from, total), (2, 7));
         assert_eq!(sigs.len(), 3);
-        assert_eq!(sigs, srv.db().get_from(2)[..3].to_vec());
+        let texts: Vec<&str> = sigs.iter().map(|s| &**s).collect();
+        assert_eq!(texts, srv.db().get_from(2)[..3]);
         // max == 0 defers to the server's window.
-        let Reply::Delta { sigs, .. } = srv.handle(Request::GetDelta { from: 0, max: 0 }) else {
+        let Reply::SharedDelta { sigs, .. } = srv.handle(Request::GetDelta { from: 0, max: 0 })
+        else {
             panic!("expected Delta");
         };
         assert_eq!(sigs.len(), 7);
         // Past the end: empty window, same total.
-        let Reply::Delta { total, sigs, .. } = srv.handle(Request::GetDelta { from: 99, max: 0 })
+        let Reply::SharedDelta { total, sigs, .. } =
+            srv.handle(Request::GetDelta { from: 99, max: 0 })
         else {
             panic!("expected Delta");
         };
@@ -994,7 +1000,8 @@ mod tests {
         for i in 0..5 {
             add(&srv, 1, &sig(30 + i));
         }
-        let Reply::Delta { total, sigs, .. } = srv.handle(Request::GetDelta { from: 0, max: 1000 })
+        let Reply::SharedDelta { total, sigs, .. } =
+            srv.handle(Request::GetDelta { from: 0, max: 1000 })
         else {
             panic!("expected Delta");
         };
@@ -1018,7 +1025,7 @@ mod tests {
             Reply::AddAck { accepted: true, .. }
         ));
         match srv.handle(Request::GetDelta { from: 0, max: 0 }) {
-            Reply::Delta { total, sigs, .. } => {
+            Reply::SharedDelta { total, sigs, .. } => {
                 assert_eq!((total, sigs.len()), (1, 1));
             }
             other => panic!("unexpected {other:?}"),

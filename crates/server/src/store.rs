@@ -356,8 +356,9 @@ impl Store {
 
     /// At most `max` signatures from `from`, plus the current total —
     /// the windowing behind `GET_DELTA`. After a GC the total shrinks
-    /// below old cursors: that is the client's epoch-switch signal.
-    pub fn delta(&self, from: usize, max: usize) -> (Vec<String>, usize) {
+    /// below old cursors: that is the client's epoch-switch signal. The
+    /// texts are handles to the stored ones, not copies.
+    pub fn delta(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
         self.db().delta(from, max)
     }
 
@@ -898,7 +899,7 @@ mod tests {
         assert_eq!(store.add("b"), (1, true));
         assert_eq!(store.len(), 2);
         assert_eq!(store.get_from(1), vec!["b"]);
-        assert_eq!(store.delta(0, 1), (vec!["a".to_string()], 2));
+        assert_eq!(store.delta(0, 1), (vec![Arc::from("a")], 2));
         assert_eq!(store.epoch(), 0);
         assert!(!store.is_durable());
         assert!(store.sync().is_ok());
