@@ -22,8 +22,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use communix_bench::{arg_flag, banner, fmt_rate, row};
+use communix_client::{Connector, PipelinedConnector};
 use communix_clock::{Duration as SimDuration, SystemClock};
-use communix_net::{NicConfig, NodeId, Reply, Request, SimNet, TcpClient};
+use communix_net::{NicConfig, NodeId, Reply, Request, SimNet};
 use communix_server::{CommunixServer, ServerConfig};
 use communix_workloads::SigGen;
 
@@ -142,11 +143,9 @@ fn simnet_point(clients: usize) -> (f64, u64, (f64, f64)) {
 /// One real-socket sweep point on localhost. Returns the mean
 /// per-client reply rate and the server-side `(p50, p99)` latency.
 fn tcp_point(clients: usize) -> (f64, (f64, f64)) {
-    let server = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
-    let tcp = communix_server::serve("127.0.0.1:0", server.clone()).expect("bind localhost");
+    let (server, tcp) = communix_server::builder()
+        .serve("127.0.0.1:0")
+        .expect("bind localhost");
     let addr = tcp.addr();
 
     let rates: Vec<f64> = std::thread::scope(|scope| {
@@ -156,18 +155,18 @@ fn tcp_point(clients: usize) -> (f64, (f64, f64)) {
             handles.push(scope.spawn(move || {
                 let mut gen = SigGen::new(0x7C9 ^ c as u64);
                 let id = server.authority().issue(c as u64);
-                let mut client = TcpClient::connect(addr).expect("connect");
+                let mut client = PipelinedConnector::connect(addr).expect("connect");
                 let start = Instant::now();
                 for _ in 0..ROUNDS {
                     let add = Request::Add {
                         sender: id,
                         sig_text: gen.random_signature().to_string(),
                     };
-                    match client.call(&add).expect("add") {
+                    match client.call(add).expect("add") {
                         Reply::AddAck { accepted: true, .. } => {}
                         other => panic!("unexpected {other:?}"),
                     }
-                    match client.call(&Request::Get { from: 0 }).expect("get") {
+                    match client.call(Request::Get { from: 0 }).expect("get") {
                         Reply::Sigs { .. } => {}
                         other => panic!("unexpected {other:?}"),
                     }

@@ -72,82 +72,6 @@ pub fn fmt_pct(fraction: f64) -> String {
     format!("{:+.1}%", fraction * 100.0)
 }
 
-/// The `p`-th percentile (0–100) of `samples`, by nearest-rank on a
-/// sorted copy. Returns 0.0 for an empty slice.
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// A minimal JSON object builder for the `BENCH_*.json` artifacts the
-/// CI bench jobs upload (the workspace vendors no serde).
-#[derive(Debug, Default)]
-pub struct JsonObj {
-    fields: Vec<(String, String)>,
-}
-
-impl JsonObj {
-    /// An empty object.
-    pub fn new() -> Self {
-        JsonObj::default()
-    }
-
-    /// Adds a string field (escapes quotes, backslashes and control
-    /// characters).
-    pub fn str(mut self, key: &str, value: &str) -> Self {
-        let mut escaped = String::with_capacity(value.len() + 2);
-        for c in value.chars() {
-            match c {
-                '"' => escaped.push_str("\\\""),
-                '\\' => escaped.push_str("\\\\"),
-                c if (c as u32) < 0x20 => escaped.push_str(&format!("\\u{:04x}", c as u32)),
-                c => escaped.push(c),
-            }
-        }
-        self.fields
-            .push((key.to_string(), format!("\"{escaped}\"")));
-        self
-    }
-
-    /// Adds an integer field.
-    pub fn int(mut self, key: &str, value: u64) -> Self {
-        self.fields.push((key.to_string(), value.to_string()));
-        self
-    }
-
-    /// Adds a number field (non-finite values serialize as `null`).
-    pub fn num(mut self, key: &str, value: f64) -> Self {
-        let rendered = if value.is_finite() {
-            format!("{value}")
-        } else {
-            "null".to_string()
-        };
-        self.fields.push((key.to_string(), rendered));
-        self
-    }
-
-    /// Adds a nested object field.
-    pub fn obj(mut self, key: &str, value: JsonObj) -> Self {
-        self.fields.push((key.to_string(), value.render()));
-        self
-    }
-
-    /// Renders the object as a JSON string.
-    pub fn render(&self) -> String {
-        let body: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect();
-        format!("{{{}}}", body.join(","))
-    }
-}
-
 /// Parses `--key value` style arguments; returns the value for `key`.
 pub fn arg_value(key: &str) -> Option<String> {
     let mut args = std::env::args();
@@ -181,33 +105,5 @@ mod tests {
         assert_eq!(fmt_rate(42.0), "42/s");
         assert_eq!(fmt_pct(0.4), "+40.0%");
         assert_eq!(fmt_pct(-0.013), "-1.3%");
-    }
-
-    #[test]
-    fn percentiles_by_nearest_rank() {
-        let samples: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&samples, 50.0), 50.0);
-        assert_eq!(percentile(&samples, 99.0), 99.0);
-        assert_eq!(percentile(&samples, 100.0), 100.0);
-        assert_eq!(percentile(&[7.0], 99.0), 7.0);
-        assert_eq!(percentile(&[], 99.0), 0.0);
-        // Unsorted input is handled.
-        assert_eq!(percentile(&[3.0, 1.0, 2.0], 50.0), 2.0);
-    }
-
-    #[test]
-    fn json_renders_escaped_and_nested() {
-        let json = JsonObj::new()
-            .str("name", "say \"hi\"\n")
-            .int("count", 3)
-            .num("rate", 1.5)
-            .num("bad", f64::NAN)
-            .obj("inner", JsonObj::new().int("x", 1))
-            .render();
-        assert_eq!(
-            json,
-            "{\"name\":\"say \\\"hi\\\"\\u000a\",\"count\":3,\"rate\":1.5,\
-             \"bad\":null,\"inner\":{\"x\":1}}"
-        );
     }
 }

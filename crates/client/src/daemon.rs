@@ -15,9 +15,8 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
 
-use crate::connect::Connect;
 use crate::repo::LocalRepository;
-use crate::sync::{sync_delta, sync_once, Connector, SyncError};
+use crate::sync::{sync_delta, Connector, SyncError};
 
 /// Statistics of a running daemon.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -29,9 +28,8 @@ pub struct DaemonStats {
     /// Rounds that failed (server unreachable etc.); the daemon retries
     /// on the next period.
     pub failures: u64,
-    /// Sessions dialed by a [`ClientDaemon::spawn_connect`] daemon —
-    /// `1` for the initial dial, more after transport failures forced a
-    /// redial. Always `0` for daemons given a fixed connector.
+    /// Connections dialed: `1` once the first dial succeeds, one more
+    /// for every redial after a transport failure.
     pub reconnects: u64,
 }
 
@@ -47,129 +45,67 @@ impl ClientDaemon {
     /// The paper's refresh period.
     pub const DEFAULT_PERIOD: Duration = Duration::from_secs(24 * 60 * 60);
 
-    /// Spawns a daemon that syncs `repo` through `connector` every
-    /// `period` using the single-signature `GET(n)` protocol. The first
-    /// sync runs immediately.
-    pub fn spawn<C>(
-        connector: C,
-        repo: Arc<Mutex<LocalRepository>>,
-        period: Duration,
-    ) -> ClientDaemon
-    where
-        C: Connector + Send + 'static,
-    {
-        Self::spawn_impl(connector, repo, period, None)
-    }
-
-    /// Like [`ClientDaemon::spawn`], but syncs through the batched
-    /// `GET_DELTA` protocol with `window` signatures per reply (0 defers
-    /// to the server's window) — one round trip per sync against a
-    /// batching server.
-    pub fn spawn_batched<C>(
-        connector: C,
-        repo: Arc<Mutex<LocalRepository>>,
-        period: Duration,
-        window: u32,
-    ) -> ClientDaemon
-    where
-        C: Connector + Send + 'static,
-    {
-        Self::spawn_impl(connector, repo, period, Some(window))
-    }
-
-    /// Like [`ClientDaemon::spawn_batched`], but given a session
-    /// *factory* instead of one live connector: the daemon dials through
-    /// `connect` on first use and redials on the next round whenever a
-    /// sync fails with a transport error — which is exactly what a
-    /// durable-server restart looks like from here (dead connection,
-    /// recovered store). Failed rounds count in
-    /// [`DaemonStats::failures`]; successful dials in
+    /// Spawns a daemon that syncs `repo` every `period` through
+    /// [`sync_delta`] with `window` signatures per reply (0 defers to
+    /// the server's window). The first round runs immediately.
+    ///
+    /// `dial` opens a connection to the server. The daemon calls it on
+    /// first use and again on the next round whenever a sync fails with
+    /// a transport error — which is exactly what a durable-server
+    /// restart looks like from here (dead connection, recovered store;
+    /// [`sync_delta`] handles the renumbered log). Failed rounds count
+    /// in [`DaemonStats::failures`]; successful dials in
     /// [`DaemonStats::reconnects`].
-    pub fn spawn_connect<K>(
-        connect: K,
+    pub fn spawn<D, C>(
+        mut dial: D,
         repo: Arc<Mutex<LocalRepository>>,
         period: Duration,
         window: u32,
     ) -> ClientDaemon
     where
-        K: Connect + Send + 'static,
+        D: FnMut() -> Result<C, SyncError> + Send + 'static,
+        C: Connector,
     {
         let (stop_tx, stop_rx) = bounded::<()>(1);
         let stats = Arc::new(Mutex::new(DaemonStats::default()));
         let stats2 = stats.clone();
         let handle = std::thread::spawn(move || {
-            let mut session: Option<K::Session> = None;
+            let mut session: Option<C> = None;
             loop {
-                {
-                    let mut repo = repo.lock();
-                    let mut stats = stats2.lock();
-                    stats.rounds += 1;
-                    if session.is_none() {
-                        match connect.connect() {
-                            Ok(s) => {
-                                session = Some(s);
-                                stats.reconnects += 1;
-                            }
-                            Err(_) => stats.failures += 1,
+                stats2.lock().rounds += 1;
+                // Dial with no lock held: against an unreachable server
+                // this takes a whole connect timeout, and an agent
+                // reading the repository at application start must not
+                // wait for it (the decoupling of §III-B).
+                if session.is_none() {
+                    match dial() {
+                        Ok(s) => {
+                            session = Some(s);
+                            stats2.lock().reconnects += 1;
                         }
+                        Err(_) => stats2.lock().failures += 1,
                     }
-                    if let Some(s) = session.as_mut() {
-                        match sync_delta(s, &mut repo, window) {
-                            Ok(n) => stats.downloaded += n as u64,
-                            Err(e) => {
-                                stats.failures += 1;
-                                if matches!(e, SyncError::Transport(_)) {
-                                    // Dead socket: drop it and redial on
-                                    // the next round.
-                                    session = None;
-                                }
+                }
+                if let Some(s) = session.as_mut() {
+                    let synced = sync_delta(s, &mut repo.lock(), window);
+                    let mut stats = stats2.lock();
+                    match synced {
+                        Ok(n) => stats.downloaded += n as u64,
+                        Err(e) => {
+                            stats.failures += 1;
+                            if matches!(e, SyncError::Transport(_)) {
+                                // Dead socket: drop it and redial on
+                                // the next round.
+                                session = None;
                             }
                         }
                     }
                 }
+                // Sleep until the next period or until stopped.
                 match stop_rx.recv_timeout(period) {
                     Ok(()) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
                     Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
                 }
-            }
-        });
-        ClientDaemon {
-            stop: stop_tx,
-            handle: Some(handle),
-            stats,
-        }
-    }
-
-    fn spawn_impl<C>(
-        mut connector: C,
-        repo: Arc<Mutex<LocalRepository>>,
-        period: Duration,
-        batched_window: Option<u32>,
-    ) -> ClientDaemon
-    where
-        C: Connector + Send + 'static,
-    {
-        let (stop_tx, stop_rx) = bounded::<()>(1);
-        let stats = Arc::new(Mutex::new(DaemonStats::default()));
-        let stats2 = stats.clone();
-        let handle = std::thread::spawn(move || loop {
-            {
-                let mut repo = repo.lock();
-                let mut stats = stats2.lock();
-                stats.rounds += 1;
-                let synced = match batched_window {
-                    Some(window) => sync_delta(&mut connector, &mut repo, window),
-                    None => sync_once(&mut connector, &mut repo),
-                };
-                match synced {
-                    Ok(n) => stats.downloaded += n as u64,
-                    Err(_) => stats.failures += 1,
-                }
-            }
-            // Sleep until the next period or until stopped.
-            match stop_rx.recv_timeout(period) {
-                Ok(()) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
             }
         });
         ClientDaemon {
@@ -204,65 +140,10 @@ mod tests {
     use super::*;
     use communix_net::{Reply, Request};
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
 
     #[test]
-    fn daemon_syncs_immediately_and_periodically() {
-        let calls = Arc::new(AtomicU64::new(0));
-        let calls2 = calls.clone();
-        let conn = move |req: Request| -> Result<Reply, String> {
-            let n = calls2.fetch_add(1, Ordering::SeqCst);
-            match req {
-                Request::Get { from } => Ok(Reply::Sigs {
-                    from,
-                    // One new signature per round.
-                    sigs: vec![format!("s{n}")],
-                }),
-                _ => Err("unexpected".into()),
-            }
-        };
-        let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon = ClientDaemon::spawn(conn, repo.clone(), Duration::from_millis(20));
-        // Wait for at least 3 rounds.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while calls.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        daemon.shutdown();
-        let stats = daemon.stats();
-        assert!(stats.rounds >= 3, "rounds={}", stats.rounds);
-        assert_eq!(stats.downloaded, stats.rounds);
-        assert_eq!(repo.lock().len() as u64, stats.downloaded);
-    }
-
-    #[test]
-    fn daemon_counts_failures_and_keeps_running() {
-        let calls = Arc::new(AtomicU64::new(0));
-        let calls2 = calls.clone();
-        let conn = move |req: Request| -> Result<Reply, String> {
-            let n = calls2.fetch_add(1, Ordering::SeqCst);
-            if n.is_multiple_of(2) {
-                Err("server down".into())
-            } else {
-                match req {
-                    Request::Get { from } => Ok(Reply::Sigs { from, sigs: vec![] }),
-                    _ => Err("unexpected".into()),
-                }
-            }
-        };
-        let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon = ClientDaemon::spawn(conn, repo, Duration::from_millis(10));
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while calls.load(Ordering::SeqCst) < 4 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        daemon.shutdown();
-        let stats = daemon.stats();
-        assert!(stats.failures >= 1);
-        assert!(stats.rounds >= stats.failures);
-    }
-
-    #[test]
-    fn batched_daemon_syncs_through_get_delta() {
+    fn daemon_syncs_through_get_delta_immediately_and_periodically() {
         let calls = Arc::new(AtomicU64::new(0));
         let calls2 = calls.clone();
         let conn = move |req: Request| -> Result<Reply, String> {
@@ -278,8 +159,12 @@ mod tests {
             }
         };
         let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon =
-            ClientDaemon::spawn_batched(conn, repo.clone(), Duration::from_millis(10), 0);
+        let mut daemon = ClientDaemon::spawn(
+            move || Ok(conn.clone()),
+            repo.clone(),
+            Duration::from_millis(10),
+            0,
+        );
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while calls.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
@@ -288,17 +173,18 @@ mod tests {
         let stats = daemon.stats();
         assert!(stats.rounds >= 3, "rounds={}", stats.rounds);
         assert_eq!(stats.failures, 0);
+        assert_eq!(stats.reconnects, 1, "a healthy connection is dialed once");
         assert_eq!(stats.downloaded, 2 * stats.rounds);
         assert_eq!(repo.lock().len() as u64, stats.downloaded);
     }
 
     #[test]
-    fn connect_daemon_redials_after_transport_failures() {
+    fn daemon_redials_after_transport_failures() {
         // Session k fails its (k+1)-th call with a transport error; the
         // daemon must dial a fresh session and keep downloading.
         let dials = Arc::new(AtomicU64::new(0));
         let dials2 = dials.clone();
-        let connect = move || {
+        let dial = move || {
             let dial = dials2.fetch_add(1, Ordering::SeqCst);
             let mut calls_left = dial + 1;
             Ok(move |req: Request| -> Result<Reply, String> {
@@ -317,8 +203,7 @@ mod tests {
             })
         };
         let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon =
-            ClientDaemon::spawn_connect(connect, repo.clone(), Duration::from_millis(5), 0);
+        let mut daemon = ClientDaemon::spawn(dial, repo.clone(), Duration::from_millis(5), 0);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while dials.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
@@ -335,15 +220,15 @@ mod tests {
     type NeverSession = fn(Request) -> Result<Reply, String>;
 
     #[test]
-    fn connect_daemon_survives_failed_dials() {
+    fn daemon_survives_failed_dials() {
         let attempts = Arc::new(AtomicU64::new(0));
         let attempts2 = attempts.clone();
-        let connect = move || -> Result<NeverSession, SyncError> {
+        let dial = move || -> Result<NeverSession, SyncError> {
             attempts2.fetch_add(1, Ordering::SeqCst);
             Err(SyncError::Transport("connection refused".into()))
         };
         let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon = ClientDaemon::spawn_connect(connect, repo, Duration::from_millis(5), 0);
+        let mut daemon = ClientDaemon::spawn(dial, repo, Duration::from_millis(5), 0);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while attempts.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
@@ -356,15 +241,56 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_is_idempotent_and_drop_safe() {
-        let conn = |_req: Request| -> Result<Reply, String> {
-            Ok(Reply::Sigs {
-                from: 0,
-                sigs: vec![],
-            })
+    fn a_parked_dial_holds_neither_the_repository_nor_the_stats() {
+        // A dial against an unreachable server: it reports that it was
+        // entered, then parks until released (or until the test's end
+        // of the channel is dropped), then fails.
+        let (entered_tx, entered) = mpsc::channel::<()>();
+        let (release_tx, released) = mpsc::channel::<()>();
+        let dial = move || -> Result<NeverSession, SyncError> {
+            let _ = entered_tx.send(());
+            let _ = released.recv();
+            Err(SyncError::Transport("connect timed out".into()))
         };
         let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon = ClientDaemon::spawn(conn, repo, Duration::from_secs(3600));
+        let daemon = ClientDaemon::spawn(dial, repo.clone(), Duration::from_millis(5), 0);
+        // Declared after the daemon, so dropped before it: a failed
+        // assertion below un-parks the dial instead of hanging the join.
+        let release = release_tx;
+        let wait = Duration::from_secs(5);
+        entered.recv_timeout(wait).expect("first dial");
+
+        assert!(
+            repo.try_lock().is_some(),
+            "an agent must be able to read the repository during a dial"
+        );
+        let seen = std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            let daemon = &daemon;
+            scope.spawn(move || tx.send(daemon.stats()));
+            let seen = rx.recv_timeout(Duration::from_secs(1));
+            release.send(()).expect("dial is parked"); // fail the first dial
+            seen
+        });
+        let seen = seen.expect("stats() must not wait for the dial");
+        assert_eq!((seen.rounds, seen.failures), (1, 0));
+
+        // The failure is counted, and the next round dials again.
+        entered
+            .recv_timeout(wait)
+            .expect("redial on the next round");
+        let stats = daemon.stats();
+        assert_eq!((stats.rounds, stats.failures), (2, 1));
+        assert_eq!(stats.reconnects, 0);
+    }
+
+    #[test]
+    fn shutdown_is_idempotent_and_drop_safe() {
+        let conn = |req: Request| -> Result<Reply, String> {
+            Err(format!("never reached within the period: {req:?}"))
+        };
+        let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
+        let mut daemon = ClientDaemon::spawn(move || Ok(conn), repo, Duration::from_secs(3600), 0);
         daemon.shutdown();
         daemon.shutdown();
         drop(daemon);

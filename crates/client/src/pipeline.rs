@@ -1,10 +1,9 @@
 //! A pipelined, multiplexed sync engine: many requests in flight on one
 //! connection.
 //!
-//! The blocking [`Connector`] path is strictly lock-step — one request
-//! on the wire, wait for its reply, repeat — so per-connection
-//! throughput is capped at `1 / RTT` no matter how fast the server is.
-//! [`PipelinedClient`] removes that cap: it keeps a bounded *window* of
+//! A lock-step client — one request on the wire, wait for its reply,
+//! repeat — caps per-connection throughput at `1 / RTT` no matter how
+//! fast the server is. [`PipelinedClient`] keeps a bounded *window* of
 //! requests in flight on a single [`NonblockingClient`] socket, matching
 //! replies to requests by frame order (the protocol is FIFO: reply *n*
 //! answers request *n*), and completing each request through a caller
@@ -25,10 +24,10 @@
 //! The engine is deliberately futures-free: [`PipelinedClient::pump`]
 //! makes all progress that needs no waiting, [`PipelinedClient::wait`]
 //! parks on socket readiness, and callbacks fire from within `pump` on
-//! the caller's thread. [`PipelinedConnector`] wraps the engine back
-//! into the blocking [`Connector`] trait, so `sync_once`, `sync_delta`,
-//! [`crate::ClientDaemon`], and every other existing caller work
-//! unchanged over a pipelined connection.
+//! the caller's thread. [`PipelinedConnector`] wraps the engine into
+//! the blocking [`Connector`] trait, which is how `sync_delta`,
+//! `upload_batch`, the paper's one-signature verbs and
+//! [`crate::ClientDaemon`] reach a server over TCP.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -210,18 +209,6 @@ impl PipelinedClient {
     /// The client's metrics registry.
     pub fn telemetry(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// The nonblocking connection underneath, for a shared readiness
-    /// pool ([`crate::ReactorPool`]) to register and sync.
-    pub(crate) fn conn(&self) -> &NonblockingClient {
-        &self.conn
-    }
-
-    /// Whether the connection failed (every outstanding request has
-    /// already completed with the error).
-    pub(crate) fn is_dead(&self) -> bool {
-        self.dead.is_some()
     }
 
     /// Submits a request; `complete` fires (from a later
@@ -492,10 +479,8 @@ impl PipelinedClient {
 
 /// Blocking [`Connector`] facade over a [`PipelinedClient`]: each
 /// [`Connector::call`] submits, then pumps until that request's reply
-/// arrives. Drop-in for `sync_once`, `sync_delta`, `upload_signature`,
-/// `upload_batch`, and [`crate::ClientDaemon`] — existing blocking
-/// callers get the pipelined connection (and its zero-copy write path)
-/// without changing a line.
+/// arrives. The TCP connector for `sync_once`, `sync_delta`,
+/// `upload_signature`, `upload_batch`, and [`crate::ClientDaemon`].
 #[derive(Debug)]
 pub struct PipelinedConnector {
     client: PipelinedClient,

@@ -1,9 +1,8 @@
 //! The client side of the event-driven transport: a nonblocking,
 //! framed connection for pipelined clients.
 //!
-//! [`TcpClient`](crate::TcpClient) is strictly request→reply: it cannot
-//! put a second request on the wire before the first reply returns, so
-//! per-connection throughput is capped at `1 / RTT`. A
+//! A client that waits for each reply before sending the next request
+//! caps per-connection throughput at `1 / RTT`. A
 //! [`NonblockingClient`] decouples the two directions — requests queue
 //! into a reusable write buffer ([`NonblockingClient::queue`]) and
 //! replies surface as they arrive ([`NonblockingClient::try_recv`]) —
@@ -19,7 +18,6 @@
 //! `*_into` path, so a burst of queued requests performs zero per-frame
 //! allocations.
 
-use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -196,102 +194,6 @@ fn recv_reply(
 impl Drop for NonblockingClient {
     fn drop(&mut self) {
         let _ = self.poller.delete(self.stream.as_raw_fd());
-    }
-}
-
-/// A shared readiness poller over many [`NonblockingClient`]
-/// connections: the substrate for a client-side reactor, where **one
-/// thread drives M pipelined sockets** instead of parking one thread
-/// per connection on each socket's private poller.
-///
-/// Callers register each connection under a caller-chosen key, then
-/// loop: [`ReadinessPool::wait`] parks until any registered socket can
-/// make progress (syncing each connection's write interest to its
-/// queued bytes first), and [`ReadinessPool::ready`] yields the keys
-/// that woke it. `communix-client`'s `ReactorPool` builds the full
-/// multi-connection pipelined engine on top.
-#[derive(Debug)]
-pub struct ReadinessPool {
-    poller: Poller,
-    events: Events,
-    /// Registered write interest per key, so `wait` only issues a
-    /// `modify` syscall when a connection's interest actually changed.
-    interest: HashMap<usize, bool>,
-}
-
-impl ReadinessPool {
-    /// Creates an empty pool with a fresh poller.
-    ///
-    /// # Errors
-    ///
-    /// Propagates poller-creation failures.
-    pub fn new() -> io::Result<ReadinessPool> {
-        Ok(ReadinessPool {
-            poller: Poller::new()?,
-            events: Events::new(),
-            interest: HashMap::new(),
-        })
-    }
-
-    /// Registers `conn` under `key` with read interest (write interest
-    /// follows the connection's queued bytes at each
-    /// [`ReadinessPool::wait`]). Keys must be unique within the pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates poller registration failures.
-    pub fn register(&mut self, key: usize, conn: &NonblockingClient) -> io::Result<()> {
-        self.poller.add(conn.stream.as_raw_fd(), key, true, false)?;
-        self.interest.insert(key, false);
-        Ok(())
-    }
-
-    /// Removes `conn` (registered under `key`) from the pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates poller deregistration failures.
-    pub fn deregister(&mut self, key: usize, conn: &NonblockingClient) -> io::Result<()> {
-        self.interest.remove(&key);
-        self.poller.delete(conn.stream.as_raw_fd())
-    }
-
-    /// Updates `conn`'s registered write interest to match its queued
-    /// bytes. Cheap when nothing changed (no syscall).
-    ///
-    /// # Errors
-    ///
-    /// Propagates poller modification failures.
-    pub fn sync(&mut self, key: usize, conn: &NonblockingClient) -> io::Result<()> {
-        let want_write = !conn.out.is_empty();
-        if self.interest.get(&key).copied() == Some(want_write) {
-            return Ok(());
-        }
-        self.poller
-            .modify(conn.stream.as_raw_fd(), key, true, want_write)?;
-        self.interest.insert(key, want_write);
-        Ok(())
-    }
-
-    /// Parks until any registered socket can make progress or `timeout`
-    /// elapses (`None` waits forever). Returns how many sockets woke
-    /// it; their keys come from [`ReadinessPool::ready`].
-    ///
-    /// Call [`ReadinessPool::sync`] for connections whose queued bytes
-    /// changed since the last wait, or the pool may sleep through a
-    /// writable socket.
-    ///
-    /// # Errors
-    ///
-    /// Propagates poller failures.
-    pub fn wait(&mut self, timeout: Option<Duration>) -> io::Result<usize> {
-        self.poller.wait(&mut self.events, timeout)
-    }
-
-    /// Keys of the connections the last [`ReadinessPool::wait`]
-    /// reported ready.
-    pub fn ready(&self) -> impl Iterator<Item = usize> + '_ {
-        self.events.iter().map(|ev| ev.key)
     }
 }
 

@@ -1,26 +1,20 @@
-//! A real TCP transport (std::net) for the Communix protocol, in two
-//! server flavors sharing one wire format and one blocking client:
+//! The TCP transport (std::net) for the Communix protocol.
 //!
-//! * **event-driven** (the default, [`TcpServer::bind`]) — N reactor
-//!   shards of nonblocking sockets (epoll, `poll(2)` fallback) driving
-//!   per-connection state machines, fed by a dedicated accept thread;
-//!   see [`crate::event`] and [`crate::reactor`]. This is the C10K
-//!   path: one server process holds tens of thousands of concurrent
-//!   connections, spread across [`TcpServerConfig::reactors`] threads.
-//! * **thread-per-connection** ([`TcpServer::threaded`]) — the
-//!   pre-event-loop baseline, kept for comparison benchmarks. Blocking
-//!   reads/writes run under a short socket timeout so connection
-//!   threads notice shutdown and idle peers promptly instead of parking
-//!   in `read` forever.
+//! [`TcpServer::bind`] starts [`TcpServerConfig::reactors`] reactor
+//! shards of nonblocking sockets (epoll, `poll(2)` where epoll is not
+//! available) driving per-connection state machines, fed by a dedicated
+//! accept thread; see [`crate::event`] and [`crate::reactor`]. This is
+//! the C10K path: one server process holds tens of thousands of
+//! concurrent connections, spread across the shard threads.
 //!
-//! Both servers evict connections that make no progress for
+//! The server evicts connections that make no progress for
 //! [`TcpServerConfig::idle_timeout`] (slow-loris defense: a length
-//! prefix followed by a stall releases the connection's resources), and
-//! both count connections in [`TransportStats`].
+//! prefix followed by a stall releases the connection's resources) and
+//! counts connections in [`TransportStats`].
 //!
 //! # Observability
 //!
-//! Each server records into a telemetry [`Registry`] — its own by
+//! The server records into a telemetry [`Registry`] — its own by
 //! default, or one passed in via [`TcpServerConfig::registry`] so
 //! transport metrics share a `STATS` snapshot with the request path:
 //! `transport.accepted` / `transport.connections` (gauge with peak) /
@@ -30,21 +24,18 @@
 //! land in a fixed-capacity ring-buffer [`Tracer`] — a flight recorder
 //! that never blocks the hot path and counts what it overwrites.
 
-use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use bytes::BytesMut;
 use communix_telemetry::{Counter, EventKind, EvictReason, Gauge, Registry, Tracer};
 
-use crate::codec::{deframe, frame_reply_into, frame_request_into, CodecError, Reply, Request};
+use crate::codec::{CodecError, Reply, Request};
 
-/// A request handler: maps each request to a reply. Shared across
-/// connection threads (threaded transport) or called from the readiness
-/// loop (event transport).
+/// A request handler: maps each request to a reply. Shared by every
+/// reactor shard and called from its readiness loop.
 pub type Handler = Arc<dyn Fn(Request) -> Reply + Send + Sync>;
 
 /// Server transport tunables.
@@ -54,18 +45,17 @@ pub struct TcpServerConfig {
     /// progress (`None` disables eviction). Also the slow-loris bound:
     /// a peer stalling mid-frame holds resources at most this long.
     pub idle_timeout: Option<Duration>,
-    /// Force the event transport onto the portable `poll(2)` backend
-    /// even where epoll is available (tests and benchmark metadata).
+    /// Force the transport onto the portable `poll(2)` backend even
+    /// where epoll is available (how the tests cover that backend).
     pub force_poll_backend: bool,
     /// Telemetry registry the transport records into (`None` binds a
     /// fresh private registry). Pass the server's registry so one
     /// `STATS` snapshot covers both the transport and the request path.
     pub registry: Option<Arc<Registry>>,
-    /// Reactor shards for the event transport: each shard is one
-    /// thread owning a poller and a disjoint set of connections, fed by
-    /// a dedicated accept thread (least-loaded placement). `0` (the
-    /// default) sizes to the machine — `available_parallelism` clamped
-    /// to at most 4. Ignored by the threaded transport.
+    /// Reactor shards: each shard is one thread owning a poller and a
+    /// disjoint set of connections, fed by a dedicated accept thread
+    /// (least-loaded placement). `0` (the default) sizes to the
+    /// machine — `available_parallelism` clamped to at most 4.
     pub reactors: usize,
 }
 
@@ -80,8 +70,8 @@ impl Default for TcpServerConfig {
     }
 }
 
-/// Connection counters, shared by both transports — a view over the
-/// transport's telemetry registry.
+/// Connection counters — a view over the transport's telemetry
+/// registry.
 ///
 /// `peak_connections` is a *monotone* high-water mark: it only ever
 /// grows, and a snapshot always satisfies `peak_connections >=
@@ -199,33 +189,20 @@ impl SharedStats {
 pub struct TcpServer {
     addr: SocketAddr,
     transport: &'static str,
-    /// Reactor shards serving connections (0 for the threaded
-    /// transport, which has no reactors).
     reactors: usize,
     registry: Arc<Registry>,
     stats: Arc<SharedStats>,
-    inner: Inner,
-}
-
-#[derive(Debug)]
-enum Inner {
-    Threaded {
-        stop: Arc<AtomicBool>,
-        accept_thread: Option<JoinHandle<()>>,
-    },
     #[cfg(unix)]
-    Event(crate::event::EventHandle),
+    handle: crate::event::EventHandle,
 }
 
 impl TcpServer {
     /// Binds to `addr` (use port 0 for an ephemeral port) and serves
-    /// `handler` on the default transport: the event-driven readiness
-    /// loop where available, falling back to thread-per-connection on
-    /// platforms without a poller.
+    /// `handler` with the default [`TcpServerConfig`].
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind and poller failures.
     pub fn bind(addr: &str, handler: Handler) -> io::Result<TcpServer> {
         Self::bind_with(addr, handler, TcpServerConfig::default())
     }
@@ -234,7 +211,9 @@ impl TcpServer {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures, and the poller's own error where the
+    /// platform has no usable poller — there is no second transport to
+    /// fall back to.
     pub fn bind_with(
         addr: &str,
         handler: Handler,
@@ -243,105 +222,25 @@ impl TcpServer {
         #[cfg(unix)]
         {
             let listener = TcpListener::bind(addr)?;
-            let local = listener.local_addr()?;
+            let addr = listener.local_addr()?;
             let registry = config
                 .registry
                 .clone()
                 .unwrap_or_else(|| Arc::new(Registry::new()));
             let stats = Arc::new(SharedStats::resolve(&registry));
-            match crate::event::spawn(listener, handler.clone(), &config, stats.clone(), &registry)
-            {
-                Ok((handle, transport, reactors)) => {
-                    return Ok(TcpServer {
-                        addr: local,
-                        transport,
-                        reactors,
-                        registry,
-                        stats,
-                        inner: Inner::Event(handle),
-                    })
-                }
-                // No poller on this system: fall back to threads on a
-                // fresh socket (the first listener dies with this scope).
-                Err(e) if e.kind() == ErrorKind::Unsupported => {}
-                Err(e) => return Err(e),
-            }
+            let (handle, transport, reactors) =
+                crate::event::spawn(listener, handler, &config, stats.clone(), &registry)?;
+            Ok(TcpServer {
+                addr,
+                transport,
+                reactors,
+                registry,
+                stats,
+                handle,
+            })
         }
-        Self::threaded_with(addr, handler, config)
-    }
-
-    /// Binds the thread-per-connection baseline transport.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn threaded(addr: &str, handler: Handler) -> io::Result<TcpServer> {
-        Self::threaded_with(addr, handler, TcpServerConfig::default())
-    }
-
-    /// [`TcpServer::threaded`] with explicit [`TcpServerConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn threaded_with(
-        addr: &str,
-        handler: Handler,
-        config: TcpServerConfig,
-    ) -> io::Result<TcpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let registry = config
-            .registry
-            .clone()
-            .unwrap_or_else(|| Arc::new(Registry::new()));
-        let stats = Arc::new(SharedStats::resolve(&registry));
-        let stop2 = stop.clone();
-        let stats2 = stats.clone();
-        let accept_thread = std::thread::spawn(move || {
-            let mut conn_threads = Vec::new();
-            for stream in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(stream) => {
-                        // Small request/reply frames must not sit in
-                        // Nagle's buffer waiting for an ACK — pipelined
-                        // clients would see 40 ms stalls per window.
-                        let _ = stream.set_nodelay(true);
-                        let handler = handler.clone();
-                        let stop = stop2.clone();
-                        let stats = stats2.clone();
-                        let idle_timeout = config.idle_timeout;
-                        let conn = stats.connected();
-                        conn_threads.push(std::thread::spawn(move || {
-                            let cause = serve_connection(stream, handler, &stop, idle_timeout);
-                            stats.closed(conn, cause);
-                        }));
-                    }
-                    Err(_) => break,
-                }
-            }
-            // Threads exit within one tick of the stop flag (or their
-            // peer hanging up), so this join completes promptly even
-            // with slow clients still connected.
-            for t in conn_threads {
-                let _ = t.join();
-            }
-        });
-        Ok(TcpServer {
-            addr: local,
-            transport: "threaded",
-            reactors: 0,
-            registry,
-            stats,
-            inner: Inner::Threaded {
-                stop,
-                accept_thread: Some(accept_thread),
-            },
-        })
+        #[cfg(not(unix))]
+        polling::Poller::new().and_then(|_| Err(io::ErrorKind::Unsupported.into()))
     }
 
     /// The bound address.
@@ -349,15 +248,14 @@ impl TcpServer {
         self.addr
     }
 
-    /// The serving transport: `"event-epoll"`, `"event-poll"`, or
-    /// `"threaded"`.
+    /// The poller backend serving connections: `"event-epoll"` or
+    /// `"event-poll"`.
     pub fn transport(&self) -> &'static str {
         self.transport
     }
 
     /// Reactor shards serving connections: the resolved value of
-    /// [`TcpServerConfig::reactors`] for the event transport, `0` for
-    /// the threaded transport (it has no reactors).
+    /// [`TcpServerConfig::reactors`].
     pub fn reactors(&self) -> usize {
         self.reactors
     }
@@ -382,123 +280,14 @@ impl TcpServer {
     /// Stops serving and joins the transport. Live connections are
     /// dropped, not waited for. Idempotent.
     pub fn shutdown(&mut self) {
-        match &mut self.inner {
-            Inner::Threaded {
-                stop,
-                accept_thread,
-            } => {
-                if stop.swap(true, Ordering::SeqCst) {
-                    return;
-                }
-                // Unblock the accept loop with a dummy connection.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-            }
-            #[cfg(unix)]
-            Inner::Event(handle) => handle.shutdown(),
-        }
+        #[cfg(unix)]
+        self.handle.shutdown();
     }
 }
 
 impl Drop for TcpServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// Socket timeout for the threaded transport's blocking reads/writes:
-/// the granularity at which connection threads notice the stop flag and
-/// idle deadlines.
-const THREADED_TICK: Duration = Duration::from_millis(50);
-
-/// Whether a blocking-socket error is a timeout tick (Linux reports
-/// `WouldBlock`, other platforms `TimedOut`).
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-}
-
-fn serve_connection(
-    mut stream: TcpStream,
-    handler: Handler,
-    stop: &AtomicBool,
-    idle_timeout: Option<Duration>,
-) -> CloseCause {
-    if stream.set_read_timeout(Some(THREADED_TICK)).is_err()
-        || stream.set_write_timeout(Some(THREADED_TICK)).is_err()
-    {
-        return CloseCause::Io;
-    }
-    let mut buf = BytesMut::with_capacity(8 * 1024);
-    // Reusable reply buffer: one connection encodes every reply into the
-    // same allocation instead of a fresh one per frame.
-    let mut out = BytesMut::with_capacity(8 * 1024);
-    let mut chunk = [0u8; 16 * 1024];
-    let mut last_activity = Instant::now();
-    let expired = |last: Instant| idle_timeout.is_some_and(|t| last.elapsed() > t);
-    let stopped_or_idle = |last: Instant| -> Option<CloseCause> {
-        if stop.load(Ordering::SeqCst) {
-            Some(CloseCause::Shutdown)
-        } else if expired(last) {
-            Some(CloseCause::Idle)
-        } else {
-            None
-        }
-    };
-    loop {
-        // Drain complete frames.
-        loop {
-            match deframe(&mut buf) {
-                Ok(Some(payload)) => {
-                    let reply = match Request::decode(payload) {
-                        Ok(req) => handler(req),
-                        Err(e) => Reply::Error {
-                            message: format!("bad request: {e}"),
-                        },
-                    };
-                    out.clear();
-                    frame_reply_into(&reply, &mut out);
-                    // Manual write loop: write_all would park forever on
-                    // a peer that never drains its receive buffer.
-                    let mut written = 0;
-                    while written < out.len() {
-                        match stream.write(&out[written..]) {
-                            Ok(0) => return CloseCause::Peer,
-                            Ok(n) => {
-                                written += n;
-                                last_activity = Instant::now();
-                            }
-                            Err(e) if is_timeout(&e) => {
-                                if let Some(cause) = stopped_or_idle(last_activity) {
-                                    return cause;
-                                }
-                            }
-                            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                            Err(_) => return CloseCause::Io,
-                        }
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => return CloseCause::Framing, // protocol violation: drop
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return CloseCause::Peer,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                last_activity = Instant::now();
-            }
-            Err(e) if is_timeout(&e) => {
-                // A tick without bytes: exit on shutdown, evict idle and
-                // mid-frame-stalled (slow-loris) peers past the timeout.
-                if let Some(cause) = stopped_or_idle(last_activity) {
-                    return cause;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return CloseCause::Io,
-        }
     }
 }
 
@@ -537,75 +326,14 @@ impl From<CodecError> for ClientError {
     }
 }
 
-/// A blocking TCP client for the Communix protocol. Wire-compatible
-/// with both server transports.
-///
-/// The socket runs with `TCP_NODELAY` set: request frames are small,
-/// and a client that waits for each reply before sending the next
-/// request would otherwise stall in Nagle's buffer. Read and write
-/// buffers are reused across calls — a call allocates only its decoded
-/// reply.
-#[derive(Debug)]
-pub struct TcpClient {
-    stream: TcpStream,
-    buf: BytesMut,
-    wbuf: BytesMut,
-}
-
-impl TcpClient {
-    /// Connects to a server.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    pub fn connect(addr: SocketAddr) -> io::Result<TcpClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(TcpClient {
-            stream,
-            buf: BytesMut::with_capacity(8 * 1024),
-            wbuf: BytesMut::with_capacity(8 * 1024),
-        })
-    }
-
-    /// Whether `TCP_NODELAY` is set on the underlying socket (it always
-    /// is for a connected client; exposed so transport tests can assert
-    /// the invariant).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket option read failure.
-    pub fn nodelay(&self) -> io::Result<bool> {
-        self.stream.nodelay()
-    }
-
-    /// Sends a request and waits for its reply.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClientError`] on socket or protocol failures.
-    pub fn call(&mut self, req: &Request) -> Result<Reply, ClientError> {
-        self.wbuf.clear();
-        frame_request_into(req, &mut self.wbuf);
-        self.stream.write_all(&self.wbuf)?;
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if let Some(payload) = deframe(&mut self.buf)? {
-                return Ok(Reply::decode(payload)?);
-            }
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(ClientError::Disconnected);
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpStream;
     use std::sync::Mutex;
+    use std::time::Instant;
+
+    use crate::test_io::call;
 
     fn echo_handler() -> Handler {
         // A toy handler: GET(k) answers with k signatures "s0".."s(k-1)";
@@ -646,7 +374,7 @@ mod tests {
         TcpServer::bind("127.0.0.1:0", echo_handler()).expect("bind")
     }
 
-    /// Every transport a test may want to exercise.
+    /// Every flavor of the transport a test may want to exercise.
     fn all_transports() -> Vec<TcpServer> {
         vec![
             TcpServer::bind("127.0.0.1:0", echo_handler()).expect("bind event"),
@@ -668,32 +396,28 @@ mod tests {
                 },
             )
             .expect("bind event 2-shard"),
-            TcpServer::threaded("127.0.0.1:0", echo_handler()).expect("bind threaded"),
         ]
     }
 
     #[test]
-    fn default_transport_is_event_driven_on_unix() {
-        let server = echo_server();
-        if cfg!(unix) {
-            assert!(
-                server.transport().starts_with("event-"),
-                "got {}",
-                server.transport()
-            );
-        }
+    fn transport_names_its_poller_backend() {
+        let named: Vec<_> = all_transports().iter().map(|s| s.transport()).collect();
+        assert!(
+            matches!(named[0], "event-epoll" | "event-poll"),
+            "got {named:?}"
+        );
+        assert_eq!(named[1], "event-poll");
     }
 
     #[test]
     fn request_reply_roundtrip_on_every_transport() {
         for server in all_transports() {
-            let mut client = TcpClient::connect(server.addr()).unwrap();
-            let reply = client
-                .call(&Request::Add {
-                    sender: [1u8; 16],
-                    sig_text: "sig".into(),
-                })
-                .unwrap();
+            let mut client = TcpStream::connect(server.addr()).unwrap();
+            let add = Request::Add {
+                sender: [1u8; 16],
+                sig_text: "sig".into(),
+            };
+            let reply = call(&mut client, &add).unwrap();
             assert_eq!(
                 reply,
                 Reply::AddAck {
@@ -703,7 +427,7 @@ mod tests {
                 "transport {}",
                 server.transport()
             );
-            let reply = client.call(&Request::Get { from: 3 }).unwrap();
+            let reply = call(&mut client, &Request::Get { from: 3 }).unwrap();
             assert_eq!(
                 reply,
                 Reply::Sigs {
@@ -717,9 +441,9 @@ mod tests {
     #[test]
     fn multiple_sequential_calls_on_one_connection() {
         for server in all_transports() {
-            let mut client = TcpClient::connect(server.addr()).unwrap();
+            let mut client = TcpStream::connect(server.addr()).unwrap();
             for i in 0..20 {
-                let reply = client.call(&Request::Get { from: i }).unwrap();
+                let reply = call(&mut client, &Request::Get { from: i }).unwrap();
                 match reply {
                     Reply::Sigs { from, sigs } => {
                         assert_eq!(from, i);
@@ -738,9 +462,9 @@ mod tests {
             let mut handles = Vec::new();
             for _ in 0..8 {
                 handles.push(std::thread::spawn(move || {
-                    let mut c = TcpClient::connect(addr).unwrap();
+                    let mut c = TcpStream::connect(addr).unwrap();
                     for i in 0..50 {
-                        let r = c.call(&Request::Get { from: i }).unwrap();
+                        let r = call(&mut c, &Request::Get { from: i }).unwrap();
                         assert!(matches!(r, Reply::Sigs { .. }));
                     }
                 }));
@@ -768,14 +492,13 @@ mod tests {
             }
         });
         let server = TcpServer::bind("127.0.0.1:0", handler).unwrap();
-        let mut client = TcpClient::connect(server.addr()).unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
         for i in 0..5 {
-            client
-                .call(&Request::Add {
-                    sender: [0u8; 16],
-                    sig_text: format!("sig-{i}"),
-                })
-                .unwrap();
+            let add = Request::Add {
+                sender: [0u8; 16],
+                sig_text: format!("sig-{i}"),
+            };
+            call(&mut client, &add).unwrap();
         }
         assert_eq!(seen.lock().unwrap().len(), 5);
     }
@@ -790,13 +513,11 @@ mod tests {
 
     #[test]
     fn shutdown_completes_with_a_live_slow_client() {
-        // The original thread-per-connection server joined against
-        // connection threads parked in read() — a connected-but-silent
-        // client made shutdown hang forever. Both transports must stop
-        // promptly with such a client attached.
+        // Shutdown drops live connections, it does not wait for them:
+        // a connected-but-silent client must not delay it.
         for mut server in all_transports() {
             let transport = server.transport();
-            let _parked = TcpClient::connect(server.addr()).unwrap();
+            let _parked = TcpStream::connect(server.addr()).unwrap();
             let t0 = Instant::now();
             server.shutdown();
             assert!(
@@ -810,22 +531,21 @@ mod tests {
     #[test]
     fn batched_messages_over_tcp() {
         let server = echo_server();
-        let mut client = TcpClient::connect(server.addr()).unwrap();
-        let reply = client
-            .call(&Request::AddBatch {
-                adds: (0..3)
-                    .map(|i| crate::codec::BatchAdd {
-                        sender: [i as u8; 16],
-                        sig_text: format!("sig-{i}"),
-                    })
-                    .collect(),
-            })
-            .unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        let batch = Request::AddBatch {
+            adds: (0..3)
+                .map(|i| crate::codec::BatchAdd {
+                    sender: [i as u8; 16],
+                    sig_text: format!("sig-{i}"),
+                })
+                .collect(),
+        };
+        let reply = call(&mut client, &batch).unwrap();
         match reply {
             Reply::BatchAck { results } => assert_eq!(results.len(), 3),
             other => panic!("unexpected {other:?}"),
         }
-        let reply = client.call(&Request::GetDelta { from: 4, max: 2 }).unwrap();
+        let reply = call(&mut client, &Request::GetDelta { from: 4, max: 2 }).unwrap();
         assert_eq!(
             reply,
             Reply::Delta {
@@ -840,29 +560,20 @@ mod tests {
     fn every_client_path_sets_tcp_nodelay() {
         // Pipelined small frames hit Nagle stalls (up to one RTT per
         // frame waiting for the previous ACK) unless TCP_NODELAY is set
-        // on every connector path: the blocking client, the nonblocking
-        // pipelined connection, and both servers' accepted sockets.
+        // on both ends: the nonblocking pipelined connection here, the
+        // accepted socket in `Reactor::take_handoffs`.
         for server in all_transports() {
-            let client = TcpClient::connect(server.addr()).unwrap();
+            let conn = crate::client_conn::NonblockingClient::connect(server.addr()).unwrap();
             assert!(
-                client.nodelay().unwrap(),
-                "TcpClient to {} must set TCP_NODELAY",
+                conn.nodelay().unwrap(),
+                "NonblockingClient to {} must set TCP_NODELAY",
                 server.transport()
             );
-            #[cfg(unix)]
-            {
-                let conn = crate::client_conn::NonblockingClient::connect(server.addr()).unwrap();
-                assert!(
-                    conn.nodelay().unwrap(),
-                    "NonblockingClient to {} must set TCP_NODELAY",
-                    server.transport()
-                );
-            }
         }
     }
 
     #[test]
-    fn reactor_knob_is_honored_and_threaded_has_none() {
+    fn reactor_knob_is_honored() {
         let server = TcpServer::bind_with(
             "127.0.0.1:0",
             echo_handler(),
@@ -875,8 +586,6 @@ mod tests {
         if cfg!(unix) {
             assert_eq!(server.reactors(), 3);
         }
-        let threaded = TcpServer::threaded("127.0.0.1:0", echo_handler()).unwrap();
-        assert_eq!(threaded.reactors(), 0);
         // The default resolves to at least one shard on unix.
         let auto = echo_server();
         if cfg!(unix) {
@@ -887,8 +596,8 @@ mod tests {
     #[test]
     fn issue_id_roundtrip() {
         let server = echo_server();
-        let mut client = TcpClient::connect(server.addr()).unwrap();
-        let reply = client.call(&Request::IssueId { user: 7 }).unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        let reply = call(&mut client, &Request::IssueId { user: 7 }).unwrap();
         assert_eq!(reply, Reply::Id { id: [7u8; 16] });
     }
 }

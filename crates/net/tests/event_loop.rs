@@ -7,10 +7,11 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use communix_net::{
-    frame, Handler, Reply, Request, TcpClient, TcpServer, TcpServerConfig, MAX_FRAME,
-};
+use communix_net::{frame, Handler, Reply, Request, TcpServer, TcpServerConfig, MAX_FRAME};
 use communix_telemetry::{EventKind, EvictReason};
+
+mod support;
+use support::call;
 
 /// GET(k) answers with k constant-size signatures — large k makes a
 /// multi-megabyte reply, which is what forces short writes.
@@ -53,11 +54,7 @@ fn all_transports(idle_timeout: Option<Duration>) -> Vec<TcpServer> {
         }),
         // Multi-reactor flavor: every invariant below must hold
         // regardless of which shard owns a connection.
-        event_server(TcpServerConfig {
-            reactors: 3,
-            ..cfg.clone()
-        }),
-        TcpServer::threaded_with("127.0.0.1:0", echo_handler(), cfg).unwrap(),
+        event_server(TcpServerConfig { reactors: 3, ..cfg }),
     ]
 }
 
@@ -120,10 +117,10 @@ fn short_writes_resume_against_a_slow_reader() {
     // write-interest. The client drains slowly, after a pause.
     for server in all_transports(Some(Duration::from_secs(30))) {
         let transport = server.transport();
-        let mut client = TcpClient::connect(server.addr()).unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
         // ~200k sigs × 12 bytes ≈ 2.4 MB of reply payload.
         std::thread::sleep(Duration::from_millis(50));
-        let reply = client.call(&Request::Get { from: 200_000 }).unwrap();
+        let reply = call(&mut client, &Request::Get { from: 200_000 }).unwrap();
         match reply {
             Reply::Sigs { from, sigs } => {
                 assert_eq!(from, 200_000, "transport {transport}");
@@ -167,8 +164,8 @@ fn idle_connections_are_evicted() {
 #[test]
 fn slow_loris_mid_frame_is_evicted() {
     // The attack: send a plausible length prefix, then stall inside the
-    // frame forever. Without idle eviction this pins a connection (and,
-    // on the threaded baseline, a whole OS thread) indefinitely.
+    // frame forever. Without idle eviction this pins a connection
+    // indefinitely.
     for server in all_transports(Some(Duration::from_millis(150))) {
         let transport = server.transport();
         let mut raw = TcpStream::connect(server.addr()).unwrap();
@@ -205,12 +202,12 @@ fn stranger_announcing_max_frame_is_evicted_while_its_shard_keeps_serving() {
     stranger.write_all(&[0xAB; 1024]).unwrap();
     stranger.set_nonblocking(true).unwrap();
 
-    let mut neighbour = TcpClient::connect(server.addr()).unwrap();
+    let mut neighbour = TcpStream::connect(server.addr()).unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut served = 0u64;
     let mut chunk = [0u8; 64];
     loop {
-        let reply = neighbour.call(&Request::IssueId { user: served }).unwrap();
+        let reply = call(&mut neighbour, &Request::IssueId { user: served }).unwrap();
         assert_eq!(
             reply,
             Reply::Id {
@@ -271,13 +268,12 @@ fn truncated_frame_peer_disconnect_releases_the_connection() {
 fn one_thousand_concurrent_connections_smoke() {
     // C10K smoke at test scale: 1000 simultaneous connections on one
     // event loop, each answering a call while all others stay open.
-    // (The full 2k/10k sweep lives in the server_throughput bench.)
     let _ = polling::raise_fd_limit();
     let server = event_server(TcpServerConfig {
         idle_timeout: Some(Duration::from_secs(60)),
         ..TcpServerConfig::default()
     });
-    let mut clients: Vec<TcpClient> = (0..1000)
+    let mut clients: Vec<TcpStream> = (0..1000)
         .map(|i| {
             // Regression (stats invariant): a snapshot taken at any
             // moment — including mid-accept-storm — must never show
@@ -292,7 +288,7 @@ fn one_thousand_concurrent_connections_smoke() {
                     i
                 );
             }
-            TcpClient::connect(server.addr()).unwrap()
+            TcpStream::connect(server.addr()).unwrap()
         })
         .collect();
     // All 1000 are open simultaneously before any is dropped.
@@ -302,7 +298,7 @@ fn one_thousand_concurrent_connections_smoke() {
     }
     assert_eq!(server.stats().current_connections, 1000);
     for (i, c) in clients.iter_mut().enumerate() {
-        let reply = c.call(&Request::IssueId { user: i as u64 }).unwrap();
+        let reply = call(c, &Request::IssueId { user: i as u64 }).unwrap();
         assert_eq!(
             reply,
             Reply::Id {
@@ -329,7 +325,7 @@ fn one_thousand_concurrent_connections_smoke() {
 #[test]
 fn garbage_framing_drops_only_the_offending_connection() {
     let server = event_server(TcpServerConfig::default());
-    let mut good = TcpClient::connect(server.addr()).unwrap();
+    let mut good = TcpStream::connect(server.addr()).unwrap();
     {
         let mut raw = TcpStream::connect(server.addr()).unwrap();
         raw.write_all(&(u32::MAX).to_be_bytes()).unwrap(); // absurd length
@@ -339,7 +335,7 @@ fn garbage_framing_drops_only_the_offending_connection() {
         assert_eq!(raw.read(&mut chunk).unwrap_or(0), 0, "server must drop");
     }
     // The well-behaved connection is untouched.
-    let reply = good.call(&Request::IssueId { user: 3 }).unwrap();
+    let reply = call(&mut good, &Request::IssueId { user: 3 }).unwrap();
     assert_eq!(reply, Reply::Id { id: [3u8; 16] });
     // The violation is on the record: one framing-error trace event and
     // one counter tick, attributed to the dropped connection only.

@@ -10,8 +10,11 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use communix_net::{frame, Handler, Reply, Request, TcpClient, TcpServer, TcpServerConfig};
+use communix_net::{frame, Handler, Reply, Request, TcpServer, TcpServerConfig};
 use communix_telemetry::{EventKind, EvictReason};
+
+mod support;
+use support::call;
 
 fn echo_handler() -> Handler {
     Arc::new(|req| match req {
@@ -42,16 +45,16 @@ fn sharded(reactors: usize, idle_timeout: Option<Duration>) -> TcpServer {
 #[test]
 fn aggregate_stats_span_all_shards() {
     let server = sharded(4, Some(Duration::from_secs(30)));
-    let mut clients: Vec<TcpClient> = (0..8)
-        .map(|_| TcpClient::connect(server.addr()).unwrap())
+    let mut clients: Vec<TcpStream> = (0..8)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
         .collect();
     for (i, c) in clients.iter_mut().enumerate() {
-        let reply = c.call(&Request::IssueId { user: i as u64 }).unwrap();
+        let reply = call(c, &Request::IssueId { user: i as u64 }).unwrap();
         assert_eq!(reply, Reply::Id { id: [i as u8; 16] });
     }
     let snap = server.telemetry().snapshot();
     // Every connection is owned by exactly one shard, and the shard
-    // gauges sum to the aggregate the threaded transport also reports.
+    // gauges sum to the aggregate.
     let per_shard: u64 = (0..4)
         .map(|i| {
             snap.gauge(&format!("transport.reactor.{i}.connections"))
@@ -132,8 +135,8 @@ fn shutdown_with_frames_in_flight_joins_every_shard() {
         .map(|w| {
             std::thread::spawn(move || {
                 let mut done = 0u32;
-                while let Ok(mut c) = TcpClient::connect(addr) {
-                    while c.call(&Request::IssueId { user: w as u64 }).is_ok() {
+                while let Ok(mut c) = TcpStream::connect(addr) {
+                    while call(&mut c, &Request::IssueId { user: w as u64 }).is_ok() {
                         done += 1;
                         if done > 50_000 {
                             return done;

@@ -1,15 +1,9 @@
-//! One front door for standing up a Communix server.
+//! The one door for standing up a Communix server.
 //!
-//! Historically the crate grew three parallel entry points — [`serve`]
-//! (event transport), [`serve_reactors`] (event transport with an
-//! explicit shard count), and [`serve_threaded`] /
-//! `TcpServer::threaded` (the thread-per-connection baseline) — each
-//! taking a pre-built [`CommunixServer`] and a loose
-//! [`TcpServerConfig`]. [`ServerBuilder`] collapses them: every knob
-//! (server tunables, durability, transport choice, reactor shards,
-//! telemetry, clock) is a chainable method, and the old functions
-//! survive as thin shims over the builder so existing callers compile
-//! unchanged.
+//! Every knob (server tunables, durability, reactor shards, idle
+//! timeout, telemetry, clock) is a chainable method of
+//! [`ServerBuilder`]; [`build`](ServerBuilder::build) yields an unbound
+//! server, [`serve`](ServerBuilder::serve) also binds its TCP transport.
 //!
 //! ```no_run
 //! let (server, tcp) = communix_server::builder()
@@ -43,19 +37,6 @@ use communix_telemetry::Registry;
 use crate::server::{CommunixServer, ServerConfig};
 use crate::store::DurabilityConfig;
 
-#[allow(unused_imports)] // rustdoc links in the module docs above
-use crate::transport::{serve, serve_reactors, serve_threaded};
-
-/// Which transport [`ServerBuilder::serve`] binds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// The event-driven readiness loop (the C10K default).
-    #[default]
-    Event,
-    /// The thread-per-connection baseline.
-    Threaded,
-}
-
 /// Builder for a [`CommunixServer`] and (optionally) its TCP transport.
 /// Start from [`builder`](crate::builder); finish with
 /// [`build`](ServerBuilder::build) for an unbound server or
@@ -64,11 +45,9 @@ pub enum TransportKind {
 pub struct ServerBuilder {
     config: ServerConfig,
     durability: Option<DurabilityConfig>,
-    transport: TransportKind,
     tcp: TcpServerConfig,
     clock: Option<Arc<dyn Clock>>,
     registry: Option<Arc<Registry>>,
-    prebuilt: Option<Arc<CommunixServer>>,
 }
 
 impl ServerBuilder {
@@ -79,7 +58,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Signature-store shards; `0` selects the single-lock baseline.
+    /// Signature-store shards (`0` clamps to one).
     #[must_use]
     pub fn db_shards(mut self, shards: usize) -> Self {
         self.config.db_shards = shards;
@@ -115,22 +94,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Uses the event-driven transport (the default).
-    #[must_use]
-    pub fn event(mut self) -> Self {
-        self.transport = TransportKind::Event;
-        self
-    }
-
-    /// Uses the thread-per-connection baseline transport.
-    #[must_use]
-    pub fn threaded(mut self) -> Self {
-        self.transport = TransportKind::Threaded;
-        self
-    }
-
-    /// Reactor shards for the event transport (`0` sizes to the
-    /// machine).
+    /// Reactor shards of the transport (`0` sizes to the machine).
     #[must_use]
     pub fn reactors(mut self, reactors: usize) -> Self {
         self.tcp.reactors = reactors;
@@ -141,21 +105,6 @@ impl ServerBuilder {
     #[must_use]
     pub fn idle_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.tcp.idle_timeout = timeout;
-        self
-    }
-
-    /// Forces the portable `poll(2)` backend even where epoll exists.
-    #[must_use]
-    pub fn force_poll_backend(mut self, force: bool) -> Self {
-        self.tcp.force_poll_backend = force;
-        self
-    }
-
-    /// Replaces the whole [`TcpServerConfig`] at once (its `registry`
-    /// field defaults to the server's own at serve time).
-    #[must_use]
-    pub fn tcp_config(mut self, config: TcpServerConfig) -> Self {
-        self.tcp = config;
         self
     }
 
@@ -174,16 +123,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Serves an existing server instead of building one — the bridge
-    /// the legacy `serve*` shims ride through. Server-side knobs
-    /// (`daily_limit`, `db_shards`, `durable`, `registry`, `clock`) are
-    /// ignored when a server is attached; transport knobs still apply.
-    #[must_use]
-    pub fn attach(mut self, server: Arc<CommunixServer>) -> Self {
-        self.prebuilt = Some(server);
-        self
-    }
-
     /// Builds the [`CommunixServer`] (recovering the durable store
     /// first, when configured) without binding a transport.
     ///
@@ -194,54 +133,44 @@ impl ServerBuilder {
         Ok(self.build_parts()?.0)
     }
 
-    /// Builds (or reuses the attached) server and binds it on `addr`
-    /// (port 0 for ephemeral) over the configured transport.
+    /// Builds the server and binds it on `addr` (port 0 for ephemeral).
+    /// The transport records into the server's telemetry registry, so
+    /// one `STATS` snapshot spans the request path, the connection
+    /// gauges and every reactor shard (`transport.reactor.<i>.*`).
     ///
     /// # Errors
     ///
     /// Propagates durable-store recovery and bind failures.
     pub fn serve(self, addr: &str) -> io::Result<(Arc<CommunixServer>, TcpServer)> {
-        let (server, transport, mut tcp) = self.build_parts()?;
-        if tcp.registry.is_none() {
-            tcp.registry = Some(server.telemetry().clone());
-        }
+        let (server, mut tcp) = self.build_parts()?;
+        tcp.registry = Some(server.telemetry().clone());
         let handler: Handler = {
             let server = server.clone();
             Arc::new(move |req| server.handle(req))
         };
-        let tcp_server = match transport {
-            TransportKind::Event => TcpServer::bind_with(addr, handler, tcp)?,
-            TransportKind::Threaded => TcpServer::threaded_with(addr, handler, tcp)?,
-        };
+        let tcp_server = TcpServer::bind_with(addr, handler, tcp)?;
         Ok((server, tcp_server))
     }
 
-    fn build_parts(self) -> io::Result<(Arc<CommunixServer>, TransportKind, TcpServerConfig)> {
-        let server = match self.prebuilt {
-            Some(server) => server,
-            None => {
-                let clock = self.clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
-                let registry = self.registry.unwrap_or_else(|| Arc::new(Registry::new()));
-                match self.durability {
-                    Some(durability) => Arc::new(CommunixServer::open_durable(
-                        self.config,
-                        durability,
-                        clock,
-                        registry,
-                    )?),
-                    None => Arc::new(CommunixServer::with_registry(self.config, clock, registry)),
-                }
+    fn build_parts(self) -> io::Result<(Arc<CommunixServer>, TcpServerConfig)> {
+        let clock = self.clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
+        let registry = self.registry.unwrap_or_else(|| Arc::new(Registry::new()));
+        let server = match self.durability {
+            Some(durability) => {
+                CommunixServer::open_durable(self.config, durability, clock, registry)?
             }
+            None => CommunixServer::with_registry(self.config, clock, registry),
         };
-        Ok((server, self.transport, self.tcp))
+        Ok((Arc::new(server), self.tcp))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use communix_client::{Connector, PipelinedConnector};
     use communix_clock::VirtualClock;
-    use communix_net::{Reply, Request, TcpClient};
+    use communix_net::{Reply, Request};
 
     #[test]
     fn builder_defaults_match_server_defaults() {
@@ -262,7 +191,7 @@ mod tests {
             .registry(registry.clone())
             .build()
             .unwrap();
-        assert_eq!(server.db().shard_count(), 1, "db_shards(0) = single lock");
+        assert_eq!(server.db().shard_count(), 1, "db_shards(0) clamps to one");
         assert!(Arc::ptr_eq(server.telemetry(), &registry));
         let Reply::SharedDelta { sigs, .. } = server.handle(Request::GetDelta { from: 0, max: 0 })
         else {
@@ -272,47 +201,85 @@ mod tests {
     }
 
     #[test]
-    fn builder_serves_both_transports() {
+    fn builder_serves_over_tcp() {
         let (server, tcp) = crate::builder().serve("127.0.0.1:0").unwrap();
-        if cfg!(unix) {
-            assert!(tcp.transport().starts_with("event-"));
-        }
-        assert!(
-            Arc::ptr_eq(server.telemetry(), tcp.telemetry()),
-            "transport defaults to the server's registry"
+        assert!(tcp.transport().starts_with("event-"));
+        let mut c = PipelinedConnector::connect(tcp.addr()).unwrap();
+        let id = server.authority().issue(4);
+        assert_eq!(
+            c.call(Request::IssueId { user: 4 }).unwrap(),
+            Reply::Id { id }
         );
-        let mut c = TcpClient::connect(tcp.addr()).unwrap();
         assert!(matches!(
-            c.call(&Request::Get { from: 0 }).unwrap(),
-            Reply::Sigs { .. }
-        ));
-
-        let (_server, tcp) = crate::builder().threaded().serve("127.0.0.1:0").unwrap();
-        assert_eq!(tcp.transport(), "threaded");
-        let mut c = TcpClient::connect(tcp.addr()).unwrap();
-        assert!(matches!(
-            c.call(&Request::Get { from: 0 }).unwrap(),
+            c.call(Request::Get { from: 0 }).unwrap(),
             Reply::Sigs { .. }
         ));
     }
 
-    #[cfg(unix)]
     #[test]
-    fn builder_reactor_knob_matches_serve_reactors() {
+    fn builder_reactor_knob_reaches_the_transport() {
         let (_server, tcp) = crate::builder().reactors(2).serve("127.0.0.1:0").unwrap();
         assert_eq!(tcp.reactors(), 2);
     }
 
+    /// The numbers of a `STATS` reply fetched over `c`, by path.
+    fn stats_over(c: &mut PipelinedConnector) -> impl Fn(&str) -> f64 {
+        let Reply::Stats { json } = c.call(Request::Stats).unwrap() else {
+            panic!("expected Stats reply");
+        };
+        let nums = communix_telemetry::json::flatten_numbers(&json).expect("valid json");
+        move |path: &str| {
+            nums.iter()
+                .find(|(p, _)| p == path)
+                .map(|(_, v)| *v)
+                .unwrap_or_else(|| panic!("missing {path} in {json}"))
+        }
+    }
+
     #[test]
-    fn attach_serves_an_existing_server() {
-        let existing = crate::builder().daily_limit(3).build().unwrap();
-        let (served, tcp) = crate::builder()
-            .attach(existing.clone())
-            .threaded()
-            .serve("127.0.0.1:0")
-            .unwrap();
-        assert!(Arc::ptr_eq(&existing, &served));
-        assert_eq!(tcp.transport(), "threaded");
+    fn stats_over_tcp_covers_server_and_transport() {
+        let (srv, tcp) = crate::builder().serve("127.0.0.1:0").unwrap();
+        assert!(
+            Arc::ptr_eq(srv.telemetry(), tcp.telemetry()),
+            "transport must share the server's registry"
+        );
+        let mut c = PipelinedConnector::connect(tcp.addr()).unwrap();
+        c.call(Request::Get { from: 0 }).unwrap();
+        let find = stats_over(&mut c);
+        // One snapshot sees the request path *and* the connection layer.
+        assert_eq!(find("counters.server.gets"), 1.0);
+        assert_eq!(find("counters.transport.accepted"), 1.0);
+        assert_eq!(find("gauges.transport.connections.current"), 1.0);
+        assert!(find("histograms.server.latency.get.count") == 1.0);
+    }
+
+    #[test]
+    fn stats_snapshot_spans_every_reactor_shard() {
+        let (_srv, tcp) = crate::builder().reactors(4).serve("127.0.0.1:0").unwrap();
+        assert_eq!(tcp.reactors(), 4);
+        // Several live connections so the accept thread has something to
+        // spread; each makes a call so every shard's loop actually ran.
+        let mut clients: Vec<PipelinedConnector> = (0..6)
+            .map(|_| PipelinedConnector::connect(tcp.addr()).unwrap())
+            .collect();
+        for c in &mut clients {
+            c.call(Request::Get { from: 0 }).unwrap();
+        }
+        let find = stats_over(&mut clients[0]);
+        let per_shard: f64 = (0..4)
+            .map(|i| find(&format!("gauges.transport.reactor.{i}.connections.current")))
+            .sum();
+        assert_eq!(per_shard, find("gauges.transport.connections.current"));
+        assert_eq!(per_shard, 6.0);
+        assert_eq!(
+            find("counters.transport.accept_handoffs"),
+            find("counters.transport.accepted")
+        );
+        let shard_frames: f64 = (0..4)
+            .map(|i| find(&format!("counters.transport.reactor.{i}.frames")))
+            .sum();
+        // 6 GETs + 1 STATS, every one decoded on some shard.
+        assert_eq!(shard_frames, 7.0);
     }
 
     #[test]
@@ -322,16 +289,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let sig = test_sig();
         {
-            let (server, tcp) = crate::builder()
-                .durable(&dir)
-                .threaded()
-                .serve("127.0.0.1:0")
-                .unwrap();
+            let (server, tcp) = crate::builder().durable(&dir).serve("127.0.0.1:0").unwrap();
             assert!(server.store().is_durable());
             let id = server.authority().issue(1);
-            let mut c = TcpClient::connect(tcp.addr()).unwrap();
+            let mut c = PipelinedConnector::connect(tcp.addr()).unwrap();
             let Reply::AddAck { accepted, .. } = c
-                .call(&Request::Add {
+                .call(Request::Add {
                     sender: id,
                     sig_text: sig.clone(),
                 })

@@ -21,9 +21,9 @@
 //!   per-signature lock, so the O(N) GET(0) walk no longer blocks
 //!   writers (and vice versa).
 //!
-//! The pre-sharding implementation — one `RwLock` around a contiguous
-//! `Vec` — is preserved behind [`SignatureDb::single_lock`] as the
-//! benchmark baseline (`server_throughput` compares the two).
+//! Because dedup'd adds commute, the order in which shards admit them
+//! is immaterial to the stored *set*; the tests hold the store to a
+//! `Vec` + set model, which is the whole reference.
 //!
 //! # One text, shared
 //!
@@ -63,209 +63,6 @@ pub struct ShardStats {
 /// suppression.
 #[derive(Debug)]
 pub struct SignatureDb {
-    store: Store,
-}
-
-#[derive(Debug)]
-enum Store {
-    SingleLock(Legacy),
-    Sharded(Sharded),
-}
-
-impl Default for SignatureDb {
-    fn default() -> Self {
-        SignatureDb::new()
-    }
-}
-
-impl SignatureDb {
-    /// Creates an empty sharded database with [`DEFAULT_SHARDS`] shards.
-    pub fn new() -> Self {
-        SignatureDb::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Creates an empty sharded database with `shards` dedup shards
-    /// (clamped to at least 1).
-    pub fn with_shards(shards: usize) -> Self {
-        SignatureDb {
-            store: Store::Sharded(Sharded::new(shards.max(1))),
-        }
-    }
-
-    /// Creates the pre-sharding store: one `RwLock` around a contiguous
-    /// `Vec`, where the O(N) GET(0) walk and every ADD contend on the
-    /// same lock. Kept as the measured baseline for the
-    /// `server_throughput` benchmark.
-    pub fn single_lock() -> Self {
-        SignatureDb {
-            store: Store::SingleLock(Legacy::default()),
-        }
-    }
-
-    /// Number of dedup shards (1 for the single-lock baseline).
-    pub fn shard_count(&self) -> usize {
-        match &self.store {
-            Store::SingleLock(_) => 1,
-            Store::Sharded(s) => s.shards.len(),
-        }
-    }
-
-    /// Appends `sig_text` unless an identical signature is already
-    /// stored. Returns `(index, newly_added)`.
-    pub fn add(&self, sig_text: &str) -> (usize, bool) {
-        match &self.store {
-            Store::SingleLock(l) => l.add(sig_text),
-            Store::Sharded(s) => s.add(sig_text),
-        }
-    }
-
-    /// Index of `sig_text` if it is already stored. Takes only a shard
-    /// *read* lock — this is the server's dedup fast path.
-    pub fn contains(&self, sig_text: &str) -> Option<usize> {
-        match &self.store {
-            Store::SingleLock(l) => l.contains(sig_text),
-            Store::Sharded(s) => s.contains(sig_text),
-        }
-    }
-
-    /// All signatures from index `from` (copies; the caller ships them).
-    pub fn get_from(&self, from: usize) -> Vec<String> {
-        match &self.store {
-            Store::SingleLock(l) => l.get_from(from),
-            Store::Sharded(s) => {
-                let (from, total) = (from as u64, s.log.committed());
-                let mut sigs = Vec::with_capacity(total.saturating_sub(from) as usize);
-                s.log
-                    .for_each(from, total, |t| sigs.push(String::from(&**t)));
-                sigs
-            }
-        }
-    }
-
-    /// At most `max` signatures from index `from`, plus the current
-    /// total — the server-side windowing behind `GET_DELTA`. `max == 0`
-    /// means "no client-side cap" (the server still applies its own).
-    /// The texts are handles to the stored ones, not copies.
-    pub fn delta(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
-        match &self.store {
-            Store::SingleLock(l) => l.delta(from, max),
-            Store::Sharded(s) => {
-                let total = s.log.committed();
-                let from = (from as u64).min(total);
-                let cap = if max == 0 {
-                    total
-                } else {
-                    from.saturating_add(max as u64)
-                };
-                let to = cap.min(total);
-                let mut sigs = Vec::with_capacity((to - from) as usize);
-                s.log.for_each(from, to, |t| sigs.push(t.clone()));
-                (sigs, total as usize)
-            }
-        }
-    }
-
-    /// Walks the database from index `from` without materializing a
-    /// reply, returning `(count, bytes)` of what a GET would ship.
-    ///
-    /// This is the "iterating through the entire database" computation
-    /// Figure 2 measures: the in-process benchmark isolates the server's
-    /// CPU work from reply-buffer allocation (the end-to-end path with
-    /// real replies is measured separately in Figure 3). In the sharded
-    /// store the walk runs over the global append log — still one
-    /// contiguous index space, no per-shard reassembly — and touches no
-    /// shard lock.
-    pub fn scan_from(&self, from: usize) -> (usize, usize) {
-        match &self.store {
-            Store::SingleLock(l) => l.scan_from(from),
-            Store::Sharded(s) => {
-                let total = s.log.committed();
-                s.log.scan(from as u64, total)
-            }
-        }
-    }
-
-    /// Per-shard `(count, bytes)` counters. Their sums equal
-    /// [`SignatureDb::len`] / [`SignatureDb::stored_bytes`] whenever no
-    /// add is mid-flight (counters are bumped inside the shard write
-    /// lock, before the log slot is published). The single-lock baseline
-    /// reports itself as one shard.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        match &self.store {
-            Store::SingleLock(l) => {
-                let (sigs, bytes) = l.scan_from(0);
-                vec![ShardStats { sigs, bytes }]
-            }
-            Store::Sharded(s) => s
-                .shards
-                .iter()
-                .map(|sh| ShardStats {
-                    sigs: sh.count.load(Ordering::Acquire),
-                    bytes: sh.bytes.load(Ordering::Acquire),
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of stored signatures.
-    pub fn len(&self) -> usize {
-        match &self.store {
-            Store::SingleLock(l) => l.len(),
-            Store::Sharded(s) => s.log.committed() as usize,
-        }
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total bytes of stored signature text (reporting).
-    pub fn stored_bytes(&self) -> usize {
-        match &self.store {
-            Store::SingleLock(l) => l.stored_bytes(),
-            Store::Sharded(s) => s
-                .shards
-                .iter()
-                .map(|sh| sh.bytes.load(Ordering::Acquire))
-                .sum(),
-        }
-    }
-
-    /// Dedup-map entries at or above log index `from`, sorted by index —
-    /// the adds whose dedup insert has happened but whose log slot may
-    /// still be below the committed watermark. The durable store's
-    /// snapshotter appends these to the committed prefix so that a
-    /// signature whose WAL record predates a snapshot cut can never be
-    /// dropped by the compaction that follows (its dedup insert strictly
-    /// precedes its WAL append).
-    pub(crate) fn tail_entries(&self, from: usize) -> Vec<String> {
-        match &self.store {
-            // The single-lock store commits atomically under its one
-            // lock; there is no in-flight tail to capture.
-            Store::SingleLock(_) => Vec::new(),
-            Store::Sharded(s) => {
-                let mut tail: Vec<(u64, String)> = Vec::new();
-                for shard in s.shards.iter() {
-                    for (text, &i) in shard.index.read().iter() {
-                        if i >= from as u64 {
-                            tail.push((i, String::from(&**text)));
-                        }
-                    }
-                }
-                tail.sort_by_key(|&(i, _)| i);
-                tail.into_iter().map(|(_, text)| text).collect()
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sharded store
-// ---------------------------------------------------------------------
-
-#[derive(Debug)]
-struct Sharded {
     shards: Box<[Shard]>,
     hasher: RandomState,
     log: AppendLog,
@@ -280,13 +77,31 @@ struct Shard {
     bytes: AtomicUsize,
 }
 
-impl Sharded {
-    fn new(shards: usize) -> Self {
-        Sharded {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
+impl Default for SignatureDb {
+    fn default() -> Self {
+        SignatureDb::new()
+    }
+}
+
+impl SignatureDb {
+    /// Creates an empty database with [`DEFAULT_SHARDS`] shards.
+    pub fn new() -> Self {
+        SignatureDb::with_shards(DEFAULT_SHARDS)
+    }
+
+    /// Creates an empty database with `shards` dedup shards (clamped to
+    /// at least 1).
+    pub fn with_shards(shards: usize) -> Self {
+        SignatureDb {
+            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
             hasher: RandomState::new(),
             log: AppendLog::default(),
         }
+    }
+
+    /// Number of dedup shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
     fn shard_of(&self, sig_text: &str) -> &Shard {
@@ -297,15 +112,9 @@ impl Sharded {
         &self.shards[(self.hasher.hash_one(sig_text) as usize) % self.shards.len()]
     }
 
-    fn contains(&self, sig_text: &str) -> Option<usize> {
-        self.shard_of(sig_text)
-            .index
-            .read()
-            .get(sig_text)
-            .map(|&i| i as usize)
-    }
-
-    fn add(&self, sig_text: &str) -> (usize, bool) {
+    /// Appends `sig_text` unless an identical signature is already
+    /// stored. Returns `(index, newly_added)`.
+    pub fn add(&self, sig_text: &str) -> (usize, bool) {
         let shard = self.shard_of(sig_text);
         // Fast path: read lock for the duplicate probe.
         if let Some(&i) = shard.index.read().get(sig_text) {
@@ -326,6 +135,109 @@ impl Sharded {
         // the committed log slot.
         self.log.publish(i, text);
         (i as usize, true)
+    }
+
+    /// Index of `sig_text` if it is already stored. Takes only a shard
+    /// *read* lock — this is the server's dedup fast path.
+    pub fn contains(&self, sig_text: &str) -> Option<usize> {
+        self.shard_of(sig_text)
+            .index
+            .read()
+            .get(sig_text)
+            .map(|&i| i as usize)
+    }
+
+    /// All signatures from index `from` (copies; the caller ships them).
+    pub fn get_from(&self, from: usize) -> Vec<String> {
+        let (from, total) = (from as u64, self.log.committed());
+        let mut sigs = Vec::with_capacity(total.saturating_sub(from) as usize);
+        self.log
+            .for_each(from, total, |t| sigs.push(String::from(&**t)));
+        sigs
+    }
+
+    /// At most `max` signatures from index `from`, plus the current
+    /// total — the server-side windowing behind `GET_DELTA`. `max == 0`
+    /// means "no client-side cap" (the server still applies its own).
+    /// The texts are handles to the stored ones, not copies.
+    pub fn delta(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
+        let total = self.log.committed();
+        let from = (from as u64).min(total);
+        let cap = if max == 0 {
+            total
+        } else {
+            from.saturating_add(max as u64)
+        };
+        let to = cap.min(total);
+        let mut sigs = Vec::with_capacity((to - from) as usize);
+        self.log.for_each(from, to, |t| sigs.push(t.clone()));
+        (sigs, total as usize)
+    }
+
+    /// Walks the database from index `from` without materializing a
+    /// reply, returning `(count, bytes)` of what a GET would ship.
+    ///
+    /// This is the "iterating through the entire database" computation
+    /// Figure 2 measures: the in-process benchmark isolates the server's
+    /// CPU work from reply-buffer allocation (the end-to-end path with
+    /// real replies is measured separately in Figure 3). The walk runs
+    /// over the global append log — one contiguous index space, no
+    /// per-shard reassembly — and touches no shard lock.
+    pub fn scan_from(&self, from: usize) -> (usize, usize) {
+        let total = self.log.committed();
+        self.log.scan(from as u64, total)
+    }
+
+    /// Per-shard `(count, bytes)` counters. Their sums equal
+    /// [`SignatureDb::len`] / [`SignatureDb::stored_bytes`] whenever no
+    /// add is mid-flight (counters are bumped inside the shard write
+    /// lock, before the log slot is published).
+    pub fn shard_stats(&self) -> Vec<ShardStats> {
+        self.shards
+            .iter()
+            .map(|sh| ShardStats {
+                sigs: sh.count.load(Ordering::Acquire),
+                bytes: sh.bytes.load(Ordering::Acquire),
+            })
+            .collect()
+    }
+
+    /// Number of stored signatures.
+    pub fn len(&self) -> usize {
+        self.log.committed() as usize
+    }
+
+    /// Whether the database is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total bytes of stored signature text (reporting).
+    pub fn stored_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|sh| sh.bytes.load(Ordering::Acquire))
+            .sum()
+    }
+
+    /// Dedup-map entries at or above log index `from`, sorted by index —
+    /// the adds whose dedup insert has happened but whose log slot may
+    /// still be below the committed watermark. The durable store's
+    /// snapshotter appends these to the committed prefix so that a
+    /// signature whose WAL record predates a snapshot cut can never be
+    /// dropped by the compaction that follows (its dedup insert strictly
+    /// precedes its WAL append).
+    pub(crate) fn tail_entries(&self, from: usize) -> Vec<String> {
+        let mut tail: Vec<(u64, String)> = Vec::new();
+        for shard in self.shards.iter() {
+            for (text, &i) in shard.index.read().iter() {
+                if i >= from as u64 {
+                    tail.push((i, String::from(&**text)));
+                }
+            }
+        }
+        tail.sort_by_key(|&(i, _)| i);
+        tail.into_iter().map(|(_, text)| text).collect()
     }
 }
 
@@ -434,186 +346,123 @@ impl AppendLog {
     }
 }
 
-// ---------------------------------------------------------------------
-// Single-lock baseline (the pre-sharding implementation)
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct Legacy {
-    inner: RwLock<LegacyInner>,
-}
-
-#[derive(Debug, Default)]
-struct LegacyInner {
-    sigs: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, usize>,
-}
-
-impl Legacy {
-    fn add(&self, sig_text: &str) -> (usize, bool) {
-        if let Some(&i) = self.inner.read().index.get(sig_text) {
-            return (i, false);
-        }
-        let mut inner = self.inner.write();
-        if let Some(&i) = inner.index.get(sig_text) {
-            return (i, false);
-        }
-        let i = inner.sigs.len();
-        let text: Arc<str> = Arc::from(sig_text);
-        inner.sigs.push(text.clone());
-        inner.index.insert(text, i);
-        (i, true)
-    }
-
-    fn contains(&self, sig_text: &str) -> Option<usize> {
-        self.inner.read().index.get(sig_text).copied()
-    }
-
-    fn get_from(&self, from: usize) -> Vec<String> {
-        let inner = self.inner.read();
-        let from = from.min(inner.sigs.len());
-        inner.sigs[from..]
-            .iter()
-            .map(|t| String::from(&**t))
-            .collect()
-    }
-
-    fn delta(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
-        let inner = self.inner.read();
-        let total = inner.sigs.len();
-        let from = from.min(total);
-        let to = if max == 0 {
-            total
-        } else {
-            from.saturating_add(max).min(total)
-        };
-        (inner.sigs[from..to].to_vec(), total)
-    }
-
-    fn scan_from(&self, from: usize) -> (usize, usize) {
-        let inner = self.inner.read();
-        if from >= inner.sigs.len() {
-            return (0, 0);
-        }
-        let slice = &inner.sigs[from..];
-        (slice.len(), slice.iter().map(|t| t.len()).sum())
-    }
-
-    fn len(&self) -> usize {
-        self.inner.read().sigs.len()
-    }
-
-    fn stored_bytes(&self) -> usize {
-        self.inner.read().sigs.iter().map(|t| t.len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
-    /// Every test runs against both implementations.
-    fn both() -> Vec<SignatureDb> {
-        vec![
-            SignatureDb::new(),
-            SignatureDb::with_shards(3),
-            SignatureDb::single_lock(),
+    use proptest::prelude::*;
+
+    /// One call on the store; texts come from a small key space so
+    /// duplicates are common, and differ in length so byte counts tell
+    /// them apart.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Add(usize),
+        Contains(usize),
+        Delta(usize, usize),
+        GetFrom(usize),
+        ScanFrom(usize),
+    }
+
+    fn text(key: usize) -> String {
+        format!("sig-{key}-{}", "x".repeat(key % 5))
+    }
+
+    /// An index into the log, in range, just past it, or absurd.
+    fn arb_index() -> impl Strategy<Value = usize> {
+        prop_oneof![0usize..40, Just(usize::MAX)]
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..24).prop_map(Op::Add),
+            (0usize..24).prop_map(Op::Add),
+            (0usize..24).prop_map(Op::Contains),
+            (arb_index(), prop_oneof![0usize..6, Just(usize::MAX)])
+                .prop_map(|(from, max)| Op::Delta(from, max)),
+            arb_index().prop_map(Op::GetFrom),
+            arb_index().prop_map(Op::ScanFrom),
         ]
     }
 
-    #[test]
-    fn add_and_get() {
-        for db in both() {
-            assert_eq!(db.add("a"), (0, true));
-            assert_eq!(db.add("b"), (1, true));
-            assert_eq!(db.get_from(0), vec!["a", "b"]);
-            assert_eq!(db.get_from(1), vec!["b"]);
-            assert_eq!(db.get_from(2), Vec::<String>::new());
-            assert_eq!(db.get_from(99), Vec::<String>::new());
-        }
-    }
-
-    #[test]
-    fn duplicates_suppressed() {
-        for db in both() {
-            assert_eq!(db.add("a"), (0, true));
-            assert_eq!(db.add("a"), (0, false));
-            assert_eq!(db.len(), 1);
-        }
-    }
-
-    #[test]
-    fn contains_probes_without_adding() {
-        for db in both() {
-            assert_eq!(db.contains("a"), None);
-            db.add("a");
-            assert_eq!(db.contains("a"), Some(0));
-            assert_eq!(db.len(), 1);
-        }
-    }
-
-    #[test]
-    fn stored_bytes() {
-        for db in both() {
-            db.add("abc");
-            db.add("de");
-            assert_eq!(db.stored_bytes(), 5);
-            assert!(!db.is_empty());
-        }
-    }
-
-    #[test]
-    fn scan_matches_get() {
-        for db in both() {
-            db.add("abc");
-            db.add("defg");
-            assert_eq!(db.scan_from(0), (2, 7));
-            assert_eq!(db.scan_from(1), (1, 4));
-            assert_eq!(db.scan_from(2), (0, 0));
-            assert_eq!(db.scan_from(99), (0, 0));
-        }
-    }
-
-    #[test]
-    fn delta_windows_in_global_order() {
-        for db in both() {
-            for i in 0..10 {
-                db.add(&format!("sig-{i}"));
-            }
-            let (sigs, total) = db.delta(3, 4);
-            assert_eq!(total, 10);
-            let texts: Vec<&str> = sigs.iter().map(|s| &**s).collect();
-            assert_eq!(texts, ["sig-3", "sig-4", "sig-5", "sig-6"]);
-            // Window past the end clamps.
-            let (sigs, total) = db.delta(8, 100);
-            assert_eq!((sigs.len(), total), (2, 10));
-            // max == 0 means "everything".
-            let (sigs, _) = db.delta(0, 0);
-            assert_eq!(sigs.len(), 10);
-            // from beyond the end is empty, not a panic.
-            assert!(db.delta(99, 5).0.is_empty());
-            // from + max overflowing usize saturates instead of wrapping.
-            let (sigs, total) = db.delta(1, usize::MAX);
-            assert_eq!((sigs.len(), total), (9, 10));
-        }
-    }
-
-    #[test]
-    fn shard_stats_sum_to_totals() {
-        for db in both() {
-            for i in 0..50 {
-                db.add(&format!("signature-number-{i}"));
+    proptest! {
+        /// The store against the whole reference: a `Vec` of texts in
+        /// admission order and the set of them.
+        #[test]
+        fn store_behaves_as_a_vec_and_a_set(
+            shards in 0usize..6,
+            ops in proptest::collection::vec(arb_op(), 1..120),
+        ) {
+            let db = SignatureDb::with_shards(shards);
+            prop_assert_eq!(db.shard_count(), shards.max(1));
+            let (mut log, mut set): (Vec<String>, HashSet<String>) = Default::default();
+            for op in ops {
+                match op {
+                    Op::Add(key) => {
+                        let t = text(key);
+                        let fresh = set.insert(t.clone());
+                        if fresh {
+                            log.push(t.clone());
+                        }
+                        let at = log.iter().position(|s| *s == t).expect("admitted");
+                        prop_assert_eq!(db.add(&t), (at, fresh));
+                    }
+                    Op::Contains(key) => {
+                        let t = text(key);
+                        prop_assert_eq!(db.contains(&t), log.iter().position(|s| *s == t));
+                    }
+                    Op::Delta(from, max) => {
+                        let from = from.min(log.len());
+                        let to = if max == 0 {
+                            log.len()
+                        } else {
+                            from.saturating_add(max).min(log.len())
+                        };
+                        let (sigs, total) = db.delta(from, max);
+                        let sigs: Vec<&str> = sigs.iter().map(|s| &**s).collect();
+                        prop_assert_eq!(sigs, &log[from..to]);
+                        prop_assert_eq!(total, log.len());
+                    }
+                    Op::GetFrom(from) => {
+                        prop_assert_eq!(db.get_from(from), &log[from.min(log.len())..]);
+                    }
+                    Op::ScanFrom(from) => {
+                        let rest = &log[from.min(log.len())..];
+                        let bytes = rest.iter().map(String::len).sum::<usize>();
+                        prop_assert_eq!(db.scan_from(from), (rest.len(), bytes));
+                    }
+                }
+                prop_assert_eq!(db.len(), log.len());
+                prop_assert_eq!(db.is_empty(), log.is_empty());
             }
             let stats = db.shard_stats();
-            assert_eq!(stats.len(), db.shard_count());
-            assert_eq!(stats.iter().map(|s| s.sigs).sum::<usize>(), db.len());
-            assert_eq!(
-                stats.iter().map(|s| s.bytes).sum::<usize>(),
-                db.stored_bytes()
-            );
-            // And both agree with the scan walk (satellite: per-shard
-            // stats must stay consistent with the contiguous-index view).
-            assert_eq!(db.scan_from(0), (db.len(), db.stored_bytes()));
+            prop_assert_eq!(stats.len(), db.shard_count());
+            prop_assert_eq!(stats.iter().map(|s| s.sigs).sum::<usize>(), db.len());
+            prop_assert_eq!(stats.iter().map(|s| s.bytes).sum::<usize>(), db.stored_bytes());
+            prop_assert_eq!(db.stored_bytes(), log.iter().map(String::len).sum::<usize>());
+        }
+
+        /// Dedup'd adds commute (Malta & Martinez): whatever order a
+        /// batch is admitted in, the stored set is the same.
+        #[test]
+        fn permuting_a_batch_leaves_the_stored_set_unchanged(
+            batch in proptest::collection::vec((0usize..24, any::<u32>()), 0..60),
+        ) {
+            let stored = |keys: &[usize]| -> HashSet<String> {
+                let db = SignatureDb::with_shards(3);
+                for &key in keys {
+                    db.add(&text(key));
+                }
+                let all = db.get_from(0);
+                assert_eq!(all.len(), db.len());
+                all.into_iter().collect()
+            };
+            let as_given: Vec<usize> = batch.iter().map(|&(key, _)| key).collect();
+            let mut permuted = batch.clone();
+            permuted.sort_by_key(|&(_, order)| order);
+            let permuted: Vec<usize> = permuted.into_iter().map(|(key, _)| key).collect();
+            prop_assert_eq!(stored(&as_given), stored(&permuted));
         }
     }
 
@@ -641,48 +490,44 @@ mod tests {
 
     #[test]
     fn concurrent_adds_unique_indices() {
-        for db in [SignatureDb::new(), SignatureDb::single_lock()] {
-            let db = std::sync::Arc::new(db);
-            let mut handles = Vec::new();
-            for t in 0..8 {
-                let db = db.clone();
-                handles.push(std::thread::spawn(move || {
-                    for i in 0..100 {
-                        db.add(&format!("sig-{t}-{i}"));
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(db.len(), 800);
-            // Every stored signature is distinct.
-            let all = db.get_from(0);
-            let mut dedup = all.clone();
-            dedup.sort();
-            dedup.dedup();
-            assert_eq!(dedup.len(), all.len());
+        let db = std::sync::Arc::new(SignatureDb::new());
+        let mut handles = Vec::new();
+        for t in 0..8 {
+            let db = db.clone();
+            handles.push(std::thread::spawn(move || {
+                for i in 0..100 {
+                    db.add(&format!("sig-{t}-{i}"));
+                }
+            }));
         }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(db.len(), 800);
+        // Every stored signature is distinct.
+        let all = db.get_from(0);
+        let mut dedup = all.clone();
+        dedup.sort();
+        dedup.dedup();
+        assert_eq!(dedup.len(), all.len());
     }
 
     #[test]
     fn concurrent_same_text_added_once() {
-        for db in [SignatureDb::new(), SignatureDb::single_lock()] {
-            let db = std::sync::Arc::new(db);
-            let mut handles = Vec::new();
-            for _ in 0..8 {
-                let db = db.clone();
-                handles.push(std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        db.add("same");
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert_eq!(db.len(), 1);
+        let db = std::sync::Arc::new(SignatureDb::new());
+        let mut handles = Vec::new();
+        for _ in 0..8 {
+            let db = db.clone();
+            handles.push(std::thread::spawn(move || {
+                for _ in 0..100 {
+                    db.add("same");
+                }
+            }));
         }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(db.len(), 1);
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! server-side validation of §III-C2 (encrypted sender ids, adjacency
 //! rejection, 10-per-day rate limiting).
 //!
-//! Standing a server up goes through one front door, [`builder`]:
-//! transport, reactor shards, durability, and telemetry are all
-//! chainable knobs (see [`ServerBuilder`]). The signature store is
-//! durable when asked ([`ServerBuilder::durable`]): accepted signatures
-//! are journaled to a write-ahead log, periodically snapshotted and
-//! compacted, and recovered — snapshot first, then the WAL tail — on
-//! the next boot (see the [`store`] module docs for the format and the
-//! epoch rule).
+//! Standing a server up goes through one door, [`builder`]: reactor
+//! shards, durability, and telemetry are all chainable knobs (see
+//! [`ServerBuilder`]). The signature store is durable when asked
+//! ([`ServerBuilder::durable`]): accepted signatures are journaled to a
+//! write-ahead log, periodically snapshotted and compacted, and
+//! recovered — snapshot first, then the WAL tail — on the next boot
+//! (see the [`store`] module docs for the format and the epoch rule).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,17 +19,15 @@ mod builder;
 mod db;
 mod server;
 pub mod store;
-mod transport;
 
 pub use auth::IdAuthority;
-pub use builder::{ServerBuilder, TransportKind};
+pub use builder::ServerBuilder;
 pub use db::{ShardStats, SignatureDb, DEFAULT_SHARDS};
 pub use server::{CommunixServer, RejectReason, ServerConfig, ServerStats};
 pub use store::{DurabilityConfig, RecoveryReport, Store};
-pub use transport::{serve, serve_reactors, serve_threaded, serve_with};
 
-/// Starts a [`ServerBuilder`] with every knob at its default (event
-/// transport, in-memory store, fresh telemetry registry).
+/// Starts a [`ServerBuilder`] with every knob at its default
+/// (in-memory store, fresh telemetry registry).
 pub fn builder() -> ServerBuilder {
     ServerBuilder::default()
 }

@@ -84,8 +84,7 @@ pub struct ServerConfig {
     /// Maximum signatures processed per sender per day (paper: 10).
     pub daily_limit: usize,
     /// Signature-store shards (also shards the per-user validation
-    /// state). `0` selects the pre-sharding single-lock store — the
-    /// measured baseline of the `server_throughput` benchmark.
+    /// state); `0` clamps to one.
     pub db_shards: usize,
     /// Maximum signatures per `GET_DELTA` reply, regardless of what the
     /// client asks for (server-side windowing).
@@ -1007,29 +1006,6 @@ mod tests {
         };
         assert_eq!(total, 5);
         assert_eq!(sigs.len(), 2, "server window caps the client's ask");
-    }
-
-    #[test]
-    fn single_lock_config_still_serves() {
-        let clock = Arc::new(VirtualClock::new());
-        let srv = CommunixServer::new(
-            ServerConfig {
-                db_shards: 0,
-                ..ServerConfig::default()
-            },
-            clock,
-        );
-        assert_eq!(srv.db().shard_count(), 1);
-        assert!(matches!(
-            add(&srv, 1, &sig(1)),
-            Reply::AddAck { accepted: true, .. }
-        ));
-        match srv.handle(Request::GetDelta { from: 0, max: 0 }) {
-            Reply::SharedDelta { total, sigs, .. } => {
-                assert_eq!((total, sigs.len()), (1, 1));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

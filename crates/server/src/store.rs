@@ -192,7 +192,7 @@ pub struct Store {
     /// lock across `db.add` + WAL append so a GC cannot strand an add
     /// between the old database and the new WAL epoch.
     inner: RwLock<Arc<SignatureDb>>,
-    /// Shard count for rebuilds (0 = single-lock baseline).
+    /// Shard count for rebuilds.
     shards: usize,
     epoch: AtomicU64,
     wal: Option<Arc<Mutex<Wal>>>,
@@ -209,8 +209,8 @@ pub struct Store {
 }
 
 impl Store {
-    /// An in-memory store with `shards` dedup shards (0 selects the
-    /// single-lock baseline), recording into a private registry.
+    /// An in-memory store with `shards` dedup shards, recording into a
+    /// private registry.
     pub fn in_memory(shards: usize) -> Self {
         Store::in_memory_with(shards, &Registry::new())
     }
@@ -218,7 +218,7 @@ impl Store {
     /// [`Store::in_memory`] recording into an existing `registry`.
     pub fn in_memory_with(shards: usize, registry: &Registry) -> Self {
         Store {
-            inner: RwLock::new(Arc::new(make_db(shards))),
+            inner: RwLock::new(Arc::new(SignatureDb::with_shards(shards))),
             shards,
             epoch: AtomicU64::new(0),
             wal: None,
@@ -502,7 +502,7 @@ impl Store {
             first_kept += 1;
         }
         let kept = &all[first_kept..];
-        let fresh = make_db(self.shards);
+        let fresh = SignatureDb::with_shards(self.shards);
         for sig in kept {
             fresh.add(sig);
         }
@@ -538,14 +538,6 @@ impl Drop for Store {
         if let Some(wal) = &self.wal {
             let _ = wal.lock().sync();
         }
-    }
-}
-
-fn make_db(shards: usize) -> SignatureDb {
-    if shards == 0 {
-        SignatureDb::single_lock()
-    } else {
-        SignatureDb::with_shards(shards)
     }
 }
 
@@ -806,7 +798,7 @@ fn recover(dir: &Path, shards: usize) -> io::Result<(SignatureDb, RecoveryReport
     // happened, the previous snapshot is still authoritative.
     let _ = fs::remove_file(dir.join(SNAPSHOT_TMP));
 
-    let db = make_db(shards);
+    let db = SignatureDb::with_shards(shards);
     let mut report = RecoveryReport::default();
 
     let snap_path = dir.join(SNAPSHOT_FILE);

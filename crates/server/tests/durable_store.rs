@@ -4,12 +4,19 @@
 //! `sync_delta`). The unit suites in `store.rs` prove the WAL and
 //! snapshot machinery; this suite proves the promises the *API*
 //! makes — restart recovery and the epoch resync rule — hold across
-//! the wire.
+//! the wire, and across a SIGKILL.
 
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::sync::mpsc;
+use std::time::Duration;
 
-use communix_client::{obtain_id, sync_delta, upload_batch, Connect, LocalRepository, TcpConnect};
+use communix_client::{
+    obtain_id, sync_delta, upload_batch, LocalRepository, PipelinedConnector, SyncError,
+};
 use communix_server::DurabilityConfig;
 
 /// A parseable, accepted signature; distinct `tag`s give signatures
@@ -34,8 +41,12 @@ fn scratch_dir(label: &str) -> PathBuf {
     dir
 }
 
-fn upload(connect: &TcpConnect, user: u64, texts: &[String]) {
-    let mut session = connect.connect().expect("dial server");
+fn dial(addr: SocketAddr) -> PipelinedConnector {
+    PipelinedConnector::connect(addr).expect("dial server")
+}
+
+fn upload(addr: SocketAddr, user: u64, texts: &[String]) {
+    let mut session = dial(addr);
     let sender = obtain_id(&mut session, user).expect("issue id");
     let adds: Vec<_> = texts.iter().map(|t| (sender, t.clone())).collect();
     let results = upload_batch(&mut session, adds).expect("upload batch");
@@ -56,10 +67,9 @@ fn durable_server_recovers_over_tcp() {
             .durable(&dir)
             .serve("127.0.0.1:0")
             .expect("serve durable");
-        let connect = TcpConnect::new(tcp.addr());
-        upload(&connect, 1, &texts);
+        upload(tcp.addr(), 1, &texts);
         let mut repo = LocalRepository::in_memory();
-        let mut session = connect.connect().expect("dial");
+        let mut session = dial(tcp.addr());
         assert_eq!(sync_delta(&mut session, &mut repo, 0).unwrap(), 5);
         server.store().sync().expect("durable before shutdown");
         tcp.shutdown();
@@ -73,8 +83,7 @@ fn durable_server_recovers_over_tcp() {
         .serve("127.0.0.1:0")
         .expect("restart durable");
     assert_eq!(server.store().recovery().wal_records, 5);
-    let connect = TcpConnect::new(tcp.addr());
-    let mut session = connect.connect().expect("dial restarted");
+    let mut session = dial(tcp.addr());
     let mut repo = LocalRepository::in_memory();
     assert_eq!(sync_delta(&mut session, &mut repo, 0).unwrap(), 5);
     let have: HashSet<&str> = (0..repo.len()).filter_map(|i| repo.sig(i)).collect();
@@ -101,21 +110,20 @@ fn epoch_compaction_resyncs_clients_end_to_end() {
         .durability(config)
         .serve("127.0.0.1:0")
         .expect("serve durable");
-    let connect = TcpConnect::new(tcp.addr());
 
     // A fully synced client: cursor at the epoch-0 total. (Only full
     // syncs make the shrink signal reliable — the GC always evicts at
     // least one signature, so the post-GC total lands strictly below
     // every fully-synced cursor.)
-    upload(&connect, 1, &(0..7).map(sig).collect::<Vec<_>>());
+    upload(tcp.addr(), 1, &(0..7).map(sig).collect::<Vec<_>>());
     let mut repo = LocalRepository::in_memory();
-    let mut session = connect.connect().expect("dial");
+    let mut session = dial(tcp.addr());
     assert_eq!(sync_delta(&mut session, &mut repo, 0).unwrap(), 7);
     assert_eq!(repo.sync_cursor(), 7);
 
     // Overflow the byte cap: the store garbage-collects, bumps the
     // epoch, and renumbers the surviving log from zero.
-    upload(&connect, 1, &[sig(7)]);
+    upload(tcp.addr(), 1, &[sig(7)]);
     assert_eq!(server.store().epoch(), 1, "eighth ADD should trip the GC");
     let served = server.db().get_from(0);
     assert_eq!(served.len(), 5, "GC keeps the newest ¾-cap of signatures");
@@ -136,5 +144,117 @@ fn epoch_compaction_resyncs_clients_end_to_end() {
     assert_eq!(sync_delta(&mut session, &mut repo, 0).unwrap(), 0);
     assert_eq!(repo.sync_cursor(), served.len());
     tcp.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Where the crash test's parent and child meet: named after the
+/// *parent's* pid, which both sides know without being told.
+fn crash_dir(parent_pid: u32) -> PathBuf {
+    std::env::temp_dir().join(format!("communix-facade-crash-{parent_pid}"))
+}
+
+/// The child half of `acked_signatures_survive_sigkill_mid_burst`: this
+/// test binary re-executed with `--ignored --exact`. Serves a durable
+/// store on the parent's directory, reports `ADDR <addr>` on stdout and
+/// parks until killed (a minute at most, should it be run by hand).
+#[test]
+#[ignore = "child process of acked_signatures_survive_sigkill_mid_burst"]
+fn crash_child_serves_until_killed() {
+    let (_server, tcp) = communix_server::builder()
+        .daily_limit(1 << 20)
+        .durable(crash_dir(std::os::unix::process::parent_id()))
+        .serve("127.0.0.1:0")
+        .expect("serve durable");
+    println!("ADDR {}", tcp.addr());
+    std::thread::sleep(Duration::from_secs(60));
+}
+
+/// Everything a server recovered from `dir` serves over TCP, and the
+/// `wal_records + snapshot_sigs` its recovery reported.
+fn recover_and_drain(dir: &Path) -> (HashSet<String>, u64) {
+    let (server, mut tcp) = communix_server::builder()
+        .daily_limit(1 << 20)
+        .durable(dir)
+        .serve("127.0.0.1:0")
+        .expect("restart on the crashed directory");
+    let mut repo = LocalRepository::in_memory();
+    sync_delta(&mut dial(tcp.addr()), &mut repo, 0).expect("sync_delta after recovery");
+    tcp.shutdown();
+    let report = server.store().recovery();
+    let have = (0..repo.len())
+        .filter_map(|i| repo.sig(i))
+        .map(String::from)
+        .collect();
+    (have, report.wal_records + report.snapshot_sigs)
+}
+
+#[test]
+fn acked_signatures_survive_sigkill_mid_burst() {
+    const KILL_AFTER: usize = 512;
+    let dir = crash_dir(std::process::id());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A real process to kill: the durable server in a child.
+    let mut child = Command::new(std::env::current_exe().expect("test binary"))
+        .args(["crash_child_serves_until_killed", "--exact", "--ignored"])
+        .arg("--nocapture")
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn durable server child");
+    let addr: SocketAddr = BufReader::new(child.stdout.take().expect("child stdout"))
+        .lines()
+        .find_map(|line| {
+            line.expect("child stdout")
+                .strip_prefix("ADDR ")?
+                .parse()
+                .ok()
+        })
+        .expect("child reports its address");
+
+    // The killer fires the moment it is armed; the burst below keeps
+    // batches in flight until one of them hits the dead socket.
+    let (arm, armed) = mpsc::channel::<()>();
+    let killer = std::thread::spawn(move || {
+        let _ = armed.recv();
+        child.kill().expect("SIGKILL the child");
+        child.wait().expect("reap the child");
+    });
+    let mut session = dial(addr);
+    let sender = obtain_id(&mut session, 7).expect("issue sender id");
+    let mut acked: Vec<String> = Vec::new();
+    for batch in 0u32.. {
+        let texts: Vec<String> = (0..32).map(|i| sig(batch * 32 + i)).collect();
+        let adds = texts.iter().map(|t| (sender, t.clone())).collect();
+        match upload_batch(&mut session, adds) {
+            Ok(results) => {
+                for (result, text) in results.iter().zip(texts) {
+                    assert!(result.accepted, "{text:?}: {}", result.reason);
+                    acked.push(text);
+                }
+                if acked.len() >= KILL_AFTER {
+                    let _ = arm.send(());
+                }
+            }
+            // The expected crash: the socket died under a batch.
+            Err(SyncError::Transport(_)) => break,
+            Err(other) => panic!("burst failed before the kill: {other}"),
+        }
+        assert!(batch < 1000, "server survived the kill implausibly long");
+    }
+    killer.join().expect("killer thread");
+    assert!(acked.len() >= KILL_AFTER, "kill landed before it was armed");
+
+    // Restart on the same directory: every acked signature is served.
+    let (first, recovered) = recover_and_drain(&dir);
+    let lost = acked.iter().filter(|t| !first.contains(*t)).count();
+    assert_eq!(lost, 0, "{lost} of {} acked signatures lost", acked.len());
+    assert!(
+        recovered >= acked.len() as u64,
+        "recovery reported {recovered} records for {} acked",
+        acked.len()
+    );
+    // Recovery is idempotent: a second restart serves the same set.
+    let (second, _) = recover_and_drain(&dir);
+    assert_eq!(first, second);
     let _ = std::fs::remove_dir_all(&dir);
 }

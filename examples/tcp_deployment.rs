@@ -11,36 +11,16 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use communix::client::{ClientDaemon, Connector, LocalRepository};
-use communix::clock::SystemClock;
-use communix::net::{Reply, Request, TcpClient};
-use communix::server::{CommunixServer, ServerConfig};
+use communix::client::{ClientDaemon, LocalRepository, PipelinedConnector, SyncError};
 use communix::workloads::DeadlockApp;
 use communix::{CommunixNode, NodeConfig};
 use parking_lot::Mutex;
-
-/// A connector that opens a TCP connection per call (simple and robust
-/// for a demo; production clients would pool).
-struct TcpConnector {
-    addr: std::net::SocketAddr,
-}
-
-impl Connector for TcpConnector {
-    fn call(&mut self, request: Request) -> Result<Reply, String> {
-        let mut client = TcpClient::connect(self.addr).map_err(|e| e.to_string())?;
-        client.call(&request).map_err(|e| e.to_string())
-    }
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     // The immunity server, listening on a real socket.
     // ------------------------------------------------------------------
-    let server = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
-    let mut tcp = communix::server::serve("127.0.0.1:0", server.clone())?;
+    let (_server, mut tcp) = communix::server::builder().serve("127.0.0.1:0")?;
     let addr = tcp.addr();
     println!(
         "server: listening on {addr} ({} transport)",
@@ -53,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Machine A: hits the deadlock, uploads through the socket.
     // ------------------------------------------------------------------
     let mut a = CommunixNode::new(app.program().clone(), NodeConfig::for_user(1));
-    let mut conn_a = TcpConnector { addr };
+    let mut conn_a = PipelinedConnector::connect(addr)?;
     a.obtain_id(&mut conn_a)?;
     a.startup();
     let outcome = a.run(&app.deadlock_specs());
@@ -67,13 +47,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ------------------------------------------------------------------
     // Machine B: a background daemon polls the server (here: every
     // 50 ms instead of the paper's once-a-day) into a shared repository.
+    // The daemon dials through the closure, and dials again should the
+    // connection (or the whole server) go away.
     // ------------------------------------------------------------------
     let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-    let mut daemon = ClientDaemon::spawn(
-        TcpConnector { addr },
-        repo.clone(),
-        Duration::from_millis(50),
-    );
+    let dial =
+        move || PipelinedConnector::connect(addr).map_err(|e| SyncError::Transport(e.to_string()));
+    let mut daemon = ClientDaemon::spawn(dial, repo.clone(), Duration::from_millis(50), 0);
 
     // Wait for the daemon's first rounds to land.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);

@@ -6,15 +6,18 @@
 
 use std::sync::Arc;
 
-use communix::client::{sync_delta, sync_once, upload_batch, LocalRepository};
-use communix::clock::SystemClock;
-use communix::net::{Reply, Request, TcpClient};
+use communix::client::{
+    sync_delta, sync_once, upload_batch, Connector, LocalRepository, PipelinedConnector,
+};
+use communix::net::{Reply, Request};
 use communix::server::{CommunixServer, ServerConfig};
 use communix::workloads::SigGen;
 
 fn serve(config: ServerConfig) -> (communix::net::TcpServer, Arc<CommunixServer>) {
-    let srv = Arc::new(CommunixServer::new(config, Arc::new(SystemClock::new())));
-    let tcp = communix::server::serve("127.0.0.1:0", srv.clone()).unwrap();
+    let (srv, tcp) = communix::server::builder()
+        .config(config)
+        .serve("127.0.0.1:0")
+        .unwrap();
     (tcp, srv)
 }
 
@@ -22,8 +25,8 @@ fn serve(config: ServerConfig) -> (communix::net::TcpServer, Arc<CommunixServer>
 /// deployed clients.
 fn wire_connector(addr: std::net::SocketAddr) -> impl FnMut(Request) -> Result<Reply, String> {
     move |req| {
-        let mut c = TcpClient::connect(addr).map_err(|e| e.to_string())?;
-        c.call(&req).map_err(|e| e.to_string())
+        let mut c = PipelinedConnector::connect(addr).map_err(|e| e.to_string())?;
+        c.call(req)
     }
 }
 
@@ -43,9 +46,9 @@ fn old_and_batched_clients_share_one_event_driven_server() {
     // Old-style client uploads one signature the paper's way, over a
     // persistent connection this time.
     let id = srv.authority().issue(1);
-    let mut old = TcpClient::connect(addr).unwrap();
+    let mut old = PipelinedConnector::connect(addr).unwrap();
     let reply = old
-        .call(&Request::Add {
+        .call(Request::Add {
             sender: id,
             sig_text: gen.random_signature().to_string(),
         })
@@ -66,8 +69,7 @@ fn old_and_batched_clients_share_one_event_driven_server() {
     // order — GET(0) through the still-open old connection, windowed
     // GET_DELTA through fresh ones.
     let mut old_repo = LocalRepository::in_memory();
-    let mut via_old_conn = |req: Request| old.call(&req).map_err(|e| e.to_string());
-    assert_eq!(sync_once(&mut via_old_conn, &mut old_repo).unwrap(), 3);
+    assert_eq!(sync_once(&mut old, &mut old_repo).unwrap(), 3);
     let mut new_repo = LocalRepository::in_memory();
     assert_eq!(
         sync_delta(&mut wire_connector(addr), &mut new_repo, 2).unwrap(),

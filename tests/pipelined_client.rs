@@ -13,18 +13,13 @@ use communix::client::{
     fetch_stats, obtain_id, sync_delta, sync_once, upload_batch, upload_signature, LocalRepository,
     PipelineConfig, PipelineError, PipelinedClient, PipelinedConnector,
 };
-use communix::clock::SystemClock;
 use communix::net::{Handler, Reply, Request, TcpServer};
-use communix::server::{CommunixServer, ServerConfig};
+use communix::server::CommunixServer;
 use communix::workloads::SigGen;
 use parking_lot::Mutex;
 
 fn serve() -> (TcpServer, Arc<CommunixServer>) {
-    let srv = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
-    let tcp = communix::server::serve("127.0.0.1:0", srv.clone()).unwrap();
+    let (srv, tcp) = communix::server::builder().serve("127.0.0.1:0").unwrap();
     (tcp, srv)
 }
 

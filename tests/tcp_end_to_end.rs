@@ -1,33 +1,30 @@
 //! Integration over real sockets: the full immunization cycle through
-//! `TcpServer`/`TcpClient`, plus wire-level failure injection.
+//! `TcpServer`/`PipelinedConnector`, plus wire-level failure injection.
 
 use std::io::Write;
 use std::sync::Arc;
 
-use communix::client::Connector;
-use communix::clock::SystemClock;
-use communix::net::{Reply, Request, TcpClient, TcpServer};
-use communix::server::{CommunixServer, ServerConfig};
+use communix::client::{Connector, PipelinedConnector};
+use communix::net::{Handler, Reply, Request, TcpServer};
+use communix::server::CommunixServer;
 use communix::workloads::DeadlockApp;
 use communix::{CommunixNode, NodeConfig};
 
+/// A connection per call, so a server that went away shows on the very
+/// next request.
 struct TcpConnector {
     addr: std::net::SocketAddr,
 }
 
 impl Connector for TcpConnector {
     fn call(&mut self, request: Request) -> Result<Reply, String> {
-        let mut c = TcpClient::connect(self.addr).map_err(|e| e.to_string())?;
-        c.call(&request).map_err(|e| e.to_string())
+        let mut c = PipelinedConnector::connect(self.addr).map_err(|e| e.to_string())?;
+        c.call(request)
     }
 }
 
 fn spawn_server() -> (TcpServer, Arc<CommunixServer>) {
-    let server = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
-    let tcp = communix::server::serve("127.0.0.1:0", server.clone()).unwrap();
+    let (server, tcp) = communix::server::builder().serve("127.0.0.1:0").unwrap();
     (tcp, server)
 }
 
@@ -107,17 +104,17 @@ fn garbage_bytes_do_not_crash_the_server() {
 
     // A well-formed request on a fresh connection still gets served.
     {
-        let mut c = TcpClient::connect(addr).unwrap();
-        let reply = c.call(&Request::Get { from: 0 }).unwrap();
+        let mut c = PipelinedConnector::connect(addr).unwrap();
+        let reply = c.call(Request::Get { from: 0 }).unwrap();
         assert!(matches!(reply, Reply::Sigs { .. }));
     }
 
     // The server is still alive and accepting writes.
     {
-        let mut c = TcpClient::connect(addr).unwrap();
+        let mut c = PipelinedConnector::connect(addr).unwrap();
         let id = server.authority().issue(3);
         let reply = c
-            .call(&Request::Add {
+            .call(Request::Add {
                 sender: id,
                 sig_text: communix::workloads::SigGen::new(9)
                     .random_signature()
@@ -171,7 +168,8 @@ fn node_survives_flaky_server_and_recovers() {
     assert_eq!(o.deadlocks.len(), 1, "unprotected, but functional");
 
     // The server comes back (new socket, same database).
-    let tcp2 = communix::server::serve("127.0.0.1:0", server.clone()).unwrap();
+    let handler: Handler = Arc::new(move |req| server.handle(req));
+    let tcp2 = TcpServer::bind("127.0.0.1:0", handler).unwrap();
     let mut conn2 = TcpConnector { addr: tcp2.addr() };
     assert_eq!(b.sync(&mut conn2).unwrap(), 1);
     b.startup();

@@ -4,41 +4,32 @@
 //! the server plus connection gauges from the transport — and the same
 //! registry is visible in-process through `telemetry_snapshot()`.
 
-use std::sync::Arc;
-
-use communix::client::fetch_stats;
-use communix::clock::SystemClock;
-use communix::net::{Reply, Request, TcpClient};
-use communix::server::{CommunixServer, ServerConfig};
+use communix::client::{fetch_stats, Connector, PipelinedConnector};
+use communix::net::{Reply, Request};
 use communix::telemetry::json::flatten_numbers;
 use communix::workloads::SigGen;
 
 #[test]
 fn live_server_answers_stats_with_a_parseable_snapshot() {
-    let srv = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
-    let mut tcp = communix::server::serve("127.0.0.1:0", srv.clone()).unwrap();
+    let (srv, mut tcp) = communix::server::builder().serve("127.0.0.1:0").unwrap();
     let mut gen = SigGen::new(7);
 
     // Drive some traffic first so the snapshot has something to say.
-    let mut client = TcpClient::connect(tcp.addr()).unwrap();
+    let mut client = PipelinedConnector::connect(tcp.addr()).unwrap();
     for user in 1..=3u64 {
         let id = srv.authority().issue(user);
         let reply = client
-            .call(&Request::Add {
+            .call(Request::Add {
                 sender: id,
                 sig_text: gen.random_signature().to_string(),
             })
             .unwrap();
         assert!(matches!(reply, Reply::AddAck { accepted: true, .. }));
     }
-    client.call(&Request::Get { from: 0 }).unwrap();
+    client.call(Request::Get { from: 0 }).unwrap();
 
     // The STATS round trip, through the client helper.
-    let mut conn = |req: Request| client.call(&req).map_err(|e| e.to_string());
-    let json = fetch_stats(&mut conn).expect("STATS round trip");
+    let json = fetch_stats(&mut client).expect("STATS round trip");
     let nums = flatten_numbers(&json).expect("snapshot must be valid JSON");
     let find = |path: &str| {
         nums.iter()
