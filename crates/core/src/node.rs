@@ -13,7 +13,7 @@
 //!   signatures into the application's history at start-up, and runs the
 //!   nesting analysis at shutdown;
 //! * the **Communix server** is the node's counterparty, reached through
-//!   any [`Connector`] (in-process, simulated network, or TCP).
+//!   any [`Connector`] (in-process or TCP).
 //!
 //! # Lifecycle
 //!
@@ -29,7 +29,7 @@
 
 use communix_agent::{AgentConfig, CommunixAgent, StartupReport};
 use communix_bytecode::{ClassLoader, LoweredProgram, Program};
-use communix_client::{obtain_id, sync_delta, sync_once, Connector, LocalRepository, SyncError};
+use communix_client::{obtain_id, sync_delta, Connector, LocalRepository, SyncError};
 use communix_crypto::Digest;
 use communix_dimmunix::{DimmunixConfig, History, Signature};
 use communix_net::EncryptedId;
@@ -193,26 +193,28 @@ impl CommunixNode {
     }
 
     /// Downloads new signatures from the server into the local
-    /// repository (the client's incremental `GET(n)`).
+    /// repository through the epoch-aware `GET_DELTA` sync
+    /// ([`sync_delta`]): one round trip unless the server windows the
+    /// reply, and a server that garbage-collected its log (its `total`
+    /// fell below the repository's cursor) is re-read from index 0
+    /// instead of silently answering "nothing new" forever.
     ///
     /// # Errors
     ///
     /// Returns [`SyncError`] on transport, protocol or persistence
     /// failures.
     pub fn sync(&mut self, connector: &mut dyn Connector) -> Result<usize, SyncError> {
-        sync_once(connector, &mut self.repo)
+        sync_delta(connector, &mut self.repo, 0)
     }
 
-    /// Like [`CommunixNode::sync`], but through the batched `GET_DELTA`
-    /// protocol: one round trip per sync unless the server windows the
-    /// reply.
+    /// [`CommunixNode::sync`] under the name `benchmark/` compiles
+    /// against (its files are frozen); there is no second sync path.
     ///
     /// # Errors
     ///
-    /// Returns [`SyncError`] on transport, protocol or persistence
-    /// failures.
+    /// As [`CommunixNode::sync`].
     pub fn sync_batched(&mut self, connector: &mut dyn Connector) -> Result<usize, SyncError> {
-        sync_delta(connector, &mut self.repo, 0)
+        self.sync(connector)
     }
 
     /// Application start: loads the program's classes and runs the
@@ -486,7 +488,7 @@ mod tests {
         let mut conn_b = connector(srv.clone());
         assert_eq!(b.sync(&mut conn_b).unwrap(), 1);
         assert_eq!(b.sync(&mut conn_b).unwrap(), 0, "nothing new");
-        assert_eq!(srv.stats().gets, 2);
+        assert_eq!(srv.stats().deltas, 2);
     }
 
     #[test]

@@ -1,18 +1,12 @@
-//! Network substrate for Communix: the wire protocol, a simulated network
-//! with NIC bandwidth modelling, and a real TCP transport.
+//! Network substrate for Communix: the wire protocol and a real TCP
+//! transport.
 //!
-//! Two transports implement the same protocol:
-//!
-//! * [`SimNet`] — deterministic, virtual-time message passing where each
-//!   node's outgoing traffic serializes through a finite-bandwidth NIC.
-//!   This reproduces Figure 3's collapse: the server pushing
-//!   `(k+½)·N²·1.7 KB` per round through one NIC.
-//! * [`TcpServer`] — the event-driven C10K server:
-//!   [`TcpServerConfig::reactors`] readiness shards (epoll on Linux,
-//!   `poll(2)` elsewhere, via the vendored `polling` stand-in) of
-//!   nonblocking sockets with per-connection framed state machines,
-//!   write backpressure, and idle eviction, fed by a dedicated accept
-//!   thread with least-loaded placement.
+//! [`TcpServer`] is the event-driven C10K server:
+//! [`TcpServerConfig::reactors`] readiness shards (epoll on Linux,
+//! `poll(2)` elsewhere, via the vendored `polling` stand-in) of
+//! nonblocking sockets with per-connection framed state machines,
+//! write backpressure, and idle eviction, fed by a dedicated accept
+//! thread with least-loaded placement.
 //!
 //! Its client end is [`NonblockingClient`] (unix), a nonblocking framed
 //! connection on which `communix-client`'s pipelined engine keeps a
@@ -29,7 +23,6 @@ mod codec;
 mod event;
 #[cfg(unix)]
 mod reactor;
-mod simnet;
 mod tcp;
 #[cfg(all(test, unix))]
 mod test_io;
@@ -40,5 +33,4 @@ pub use codec::{
     deframe, frame, frame_reply_into, frame_request_into, AddResult, BatchAdd, CodecError,
     EncryptedId, Reply, Request, MAX_FRAME,
 };
-pub use simnet::{Delivery, NicConfig, NodeId, SimNet};
 pub use tcp::{ClientError, Handler, TcpServer, TcpServerConfig, TransportStats};

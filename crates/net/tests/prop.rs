@@ -1,10 +1,9 @@
-//! Property-based tests for the wire codec and the simulated network.
+//! Property-based tests for the wire codec.
 
 use std::sync::Arc;
 
 use bytes::BytesMut;
-use communix_clock::Duration;
-use communix_net::{deframe, frame, frame_reply_into, NicConfig, NodeId, Reply, Request, SimNet};
+use communix_net::{deframe, frame, frame_reply_into, Reply, Request};
 use proptest::prelude::*;
 
 fn arb_request() -> impl Strategy<Value = Request> {
@@ -113,30 +112,5 @@ proptest! {
     fn decoders_never_panic(junk in proptest::collection::vec(any::<u8>(), 0..64)) {
         let _ = Request::decode(bytes::Bytes::from(junk.clone()));
         let _ = Reply::decode(bytes::Bytes::from(junk));
-    }
-
-    /// SimNet invariants: per-sender sends depart in order, every
-    /// delivery arrives no earlier than latency, and draining yields
-    /// messages in non-decreasing arrival order.
-    #[test]
-    fn simnet_ordering(
-        msgs in proptest::collection::vec((0..4u64, 0..4u64, 1..2000usize), 1..20),
-        latency_ms in 0..20u64,
-    ) {
-        let mut net = SimNet::new(Duration::from_millis(latency_ms));
-        net.set_nic(NodeId(0), NicConfig { bandwidth_bps: 1_000_000.0 });
-        for (from, to, len) in &msgs {
-            net.send(NodeId(*from), NodeId(*to), vec![0u8; *len]);
-        }
-        let mut last = Duration::ZERO;
-        let mut count = 0;
-        while let Some(d) = net.next_delivery() {
-            prop_assert!(d.at >= last, "deliveries must be time-ordered");
-            prop_assert!(d.at >= Duration::from_millis(latency_ms));
-            last = d.at;
-            count += 1;
-        }
-        prop_assert_eq!(count, msgs.len());
-        prop_assert_eq!(net.in_flight(), 0);
     }
 }

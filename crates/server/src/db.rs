@@ -16,7 +16,7 @@
 //! * **Append log** — global indices come from a lock-free atomic
 //!   sequence, and signature texts live in a segmented append-only log
 //!   whose slots are written exactly once. Readers
-//!   ([`SignatureDb::get_from`], [`SignatureDb::scan_from`]) walk the
+//!   ([`SignatureDb::get_from`], [`SignatureDb::delta`]) walk the
 //!   log up to the *committed* watermark without taking any
 //!   per-signature lock, so the O(N) GET(0) walk no longer blocks
 //!   writers (and vice versa).
@@ -174,20 +174,6 @@ impl SignatureDb {
         (sigs, total as usize)
     }
 
-    /// Walks the database from index `from` without materializing a
-    /// reply, returning `(count, bytes)` of what a GET would ship.
-    ///
-    /// This is the "iterating through the entire database" computation
-    /// Figure 2 measures: the in-process benchmark isolates the server's
-    /// CPU work from reply-buffer allocation (the end-to-end path with
-    /// real replies is measured separately in Figure 3). The walk runs
-    /// over the global append log — one contiguous index space, no
-    /// per-shard reassembly — and touches no shard lock.
-    pub fn scan_from(&self, from: usize) -> (usize, usize) {
-        let total = self.log.committed();
-        self.log.scan(from as u64, total)
-    }
-
     /// Per-shard `(count, bytes)` counters. Their sums equal
     /// [`SignatureDb::len`] / [`SignatureDb::stored_bytes`] whenever no
     /// add is mid-flight (counters are bumped inside the shard write
@@ -337,13 +323,6 @@ impl AppendLog {
             off = 0;
         }
     }
-
-    /// `(count, bytes)` over `[from, to)`.
-    fn scan(&self, from: u64, to: u64) -> (usize, usize) {
-        let mut bytes = 0;
-        self.for_each(from, to, |s| bytes += s.len());
-        (to.saturating_sub(from) as usize, bytes)
-    }
 }
 
 #[cfg(test)]
@@ -362,7 +341,6 @@ mod tests {
         Contains(usize),
         Delta(usize, usize),
         GetFrom(usize),
-        ScanFrom(usize),
     }
 
     fn text(key: usize) -> String {
@@ -382,7 +360,6 @@ mod tests {
             (arb_index(), prop_oneof![0usize..6, Just(usize::MAX)])
                 .prop_map(|(from, max)| Op::Delta(from, max)),
             arb_index().prop_map(Op::GetFrom),
-            arb_index().prop_map(Op::ScanFrom),
         ]
     }
 
@@ -426,11 +403,6 @@ mod tests {
                     }
                     Op::GetFrom(from) => {
                         prop_assert_eq!(db.get_from(from), &log[from.min(log.len())..]);
-                    }
-                    Op::ScanFrom(from) => {
-                        let rest = &log[from.min(log.len())..];
-                        let bytes = rest.iter().map(String::len).sum::<usize>();
-                        prop_assert_eq!(db.scan_from(from), (rest.len(), bytes));
                     }
                 }
                 prop_assert_eq!(db.len(), log.len());
@@ -547,8 +519,6 @@ mod tests {
             let n = db.len();
             let got = db.get_from(0);
             assert!(got.len() >= n, "len()={n} but get_from(0)={}", got.len());
-            let (count, _) = db.scan_from(0);
-            assert!(count >= n);
         }
         writer.join().unwrap();
         assert_eq!(db.len(), 2000);

@@ -530,20 +530,6 @@ impl CommunixServer {
             sigs,
         }
     }
-
-    /// Processes a GET as a pure database walk, without materializing a
-    /// reply buffer: returns the `(count, bytes)` a real reply would
-    /// ship. This isolates the server-side computation Figure 2 measures
-    /// ("iterating through the entire database"); the end-to-end path
-    /// with materialized replies is what Figure 3 measures. The walk
-    /// runs over the global append log, so its totals match what the
-    /// per-shard [`SignatureDb::shard_stats`] counters sum to.
-    pub fn handle_get_scan(&self, from: u64) -> (usize, usize) {
-        let r = self.store.scan_from(from as usize);
-        self.metrics.gets.inc();
-        self.metrics.sigs_served.add(r.0 as u64);
-        r
-    }
 }
 
 #[cfg(test)]

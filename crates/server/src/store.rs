@@ -362,11 +362,6 @@ impl Store {
         self.db().delta(from, max)
     }
 
-    /// `(count, bytes)` a GET from `from` would ship, without cloning.
-    pub fn scan_from(&self, from: usize) -> (usize, usize) {
-        self.db().scan_from(from)
-    }
-
     /// Number of stored signatures (current epoch).
     pub fn len(&self) -> usize {
         self.db().len()

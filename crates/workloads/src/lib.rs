@@ -5,9 +5,10 @@
 //! Limewire, Vuze, Eclipse, MySQL-JDBC) driven by standard benchmarks
 //! (RUBiS, JDBCBench, upload tests). Every Communix mechanism observes an
 //! application only through its lock behaviour, its class hashes, and its
-//! CFG — so profile-driven synthetic programs that reproduce those
-//! surfaces reproduce the workloads (see DESIGN.md §1 for the full
-//! substitution argument).
+//! CFG: Dimmunix sees acquisitions and call stacks, the agent sees hashes
+//! and the nesting analysis' verdicts, the server sees signature text.
+//! Profile-driven synthetic programs that reproduce those three surfaces
+//! therefore reproduce the workloads, whatever the applications compute.
 //!
 //! * [`profiles`] — Table I application profiles (JBoss/Limewire/Vuze)
 //!   and the generator that realizes them as [`communix_bytecode`]

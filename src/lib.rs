@@ -26,11 +26,12 @@
 //! | [`agent`] | client-side validation & generalization |
 //! | [`server`] | signature DB, encrypted ids, adjacency & rate limits |
 //! | [`client`] | local repository, incremental sync, daemon |
-//! | [`net`] | wire codec, simulated network, event-driven C10K TCP transport |
+//! | [`net`] | wire codec, event-driven C10K TCP transport |
 //! | [`crypto`] | SHA-256 and AES-128 (FIPS-tested, from scratch) |
 //! | [`clock`] | virtual + system clocks |
 //! | [`telemetry`] | lock-free metrics registry, latency histograms, event tracer |
 //! | [`workloads`] | Table I/II workloads, attackers, §IV-C model |
+//! | [`evaluation`] | the paper's tables as checked rows |
 //! | re-exports | [`CommunixNode`], [`NodeConfig`], [`CommunixPlugin`] |
 //!
 //! ## Quickstart
@@ -75,13 +76,16 @@
 //!
 //! See `examples/` for runnable scenarios (the paper's browser-applet and
 //! Eclipse-plugin stories, a TCP deployment, and a contained DoS attack)
-//! and `crates/bench` for the harness regenerating every figure and
-//! table of the paper's evaluation.
+//! and [`evaluation`] for the paper's tables recomputed as checked rows
+//! (`tests/paper_claims.rs` asserts them, `examples/paper_evaluation.rs`
+//! prints them).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use communix_core::{CommunixNode, CommunixPlugin, NodeConfig, ShutdownReport};
+
+pub mod evaluation;
 
 pub use communix_agent as agent;
 pub use communix_analysis as analysis;

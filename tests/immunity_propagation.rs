@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use communix::clock::SystemClock;
 use communix::net::{Reply, Request};
-use communix::server::{CommunixServer, ServerConfig};
-use communix::workloads::{DeadlockApp, MultiBugApp};
+use communix::server::{CommunixServer, DurabilityConfig, ServerConfig};
+use communix::workloads::{DeadlockApp, MultiBugApp, SigGen};
 use communix::{CommunixNode, NodeConfig};
 
 fn server() -> Arc<CommunixServer> {
@@ -53,7 +53,67 @@ fn one_victim_immunizes_many_nodes() {
     assert_eq!(srv.db().len(), 1);
     let stats = srv.stats();
     assert_eq!(stats.adds_accepted, 1);
-    assert_eq!(stats.gets, 5);
+    assert_eq!(stats.deltas, 5);
+}
+
+#[test]
+fn node_keeps_receiving_immunity_after_a_server_gc() {
+    // A durable server under a byte cap garbage-collects its log and
+    // renumbers the survivors. A node whose repository is then longer
+    // than the server's log must still receive what is uploaded next:
+    // asking `GET(repo.len())` would read past the end forever.
+    let dir = std::env::temp_dir().join(format!("communix-it-gc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut gen = SigGen::new(0x6C);
+    let fillers = gen.random_batch_texts(8);
+    // Seven fillers fit; the eighth ADD overshoots the cap.
+    let mut durability = DurabilityConfig::new(&dir);
+    durability.max_bytes = Some(fillers[..7].iter().map(|t| t.len() as u64).sum::<u64>() + 1);
+    let srv = communix::server::builder()
+        .durability(durability)
+        .build()
+        .expect("durable server");
+    let add = |user: u64, sig_text: &String| {
+        let sender = srv.authority().issue(user);
+        let sig_text = sig_text.clone();
+        let reply = srv.handle(Request::Add { sender, sig_text });
+        assert!(matches!(reply, Reply::AddAck { accepted: true, .. }));
+    };
+    for (user, text) in fillers[..7].iter().enumerate() {
+        add(1000 + user as u64, text);
+    }
+
+    let app = DeadlockApp::new(4);
+    let mut node = CommunixNode::new(app.program().clone(), NodeConfig::for_user(1));
+    let mut conn = connector(&srv);
+    assert_eq!(node.sync(&mut conn).unwrap(), 7);
+
+    add(1007, &fillers[7]);
+    assert_eq!(srv.store().epoch(), 1, "eighth ADD should trip the GC");
+
+    // Only now does the bug strike somewhere in the community.
+    let mut victim = CommunixNode::new(app.program().clone(), NodeConfig::for_user(0));
+    let mut victim_conn = connector(&srv);
+    victim.obtain_id(&mut victim_conn).unwrap();
+    victim.startup();
+    assert_eq!(victim.run(&app.deadlock_specs()).deadlocks.len(), 1);
+    assert_eq!(victim.upload_pending(&mut victim_conn).unwrap(), 1);
+    assert_eq!(srv.store().epoch(), 1);
+    assert!(
+        srv.db().len() <= node.repo().len(),
+        "the scenario: the server's log is no longer than the node's repository"
+    );
+
+    // Filler 8 and the victim's signature are new to the node.
+    assert_eq!(node.sync(&mut conn).unwrap(), 2);
+    assert_eq!(node.sync(&mut conn).unwrap(), 0, "steady state again");
+    node.startup();
+    node.shutdown();
+    node.startup();
+    let outcome = node.run(&app.deadlock_specs());
+    assert!(outcome.deadlocks.is_empty(), "node must be immune");
+    assert!(outcome.all_finished());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
