@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use communix_bytecode::Program;
-use communix_client::{upload_batch, upload_signature, Connector, SyncError};
+use communix_client::{upload_batch, Connector, SyncError};
 use communix_crypto::Digest;
 use communix_dimmunix::{CallStack, SigEntry, Signature};
 use communix_net::AddResult;
@@ -80,22 +80,6 @@ impl CommunixPlugin {
                 .chain(e.inner.frames())
                 .all(|f| f.hash.is_some())
         })
-    }
-
-    /// Hash-attaches `sig` and uploads it through `connector` with the
-    /// node's encrypted id. Returns the server's verdict.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SyncError`] on transport or protocol failures.
-    pub fn upload(
-        &self,
-        connector: &mut dyn Connector,
-        sender: EncryptedId,
-        sig: &Signature,
-    ) -> Result<(bool, String), SyncError> {
-        let hashed = self.attach_hashes(sig);
-        upload_signature(connector, sender, hashed.to_string())
     }
 
     /// Hash-attaches every signature and uploads them all in one
@@ -201,28 +185,5 @@ mod tests {
             let sent: Signature = text.parse().unwrap();
             assert!(plugin.fully_hashed(&sent));
         }
-    }
-
-    #[test]
-    fn upload_sends_hashed_text() {
-        let p = program();
-        let plugin = CommunixPlugin::for_program(&p);
-        let mut seen: Option<String> = None;
-        let mut conn = |req: Request| -> Result<Reply, String> {
-            if let Request::Add { sig_text, .. } = req {
-                seen = Some(sig_text);
-            }
-            Ok(Reply::AddAck {
-                accepted: true,
-                reason: String::new(),
-            })
-        };
-        let (accepted, _) = plugin.upload(&mut conn, [1u8; 16], &raw_sig()).unwrap();
-        assert!(accepted);
-        let sent: Signature = seen.expect("ADD sent").parse().unwrap();
-        assert!(
-            plugin.fully_hashed(&sent),
-            "wire signature must carry hashes"
-        );
     }
 }

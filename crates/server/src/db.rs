@@ -205,26 +205,6 @@ impl SignatureDb {
             .map(|sh| sh.bytes.load(Ordering::Acquire))
             .sum()
     }
-
-    /// Dedup-map entries at or above log index `from`, sorted by index —
-    /// the adds whose dedup insert has happened but whose log slot may
-    /// still be below the committed watermark. The durable store's
-    /// snapshotter appends these to the committed prefix so that a
-    /// signature whose WAL record predates a snapshot cut can never be
-    /// dropped by the compaction that follows (its dedup insert strictly
-    /// precedes its WAL append).
-    pub(crate) fn tail_entries(&self, from: usize) -> Vec<String> {
-        let mut tail: Vec<(u64, String)> = Vec::new();
-        for shard in self.shards.iter() {
-            for (text, &i) in shard.index.read().iter() {
-                if i >= from as u64 {
-                    tail.push((i, String::from(&**text)));
-                }
-            }
-        }
-        tail.sort_by_key(|&(i, _)| i);
-        tail.into_iter().map(|(_, text)| text).collect()
-    }
 }
 
 /// One fixed-size run of log slots, each written exactly once.

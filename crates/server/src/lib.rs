@@ -7,9 +7,9 @@
 //! shards, durability, and telemetry are all chainable knobs (see
 //! [`ServerBuilder`]). The signature store is durable when asked
 //! ([`ServerBuilder::durable`]): accepted signatures are journaled to a
-//! write-ahead log, periodically snapshotted and compacted, and
-//! recovered — snapshot first, then the WAL tail — on the next boot
-//! (see the [`store`] module docs for the format and the epoch rule).
+//! write-ahead log whose segments are the store — nothing is rewritten —
+//! and recovered by replaying them in order on the next boot (see the
+//! [`store`] module docs for the format and the epoch rule).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

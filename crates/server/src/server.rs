@@ -271,7 +271,7 @@ impl CommunixServer {
     }
 
     /// Creates a server whose signature store journals to disk: the
-    /// store is recovered (snapshot, then WAL tail) from
+    /// store is recovered (every WAL segment replayed in order) from
     /// `durability.dir` before the server accepts its first request.
     /// See [`Store::open`] for the on-disk layout and
     /// [`CommunixServer::store`]`().recovery()` for what was found.
@@ -324,7 +324,7 @@ impl CommunixServer {
     }
 
     /// The unified signature store — durability state (epoch, recovery
-    /// report, explicit `sync`/`snapshot`) lives here.
+    /// report, explicit `sync`) lives here.
     pub fn store(&self) -> &Store {
         &self.store
     }

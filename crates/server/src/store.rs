@@ -1,64 +1,58 @@
-//! Durable signature store: a write-ahead log + snapshots + bounded GC
-//! wrapped around [`SignatureDb`], behind one unified [`Store`] API.
+//! Durable signature store: a write-ahead log + bounded GC wrapped
+//! around [`SignatureDb`], behind one unified [`Store`] API. The log *is*
+//! the store: its segments are the only on-disk format and nothing in
+//! them is ever rewritten.
 //!
 //! The immunity network is only useful if accumulated signatures survive
 //! a server restart (ROADMAP "Durable store"). The recoverable-ADT
 //! observation that motivates the design: dedup'd ADDs *commute* — the
 //! in-memory [`SignatureDb::add`] collapses duplicates — so recovery can
-//! replay the snapshot and the WAL tail in any interleaving without a
-//! merge step, and a snapshot taken while adds are racing never needs to
-//! quiesce writers.
+//! replay the segments with no metadata beyond their sequence order, and
+//! a segment dropped whole is a valid cut of the log. Signatures are
+//! unique, append-only and never modified, so there is nothing to
+//! compact: a second, "compacted" copy of the store would hold the same
+//! bytes in the same framing (the WAL writes 1.005 bytes per byte stored).
 //!
 //! # On-disk layout (`DurabilityConfig::dir`)
 //!
-//! * `wal-{epoch:010}-{seq:010}.log` — WAL segments. Each starts with
-//!   the 8-byte magic `CXWAL001` followed by records framed as
-//!   `[len: u32 LE][crc32(payload): u32 LE][payload]`, one per accepted
-//!   signature, where `payload` is the signature text (UTF-8). Records
-//!   are buffered by the OS and fsync'd on a group-commit interval
-//!   ([`DurabilityConfig::fsync_interval`]; zero means fsync on every
-//!   append). A torn final record — the crash case group commit
-//!   tolerates by design — is detected by the length/CRC framing and
-//!   dropped on replay.
-//! * `snapshot.bin` — the latest snapshot: magic `CXSNAP01`, the epoch
-//!   (u64 LE), the signature count (u64 LE), then every signature in log
-//!   order using the same CRC framing. Written to `snapshot.tmp`,
-//!   fsync'd, then atomically renamed, so a crash mid-snapshot leaves
-//!   the previous snapshot intact.
-//!
-//! # Snapshot / compaction protocol
-//!
-//! A snapshot cut (triggered once [`DurabilityConfig::snapshot_wal_bytes`]
-//! of WAL accumulate) first *rotates* the WAL to a fresh segment, then
-//! serializes the store — the committed log prefix plus the dedup-shard
-//! tail (`SignatureDb::tail_entries`) — and finally deletes every
-//! segment below the cut. Ordering makes the race-free argument local:
-//! an add appends to the WAL only *after* its dedup insert, so any
-//! record living in a pre-cut segment is visible to the serialization
-//! pass; anything added after the cut lands in the surviving segment.
+//! `wal-{epoch:010}-{seq:010}.log` segments and nothing else. Each starts
+//! with the 8-byte magic `CXWAL001` followed by records framed as
+//! `[len: u32 LE][crc32(payload): u32 LE][payload]`, one per accepted
+//! signature, where `payload` is the signature text (UTF-8). Records are
+//! buffered by the OS and fsync'd on a group-commit interval
+//! ([`DurabilityConfig::fsync_interval`]; zero means fsync on every
+//! append). A torn final record — the crash case group commit tolerates
+//! by design — is detected by the length/CRC framing and dropped on
+//! replay. `seq` grows by one per segment for the life of the directory;
+//! `epoch` is the GC generation the segment was opened under.
 //!
 //! # Bounded GC and the epoch rule
 //!
 //! With [`DurabilityConfig::max_bytes`] set, the store is
-//! capacity-bounded: when stored bytes exceed the cap, GC rebuilds the
-//! database keeping the *newest* signatures that fit in 3/4 of the cap
-//! (oldest evicted first), bumps the **epoch**, persists a snapshot of
-//! the survivors, and drops every old-epoch WAL segment. Indices restart
-//! from zero in the new epoch, so `GET_DELTA`'s `total` shrinks below a
-//! synced client's cursor — that is the wire-visible epoch signal
-//! (`total < from`), and `sync_delta` reacts by re-syncing from zero
-//! with a dedup merge. No wire tags change.
+//! capacity-bounded: when stored bytes exceed the cap, GC — under the
+//! database write lock — seals the current segment, opens the next one
+//! under `epoch + 1`, fsyncs the directory, deletes the *oldest* whole
+//! segments until the signature bytes left fit in 3/4 of the cap, and
+//! rebuilds the database by replaying the survivors: the same replay a
+//! restart does, so memory equals disk by construction and a crash
+//! anywhere in the pass leaves a suffix of the log under the new epoch.
+//! Segments roll at 1/8 of the cap at most, so a pass lands between 5/8
+//! and 3/4 of it. Indices restart from zero in the new epoch, so
+//! `GET_DELTA`'s `total` shrinks below a synced client's cursor — that is
+//! the wire-visible epoch signal (`total < from`), and `sync_delta`
+//! reacts by re-syncing from zero with a dedup merge; no wire tag changes.
 //!
 //! # Recovery
 //!
-//! [`Store::open`] loads `snapshot.bin` (if any), deletes WAL segments
-//! whose filename epoch differs from the snapshot's, replays the
-//! remaining segments in sequence order through the dedup'd add path
-//! (idempotent, so snapshot/WAL overlap is harmless), stops at the first
-//! torn or corrupt record, and opens a fresh segment for new writes. The
-//! [`RecoveryReport`] is kept for inspection and mirrored into the
-//! `store.*` telemetry counters.
+//! [`Store::open`] takes the epoch from the largest one in the segment
+//! names, replays every segment in sequence order through the dedup'd
+//! add path (idempotent, so a repeated record is harmless), stops within
+//! a segment at its first torn or corrupt record, opens a fresh segment
+//! for new writes, and removes the header-only segments earlier opens
+//! left behind. The [`RecoveryReport`] is kept for inspection and
+//! mirrored into the `store.*` telemetry counters.
 
+use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -73,26 +67,24 @@ use parking_lot::{Mutex, RwLock};
 use crate::db::{ShardStats, SignatureDb};
 
 const WAL_MAGIC: &[u8; 8] = b"CXWAL001";
-const SNAP_MAGIC: &[u8; 8] = b"CXSNAP01";
-const SNAPSHOT_FILE: &str = "snapshot.bin";
-const SNAPSHOT_TMP: &str = "snapshot.tmp";
+/// The second file of the retired snapshotting layout; a directory
+/// holding one is refused rather than half-read.
+const LEGACY_SNAPSHOT: &str = "snapshot.bin";
 
 /// Durability tunables for [`Store::open`].
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Directory holding the WAL segments and snapshot (created if
-    /// missing). One store per directory.
+    /// Directory holding the WAL segments (created if missing). One
+    /// store per directory.
     pub dir: PathBuf,
     /// Group-commit interval: a background flusher fsyncs the WAL this
     /// often (only when dirty). `Duration::ZERO` fsyncs on every append
     /// instead — full durability, no group-commit window.
     pub fsync_interval: Duration,
     /// WAL segment size: the log rolls to a new segment past this many
-    /// bytes (compaction deletes whole segments, never rewrites one).
+    /// bytes (GC deletes whole segments, never rewrites one). Under a
+    /// byte cap the limit is an eighth of the cap if that is smaller.
     pub wal_segment_bytes: u64,
-    /// Snapshot + compaction trigger: bytes of WAL accumulated since the
-    /// last snapshot.
-    pub snapshot_wal_bytes: u64,
     /// Capacity bound on stored signature bytes. Exceeding it triggers
     /// the epoch-bumping GC; `None` leaves the store unbounded.
     pub max_bytes: Option<u64>,
@@ -100,14 +92,12 @@ pub struct DurabilityConfig {
 
 impl DurabilityConfig {
     /// Durability under `dir` with the default knobs: 2 ms group
-    /// commit, 4 MiB segments, snapshot every 16 MiB of WAL, no byte
-    /// cap.
+    /// commit, 4 MiB segments, no byte cap.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             fsync_interval: Duration::from_millis(2),
             wal_segment_bytes: 4 << 20,
-            snapshot_wal_bytes: 16 << 20,
             max_bytes: None,
         }
     }
@@ -116,16 +106,12 @@ impl DurabilityConfig {
 /// What [`Store::open`] found on disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Epoch recovered into (from the snapshot header; 0 when fresh).
+    /// Epoch recovered into: the largest in the segment names, else 0.
     pub epoch: u64,
-    /// Signatures loaded from the snapshot.
-    pub snapshot_sigs: u64,
     /// Records replayed from WAL segments (before dedup).
     pub wal_records: u64,
     /// Whether replay stopped at a torn/corrupt trailing record.
     pub torn_tail: bool,
-    /// Stale-epoch WAL segments deleted instead of replayed.
-    pub stale_segments: u64,
 }
 
 /// Pre-resolved telemetry handles (same pattern as the server's: resolve
@@ -138,12 +124,10 @@ struct StoreMetrics {
     wal_errors: Arc<Counter>,
     wal_replayed: Arc<Counter>,
     wal_torn: Arc<Counter>,
-    snapshots: Arc<Counter>,
-    snapshot_sigs: Arc<Counter>,
-    compacted_segments: Arc<Counter>,
     gc_runs: Arc<Counter>,
     gc_evicted_sigs: Arc<Counter>,
     gc_evicted_bytes: Arc<Counter>,
+    gc_segments_deleted: Arc<Counter>,
     fsync_latency: Arc<Histogram>,
 }
 
@@ -156,26 +140,29 @@ impl StoreMetrics {
             wal_errors: registry.counter("store.wal.errors"),
             wal_replayed: registry.counter("store.wal.replayed"),
             wal_torn: registry.counter("store.wal.torn_records"),
-            snapshots: registry.counter("store.snapshot.taken"),
-            snapshot_sigs: registry.counter("store.snapshot.sigs"),
-            compacted_segments: registry.counter("store.compaction.segments_deleted"),
             gc_runs: registry.counter("store.gc.runs"),
             gc_evicted_sigs: registry.counter("store.gc.evicted_sigs"),
             gc_evicted_bytes: registry.counter("store.gc.evicted_bytes"),
+            gc_segments_deleted: registry.counter("store.gc.segments_deleted"),
             fsync_latency: registry.histogram("store.wal.fsync"),
         }
     }
+
+    /// Fsyncs `wal` if dirty, counting and timing a sync that happened.
+    fn sync(&self, wal: &mut Wal) -> io::Result<()> {
+        let start = Instant::now();
+        if wal.sync()? {
+            self.wal_fsyncs.inc();
+            self.fsync_latency.record_duration(start.elapsed());
+        }
+        Ok(())
+    }
 }
 
+#[derive(Debug)]
 struct Flusher {
     stop: mpsc::Sender<()>,
     join: JoinHandle<()>,
-}
-
-impl std::fmt::Debug for Flusher {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Flusher").finish_non_exhaustive()
-    }
 }
 
 /// The unified signature store: [`SignatureDb`] semantics (dedup'd
@@ -183,9 +170,9 @@ impl std::fmt::Debug for Flusher {
 ///
 /// In-memory ([`Store::in_memory`]) it is a thin veneer over
 /// [`SignatureDb`]. Durable ([`Store::open`]) it journals every accepted
-/// add to a write-ahead log, periodically snapshots + compacts, and —
-/// with a byte cap — garbage-collects oldest-first under a new epoch.
-/// All methods are thread-safe; reads never block on WAL I/O.
+/// add to a write-ahead log and — with a byte cap — garbage-collects
+/// oldest-first, whole segments at a time, under a new epoch. All
+/// methods are thread-safe; reads never block on WAL I/O.
 #[derive(Debug)]
 pub struct Store {
     /// Swapped wholesale by the epoch-bumping GC; adds hold the read
@@ -196,12 +183,8 @@ pub struct Store {
     shards: usize,
     epoch: AtomicU64,
     wal: Option<Arc<Mutex<Wal>>>,
-    durability: Option<DurabilityConfig>,
-    /// Serializes snapshot and GC passes (try-locked from the add path,
-    /// so at most one request thread pays for maintenance).
-    maintenance: Mutex<()>,
-    /// WAL bytes accumulated since the last snapshot cut.
-    wal_since_snapshot: AtomicU64,
+    /// The byte cap (`DurabilityConfig::max_bytes`).
+    max_bytes: Option<u64>,
     sync_every_append: bool,
     metrics: StoreMetrics,
     recovery: RecoveryReport,
@@ -222,9 +205,7 @@ impl Store {
             shards,
             epoch: AtomicU64::new(0),
             wal: None,
-            durability: None,
-            maintenance: Mutex::new(()),
-            wal_since_snapshot: AtomicU64::new(0),
+            max_bytes: None,
             sync_every_append: false,
             metrics: StoreMetrics::resolve(registry),
             recovery: RecoveryReport::default(),
@@ -233,27 +214,23 @@ impl Store {
     }
 
     /// Opens (or creates) a durable store under `config.dir`,
-    /// recovering snapshot-then-WAL-tail.
+    /// recovering by replaying every WAL segment in sequence order.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures creating the directory, reading a
-    /// corrupt snapshot header, or opening the fresh WAL segment. A
-    /// torn trailing WAL record is *not* an error — replay stops there
+    /// segment, or opening the fresh WAL segment, and refuses
+    /// (`InvalidData`) a directory of the retired snapshotting layout.
+    /// A torn trailing WAL record is *not* an error — replay stops there
     /// and reports it in [`Store::recovery`].
     pub fn open(shards: usize, config: DurabilityConfig, registry: &Registry) -> io::Result<Self> {
         let metrics = StoreMetrics::resolve(registry);
-        let (db, recovery, next_seq, replayed_bytes) = recover(&config.dir, shards)?;
+        let (db, recovery, wal) = recover(&config, shards)?;
         metrics.wal_replayed.add(recovery.wal_records);
         if recovery.torn_tail {
             metrics.wal_torn.inc();
         }
-        let wal = Arc::new(Mutex::new(Wal::open(
-            config.dir.clone(),
-            recovery.epoch,
-            next_seq,
-            config.wal_segment_bytes,
-        )?));
+        let wal = Arc::new(Mutex::new(wal));
         let sync_every_append = config.fsync_interval.is_zero();
         let flusher = (!sync_every_append)
             .then(|| spawn_flusher(wal.clone(), config.fsync_interval, metrics.clone()));
@@ -262,11 +239,7 @@ impl Store {
             shards,
             epoch: AtomicU64::new(recovery.epoch),
             wal: Some(wal),
-            durability: Some(config),
-            maintenance: Mutex::new(()),
-            // Count the replayed tail toward the next snapshot cut, so a
-            // crash-restart loop cannot grow the WAL without bound.
-            wal_since_snapshot: AtomicU64::new(replayed_bytes),
+            max_bytes: config.max_bytes,
             sync_every_append,
             metrics,
             recovery,
@@ -301,27 +274,19 @@ impl Store {
     /// signatures to the WAL. Returns `(index, newly_added)` — exactly
     /// [`SignatureDb::add`]'s contract.
     pub fn add(&self, sig_text: &str) -> (usize, bool) {
-        let (i, added, rec_bytes) = {
+        let (i, added) = {
             let db = self.inner.read();
             let (i, added) = db.add(sig_text);
-            let mut rec_bytes = 0u64;
             if added {
                 if let Some(wal) = &self.wal {
                     let mut wal = wal.lock();
                     match wal.append(sig_text) {
                         Ok(n) => {
-                            rec_bytes = n;
                             self.metrics.wal_appends.inc();
                             self.metrics.wal_bytes.add(n);
                             if self.sync_every_append {
-                                let start = Instant::now();
-                                match wal.sync() {
-                                    Ok(true) => {
-                                        self.metrics.wal_fsyncs.inc();
-                                        self.metrics.fsync_latency.record_duration(start.elapsed());
-                                    }
-                                    Ok(false) => {}
-                                    Err(e) => self.wal_error("fsync", &e),
+                                if let Err(e) = self.metrics.sync(&mut wal) {
+                                    self.wal_error("fsync", &e);
                                 }
                             }
                         }
@@ -332,14 +297,15 @@ impl Store {
                     }
                 }
             }
-            (i, added, rec_bytes)
+            (i, added)
         };
-        if rec_bytes > 0 {
-            let since = self
-                .wal_since_snapshot
-                .fetch_add(rec_bytes, Ordering::AcqRel)
-                + rec_bytes;
-            self.maybe_maintain(since);
+        // An uncapped store pays nothing for the cap: no byte sum here.
+        if let (true, Some(cap)) = (added, self.max_bytes) {
+            if self.inner.read().stored_bytes() as u64 > cap {
+                if let Err(e) = self.gc(cap) {
+                    self.wal_error("gc", &e);
+                }
+            }
         }
         (i, added)
     }
@@ -394,25 +360,20 @@ impl Store {
     ///
     /// Propagates the flush/fsync failure.
     pub fn sync(&self) -> io::Result<()> {
-        if let Some(wal) = &self.wal {
-            let start = Instant::now();
-            if wal.lock().sync()? {
-                self.metrics.wal_fsyncs.inc();
-                self.metrics.fsync_latency.record_duration(start.elapsed());
-            }
+        match &self.wal {
+            Some(wal) => self.metrics.sync(&mut wal.lock()),
+            None => Ok(()),
         }
-        Ok(())
     }
 
-    /// Takes a snapshot + compaction pass now (no-op in-memory).
+    /// [`Store::sync`] under the name `benchmark/` compiles against (its
+    /// files are frozen); there is no snapshot, the log is the store.
     ///
     /// # Errors
     ///
-    /// Propagates snapshot-write failures; the previous snapshot and the
-    /// WAL stay intact on error.
+    /// As [`Store::sync`].
     pub fn snapshot(&self) -> io::Result<()> {
-        let _guard = self.maintenance.lock();
-        self.snapshot_locked()
+        self.sync()
     }
 
     fn wal_error(&self, what: &str, e: &io::Error) {
@@ -420,106 +381,60 @@ impl Store {
         eprintln!("communix store: wal {what} failed: {e}");
     }
 
-    /// Opportunistic maintenance from the add path: at most one thread
-    /// enters, everyone else keeps serving.
-    fn maybe_maintain(&self, wal_since: u64) {
-        let Some(config) = &self.durability else {
-            return;
-        };
-        let over_cap = config
-            .max_bytes
-            .is_some_and(|cap| self.inner.read().stored_bytes() as u64 > cap);
-        if !over_cap && wal_since < config.snapshot_wal_bytes {
-            return;
-        }
-        let Some(_guard) = self.maintenance.try_lock() else {
-            return;
-        };
-        let result = if over_cap {
-            self.gc_locked(config)
-        } else if self.wal_since_snapshot.load(Ordering::Acquire) >= config.snapshot_wal_bytes {
-            self.snapshot_locked()
-        } else {
-            Ok(())
-        };
-        if let Err(e) = result {
-            self.wal_error("maintenance", &e);
-        }
-    }
-
-    /// Snapshot + compaction. Caller holds `maintenance`.
-    fn snapshot_locked(&self) -> io::Result<()> {
-        let (Some(config), Some(wal)) = (&self.durability, &self.wal) else {
-            return Ok(());
-        };
-        let epoch = self.epoch();
-        // Rotate first: records framed after this instant live in the
-        // surviving segment, records framed before it had already done
-        // their dedup insert and are therefore captured below.
-        let deletable = wal.lock().rotate(epoch)?;
-        let db = self.inner.read().clone();
-        let committed = db.len();
-        let mut sigs = db.get_from(0);
-        sigs.extend(db.tail_entries(committed));
-        write_snapshot(&config.dir, epoch, &sigs)?;
-        self.metrics.snapshots.inc();
-        self.metrics.snapshot_sigs.add(sigs.len() as u64);
-        for path in &deletable {
-            let _ = fs::remove_file(path);
-        }
-        self.metrics.compacted_segments.add(deletable.len() as u64);
-        self.wal_since_snapshot.store(0, Ordering::Release);
-        Ok(())
-    }
-
-    /// Epoch-bumping GC: rebuild keeping the newest signatures that fit
-    /// in 3/4 of the cap, persist the survivors, drop old-epoch WAL.
-    /// Holds the database write lock throughout — a stop-the-world pass,
-    /// by design rare (it runs once per cap overshoot, not per add).
-    fn gc_locked(&self, config: &DurabilityConfig) -> io::Result<()> {
-        let Some(cap) = config.max_bytes else {
-            return Ok(());
-        };
+    /// Epoch-bumping GC: cut the log under a new epoch, delete the
+    /// oldest whole segments until what is left fits in 3/4 of the cap,
+    /// rebuild the database from the survivors. Holds the database write
+    /// lock throughout — a stop-the-world pass, by design rare (it runs
+    /// once per cap overshoot, not per add).
+    fn gc(&self, cap: u64) -> io::Result<()> {
         let Some(wal) = &self.wal else { return Ok(()) };
         let mut guard = self.inner.write();
-        let old = guard.clone();
-        let mut all = old.get_from(0);
-        all.extend(old.tail_entries(all.len()));
-        let total_bytes: u64 = all.iter().map(|s| s.len() as u64).sum();
-        if total_bytes <= cap {
+        let (old_sigs, old_bytes) = (guard.len(), guard.stored_bytes() as u64);
+        if old_bytes <= cap {
             return Ok(()); // racer already collected
         }
-        let target = cap.saturating_mul(3) / 4;
-        let mut acc = total_bytes;
-        let mut first_kept = 0;
-        while acc > target && first_kept < all.len() {
-            acc -= all[first_kept].len() as u64;
-            first_kept += 1;
-        }
-        let kept = &all[first_kept..];
-        let fresh = SignatureDb::with_shards(self.shards);
-        for sig in kept {
-            fresh.add(sig);
-        }
+        let mut wal = wal.lock();
         let new_epoch = self.epoch() + 1;
-        // Persist-then-swap: if the snapshot write fails the store keeps
-        // serving the old epoch and the old WAL remains authoritative.
-        write_snapshot(&config.dir, new_epoch, kept)?;
-        let deletable = wal.lock().rotate(new_epoch)?;
-        for path in &deletable {
-            let _ = fs::remove_file(path);
+        // Cut first: a failure here leaves the old epoch serving with
+        // nothing deleted. From the directory fsync on, a crash at any
+        // point recovers a suffix of the log under the new epoch.
+        wal.roll(new_epoch)?;
+        if let Ok(d) = File::open(&wal.dir) {
+            let _ = d.sync_all();
         }
-        *guard = Arc::new(fresh);
-        self.epoch.store(new_epoch, Ordering::Release);
-        self.wal_since_snapshot.store(0, Ordering::Release);
+        let target = cap.saturating_mul(3) / 4;
+        let mut left: u64 = wal.live.iter().map(|&(_, bytes)| bytes).sum();
+        let (mut freed, mut deleted) = (0u64, 0u64);
+        // At least one non-empty segment goes even when the log already
+        // fits (appends had failed): the wire's shrink signal needs the
+        // total to fall. The segment just opened (the back) stays.
+        while wal.live.len() > 1 && (left > target || freed == 0) {
+            let (path, bytes) = wal.live.pop_front().expect("len > 1");
+            if let Err(e) = fs::remove_file(&path) {
+                self.wal_error("gc delete", &e);
+            }
+            left -= bytes;
+            freed += bytes;
+            deleted += 1;
+        }
+        // The replay a restart does. A segment that cannot be read is
+        // counted and skipped: memory never holds more than disk.
+        let fresh = SignatureDb::with_shards(self.shards);
+        for (path, _) in &wal.live {
+            if let Err(e) = replay_segment(path, &fresh) {
+                self.wal_error("gc replay", &e);
+            }
+        }
         self.metrics.gc_runs.inc();
-        self.metrics.gc_evicted_sigs.add(first_kept as u64);
+        self.metrics
+            .gc_evicted_sigs
+            .add((old_sigs as u64).saturating_sub(fresh.len() as u64));
         self.metrics
             .gc_evicted_bytes
-            .add(total_bytes.saturating_sub(acc));
-        self.metrics.snapshots.inc();
-        self.metrics.snapshot_sigs.add(kept.len() as u64);
-        self.metrics.compacted_segments.add(deletable.len() as u64);
+            .add(old_bytes.saturating_sub(fresh.stored_bytes() as u64));
+        self.metrics.gc_segments_deleted.add(deleted);
+        *guard = Arc::new(fresh);
+        self.epoch.store(new_epoch, Ordering::Release);
         Ok(())
     }
 }
@@ -545,14 +460,8 @@ fn spawn_flusher(wal: Arc<Mutex<Wal>>, interval: Duration, metrics: StoreMetrics
                 wake.recv_timeout(interval),
                 Err(mpsc::RecvTimeoutError::Timeout)
             );
-            let start = Instant::now();
-            match wal.lock().sync() {
-                Ok(true) => {
-                    metrics.wal_fsyncs.inc();
-                    metrics.fsync_latency.record_duration(start.elapsed());
-                }
-                Ok(false) => {}
-                Err(_) => metrics.wal_errors.inc(),
+            if metrics.sync(&mut wal.lock()).is_err() {
+                metrics.wal_errors.inc();
             }
             if done {
                 return;
@@ -595,8 +504,8 @@ fn crc32(data: &[u8]) -> u32 {
 // ---------------------------------------------------------------------
 
 /// The open write-ahead log: one current segment file, rolled past the
-/// size limit, rotated (with the older segments handed back for
-/// deletion) at snapshot cuts.
+/// size limit and at each GC cut, plus what every live segment holds.
+#[derive(Debug)]
 struct Wal {
     dir: PathBuf,
     epoch: u64,
@@ -606,15 +515,10 @@ struct Wal {
     segment_limit: u64,
     dirty: bool,
     scratch: Vec<u8>,
-}
-
-impl std::fmt::Debug for Wal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Wal")
-            .field("epoch", &self.epoch)
-            .field("seq", &self.seq)
-            .finish_non_exhaustive()
-    }
+    /// Every segment on disk, oldest first, with the signature bytes in
+    /// it; the back is the one being written. GC reads what a delete
+    /// frees from here instead of from the files.
+    live: VecDeque<(PathBuf, u64)>,
 }
 
 fn segment_path(dir: &Path, epoch: u64, seq: u64) -> PathBuf {
@@ -628,7 +532,8 @@ fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
     Some((epoch.parse().ok()?, seq.parse().ok()?))
 }
 
-/// Every WAL segment under `dir`, sorted by `(epoch, seq)`.
+/// Every WAL segment under `dir` as `(epoch, seq, path)`, in `seq`
+/// order — the order they were written in, across epochs.
 fn list_segments(dir: &Path) -> io::Result<Vec<(u64, u64, PathBuf)>> {
     let mut segments = Vec::new();
     for entry in fs::read_dir(dir)? {
@@ -638,22 +543,29 @@ fn list_segments(dir: &Path) -> io::Result<Vec<(u64, u64, PathBuf)>> {
             segments.push((epoch, seq, entry.path()));
         }
     }
-    segments.sort_by_key(|&(epoch, seq, _)| (epoch, seq));
+    segments.sort_by_key(|&(epoch, seq, _)| (seq, epoch));
     Ok(segments)
 }
 
-fn create_segment(dir: &Path, epoch: u64, seq: u64) -> io::Result<File> {
-    let mut file = OpenOptions::new()
-        .create_new(true)
-        .write(true)
-        .open(segment_path(dir, epoch, seq))?;
+fn create_segment(path: &Path) -> io::Result<File> {
+    let mut file = OpenOptions::new().create_new(true).write(true).open(path)?;
     file.write_all(WAL_MAGIC)?;
     Ok(file)
 }
 
 impl Wal {
-    fn open(dir: PathBuf, epoch: u64, seq: u64, segment_limit: u64) -> io::Result<Self> {
-        let file = create_segment(&dir, epoch, seq)?;
+    /// Opens a fresh segment `seq` under `epoch` behind the `sealed`
+    /// segments recovery replayed.
+    fn open(
+        dir: PathBuf,
+        epoch: u64,
+        seq: u64,
+        segment_limit: u64,
+        mut live: VecDeque<(PathBuf, u64)>,
+    ) -> io::Result<Self> {
+        let path = segment_path(&dir, epoch, seq);
+        let file = create_segment(&path)?;
+        live.push_back((path, 0));
         Ok(Wal {
             dir,
             epoch,
@@ -663,6 +575,7 @@ impl Wal {
             segment_limit,
             dirty: true, // the magic itself
             scratch: Vec::with_capacity(256),
+            live,
         })
     }
 
@@ -670,7 +583,7 @@ impl Wal {
     /// a new segment first when the current one is full.
     fn append(&mut self, text: &str) -> io::Result<u64> {
         if self.seg_bytes >= self.segment_limit {
-            self.roll()?;
+            self.roll(self.epoch)?;
         }
         let payload = text.as_bytes();
         self.scratch.clear();
@@ -682,6 +595,7 @@ impl Wal {
         self.file.write_all(&self.scratch)?;
         self.seg_bytes += self.scratch.len() as u64;
         self.dirty = true;
+        self.live.back_mut().expect("the open segment").1 += payload.len() as u64;
         Ok(self.scratch.len() as u64)
     }
 
@@ -695,66 +609,25 @@ impl Wal {
         Ok(true)
     }
 
-    /// Size-triggered roll within the same epoch (old segment kept
-    /// until the next snapshot compacts it).
-    fn roll(&mut self) -> io::Result<()> {
+    /// Seals the current segment (fsync) and opens the next one under
+    /// `epoch`: the same epoch when the segment is full, the next at a
+    /// GC cut. Sealed segments are never written again.
+    fn roll(&mut self, epoch: u64) -> io::Result<()> {
         self.sync()?;
+        let path = segment_path(&self.dir, epoch, self.seq + 1);
+        self.file = create_segment(&path)?;
+        self.live.push_back((path, 0));
+        self.epoch = epoch;
         self.seq += 1;
-        self.file = create_segment(&self.dir, self.epoch, self.seq)?;
         self.seg_bytes = WAL_MAGIC.len() as u64;
         self.dirty = true;
         Ok(())
     }
-
-    /// Snapshot-cut rotation: fsync, switch to a fresh segment under
-    /// `epoch`, and return every older segment for the caller to delete
-    /// once the snapshot is durable.
-    fn rotate(&mut self, epoch: u64) -> io::Result<Vec<PathBuf>> {
-        self.sync()?;
-        let old: Vec<PathBuf> = list_segments(&self.dir)?
-            .into_iter()
-            .map(|(_, _, path)| path)
-            .collect();
-        self.epoch = epoch;
-        self.seq += 1;
-        self.file = create_segment(&self.dir, self.epoch, self.seq)?;
-        self.seg_bytes = WAL_MAGIC.len() as u64;
-        self.dirty = true;
-        Ok(old)
-    }
 }
 
 // ---------------------------------------------------------------------
-// Snapshot read/write + recovery
+// Replay + recovery
 // ---------------------------------------------------------------------
-
-/// Serializes `sigs` to `snapshot.tmp`, fsyncs, atomically renames over
-/// `snapshot.bin`, and fsyncs the directory (on Unix) so the rename
-/// itself is durable.
-fn write_snapshot(dir: &Path, epoch: u64, sigs: &[String]) -> io::Result<()> {
-    let tmp = dir.join(SNAPSHOT_TMP);
-    let mut buf = Vec::with_capacity(24 + sigs.iter().map(|s| s.len() + 8).sum::<usize>());
-    buf.extend_from_slice(SNAP_MAGIC);
-    buf.extend_from_slice(&epoch.to_le_bytes());
-    buf.extend_from_slice(&(sigs.len() as u64).to_le_bytes());
-    for sig in sigs {
-        let payload = sig.as_bytes();
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        buf.extend_from_slice(payload);
-    }
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(&buf)?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
-    #[cfg(unix)]
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
-}
 
 /// Walks `[len][crc][payload]` records in `data`, feeding each valid
 /// payload to `sink`; returns `(records, torn)` where `torn` means the
@@ -784,61 +657,73 @@ fn replay_records(data: &[u8], mut sink: impl FnMut(&str)) -> (u64, bool) {
     (records, false)
 }
 
-/// Loads snapshot + WAL tail from `dir` into a fresh database. Returns
-/// the database, the report, the next free WAL sequence number, and the
-/// replayed-tail byte count.
-fn recover(dir: &Path, shards: usize) -> io::Result<(SignatureDb, RecoveryReport, u64, u64)> {
+/// Replays the segment at `path` into `db` through the dedup'd add path
+/// — what recovery and a GC rebuild both do. Returns `(records,
+/// signature bytes, torn)`; a missing or foreign magic is a torn
+/// segment with no records.
+fn replay_segment(path: &Path, db: &SignatureDb) -> io::Result<(u64, u64, bool)> {
+    let data = fs::read(path)?;
+    let Some(body) = data.strip_prefix(WAL_MAGIC) else {
+        return Ok((0, 0, true));
+    };
+    let mut sig_bytes = 0u64;
+    let (records, torn) = replay_records(body, |text| {
+        sig_bytes += text.len() as u64;
+        db.add(text);
+    });
+    Ok((records, sig_bytes, torn))
+}
+
+/// Replays every segment under `config.dir` into a fresh database and
+/// opens the log behind them. Returns the database, the report, and the
+/// log with a fresh segment for new writes.
+fn recover(
+    config: &DurabilityConfig,
+    shards: usize,
+) -> io::Result<(SignatureDb, RecoveryReport, Wal)> {
+    let dir = &config.dir;
     fs::create_dir_all(dir)?;
-    // An orphaned tmp is a crash mid-snapshot: the rename never
-    // happened, the previous snapshot is still authoritative.
-    let _ = fs::remove_file(dir.join(SNAPSHOT_TMP));
-
-    let db = SignatureDb::with_shards(shards);
-    let mut report = RecoveryReport::default();
-
-    let snap_path = dir.join(SNAPSHOT_FILE);
-    if let Ok(data) = fs::read(&snap_path) {
-        if data.len() < 24 || &data[..8] != SNAP_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: bad snapshot header", snap_path.display()),
-            ));
-        }
-        report.epoch = u64::from_le_bytes(data[8..16].try_into().expect("8 bytes"));
-        let (records, torn) = replay_records(&data[24..], |text| {
-            db.add(text);
-        });
-        report.snapshot_sigs = records;
-        // The snapshot is written atomically, so a torn record here is
-        // media corruption, not a crash artifact — salvage the readable
-        // prefix and surface it the same way.
-        report.torn_tail |= torn;
+    let legacy = dir.join(LEGACY_SNAPSHOT);
+    if legacy.exists() {
+        // Replaying only the segments would silently serve just what
+        // was added after that file was written.
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: the snapshotting layout is not read", legacy.display()),
+        ));
     }
-
-    let mut next_seq = 0u64;
-    let mut replayed_bytes = 0u64;
-    for (epoch, seq, path) in list_segments(dir)? {
-        if epoch != report.epoch {
-            // A pre-GC epoch (or a segment orphaned by a crash between
-            // GC's snapshot rename and its segment sweep): superseded.
-            let _ = fs::remove_file(&path);
-            report.stale_segments += 1;
+    let db = SignatureDb::with_shards(shards);
+    let segments = list_segments(dir)?;
+    let mut report = RecoveryReport {
+        epoch: segments.iter().map(|s| s.0).max().unwrap_or(0),
+        ..RecoveryReport::default()
+    };
+    let next_seq = segments.last().map_or(0, |s| s.1 + 1);
+    let (mut sealed, mut header_only) = (VecDeque::new(), Vec::new());
+    for (_, _, path) in segments {
+        let (records, sig_bytes, torn) = replay_segment(&path, &db)?;
+        if records == 0 && !torn {
+            header_only.push(path);
             continue;
         }
-        next_seq = next_seq.max(seq + 1);
-        let data = fs::read(&path)?;
-        if data.len() < WAL_MAGIC.len() || &data[..WAL_MAGIC.len()] != WAL_MAGIC {
-            report.torn_tail = true;
-            continue;
-        }
-        let (records, torn) = replay_records(&data[WAL_MAGIC.len()..], |text| {
-            db.add(text);
-        });
         report.wal_records += records;
         report.torn_tail |= torn;
-        replayed_bytes += data.len() as u64;
+        sealed.push_back((path, sig_bytes));
     }
-    Ok((db, report, next_seq, replayed_bytes))
+    // Worked out from the cap, not a knob: with at least eight segments
+    // to a full store, a GC pass that drops whole segments lands between
+    // 5/8 and 3/4 of the cap.
+    let limit = config.wal_segment_bytes;
+    let limit = config.max_bytes.map_or(limit, |cap| limit.min(cap / 8));
+    let wal = Wal::open(dir.clone(), report.epoch, next_seq, limit, sealed)?;
+    // Every open creates a segment; sweep the ones earlier opens never
+    // wrote to, so a restart loop cannot grow the directory. Only now:
+    // until the fresh segment exists, one of these may be the only name
+    // carrying the epoch.
+    for path in &header_only {
+        let _ = fs::remove_file(path);
+    }
+    Ok((db, report, wal))
 }
 
 #[cfg(test)]
@@ -865,9 +750,24 @@ mod tests {
         DurabilityConfig {
             fsync_interval: Duration::ZERO,
             wal_segment_bytes: 256,
-            snapshot_wal_bytes: u64::MAX, // only explicit snapshots
             max_bytes: None,
             ..DurabilityConfig::new(dir)
+        }
+    }
+
+    /// Opens `dir` under `test_config` with a byte cap.
+    fn open(dir: &Path, max_bytes: Option<u64>, registry: &Registry) -> Store {
+        let config = DurabilityConfig {
+            max_bytes,
+            ..test_config(dir)
+        };
+        Store::open(2, config, registry).unwrap()
+    }
+
+    /// Adds the ten-byte signatures `sig-000000`… numbered by `range`.
+    fn fill(store: &Store, range: std::ops::Range<usize>) {
+        for i in range {
+            store.add(&format!("sig-{i:06}"));
         }
     }
 
@@ -965,62 +865,45 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_compacts_wal_and_recovers_alone() {
-        let dir = scratch("snapshot");
+    fn rolled_segments_recover_in_order_and_nothing_rewrites_them() {
+        let dir = scratch("segments");
+        let registry = Registry::new();
         {
-            let store = Store::open(4, test_config(&dir), &Registry::new()).unwrap();
-            for i in 0..40 {
-                store.add(&format!("snap-sig-{i:03}"));
-            }
-            assert!(
-                list_segments(&dir).unwrap().len() > 1,
-                "tiny segments must have rolled"
-            );
-            store.snapshot().unwrap();
-            assert_eq!(
-                list_segments(&dir).unwrap().len(),
-                1,
-                "compaction leaves only the fresh segment"
-            );
-            assert!(dir.join(SNAPSHOT_FILE).exists());
-            // Adds after the cut land in the surviving segment.
-            store.add("post-snapshot");
+            let store = open(&dir, None, &registry);
+            fill(&store, 0..40);
+            store.snapshot().unwrap(); // `sync` under its old name
         }
-        let store = Store::open(4, test_config(&dir), &Registry::new()).unwrap();
-        assert_eq!(store.len(), 41);
-        assert_eq!(store.recovery().snapshot_sigs, 40);
-        assert_eq!(store.recovery().wal_records, 1);
-        let expect: Vec<String> = (0..40)
-            .map(|i| format!("snap-sig-{i:03}"))
-            .chain(["post-snapshot".to_string()])
-            .collect();
-        assert_eq!(store.get_from(0), expect, "snapshot preserves log order");
+        let rolled = list_segments(&dir).unwrap().len();
+        assert!(rolled > 1, "tiny segments must have rolled");
+        for entry in fs::read_dir(&dir).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            assert!(parse_segment_name(&name).is_some(), "{name}: not a segment");
+        }
+        // Each payload byte is written once, behind 8 bytes of framing.
+        assert_eq!(registry.counter("store.wal.bytes").get(), 40 * (10 + 8));
+        let store = open(&dir, None, &Registry::new());
+        let expect: Vec<String> = (0..40).map(|i| format!("sig-{i:06}")).collect();
+        assert_eq!(store.get_from(0), expect, "segments replay in write order");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn snapshot_overlap_with_wal_is_idempotent() {
-        // A snapshot plus a WAL tail that re-covers some of the same
-        // signatures (the crash-between-rotate-and-delete window) must
-        // dedup on replay, not double-store.
+    fn repeated_records_in_a_later_segment_replay_idempotently() {
+        // A segment that re-covers stored signatures must dedup on
+        // replay, not double-store.
         let dir = scratch("overlap");
+        fill(&open(&dir, None, &Registry::new()), 0..8);
+        // Hand-write a WAL segment duplicating stored contents.
         {
-            let store = Store::open(2, test_config(&dir), &Registry::new()).unwrap();
+            let mut wal = Wal::open(dir.clone(), 0, 9999, 1 << 20, VecDeque::new()).unwrap();
             for i in 0..8 {
-                store.add(&format!("ov-{i}"));
-            }
-            store.snapshot().unwrap();
-        }
-        // Hand-write a WAL segment duplicating snapshot contents.
-        {
-            let mut wal = Wal::open(dir.clone(), 0, 9999, 1 << 20).unwrap();
-            for i in 0..8 {
-                wal.append(&format!("ov-{i}")).unwrap();
+                wal.append(&format!("sig-{i:06}")).unwrap();
             }
             wal.append("ov-fresh").unwrap();
             wal.sync().unwrap();
         }
-        let store = Store::open(2, test_config(&dir), &Registry::new()).unwrap();
+        let store = open(&dir, None, &Registry::new());
+        assert_eq!(store.recovery().wal_records, 17);
         assert_eq!(store.len(), 9, "duplicates collapse on replay");
         assert!(store.contains("ov-fresh").is_some());
         let _ = fs::remove_dir_all(&dir);
@@ -1067,46 +950,117 @@ mod tests {
     }
 
     #[test]
-    fn stale_epoch_segments_are_dropped_on_recovery() {
-        let dir = scratch("stale");
-        {
-            let store = Store::open(2, test_config(&dir), &Registry::new()).unwrap();
-            store.add("current-epoch-sig");
-            store.snapshot().unwrap();
-        }
-        // Fabricate a leftover pre-GC segment from a different epoch
-        // (the crash-between-snapshot-and-sweep window).
-        {
-            let mut wal = Wal::open(dir.clone(), 7, 0, 1 << 20).unwrap();
-            wal.append("ghost-from-another-epoch").unwrap();
-            wal.sync().unwrap();
-        }
-        let store = Store::open(2, test_config(&dir), &Registry::new()).unwrap();
-        assert_eq!(store.recovery().stale_segments, 1);
-        assert!(store.contains("ghost-from-another-epoch").is_none());
-        assert!(store.contains("current-epoch-sig").is_some());
-        assert!(
-            list_segments(&dir)
-                .unwrap()
-                .iter()
-                .all(|&(epoch, _, _)| epoch == 0),
-            "stale segment deleted from disk"
-        );
+    fn a_snapshotting_layout_directory_is_refused() {
+        let dir = scratch("legacy");
+        drop(open(&dir, None, &Registry::new()));
+        fs::write(dir.join(LEGACY_SNAPSHOT), b"the store as of some cut").unwrap();
+        let err = Store::open(2, test_config(&dir), &Registry::new()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(LEGACY_SNAPSHOT), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn orphaned_snapshot_tmp_is_ignored() {
-        let dir = scratch("tmp");
-        {
-            let store = Store::open(2, test_config(&dir), &Registry::new()).unwrap();
-            store.add("kept");
-            store.snapshot().unwrap();
+    fn restart_loop_keeps_the_epoch_and_does_not_grow_the_directory() {
+        let dir = scratch("restarts");
+        let store = open(&dir, Some(400), &Registry::new());
+        fill(&store, 0..41); // the 41st trips the GC
+        assert_eq!(store.epoch(), 1);
+        let survivors = store.get_from(0);
+        drop(store);
+        // Nothing was added after the cut: only a name carries the epoch.
+        let segments = list_segments(&dir).unwrap().len();
+        for _ in 0..5 {
+            let store = open(&dir, Some(400), &Registry::new());
+            assert_eq!(store.epoch(), 1, "the epoch lives in the segment names");
+            assert_eq!(store.get_from(0), survivors);
+            drop(store);
+            assert_eq!(list_segments(&dir).unwrap().len(), segments, "grew");
         }
-        fs::write(dir.join(SNAPSHOT_TMP), b"half-written garbage").unwrap();
-        let store = Store::open(2, test_config(&dir), &Registry::new()).unwrap();
-        assert!(store.contains("kept").is_some());
-        assert!(!dir.join(SNAPSHOT_TMP).exists(), "orphan cleaned up");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_gc_crash_point_recovers_a_suffix_under_the_new_epoch() {
+        let dir = scratch("gc-crash");
+        let store = open(&dir, None, &Registry::new());
+        fill(&store, 0..60);
+        let log = store.get_from(0);
+        drop(store);
+        let old = list_segments(&dir).unwrap();
+        assert!(old.len() > 3, "a multi-segment log");
+        // A GC pass by hand. The cut: the next segment, under epoch + 1.
+        let next_seq = old.last().unwrap().1 + 1;
+        drop(Wal::open(dir.clone(), 1, next_seq, 256, VecDeque::new()).unwrap());
+        // Then the deletes, oldest first: die before the first, after each.
+        for deleted in 0..=old.len() {
+            if deleted > 0 {
+                fs::remove_file(&old[deleted - 1].2).unwrap();
+            }
+            let first = open(&dir, None, &Registry::new());
+            assert_eq!(first.epoch(), 1, "died after {deleted} deletes");
+            let got = first.get_from(0);
+            assert!(log.ends_with(&got), "a suffix of the log, in order");
+            assert_eq!(got.len() == log.len(), deleted == 0);
+            assert_eq!(got.is_empty(), deleted == old.len());
+            drop(first);
+            let again = open(&dir, None, &Registry::new());
+            assert_eq!(again.epoch(), 1);
+            assert_eq!(again.get_from(0), got, "recovered differently");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_counts_delete_and_replay_errors_and_keeps_serving() {
+        let dir = scratch("gc-errors");
+        let registry = Registry::new();
+        let store = open(&dir, Some(400), &registry);
+        fill(&store, 0..30);
+        // Three to a segment. A directory can be neither unlinked nor read
+        // as a file: the oldest will fail its delete, the ninth its replay.
+        let segments = list_segments(&dir).unwrap();
+        let broken = [&segments[0].2, &segments[8].2];
+        for path in broken {
+            fs::remove_file(path).unwrap();
+            fs::create_dir(path).unwrap();
+        }
+        fill(&store, 30..41); // the 41st trips the GC
+        assert_eq!(store.epoch(), 1, "the pass finished");
+        assert_eq!(registry.counter("store.wal.errors").get(), 2);
+        assert_eq!(registry.counter("store.gc.segments_deleted").get(), 4);
+        assert_eq!(store.len(), 41 - 4 * 3 - 3, "rebuilt from what was read");
+        assert!(store.contains("sig-000024").is_none(), "unreadable");
+        assert_eq!(store.add("served-after-the-gc"), (26, true));
+        // Memory never holds more than disk: a restart finds all of it.
+        let memory = store.get_from(0);
+        drop(store);
+        for path in broken {
+            fs::remove_dir(path).unwrap();
+        }
+        assert_eq!(open(&dir, Some(400), &registry).get_from(0), memory);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gc_drops_a_non_empty_segment_even_when_the_log_already_fits() {
+        let dir = scratch("gc-min");
+        let registry = Registry::new();
+        let store = open(&dir, Some(400), &registry);
+        fill(&store, 0..40); // at the cap, not over it
+                             // As if appends had failed: the log accounts for far less than
+                             // memory holds, so by bytes alone the pass would delete nothing.
+        for segment in store.wal.as_ref().unwrap().lock().live.iter_mut() {
+            segment.1 = 1;
+        }
+        fill(&store, 40..41);
+        assert_eq!(store.epoch(), 1);
+        assert_eq!(registry.counter("store.gc.segments_deleted").get(), 1);
+        assert_eq!(
+            store.len(),
+            41 - 3,
+            "the total fell: the wire's shrink signal"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1148,13 +1102,10 @@ mod tests {
             store.add("tele-0"); // duplicate: not journaled
             assert_eq!(registry.counter("store.wal.appends").get(), 5);
             assert!(registry.counter("store.wal.bytes").get() > 0);
-            store.snapshot().unwrap();
-            assert_eq!(registry.counter("store.snapshot.taken").get(), 1);
-            assert_eq!(registry.counter("store.snapshot.sigs").get(), 5);
         }
         let registry2 = Registry::new();
         let _store = Store::open(2, test_config(&dir), &registry2).unwrap();
-        assert_eq!(registry2.counter("store.wal.replayed").get(), 0);
+        assert_eq!(registry2.counter("store.wal.replayed").get(), 5);
         let _ = fs::remove_dir_all(&dir);
     }
 

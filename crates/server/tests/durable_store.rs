@@ -2,7 +2,7 @@
 //! through [`communix_server::builder`], served over real TCP, driven
 //! with the real client facade (`obtain_id` / `upload_batch` /
 //! `sync_delta`). The unit suites in `store.rs` prove the WAL and
-//! snapshot machinery; this suite proves the promises the *API*
+//! GC machinery; this suite proves the promises the *API*
 //! makes — restart recovery and the epoch resync rule — hold across
 //! the wire, and across a SIGKILL.
 
@@ -170,7 +170,7 @@ fn crash_child_serves_until_killed() {
 }
 
 /// Everything a server recovered from `dir` serves over TCP, and the
-/// `wal_records + snapshot_sigs` its recovery reported.
+/// `wal_records` its recovery reported.
 fn recover_and_drain(dir: &Path) -> (HashSet<String>, u64) {
     let (server, mut tcp) = communix_server::builder()
         .daily_limit(1 << 20)
@@ -185,7 +185,7 @@ fn recover_and_drain(dir: &Path) -> (HashSet<String>, u64) {
         .filter_map(|i| repo.sig(i))
         .map(String::from)
         .collect();
-    (have, report.wal_records + report.snapshot_sigs)
+    (have, report.wal_records)
 }
 
 #[test]
