@@ -187,11 +187,6 @@ impl CommunixNode {
         Ok(())
     }
 
-    /// Whether the node has an encrypted id.
-    pub fn has_id(&self) -> bool {
-        self.encrypted_id.is_some()
-    }
-
     /// Downloads new signatures from the server into the local
     /// repository through the epoch-aware `GET_DELTA` sync
     /// ([`sync_delta`]): one round trip unless the server windows the

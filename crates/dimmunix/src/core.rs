@@ -216,16 +216,6 @@ impl DimmunixCore {
         self.fp.reset();
     }
 
-    /// Adds a signature to the history (e.g. handed down by the agent),
-    /// returning what happened.
-    pub fn add_signature(&mut self, sig: Signature) -> AddOutcome {
-        let outcome = self.history.add(sig);
-        if outcome == AddOutcome::Added {
-            self.matcher.rebuild(&self.history);
-        }
-        outcome
-    }
-
     /// Aggregate counters.
     pub fn stats(&self) -> CoreStats {
         let mut s = self.stats;

@@ -84,32 +84,6 @@ impl History {
         AddOutcome::Added
     }
 
-    /// Merges a batched delta of downloaded signatures into the history
-    /// in one pass, generalizing each against the existing entries
-    /// exactly as [`History::add_generalizing`] does, and reports what
-    /// happened in aggregate. This is the history-side counterpart of
-    /// the client's windowed `GET_DELTA` sync: one report per window
-    /// instead of one [`AddOutcome`] per signature.
-    ///
-    /// Signatures inside the batch also generalize against *each other*
-    /// (a window often carries several manifestations of one bug), in
-    /// batch order — the same result as feeding them one at a time.
-    pub fn merge_batch(
-        &mut self,
-        sigs: impl IntoIterator<Item = Signature>,
-        min_depth: usize,
-    ) -> BatchMergeReport {
-        let mut report = BatchMergeReport::default();
-        for sig in sigs {
-            match self.add_generalizing(sig, min_depth) {
-                AddOutcome::Added => report.added += 1,
-                AddOutcome::Merged(_) => report.merged += 1,
-                AddOutcome::Duplicate => report.duplicates += 1,
-            }
-        }
-        report
-    }
-
     /// Signatures representing the same bug as `sig`.
     pub fn same_bug(&self, sig: &Signature) -> Vec<&Signature> {
         self.sigs.iter().filter(|s| s.same_bug(sig)).collect()
@@ -241,24 +215,6 @@ impl Extend<Signature> for History {
     }
 }
 
-/// Aggregate outcome of [`History::merge_batch`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchMergeReport {
-    /// Signatures appended as new history entries.
-    pub added: usize,
-    /// Signatures generalized into an existing entry.
-    pub merged: usize,
-    /// Signatures already covered (exact duplicates or no-op merges).
-    pub duplicates: usize,
-}
-
-impl BatchMergeReport {
-    /// Signatures that changed the history (`added + merged`).
-    pub fn changed(&self) -> usize {
-        self.added + self.merged
-    }
-}
-
 /// Errors from history persistence.
 #[derive(Debug)]
 pub enum HistoryError {
@@ -349,48 +305,6 @@ mod tests {
         // sig(1, 1) merged with a deeper manifestation keeps the existing
         // (shorter) suffix: nothing changes.
         assert_eq!(h.add_generalizing(sig(1, 4), 0), AddOutcome::Duplicate);
-        assert_eq!(h.len(), 1);
-    }
-
-    #[test]
-    fn merge_batch_classifies_each_signature() {
-        let mut h = History::new();
-        h.add(sig(1, 3));
-        // A batched delta: one deeper manifestation of bug 1 (merges),
-        // one fresh bug (adds), one exact duplicate of the fresh bug.
-        let report = h.merge_batch(vec![sig(1, 1), sig(2, 0), sig(2, 0)], 0);
-        assert_eq!(
-            report,
-            BatchMergeReport {
-                added: 1,
-                merged: 1,
-                duplicates: 1
-            }
-        );
-        assert_eq!(report.changed(), 2);
-        assert_eq!(h.len(), 2);
-    }
-
-    #[test]
-    fn merge_batch_equals_sequential_adds() {
-        // Batch order semantics: one merge_batch call must leave the
-        // history exactly as the equivalent add_generalizing sequence.
-        let batch = vec![sig(1, 2), sig(2, 0), sig(1, 0), sig(3, 1)];
-        let mut batched = History::new();
-        batched.merge_batch(batch.clone(), 0);
-        let mut sequential = History::new();
-        for s in batch {
-            sequential.add_generalizing(s, 0);
-        }
-        assert_eq!(batched.signatures(), sequential.signatures());
-    }
-
-    #[test]
-    fn merge_batch_empty_is_noop() {
-        let mut h = History::new();
-        h.add(sig(1, 0));
-        let report = h.merge_batch(Vec::new(), 5);
-        assert_eq!(report, BatchMergeReport::default());
         assert_eq!(h.len(), 1);
     }
 

@@ -44,7 +44,7 @@ pub use core::{CoreStats, DimmunixCore, RequestOutcome};
 pub use events::{Event, Wake};
 pub use fp::FalsePositiveDetector;
 pub use frame::{CallStack, Frame, ParseFrameError, Site};
-pub use history::{AddOutcome, BatchMergeReport, History, HistoryError};
+pub use history::{AddOutcome, History, HistoryError};
 pub use ids::{LockId, ThreadId};
 pub use matcher::{AvoidanceMatcher, Instantiation, LockRecord, RecordRef};
 pub use signature::{ParseSignatureError, SigEntry, SigOrigin, Signature};

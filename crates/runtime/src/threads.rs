@@ -195,14 +195,6 @@ impl DlxThread {
         self.stack.borrow_mut().pop();
     }
 
-    /// Runs `f` with a frame pushed (exception-safe scoping).
-    pub fn with_frame<R>(&self, class: &str, method: &str, line: u32, f: impl FnOnce() -> R) -> R {
-        self.push_frame(class, method, line);
-        let r = f();
-        self.pop_frame();
-        r
-    }
-
     /// Acquires `lock`, consulting Dimmunix avoidance first; blocks until
     /// granted.
     ///

@@ -6,24 +6,31 @@
 //!
 //! # Sharding
 //!
-//! The store is split into two cooperating structures so that the hot
-//! paths never meet on one lock:
+//! The store is split into two cooperating structures so that duplicate
+//! probes and reads never wait behind a writer:
 //!
 //! * **Dedup shards** — the text → index map is partitioned into N
 //!   shards keyed by a hash of the signature text. A duplicate probe
 //!   takes one shard's *read* lock; only a genuinely new signature takes
-//!   that shard's *write* lock. Adds to different shards never contend.
-//! * **Append log** — global indices come from a lock-free atomic
-//!   sequence, and signature texts live in a segmented append-only log
-//!   whose slots are written exactly once. Readers
-//!   ([`SignatureDb::get_from`], [`SignatureDb::delta`]) walk the
-//!   log up to the *committed* watermark without taking any
-//!   per-signature lock, so the O(N) GET(0) walk no longer blocks
-//!   writers (and vice versa).
+//!   that shard's *write* lock, and only for the insert.
+//! * **Append log** — texts live in a segmented append-only log whose
+//!   slots are written exactly once, in index order, under the one
+//!   *append lock*. Readers ([`SignatureDb::get_from`],
+//!   [`SignatureDb::delta`]) walk the log up to the *committed*
+//!   watermark without taking any per-signature lock, so the O(N) GET(0)
+//!   walk no longer blocks writers (and vice versa).
 //!
-//! Because dedup'd adds commute, the order in which shards admit them
-//! is immaterial to the stored *set*; the tests hold the store to a
-//! `Vec` + set model, which is the whole reference.
+//! # One order
+//!
+//! Dedup'd adds commute for the stored *set*, but the *index* is the
+//! client's only cursor (`GET_DELTA(from)`), so the order signatures are
+//! numbered in is observable state. A new signature gets its index, its
+//! journal record ([`SignatureDb::add_with`]'s hook: a durable store's
+//! WAL append) and its visibility under the append lock: index order =
+//! journal order = the order a replay recovers. What needs no order —
+//! hashing, the fast-path probe, allocating the text, framing the record
+//! — happens before the lock. The tests hold the store to a `Vec` + set
+//! model, which is the whole reference.
 //!
 //! # One text, shared
 //!
@@ -39,7 +46,7 @@ use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 /// Default number of dedup shards (a modest power of two: enough to
 /// spread 8–64 writer threads, small enough that per-shard stats stay
@@ -115,25 +122,36 @@ impl SignatureDb {
     /// Appends `sig_text` unless an identical signature is already
     /// stored. Returns `(index, newly_added)`.
     pub fn add(&self, sig_text: &str) -> (usize, bool) {
+        self.add_with(sig_text, |_| {})
+    }
+
+    /// [`SignatureDb::add`], calling `journal` with the text of a
+    /// genuinely new signature under the append lock, after the dedup
+    /// re-probe and before the signature becomes visible: journal calls
+    /// happen in index order, and a duplicate makes none.
+    pub(crate) fn add_with(&self, sig_text: &str, journal: impl FnOnce(&str)) -> (usize, bool) {
         let shard = self.shard_of(sig_text);
         // Fast path: read lock for the duplicate probe.
         if let Some(&i) = shard.index.read().get(sig_text) {
             return (i as usize, false);
         }
-        let mut index = shard.index.write();
-        if let Some(&i) = index.get(sig_text) {
-            return (i as usize, false);
-        }
-        let i = self.log.reserve();
         // The one copy of the text: index key and log slot share it.
         let text: Arc<str> = Arc::from(sig_text);
-        index.insert(text.clone(), i);
+        let mut tail = self.log.tail.lock();
+        // Every insert happens under the append lock, so this probe is final.
+        if let Some(&i) = shard.index.read().get(sig_text) {
+            return (i as usize, false);
+        }
+        journal(sig_text);
+        // Index entry and log slot appear together under the shard write
+        // lock (held for just these two steps, never across the journal):
+        // a racing duplicate add that finds the entry also finds the
+        // committed slot, and a reader of the slot finds the entry.
+        let mut index = shard.index.write();
+        let i = self.log.push(&mut tail, text.clone());
+        index.insert(text, i);
         shard.count.fetch_add(1, Ordering::AcqRel);
         shard.bytes.fetch_add(sig_text.len(), Ordering::AcqRel);
-        // Publish while still holding the shard write lock, so that a
-        // racing duplicate add observing the index entry also observes
-        // the committed log slot.
-        self.log.publish(i, text);
         (i as usize, true)
     }
 
@@ -177,7 +195,7 @@ impl SignatureDb {
     /// Per-shard `(count, bytes)` counters. Their sums equal
     /// [`SignatureDb::len`] / [`SignatureDb::stored_bytes`] whenever no
     /// add is mid-flight (counters are bumped inside the shard write
-    /// lock, before the log slot is published).
+    /// lock the log slot is published under).
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
@@ -212,67 +230,46 @@ type Segment = Arc<[OnceLock<Arc<str>>]>;
 
 /// A segmented append-only log of signature texts.
 ///
-/// Indices come from the lock-free `next` sequence; each slot is written
-/// exactly once (`OnceLock`); the `committed` watermark trails `next`
-/// and only covers the contiguous prefix of filled slots, so readers
-/// below `committed` never observe an empty slot. The segment directory
+/// Slots are written exactly once (`OnceLock`), in index order, by the
+/// writer holding the `tail` lock; `committed` is the reader-side copy of
+/// the length, stored after the slot is filled, so readers below it never
+/// observe an empty slot and never take the lock. The segment directory
 /// is behind a `RwLock`, but it is only write-locked when a new 1024-slot
 /// segment is allocated — reads share it uncontended.
 #[derive(Debug, Default)]
 struct AppendLog {
     segments: RwLock<Vec<Segment>>,
-    next: AtomicU64,
     committed: AtomicU64,
+    /// The append lock. Its guard is the only way to [`AppendLog::push`].
+    tail: Mutex<Tail>,
 }
+
+/// The writer's side of the log: the next index to fill.
+#[derive(Debug, Default)]
+struct Tail(u64);
 
 impl AppendLog {
     fn committed(&self) -> u64 {
         self.committed.load(Ordering::Acquire)
     }
 
-    /// Claims the next global index and ensures its segment exists.
-    fn reserve(&self) -> u64 {
-        let i = self.next.fetch_add(1, Ordering::AcqRel);
-        let seg = (i as usize) >> SEG_SHIFT;
-        if seg >= self.segments.read().len() {
-            let mut segments = self.segments.write();
-            while segments.len() <= seg {
-                segments.push((0..SEG_LEN).map(|_| OnceLock::new()).collect());
-            }
+    /// Fills the next slot and publishes it; returns its index. Taking
+    /// the guard's `&mut Tail` is what makes minting an index without the
+    /// append lock a compile error.
+    fn push(&self, tail: &mut Tail, text: Arc<str>) -> u64 {
+        let i = tail.0;
+        let (seg, off) = ((i as usize) >> SEG_SHIFT, (i as usize) & (SEG_LEN - 1));
+        if off == 0 {
+            let fresh = (0..SEG_LEN).map(|_| OnceLock::new()).collect();
+            self.segments.write().push(fresh);
         }
+        let filled = self.segments.read()[seg][off].set(text);
+        filled.expect("log slot is written exactly once");
+        tail.0 = i + 1;
+        // Release pairs with the Acquire in `committed`: a reader that
+        // sees the new length sees the slot (and its segment) filled.
+        self.committed.store(tail.0, Ordering::Release);
         i
-    }
-
-    /// Fills slot `i` and advances the committed watermark over every
-    /// contiguous filled slot. Writers cooperate: whichever writer
-    /// observes the frontier slot filled advances it, so a slot finished
-    /// out of order is published by the (slower) writer in front of it.
-    fn publish(&self, i: u64, text: Arc<str>) {
-        {
-            let segments = self.segments.read();
-            let slot = &segments[(i as usize) >> SEG_SHIFT][(i as usize) & (SEG_LEN - 1)];
-            slot.set(text).expect("log slot is written exactly once");
-        }
-        loop {
-            let c = self.committed.load(Ordering::Acquire);
-            if c >= self.next.load(Ordering::Acquire) {
-                break;
-            }
-            let frontier_filled = {
-                let segments = self.segments.read();
-                segments
-                    .get((c as usize) >> SEG_SHIFT)
-                    .is_some_and(|seg| seg[(c as usize) & (SEG_LEN - 1)].get().is_some())
-            };
-            if !frontier_filled {
-                break;
-            }
-            // Losing the CAS just means another writer advanced it;
-            // re-read and keep helping.
-            let _ = self
-                .committed
-                .compare_exchange(c, c + 1, Ordering::AcqRel, Ordering::Acquire);
-        }
     }
 
     /// Walks the committed slots in `[from, to)` segment by segment
@@ -345,7 +342,8 @@ mod tests {
 
     proptest! {
         /// The store against the whole reference: a `Vec` of texts in
-        /// admission order and the set of them.
+        /// admission order and the set of them. The ordered half: the log
+        /// and the journal both hold the first occurrences, in call order.
         #[test]
         fn store_behaves_as_a_vec_and_a_set(
             shards in 0usize..6,
@@ -354,6 +352,7 @@ mod tests {
             let db = SignatureDb::with_shards(shards);
             prop_assert_eq!(db.shard_count(), shards.max(1));
             let (mut log, mut set): (Vec<String>, HashSet<String>) = Default::default();
+            let mut journal: Vec<String> = Vec::new();
             for op in ops {
                 match op {
                     Op::Add(key) => {
@@ -363,7 +362,8 @@ mod tests {
                             log.push(t.clone());
                         }
                         let at = log.iter().position(|s| *s == t).expect("admitted");
-                        prop_assert_eq!(db.add(&t), (at, fresh));
+                        let added = db.add_with(&t, |text| journal.push(text.to_owned()));
+                        prop_assert_eq!(added, (at, fresh));
                     }
                     Op::Contains(key) => {
                         let t = text(key);
@@ -388,6 +388,8 @@ mod tests {
                 prop_assert_eq!(db.len(), log.len());
                 prop_assert_eq!(db.is_empty(), log.is_empty());
             }
+            prop_assert_eq!(&db.get_from(0), &log);
+            prop_assert_eq!(&journal, &log);
             let stats = db.shard_stats();
             prop_assert_eq!(stats.len(), db.shard_count());
             prop_assert_eq!(stats.iter().map(|s| s.sigs).sum::<usize>(), db.len());
@@ -462,6 +464,34 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), all.len());
+    }
+
+    #[test]
+    fn concurrent_journal_order_is_index_order() {
+        let db = SignatureDb::new();
+        let journal = Mutex::new(Vec::new());
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (db, journal, start) = (&db, &journal, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..2000 {
+                        // Every tenth text is raced in by all four threads.
+                        let who = if i % 10 == 0 { 9 } else { t };
+                        db.add_with(&format!("sig-{who}-{i}"), |text| {
+                            journal.lock().push(text.to_owned());
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(db.len(), 4 * 1800 + 200);
+        assert_eq!(
+            journal.into_inner(),
+            db.get_from(0),
+            "journaled in index order"
+        );
     }
 
     #[test]

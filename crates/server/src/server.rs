@@ -388,21 +388,14 @@ impl CommunixServer {
     fn dispatch(&self, request: Request) -> Reply {
         match request {
             Request::Add { sender, sig_text } => {
-                let decision = self.process_add(&sender, &sig_text);
-                self.count(decision);
-                let (accepted, reason) = Self::verdict(decision);
+                let AddResult { accepted, reason } = self.add_one(&sender, &sig_text);
                 Reply::AddAck { accepted, reason }
             }
             Request::AddBatch { adds } => {
                 self.metrics.batches.inc();
                 let results = adds
                     .iter()
-                    .map(|add| {
-                        let decision = self.process_add(&add.sender, &add.sig_text);
-                        self.count(decision);
-                        let (accepted, reason) = Self::verdict(decision);
-                        AddResult { accepted, reason }
-                    })
+                    .map(|add| self.add_one(&add.sender, &add.sig_text))
                     .collect();
                 Reply::BatchAck { results }
             }
@@ -423,8 +416,15 @@ impl CommunixServer {
         }
     }
 
-    /// The shared ADD path: validation (§III-C) plus storage. Batched
-    /// and single ADDs go through here item by item.
+    /// One ADD, decided, counted and answered: a lone `ADD` is an
+    /// `ADD_BATCH` of one.
+    fn add_one(&self, sender: &EncryptedId, sig_text: &str) -> AddResult {
+        let decision = self.process_add(sender, sig_text);
+        self.count(decision);
+        Self::verdict(decision)
+    }
+
+    /// The ADD decision: validation (§III-C) plus storage.
     ///
     /// The dedup probe runs *first*, before the signature is parsed and
     /// before any per-user state is locked: an exact duplicate of a
@@ -498,12 +498,13 @@ impl CommunixServer {
         }
     }
 
-    fn verdict(decision: AddDecision) -> (bool, String) {
-        match decision {
+    fn verdict(decision: AddDecision) -> AddResult {
+        let (accepted, reason) = match decision {
             AddDecision::Accepted => (true, String::new()),
             AddDecision::Duplicate => (true, "duplicate".into()),
             AddDecision::Rejected(reason) => (false, reason.as_str().into()),
-        }
+        };
+        AddResult { accepted, reason }
     }
 
     fn handle_get(&self, from: u64) -> Reply {

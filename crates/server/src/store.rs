@@ -4,10 +4,13 @@
 //! them is ever rewritten.
 //!
 //! The immunity network is only useful if accumulated signatures survive
-//! a server restart (ROADMAP "Durable store"). The recoverable-ADT
-//! observation that motivates the design: dedup'd ADDs *commute* — the
-//! in-memory [`SignatureDb::add`] collapses duplicates — so recovery can
-//! replay the segments with no metadata beyond their sequence order, and
+//! a server restart (ROADMAP "Durable store"). Dedup'd ADDs commute for
+//! the stored *set*, but the *index* is the client's cursor
+//! (`GET_DELTA(from)`), so a restart must number the log the way it was
+//! served. One lock does it: [`Store::add`] frames the record first, then
+//! the database assigns the index and the record is written under its
+//! append lock — index order = journal order = recovered order. Recovery
+//! replays the segments with no metadata beyond their sequence order, and
 //! a segment dropped whole is a valid cut of the log. Signatures are
 //! unique, append-only and never modified, so there is nothing to
 //! compact: a second, "compacted" copy of the store would hold the same
@@ -176,7 +179,7 @@ struct Flusher {
 #[derive(Debug)]
 pub struct Store {
     /// Swapped wholesale by the epoch-bumping GC; adds hold the read
-    /// lock across `db.add` + WAL append so a GC cannot strand an add
+    /// lock across the journaled add so a GC cannot strand an add
     /// between the old database and the new WAL epoch.
     inner: RwLock<Arc<SignatureDb>>,
     /// Shard count for rebuilds.
@@ -276,28 +279,30 @@ impl Store {
     pub fn add(&self, sig_text: &str) -> (usize, bool) {
         let (i, added) = {
             let db = self.inner.read();
-            let (i, added) = db.add(sig_text);
-            if added {
-                if let Some(wal) = &self.wal {
-                    let mut wal = wal.lock();
-                    match wal.append(sig_text) {
-                        Ok(n) => {
-                            self.metrics.wal_appends.inc();
-                            self.metrics.wal_bytes.add(n);
-                            if self.sync_every_append {
-                                if let Err(e) = self.metrics.sync(&mut wal) {
-                                    self.wal_error("fsync", &e);
-                                }
+            let Some(wal) = &self.wal else {
+                return db.add(sig_text);
+            };
+            // Framed (CRC included) before the append lock, written under
+            // it: the record lands in the log at the signature's index.
+            let record = frame(sig_text);
+            db.add_with(sig_text, |_| {
+                let mut wal = wal.lock();
+                match wal.append(&record) {
+                    Ok(()) => {
+                        self.metrics.wal_appends.inc();
+                        self.metrics.wal_bytes.add(record.len() as u64);
+                        if self.sync_every_append {
+                            if let Err(e) = self.metrics.sync(&mut wal) {
+                                self.wal_error("fsync", &e);
                             }
                         }
-                        // A WAL write failure degrades durability, not
-                        // availability: the add stays served from memory,
-                        // the failure is counted and logged.
-                        Err(e) => self.wal_error("append", &e),
                     }
+                    // A WAL write failure degrades durability, not
+                    // availability: the add stays served from memory,
+                    // the failure is counted and logged.
+                    Err(e) => self.wal_error("append", &e),
                 }
-            }
-            (i, added)
+            })
         };
         // An uncapped store pays nothing for the cap: no byte sum here.
         if let (true, Some(cap)) = (added, self.max_bytes) {
@@ -499,6 +504,12 @@ fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// One WAL record: `[len: u32 LE][crc32(text): u32 LE][text]`.
+fn frame(text: &str) -> Vec<u8> {
+    let (len, crc) = (text.len() as u32, crc32(text.as_bytes()));
+    [&len.to_le_bytes(), &crc.to_le_bytes(), text.as_bytes()].concat()
+}
+
 // ---------------------------------------------------------------------
 // WAL
 // ---------------------------------------------------------------------
@@ -514,7 +525,6 @@ struct Wal {
     seg_bytes: u64,
     segment_limit: u64,
     dirty: bool,
-    scratch: Vec<u8>,
     /// Every segment on disk, oldest first, with the signature bytes in
     /// it; the back is the one being written. GC reads what a delete
     /// frees from here instead of from the files.
@@ -574,29 +584,22 @@ impl Wal {
             seg_bytes: WAL_MAGIC.len() as u64,
             segment_limit,
             dirty: true, // the magic itself
-            scratch: Vec::with_capacity(256),
             live,
         })
     }
 
-    /// Frames and writes one record; returns its on-disk size. Rolls to
-    /// a new segment first when the current one is full.
-    fn append(&mut self, text: &str) -> io::Result<u64> {
+    /// Writes one [`frame`]d record. Rolls to a new segment first when
+    /// the current one is full.
+    fn append(&mut self, record: &[u8]) -> io::Result<()> {
         if self.seg_bytes >= self.segment_limit {
             self.roll(self.epoch)?;
         }
-        let payload = text.as_bytes();
-        self.scratch.clear();
-        self.scratch
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.scratch
-            .extend_from_slice(&crc32(payload).to_le_bytes());
-        self.scratch.extend_from_slice(payload);
-        self.file.write_all(&self.scratch)?;
-        self.seg_bytes += self.scratch.len() as u64;
+        self.file.write_all(record)?;
+        self.seg_bytes += record.len() as u64;
         self.dirty = true;
-        self.live.back_mut().expect("the open segment").1 += payload.len() as u64;
-        Ok(self.scratch.len() as u64)
+        // Signature bytes: the record less its length and CRC.
+        self.live.back_mut().expect("the open segment").1 += record.len() as u64 - 8;
+        Ok(())
     }
 
     /// Fsyncs if dirty; returns whether a sync happened.
@@ -897,9 +900,9 @@ mod tests {
         {
             let mut wal = Wal::open(dir.clone(), 0, 9999, 1 << 20, VecDeque::new()).unwrap();
             for i in 0..8 {
-                wal.append(&format!("sig-{i:06}")).unwrap();
+                wal.append(&frame(&format!("sig-{i:06}"))).unwrap();
             }
-            wal.append("ov-fresh").unwrap();
+            wal.append(&frame("ov-fresh")).unwrap();
             wal.sync().unwrap();
         }
         let store = open(&dir, None, &Registry::new());
@@ -1112,7 +1115,7 @@ mod tests {
     #[test]
     fn concurrent_adds_survive_restart() {
         let dir = scratch("concurrent");
-        {
+        let served = {
             let store = Arc::new(Store::open(8, test_config(&dir), &Registry::new()).unwrap());
             let mut handles = Vec::new();
             for t in 0..4 {
@@ -1127,7 +1130,8 @@ mod tests {
                 h.join().unwrap();
             }
             assert_eq!(store.len(), 200);
-        }
+            store.get_from(0)
+        };
         let store = Store::open(8, test_config(&dir), &Registry::new()).unwrap();
         assert_eq!(store.len(), 200, "every concurrently-acked add recovered");
         for t in 0..4 {
@@ -1135,7 +1139,61 @@ mod tests {
                 assert!(store.contains(&format!("conc-{t}-{i}")).is_some());
             }
         }
+        assert_eq!(store.get_from(0), served, "recovered in the order served");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn served_order_survives_a_restart_under_concurrent_adds() {
+        // The index is the client's cursor (`GET_DELTA(from)`), so the
+        // order a burst was served in is state a restart must keep: a
+        // client that paged to the middle asks for the rest by index.
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 2_000;
+        for round in 0..20 {
+            let dir = scratch("order");
+            let registry = Registry::new();
+            let store = Store::open(8, DurabilityConfig::new(&dir), &registry).unwrap();
+            let start = std::sync::Barrier::new(THREADS);
+            std::thread::scope(|s| {
+                for t in 0..THREADS {
+                    let (store, start) = (&store, &start);
+                    s.spawn(move || {
+                        let pad = "x".repeat(180);
+                        start.wait();
+                        for i in 0..PER_THREAD {
+                            store.add(&format!("order-{t}-{i:05}-{pad}"));
+                            if i % 100 == 0 {
+                                // Every thread races the same text in:
+                                // one is stored, none is journaled twice.
+                                store.add(&format!("order-shared-{i:05}-{pad}"));
+                            }
+                        }
+                    });
+                }
+            });
+            let (served, total) = store.delta(0, 0);
+            assert_eq!(total, THREADS * PER_THREAD + PER_THREAD / 100);
+            assert_eq!(
+                registry.counter("store.wal.appends").get(),
+                total as u64,
+                "a duplicate journals nothing"
+            );
+            store.sync().unwrap();
+            drop(store);
+            let reopened = Store::open(8, DurabilityConfig::new(&dir), &Registry::new()).unwrap();
+            let (recovered, _) = reopened.delta(0, 0);
+            assert_eq!(recovered.len(), served.len(), "round {round}");
+            let moved: Vec<usize> = (0..total).filter(|&i| served[i] != recovered[i]).collect();
+            assert!(
+                moved.is_empty(),
+                "round {round}: the recovered order differs from the served one from \
+                 slot {} on ({} of {total} slots hold another text)",
+                moved[0],
+                moved.len()
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@ use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use communix_client::{
     obtain_id, sync_delta, upload_batch, LocalRepository, PipelinedConnector, SyncError,
@@ -143,6 +144,107 @@ fn epoch_compaction_resyncs_clients_end_to_end() {
     // Steady state again: the next sync is an ordinary empty delta.
     assert_eq!(sync_delta(&mut session, &mut repo, 0).unwrap(), 0);
     assert_eq!(repo.sync_cursor(), served.len());
+    tcp.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_client_that_paged_halfway_misses_nothing_after_a_restart() {
+    // `GET_DELTA(from)` is the client's only cursor, so a restart must
+    // number the log the way it was served: a repository that stopped
+    // mid-log asks the rebuilt server for the rest by index. Each life
+    // of the server is one trial: its first sync pages across a restart.
+    const UPLOADERS: u32 = 4;
+    const LIVES: u32 = 8;
+    let dir = scratch_dir("paged-halfway");
+    let serve = || {
+        communix_server::builder()
+            .daily_limit(1 << 20)
+            .reactors(UPLOADERS as usize)
+            .durable(&dir)
+            .serve("127.0.0.1:0")
+            .expect("serve durable")
+    };
+    let mut repo = LocalRepository::in_memory();
+    let mut acked: Vec<String> = Vec::new();
+
+    for life in 0..LIVES {
+        let (server, mut tcp) = serve();
+        let addr = tcp.addr();
+        let store = server.store();
+        assert_eq!(
+            store.len(),
+            acked.len(),
+            "life {life} recovered another log"
+        );
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let uploaders: Vec<_> = (0..UPLOADERS)
+                .map(|user| {
+                    let stop = &stop;
+                    s.spawn(move || {
+                        let mut session = dial(addr);
+                        let sender = obtain_id(&mut session, user.into()).expect("issue id");
+                        let mut acked = Vec::new();
+                        // Bounded, so a failed assertion elsewhere cannot
+                        // leave the scope joining an endless burst.
+                        let first = user * 1_000_000 + life * 10_000;
+                        for base in (first..first + 10_000).step_by(8) {
+                            if stop.load(Ordering::Acquire) {
+                                break;
+                            }
+                            let texts: Vec<String> = (base..base + 8).map(sig).collect();
+                            let adds = texts.iter().map(|t| (sender, t.clone())).collect();
+                            let results = upload_batch(&mut session, adds).expect("upload");
+                            for (r, t) in results.iter().zip(texts) {
+                                assert!(r.accepted, "server rejected {t:?}: {}", r.reason);
+                                acked.push(t);
+                            }
+                        }
+                        acked
+                    })
+                })
+                .collect();
+            // Page while the burst runs, then let it run on: the cursor
+            // stops strictly inside the log, among concurrent adds.
+            let wait_for = |len: usize| {
+                let stalled = Instant::now() + Duration::from_secs(60);
+                while store.len() < len {
+                    assert!(Instant::now() < stalled, "burst stalled below {len}");
+                    std::thread::yield_now();
+                }
+            };
+            wait_for(acked.len() + 300);
+            sync_delta(&mut dial(addr), &mut repo, 0).expect("sync mid-burst");
+            wait_for(repo.sync_cursor() + 300);
+            stop.store(true, Ordering::Release);
+            for uploader in uploaders {
+                acked.extend(uploader.join().expect("uploader"));
+            }
+        });
+        let cursor = repo.sync_cursor();
+        assert!(0 < cursor && cursor < acked.len(), "{cursor} not inside");
+        store.sync().expect("durable before shutdown");
+        tcp.shutdown();
+    }
+
+    let (server, mut tcp) = serve();
+    sync_delta(&mut dial(tcp.addr()), &mut repo, 0).expect("sync after the last restart");
+    assert_eq!(repo.sync_cursor(), server.store().len());
+    // Exactly once: sorted `Vec`s, so a duplicate shows as well as a gap.
+    let mut have: Vec<&str> = (0..repo.len()).filter_map(|i| repo.sig(i)).collect();
+    have.sort_unstable();
+    acked.sort_unstable();
+    let missing = acked
+        .iter()
+        .filter(|t| have.binary_search(&t.as_str()).is_err())
+        .count();
+    assert!(
+        have.iter().eq(acked.iter()),
+        "of {} acked texts the repository misses {missing} and holds {} twice",
+        acked.len(),
+        have.len() + missing - acked.len()
+    );
     tcp.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

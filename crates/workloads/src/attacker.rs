@@ -46,11 +46,6 @@ impl AttackPlan {
         &self.sigs
     }
 
-    /// Consumes the plan, yielding the signatures.
-    pub fn into_signatures(self) -> Vec<Signature> {
-        self.sigs
-    }
-
     /// Number of signatures in the plan.
     pub fn len(&self) -> usize {
         self.sigs.len()
