@@ -1,8 +1,8 @@
 //! The class-loading model.
 //!
-//! Java loads classes lazily; Communix exploits this in two ways:
+//! Java loads classes lazily; the paper's agent exploits this in two ways:
 //!
-//! * the agent "computes the hash of a class [the] first time the class is
+//! * it "computes the hash of a class [the] first time the class is
 //!   loaded, then reuses the computed hash value" (§III-C3);
 //! * "each time new classes are loaded, in addition to the ones loaded in
 //!   the previous runs, the Communix agent repeats the nesting check" for
@@ -10,7 +10,13 @@
 //!
 //! [`ClassLoader`] tracks which classes of a [`Program`] are loaded in the
 //! current run, remembers the set from previous runs, and reports the
-//! delta.
+//! delta. It does the second; it does **not** yet do the first: nothing
+//! here keeps a digest, so [`ClassLoader::loaded_hashes`] runs
+//! [`ClassFile::bytecode_hash`](crate::ClassFile::bytecode_hash) (SHA-256
+//! over the class's canonical bytes) for every loaded class on every call,
+//! and a node calls it at every start-up. Hashing each class once per
+//! loader is ROADMAP's node-side item (b), after the hash is streamed
+//! into SHA-256 without building the canonical text.
 
 use std::collections::BTreeSet;
 

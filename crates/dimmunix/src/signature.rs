@@ -157,10 +157,14 @@ impl Signature {
     /// not all) top frames" (§III-C2). The server rejects a signature
     /// adjacent to one already sent by the same user.
     pub fn adjacent_to(&self, other: &Signature) -> bool {
-        let a = self.top_frame_sites();
-        let b = other.top_frame_sites();
-        let common = a.intersection(&b).count();
-        common > 0 && (a != b)
+        Signature::sites_adjacent(&self.top_frame_sites(), &other.top_frame_sites())
+    }
+
+    /// Adjacency over two [`Signature::top_frame_sites`] sets — the one
+    /// definition: some sites shared, not all equal. The server keeps
+    /// only these sets of a sender's accepted signatures and asks this.
+    pub fn sites_adjacent(a: &BTreeSet<Site>, b: &BTreeSet<Site>) -> bool {
+        a.intersection(b).next().is_some() && a != b
     }
 
     /// Merges two signatures of the same bug into their generalization:

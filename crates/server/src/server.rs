@@ -40,12 +40,11 @@
 //! gauges and counters in the same registry, so one `STATS` round trip
 //! observes the whole stack.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use communix_clock::{Clock, Instant, DAY};
-use communix_dimmunix::Signature;
+use communix_dimmunix::{Signature, Site};
 use communix_net::{AddResult, EncryptedId, Reply, Request};
 use communix_telemetry::{Counter, Histogram, Registry, Snapshot};
 use parking_lot::Mutex;
@@ -210,10 +209,13 @@ enum AddDecision {
     Rejected(RejectReason),
 }
 
+/// What the server keeps per sender: only what §III-C's checks read.
 #[derive(Debug, Default)]
 struct UserState {
-    /// Signatures previously accepted from this sender (for adjacency).
-    accepted: Vec<Signature>,
+    /// The top-frame sites of each signature accepted from this sender —
+    /// all the adjacency check compares — built once per ADD; the parsed
+    /// signature itself is dropped (its text lives in the store).
+    accepted: Vec<BTreeSet<Site>>,
     /// Times of processed ADDs within the trailing day (rate limiting).
     processed: VecDeque<Instant>,
 }
@@ -444,8 +446,12 @@ impl CommunixServer {
         }
 
         // The signature must parse (a malformed signature cannot be
-        // validated, stored, or served).
-        let Ok(sig) = sig_text.parse::<Signature>() else {
+        // validated, stored, or served). Adjacency reads only its top
+        // frames, so those are all that outlive the parse.
+        let Ok(sites) = sig_text
+            .parse::<Signature>()
+            .map(|sig| sig.top_frame_sites())
+        else {
             return AddDecision::Rejected(RejectReason::Malformed);
         };
 
@@ -468,13 +474,17 @@ impl CommunixServer {
         state.processed.push_back(now);
 
         // Check 2 (§III-C2): no adjacent signature from the same sender.
-        if state.accepted.iter().any(|s| s.adjacent_to(&sig)) {
+        if state
+            .accepted
+            .iter()
+            .any(|prior| Signature::sites_adjacent(prior, &sites))
+        {
             return AddDecision::Rejected(RejectReason::Adjacent);
         }
 
         let (_, added) = self.store.add(sig_text);
         if added {
-            state.accepted.push(sig);
+            state.accepted.push(sites);
             AddDecision::Accepted
         } else {
             // Lost a race with an identical add that slipped in after
@@ -538,6 +548,7 @@ mod tests {
     use super::*;
     use communix_clock::VirtualClock;
     use communix_dimmunix::{CallStack, Frame, SigEntry};
+    use proptest::prelude::*;
 
     fn server() -> (CommunixServer, Arc<VirtualClock>) {
         let clock = Arc::new(VirtualClock::new());
@@ -1019,5 +1030,77 @@ mod tests {
         }
         // 8 users × 10 sigs, all within daily budget.
         assert_eq!(srv.db().len(), 80);
+    }
+
+    /// One entry of a generated signature: outer top site, inner top site
+    /// (both from a pool of six) and a bottom frame below the outer top,
+    /// so equal top frames need not mean equal text.
+    fn arb_entry() -> impl Strategy<Value = (u32, u32, u32)> {
+        (0u32..6, 0u32..6, 0u32..3)
+    }
+
+    /// A signature over the six-site pool: adjacent, same-top-frames and
+    /// disjoint pairs all come up often.
+    fn pooled(entries: &[(u32, u32, u32)]) -> Signature {
+        let site = |i: u32| Frame::new("app.P", format!("m{i}"), 100 + i);
+        Signature::local(
+            entries
+                .iter()
+                .map(|&(outer, inner, below)| {
+                    SigEntry::new(
+                        [Frame::new("app.B", "run", below), site(outer)]
+                            .into_iter()
+                            .collect(),
+                        std::iter::once(site(inner)).collect(),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    proptest! {
+        /// The server's verdicts equal a model that keeps every accepted
+        /// parsed signature per sender and asks `Signature::adjacent_to`;
+        /// an already-stored text is a duplicate before anything else.
+        #[test]
+        fn verdicts_equal_the_parsed_signature_model(
+            adds in proptest::collection::vec(
+                (0u64..3, proptest::collection::vec(arb_entry(), 1..3)),
+                1..40,
+            ),
+        ) {
+            let srv = CommunixServer::new(
+                ServerConfig {
+                    daily_limit: usize::MAX,
+                    ..ServerConfig::default()
+                },
+                Arc::new(VirtualClock::new()),
+            );
+            let mut stored = std::collections::HashSet::new();
+            // (sender, parsed signature) for every accepted ADD.
+            let mut kept = Vec::new();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for (user, entries) in &adds {
+                let (user, sig) = (*user, pooled(entries));
+                let text = sig.to_string();
+                want.push(if stored.contains(&text) {
+                    (true, "duplicate".to_string())
+                } else if kept
+                    .iter()
+                    .any(|(u, prior): &(u64, Signature)| *u == user && prior.adjacent_to(&sig))
+                {
+                    (false, "adjacent signature from same sender".to_string())
+                } else {
+                    stored.insert(text);
+                    kept.push((user, sig.clone()));
+                    (true, String::new())
+                });
+                let Reply::AddAck { accepted, reason } = add(&srv, user, &sig) else {
+                    panic!("expected AddAck");
+                };
+                got.push((accepted, reason));
+            }
+            prop_assert_eq!(got, want);
+        }
     }
 }
