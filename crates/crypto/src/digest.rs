@@ -4,7 +4,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::hex::{decode_hex, encode_hex, ParseHexError};
+use crate::hex::{decode_hex, decode_hex_into, encode_hex, ParseHexError};
 
 /// Length of a SHA-256 digest in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -51,12 +51,15 @@ impl Digest {
     /// Returns [`ParseDigestError`] if the input is not exactly 64 valid hex
     /// characters.
     pub fn from_hex(s: &str) -> Result<Self, ParseDigestError> {
-        let bytes = decode_hex(s).map_err(ParseDigestError::Hex)?;
-        if bytes.len() != DIGEST_LEN {
-            return Err(ParseDigestError::Length(bytes.len()));
+        if s.len() != 2 * DIGEST_LEN {
+            // Whichever error decoding the whole input names first.
+            return Err(match decode_hex(s) {
+                Ok(bytes) => ParseDigestError::Length(bytes.len()),
+                Err(e) => ParseDigestError::Hex(e),
+            });
         }
         let mut out = [0u8; DIGEST_LEN];
-        out.copy_from_slice(&bytes);
+        decode_hex_into(s.as_bytes(), &mut out).map_err(ParseDigestError::Hex)?;
         Ok(Digest(out))
     }
 
@@ -152,6 +155,52 @@ mod tests {
             Digest::from_hex(&s),
             Err(ParseDigestError::Hex(_))
         ));
+    }
+
+    #[test]
+    fn one_bad_byte_is_named_at_every_position() {
+        let hex = sha256(b"positions").to_hex();
+        for at in 0..hex.len() {
+            for ch in ['g', 'G', '/', ':', '@', '`', ' '] {
+                let mut bad = hex.clone().into_bytes();
+                bad[at] = ch as u8;
+                let bad = String::from_utf8(bad).unwrap();
+                assert_eq!(
+                    Digest::from_hex(&bad),
+                    Err(ParseDigestError::Hex(ParseHexError::InvalidChar {
+                        index: at,
+                        ch
+                    }))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_wrong_length_reports_what_decoding_it_finds_first() {
+        let hex = sha256(b"lengths").to_hex();
+        assert_eq!(
+            Digest::from_hex(&hex[..63]),
+            Err(ParseDigestError::Hex(ParseHexError::OddLength(63)))
+        );
+        assert_eq!(
+            Digest::from_hex(&format!("{hex}00")),
+            Err(ParseDigestError::Length(33))
+        );
+        assert_eq!(
+            Digest::from_hex(&format!("{hex}0g")),
+            Err(ParseDigestError::Hex(ParseHexError::InvalidChar {
+                index: 65,
+                ch: 'g'
+            }))
+        );
+        assert_eq!(
+            Digest::from_hex("é"),
+            Err(ParseDigestError::Hex(ParseHexError::InvalidChar {
+                index: 0,
+                ch: '\u{c3}'
+            }))
+        );
     }
 
     #[test]

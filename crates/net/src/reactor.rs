@@ -38,6 +38,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -388,7 +389,8 @@ fn drive<S: Read + Write>(
 
 /// Decodes and handles every complete frame in `inbuf`, subject to the
 /// write high-water mark. Fails with [`CloseCause::Framing`] on a
-/// framing violation.
+/// framing violation and [`CloseCause::HandlerPanic`] when the handler
+/// panics.
 fn process_frames<S>(
     handler: &Handler,
     stats: &SharedStats,
@@ -407,7 +409,14 @@ fn process_frames<S>(
         // The request is decoded where it lies and the reply framed
         // straight into the connection's reusable write buffer.
         let reply = match Request::decode_from(&conn.inbuf[4..4 + len]) {
-            Ok(req) => handler(req),
+            // A panicking handler costs its own connection, not the shard
+            // thread and every other connection on it. The handler's
+            // state is the handler's to keep consistent across an unwind
+            // (the server's locks do not poison).
+            Ok(req) => match panic::catch_unwind(AssertUnwindSafe(|| handler(req))) {
+                Ok(reply) => reply,
+                Err(_) => return Err(CloseCause::HandlerPanic),
+            },
             Err(e) => Reply::Error {
                 message: format!("bad request: {e}"),
             },

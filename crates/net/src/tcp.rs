@@ -19,8 +19,9 @@
 //! transport metrics share a `STATS` snapshot with the request path:
 //! `transport.accepted` / `transport.connections` (gauge with peak) /
 //! `transport.evictions` / `transport.framing_errors` /
-//! `transport.backpressure_stalls`. Connection lifecycle events
-//! (accept, close, evict, backpressure, framing error) additionally
+//! `transport.handler_panics` / `transport.backpressure_stalls`.
+//! Connection lifecycle events (accept, close, evict, backpressure,
+//! framing error, handler panic) additionally
 //! land in a fixed-capacity ring-buffer [`Tracer`] — a flight recorder
 //! that never blocks the hot path and counts what it overwrites.
 
@@ -100,6 +101,8 @@ pub(crate) enum CloseCause {
     Io,
     /// The peer violated framing (oversized/absurd frame).
     Framing,
+    /// The handler panicked on one of the connection's requests.
+    HandlerPanic,
     /// Evicted after [`TcpServerConfig::idle_timeout`] without progress.
     Idle,
     /// Dropped because the server is shutting down.
@@ -114,6 +117,7 @@ pub(crate) struct SharedStats {
     accepted: Arc<Counter>,
     evictions: Arc<Counter>,
     framing_errors: Arc<Counter>,
+    handler_panics: Arc<Counter>,
     backpressure_stalls: Arc<Counter>,
     tracer: Arc<Tracer>,
     next_conn: AtomicU64,
@@ -126,6 +130,7 @@ impl SharedStats {
             accepted: registry.counter("transport.accepted"),
             evictions: registry.counter("transport.evictions"),
             framing_errors: registry.counter("transport.framing_errors"),
+            handler_panics: registry.counter("transport.handler_panics"),
             backpressure_stalls: registry.counter("transport.backpressure_stalls"),
             tracer: Arc::new(Tracer::default()),
             next_conn: AtomicU64::new(0),
@@ -151,6 +156,10 @@ impl SharedStats {
             CloseCause::Framing => {
                 self.framing_errors.inc();
                 EventKind::FramingError
+            }
+            CloseCause::HandlerPanic => {
+                self.handler_panics.inc();
+                EventKind::HandlerPanic
             }
             CloseCause::Idle => {
                 self.evictions.inc();

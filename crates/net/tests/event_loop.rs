@@ -243,6 +243,68 @@ fn stranger_announcing_max_frame_is_evicted_while_its_shard_keeps_serving() {
 }
 
 #[test]
+fn a_handler_panic_closes_its_connection_while_its_shard_keeps_serving() {
+    /// The request the handler panics on.
+    const MARKER: u64 = 0xDEAD;
+    let handler: Handler = Arc::new(|req| match req {
+        Request::IssueId { user: MARKER } => panic!("the handler fails on the marker"),
+        other => echo_handler()(other),
+    });
+    let server = TcpServer::bind_with(
+        "127.0.0.1:0",
+        handler,
+        TcpServerConfig {
+            reactors: 1,
+            ..TcpServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut neighbour = TcpStream::connect(server.addr()).unwrap();
+    let mut victim = TcpStream::connect(server.addr()).unwrap();
+    // Both connections are live on the one shard before the panic.
+    assert_eq!(
+        call(&mut victim, &Request::IssueId { user: 1 }).unwrap(),
+        Reply::Id { id: [1u8; 16] }
+    );
+    assert_eq!(
+        call(&mut neighbour, &Request::IssueId { user: 2 }).unwrap(),
+        Reply::Id { id: [2u8; 16] }
+    );
+
+    victim
+        .write_all(&frame(&Request::IssueId { user: MARKER }.encode()))
+        .unwrap();
+    victim
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut chunk = [0u8; 64];
+    assert_eq!(victim.read(&mut chunk).unwrap_or(0), 0, "closed, no reply");
+
+    for user in 0..50u64 {
+        assert_eq!(
+            call(&mut neighbour, &Request::IssueId { user }).unwrap(),
+            Reply::Id {
+                id: [user as u8; 16]
+            }
+        );
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().current_connections > 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.stats().current_connections, 1, "the neighbour stays");
+    let snapshot = server.telemetry().snapshot();
+    assert_eq!(snapshot.counter("transport.handler_panics"), Some(1));
+    let panics: Vec<_> = server
+        .tracer()
+        .events()
+        .into_iter()
+        .filter(|e| e.kind == EventKind::HandlerPanic)
+        .collect();
+    assert_eq!(panics.len(), 1, "{panics:?}");
+}
+
+#[test]
 fn truncated_frame_peer_disconnect_releases_the_connection() {
     for server in all_transports(Some(Duration::from_secs(30))) {
         let transport = server.transport();

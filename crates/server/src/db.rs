@@ -9,10 +9,10 @@
 //! The store is split into two cooperating structures so that duplicate
 //! probes and reads never wait behind a writer:
 //!
-//! * **Dedup shards** — the text → index map is partitioned into N
-//!   shards keyed by a hash of the signature text. A duplicate probe
-//!   takes one shard's *read* lock; only a genuinely new signature takes
-//!   that shard's *write* lock, and only for the insert.
+//! * **Dedup shards** — a hash → index map, partitioned into N shards
+//!   by the same hash. A duplicate probe takes one shard's *read* lock;
+//!   only a genuinely new signature takes that shard's *write* lock, and
+//!   only for the insert.
 //! * **Append log** — texts live in a segmented append-only log whose
 //!   slots are written exactly once, in index order, under the one
 //!   *append lock*. Readers ([`SignatureDb::get_from`],
@@ -32,16 +32,34 @@
 //! — happens before the lock. The tests hold the store to a `Vec` + set
 //! model, which is the whole reference.
 //!
+//! # One hash per call, exact dedup
+//!
+//! A signature text is ≈ 1.7 KB, so hashing it is most of a probe. Each
+//! call hashes the text once, with the database's keyed `RandomState`
+//! (an adversary who cannot predict the keys cannot aim distinct texts at
+//! one shard or one bucket), and that 64-bit key picks the shard and
+//! finds the index: a new ADD costs two hashes, the server's fast-path
+//! [`SignatureDb::contains`] and [`SignatureDb::add_with`], and a
+//! duplicate probe one. The hash is not carried from one call to the
+//! next: GC swaps in a fresh database with fresh keys, so a carried hash
+//! could probe with the wrong ones.
+//!
+//! A key only nominates a candidate. Dedup is exact: the candidate's log
+//! slot must hold an equal text, and a different text whose key is taken
+//! goes to the shard's overflow map, keyed by the text itself — the rare
+//! case, hashed a second time there. The shards stay: `DEFAULT_SHARDS`
+//! is part of the API `benchmark/` compiles against.
+//!
 //! # One text, shared
 //!
 //! Dedup'd ADDs are never rewritten, so a signature's text is immutable
 //! from the moment its log slot is published. It is therefore stored
-//! once, as an `Arc<str>`: the dedup index's key and the log slot are the
-//! same allocation, and [`SignatureDb::delta`] hands readers further
-//! handles to it instead of copies. Only [`SignatureDb::get_from`] (the
-//! old GET verb's owned reply) copies text out.
+//! once, as an `Arc<str>` in its log slot (an overflow entry shares the
+//! allocation), and [`SignatureDb::delta`] hands readers further handles
+//! to it instead of copies. Only [`SignatureDb::get_from`] (the old GET
+//! verb's owned reply) copies text out.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -72,16 +90,51 @@ pub struct ShardStats {
 pub struct SignatureDb {
     shards: Box<[Shard]>,
     hasher: RandomState,
+    /// Test builds can narrow every key to a few bits, so that nearly
+    /// every insert collides and takes the overflow path.
+    #[cfg(test)]
+    key_mask: u64,
     log: AppendLog,
 }
 
 #[derive(Debug, Default)]
 struct Shard {
-    /// Signature text → global log index. The key is the log slot's
-    /// allocation.
-    index: RwLock<HashMap<Arc<str>, u64>>,
+    index: RwLock<Index>,
     count: AtomicUsize,
     bytes: AtomicUsize,
+}
+
+/// One shard's dedup index: keyed text hash → global log index, plus the
+/// texts whose hash an earlier, different text already holds.
+#[derive(Debug, Default)]
+struct Index {
+    by_key: HashMap<u64, u64>,
+    /// Text → index for the keys taken twice. An entry's key is always
+    /// in `by_key` too, so a probe whose key is absent there stops.
+    overflow: HashMap<Arc<str>, u64>,
+}
+
+impl Index {
+    /// The index `text` is stored at, if any. `log` holds every index
+    /// this map does (both are published under the shard write lock).
+    fn find(&self, key: u64, text: &str, log: &AppendLog) -> Option<u64> {
+        let &i = self.by_key.get(&key)?;
+        if log.holds(i, text) {
+            return Some(i);
+        }
+        self.overflow.get(text).copied()
+    }
+
+    fn insert(&mut self, key: u64, text: Arc<str>, i: u64) {
+        match self.by_key.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(i);
+            }
+            Entry::Occupied(_) => {
+                self.overflow.insert(text, i);
+            }
+        }
+    }
 }
 
 impl Default for SignatureDb {
@@ -102,6 +155,8 @@ impl SignatureDb {
         SignatureDb {
             shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
             hasher: RandomState::new(),
+            #[cfg(test)]
+            key_mask: u64::MAX,
             log: AppendLog::default(),
         }
     }
@@ -111,12 +166,24 @@ impl SignatureDb {
         self.shards.len()
     }
 
-    fn shard_of(&self, sig_text: &str) -> &Shard {
-        // Hash the whole text: a prefix/suffix shortcut would let an
-        // adversary craft distinct signatures that collapse every dedup
-        // probe onto one shard (this server's whole point is surviving
-        // hostile senders, §III-C).
-        &self.shards[(self.hasher.hash_one(sig_text) as usize) % self.shards.len()]
+    /// The dedup key of `sig_text`: the one place the database hashes a
+    /// text. It hashes the whole text: a prefix/suffix shortcut would let
+    /// an adversary craft distinct signatures that collapse every dedup
+    /// probe onto one shard (this server's whole point is surviving
+    /// hostile senders, §III-C).
+    fn key(&self, sig_text: &str) -> u64 {
+        let key = self.hasher.hash_one(sig_text);
+        #[cfg(test)]
+        let key = {
+            tests::HASHES.with(|n| n.set(n.get() + 1));
+            key & self.key_mask
+        };
+        key
+    }
+
+    /// The shard `key` lives in.
+    fn shard(&self, key: u64) -> &Shard {
+        &self.shards[(key % self.shards.len() as u64) as usize]
     }
 
     /// Appends `sig_text` unless an identical signature is already
@@ -130,16 +197,18 @@ impl SignatureDb {
     /// re-probe and before the signature becomes visible: journal calls
     /// happen in index order, and a duplicate makes none.
     pub(crate) fn add_with(&self, sig_text: &str, journal: impl FnOnce(&str)) -> (usize, bool) {
-        let shard = self.shard_of(sig_text);
+        let key = self.key(sig_text);
+        let shard = self.shard(key);
         // Fast path: read lock for the duplicate probe.
-        if let Some(&i) = shard.index.read().get(sig_text) {
+        if let Some(i) = shard.index.read().find(key, sig_text, &self.log) {
             return (i as usize, false);
         }
-        // The one copy of the text: index key and log slot share it.
+        // The one copy of the text: the log slot (and an overflow entry)
+        // share it.
         let text: Arc<str> = Arc::from(sig_text);
         let mut tail = self.log.tail.lock();
         // Every insert happens under the append lock, so this probe is final.
-        if let Some(&i) = shard.index.read().get(sig_text) {
+        if let Some(i) = shard.index.read().find(key, sig_text, &self.log) {
             return (i as usize, false);
         }
         journal(sig_text);
@@ -149,7 +218,7 @@ impl SignatureDb {
         // committed slot, and a reader of the slot finds the entry.
         let mut index = shard.index.write();
         let i = self.log.push(&mut tail, text.clone());
-        index.insert(text, i);
+        index.insert(key, text, i);
         shard.count.fetch_add(1, Ordering::AcqRel);
         shard.bytes.fetch_add(sig_text.len(), Ordering::AcqRel);
         (i as usize, true)
@@ -158,11 +227,9 @@ impl SignatureDb {
     /// Index of `sig_text` if it is already stored. Takes only a shard
     /// *read* lock — this is the server's dedup fast path.
     pub fn contains(&self, sig_text: &str) -> Option<usize> {
-        self.shard_of(sig_text)
-            .index
-            .read()
-            .get(sig_text)
-            .map(|&i| i as usize)
+        let key = self.key(sig_text);
+        let found = self.shard(key).index.read().find(key, sig_text, &self.log);
+        found.map(|i| i as usize)
     }
 
     /// All signatures from index `from` (copies; the caller ships them).
@@ -253,6 +320,15 @@ impl AppendLog {
         self.committed.load(Ordering::Acquire)
     }
 
+    /// Whether published slot `i` holds `text`. Every dedup hit comes
+    /// here, so all shards' probes share the directory's read lock.
+    fn holds(&self, i: u64, text: &str) -> bool {
+        let (seg, off) = ((i as usize) >> SEG_SHIFT, (i as usize) & (SEG_LEN - 1));
+        let segments = self.segments.read();
+        let slot = segments[seg][off].get();
+        &**slot.expect("an indexed slot is published") == text
+    }
+
     /// Fills the next slot and publishes it; returns its index. Taking
     /// the guard's `&mut Tail` is what makes minting an index without the
     /// append lock a compile error.
@@ -305,9 +381,43 @@ impl AppendLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::collections::HashSet;
 
     use proptest::prelude::*;
+
+    thread_local! {
+        /// Texts this thread has hashed through [`SignatureDb::key`].
+        pub(super) static HASHES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    impl SignatureDb {
+        /// A database whose keys keep only their low three bits: eight
+        /// keys in all, so nearly every insert collides and goes to an
+        /// overflow map.
+        fn colliding(shards: usize) -> Self {
+            SignatureDb {
+                key_mask: 0b111,
+                ..SignatureDb::with_shards(shards)
+            }
+        }
+    }
+
+    /// Both flavours of every database a test builds: real keys, and
+    /// keys masked until they collide.
+    fn both_keys(shards: usize) -> [SignatureDb; 2] {
+        [
+            SignatureDb::with_shards(shards),
+            SignatureDb::colliding(shards),
+        ]
+    }
+
+    /// Texts `f` hashes on this thread.
+    fn hashes(f: impl FnOnce()) -> u64 {
+        let before = HASHES.with(Cell::get);
+        f();
+        HASHES.with(Cell::get) - before
+    }
 
     /// One call on the store; texts come from a small key space so
     /// duplicates are common, and differ in length so byte counts tell
@@ -340,61 +450,75 @@ mod tests {
         ]
     }
 
+    /// Runs `ops` on `db` and on the whole reference: a `Vec` of texts in
+    /// admission order and the set of them. The ordered half: the log and
+    /// the journal both hold the first occurrences, in call order.
+    fn check_against_the_model(db: &SignatureDb, ops: &[Op]) -> Result<(), TestCaseError> {
+        let (mut log, mut set): (Vec<String>, HashSet<String>) = Default::default();
+        let mut journal: Vec<String> = Vec::new();
+        for op in ops {
+            match *op {
+                Op::Add(key) => {
+                    let t = text(key);
+                    let fresh = set.insert(t.clone());
+                    if fresh {
+                        log.push(t.clone());
+                    }
+                    let at = log.iter().position(|s| *s == t).expect("admitted");
+                    let added = db.add_with(&t, |text| journal.push(text.to_owned()));
+                    prop_assert_eq!(added, (at, fresh));
+                }
+                Op::Contains(key) => {
+                    let t = text(key);
+                    prop_assert_eq!(db.contains(&t), log.iter().position(|s| *s == t));
+                }
+                Op::Delta(from, max) => {
+                    let from = from.min(log.len());
+                    let to = if max == 0 {
+                        log.len()
+                    } else {
+                        from.saturating_add(max).min(log.len())
+                    };
+                    let (sigs, total) = db.delta(from, max);
+                    let sigs: Vec<&str> = sigs.iter().map(|s| &**s).collect();
+                    prop_assert_eq!(sigs, &log[from..to]);
+                    prop_assert_eq!(total, log.len());
+                }
+                Op::GetFrom(from) => {
+                    prop_assert_eq!(db.get_from(from), &log[from.min(log.len())..]);
+                }
+            }
+            prop_assert_eq!(db.len(), log.len());
+            prop_assert_eq!(db.is_empty(), log.is_empty());
+        }
+        prop_assert_eq!(&db.get_from(0), &log);
+        prop_assert_eq!(&journal, &log);
+        let stats = db.shard_stats();
+        prop_assert_eq!(stats.len(), db.shard_count());
+        prop_assert_eq!(stats.iter().map(|s| s.sigs).sum::<usize>(), db.len());
+        prop_assert_eq!(
+            stats.iter().map(|s| s.bytes).sum::<usize>(),
+            db.stored_bytes()
+        );
+        prop_assert_eq!(
+            db.stored_bytes(),
+            log.iter().map(String::len).sum::<usize>()
+        );
+        Ok(())
+    }
+
     proptest! {
-        /// The store against the whole reference: a `Vec` of texts in
-        /// admission order and the set of them. The ordered half: the log
-        /// and the journal both hold the first occurrences, in call order.
+        /// The model check under real keys, and under keys masked until
+        /// nearly every insert takes the overflow path.
         #[test]
         fn store_behaves_as_a_vec_and_a_set(
             shards in 0usize..6,
             ops in proptest::collection::vec(arb_op(), 1..120),
         ) {
-            let db = SignatureDb::with_shards(shards);
-            prop_assert_eq!(db.shard_count(), shards.max(1));
-            let (mut log, mut set): (Vec<String>, HashSet<String>) = Default::default();
-            let mut journal: Vec<String> = Vec::new();
-            for op in ops {
-                match op {
-                    Op::Add(key) => {
-                        let t = text(key);
-                        let fresh = set.insert(t.clone());
-                        if fresh {
-                            log.push(t.clone());
-                        }
-                        let at = log.iter().position(|s| *s == t).expect("admitted");
-                        let added = db.add_with(&t, |text| journal.push(text.to_owned()));
-                        prop_assert_eq!(added, (at, fresh));
-                    }
-                    Op::Contains(key) => {
-                        let t = text(key);
-                        prop_assert_eq!(db.contains(&t), log.iter().position(|s| *s == t));
-                    }
-                    Op::Delta(from, max) => {
-                        let from = from.min(log.len());
-                        let to = if max == 0 {
-                            log.len()
-                        } else {
-                            from.saturating_add(max).min(log.len())
-                        };
-                        let (sigs, total) = db.delta(from, max);
-                        let sigs: Vec<&str> = sigs.iter().map(|s| &**s).collect();
-                        prop_assert_eq!(sigs, &log[from..to]);
-                        prop_assert_eq!(total, log.len());
-                    }
-                    Op::GetFrom(from) => {
-                        prop_assert_eq!(db.get_from(from), &log[from.min(log.len())..]);
-                    }
-                }
-                prop_assert_eq!(db.len(), log.len());
-                prop_assert_eq!(db.is_empty(), log.is_empty());
+            for db in both_keys(shards) {
+                prop_assert_eq!(db.shard_count(), shards.max(1));
+                check_against_the_model(&db, &ops)?;
             }
-            prop_assert_eq!(&db.get_from(0), &log);
-            prop_assert_eq!(&journal, &log);
-            let stats = db.shard_stats();
-            prop_assert_eq!(stats.len(), db.shard_count());
-            prop_assert_eq!(stats.iter().map(|s| s.sigs).sum::<usize>(), db.len());
-            prop_assert_eq!(stats.iter().map(|s| s.bytes).sum::<usize>(), db.stored_bytes());
-            prop_assert_eq!(db.stored_bytes(), log.iter().map(String::len).sum::<usize>());
         }
 
         /// Dedup'd adds commute (Malta & Martinez): whatever order a
@@ -496,20 +620,55 @@ mod tests {
 
     #[test]
     fn concurrent_same_text_added_once() {
-        let db = std::sync::Arc::new(SignatureDb::new());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let db = db.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    db.add("same");
+        // Eight threads add the same texts in the same order, twice, so
+        // threads in step race one new text through the fast-path miss
+        // and the re-probe; under masked keys the texts share eight keys.
+        const TEXTS: usize = 200;
+        for db in both_keys(DEFAULT_SHARDS) {
+            let start = std::sync::Barrier::new(8);
+            let seen: Vec<Vec<usize>> = std::thread::scope(|s| {
+                let threads: Vec<_> = (0..8)
+                    .map(|_| {
+                        let (db, start) = (&db, &start);
+                        s.spawn(move || {
+                            start.wait();
+                            (0..2 * TEXTS).map(|i| db.add(&text(i % TEXTS)).0).collect()
+                        })
+                    })
+                    .collect();
+                threads.into_iter().map(|t| t.join().unwrap()).collect()
+            });
+            assert_eq!(db.len(), TEXTS);
+            let stored: HashSet<String> = db.get_from(0).into_iter().collect();
+            assert_eq!(stored, (0..TEXTS).map(text).collect());
+            // Every thread was handed the one index each text is stored at.
+            for indices in seen {
+                for (i, at) in indices.into_iter().enumerate() {
+                    assert_eq!(db.contains(&text(i % TEXTS)), Some(at));
                 }
-            }));
+            }
         }
-        for h in handles {
-            h.join().unwrap();
+    }
+
+    #[test]
+    fn a_new_add_hashes_its_text_twice_and_a_duplicate_probe_once() {
+        // Every shard is filled first, so the count does not depend on
+        // whether a map skips hashing a probe of an empty table.
+        let db = SignatureDb::new();
+        for i in 0..256 {
+            db.add(&format!("warm-{i}"));
         }
-        assert_eq!(db.len(), 1);
+        for i in 256..320 {
+            let t = format!("sig-{i}-{}", "h".repeat(1700));
+            // The server's order: the fast-path probe misses, then the add.
+            let new = hashes(|| {
+                assert_eq!(db.contains(&t), None);
+                assert_eq!(db.add(&t), (i, true));
+            });
+            assert_eq!(new, 2, "text hashes per new add");
+            let dup = hashes(|| assert_eq!(db.contains(&t), Some(i)));
+            assert_eq!(dup, 1, "text hashes per duplicate probe");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The tracer is a flight recorder: the transports emit one event per
 //! connection-lifecycle transition (accept, evict, backpressure,
-//! framing error, close) and the ring keeps the most recent
+//! framing error, handler panic, close) and the ring keeps the most recent
 //! `capacity` of them. Emitting must never slow a hot path, so slots
 //! are taken with `try_lock` only — a contended slot drops the event
 //! and bumps the drop counter instead of waiting, and overwriting an
@@ -47,6 +47,9 @@ pub enum EventKind {
     /// The peer sent an oversized or malformed frame; the connection is
     /// dropped.
     FramingError,
+    /// The request handler panicked; the connection is dropped and the
+    /// rest of its reactor shard keeps serving.
+    HandlerPanic,
 }
 
 impl fmt::Display for EventKind {
@@ -57,6 +60,7 @@ impl fmt::Display for EventKind {
             EventKind::Evicted(r) => write!(f, "evicted/{r}"),
             EventKind::Backpressure => f.write_str("backpressure"),
             EventKind::FramingError => f.write_str("framing-error"),
+            EventKind::HandlerPanic => f.write_str("handler-panic"),
         }
     }
 }
@@ -214,6 +218,7 @@ mod tests {
         };
         assert_eq!(e.to_string(), "#7 conn=3 evicted/idle");
         assert_eq!(EventKind::FramingError.to_string(), "framing-error");
+        assert_eq!(EventKind::HandlerPanic.to_string(), "handler-panic");
     }
 
     #[test]
