@@ -7,6 +7,17 @@
 //! serializes its interposition logic inside the target JVM. Every method
 //! that can unblock *other* threads returns [`Wake`] instructions the
 //! runtime must apply.
+//!
+//! Stacks inside the core are slices of [`SiteId`]s from the core's
+//! [`SiteTable`] (see [`DimmunixCore::sites`]): a hold, a wait and a
+//! suspended request each keep a boxed id slice, and the avoidance
+//! decision compares ids. A runtime that keeps its threads' stacks as ids
+//! in the same table hands them over through
+//! [`DimmunixCore::request_ids`]; [`DimmunixCore::request`] takes a
+//! [`CallStack`] and interns it first. Only an extracted deadlock
+//! signature turns ids back into a `CallStack` — without bytecode hashes,
+//! which Dimmunix frames never carry: the Communix plugin attaches them to
+//! the signature after detection.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -21,6 +32,7 @@ use crate::history::{AddOutcome, History};
 use crate::ids::{LockId, ThreadId};
 use crate::matcher::{AvoidanceMatcher, Instantiation, RecordRef};
 use crate::signature::{SigEntry, Signature};
+use crate::sites::{SiteId, SiteTable};
 
 /// Outcome of a lock request, from the requester's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,14 +72,14 @@ pub struct CoreStats {
 
 #[derive(Debug, Clone)]
 struct HoldInfo {
-    stack: CallStack,
+    stack: Box<[SiteId]>,
     reentrancy: u32,
 }
 
 #[derive(Debug, Clone)]
 struct WaitInfo {
     lock: LockId,
-    stack: CallStack,
+    stack: Box<[SiteId]>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -104,13 +116,13 @@ fn published(
 /// The avoidance decision: would `thread` taking `lock` with `stack`
 /// complete an instantiation of a history signature? Borrows the
 /// candidate and every published record; a top site no signature names
-/// costs one hash probe.
+/// costs one index into the matcher's by-top-site table.
 fn instantiation(
     matcher: &mut AvoidanceMatcher,
     threads: &BTreeMap<ThreadId, ThreadState>,
     thread: ThreadId,
     lock: LockId,
-    stack: &CallStack,
+    stack: &[SiteId],
 ) -> Option<Instantiation> {
     let candidate = RecordRef {
         thread,
@@ -130,7 +142,7 @@ struct LockState {
 struct SuspendedReq {
     thread: ThreadId,
     lock: LockId,
-    stack: CallStack,
+    stack: Box<[SiteId]>,
     /// Threads participating in the instantiation that blocks this
     /// request (for starvation detection).
     blockers: Vec<ThreadId>,
@@ -216,6 +228,13 @@ impl DimmunixCore {
         self.fp.reset();
     }
 
+    /// The table this core's stacks are ids in, shared with its matcher.
+    /// A hosting runtime interns its threads' frames here (without the
+    /// core's mutex) and passes the ids to [`request_ids`](Self::request_ids).
+    pub fn sites(&self) -> &Arc<SiteTable> {
+        self.matcher.sites()
+    }
+
     /// Aggregate counters.
     pub fn stats(&self) -> CoreStats {
         let mut s = self.stats;
@@ -239,11 +258,33 @@ impl DimmunixCore {
     /// (on a new wait edge) the detection module.
     ///
     /// Returns the requester-side outcome plus wakes for *other* threads.
+    ///
+    /// The frames must carry no bytecode hash: a stack the core keeps is
+    /// ids, so a hash would be lost, and Dimmunix never has one (the
+    /// plugin attaches hashes to an extracted signature).
     pub fn request(
         &mut self,
         thread: ThreadId,
         lock: LockId,
-        mut stack: CallStack,
+        stack: CallStack,
+    ) -> (RequestOutcome, Vec<Wake>) {
+        debug_assert!(
+            stack.frames().iter().all(|f| f.hash.is_none()),
+            "Dimmunix frames carry no bytecode hash: {stack}"
+        );
+        let stack = self.sites().intern_stack(&stack);
+        self.request_ids(thread, lock, stack)
+    }
+
+    /// [`request`](Self::request) with the stack as ids from
+    /// [`sites`](Self::sites), outermost first: the lock path of a runtime
+    /// that keeps its threads' stacks as ids. The core keeps `stack` as it
+    /// is, so a request allocates nothing the caller did not.
+    pub fn request_ids(
+        &mut self,
+        thread: ThreadId,
+        lock: LockId,
+        mut stack: Box<[SiteId]>,
     ) -> (RequestOutcome, Vec<Wake>) {
         // Reentrant re-acquisition: Java monitors are reentrant; no new
         // record is published and avoidance is bypassed.
@@ -398,7 +439,7 @@ impl DimmunixCore {
         &mut self,
         thread: ThreadId,
         lock: LockId,
-        stack: CallStack,
+        stack: Box<[SiteId]>,
     ) -> (RequestOutcome, Vec<Wake>) {
         let ls = self.locks.entry(lock).or_default();
         match ls.owner {
@@ -465,20 +506,23 @@ impl DimmunixCore {
         let n = cycle.len();
         let mut entries = Vec::with_capacity(n);
         let mut locks = Vec::with_capacity(n);
-        for (i, &t) in cycle.iter().enumerate() {
-            let prev = cycle[(i + n - 1) % n];
-            let ts = &self.threads[&t];
-            let wait = ts.waiting.as_ref().expect("cycle member must wait");
-            // The lock t holds that its predecessor waits for.
-            let held_lock = self.threads[&prev]
-                .waiting
-                .as_ref()
-                .expect("cycle member must wait")
-                .lock;
-            let outer = ts.holds[&held_lock].stack.clone();
-            let inner = wait.stack.clone();
-            entries.push(SigEntry::new(outer, inner));
-            locks.push(held_lock);
+        {
+            let sites = self.matcher.sites().read();
+            for (i, &t) in cycle.iter().enumerate() {
+                let prev = cycle[(i + n - 1) % n];
+                let ts = &self.threads[&t];
+                let wait = ts.waiting.as_ref().expect("cycle member must wait");
+                // The lock t holds that its predecessor waits for.
+                let held_lock = self.threads[&prev]
+                    .waiting
+                    .as_ref()
+                    .expect("cycle member must wait")
+                    .lock;
+                let outer = sites.stack(&ts.holds[&held_lock].stack);
+                let inner = sites.stack(&wait.stack);
+                entries.push(SigEntry::new(outer, inner));
+                locks.push(held_lock);
+            }
         }
         let signature = Signature::local(entries);
 
@@ -491,7 +535,7 @@ impl DimmunixCore {
         }
 
         if self.history.add(signature.clone()) == AddOutcome::Added {
-            self.matcher.rebuild(&self.history);
+            self.matcher.push(&signature);
         }
         self.events.push(Event::DeadlockDetected {
             signature,

@@ -16,6 +16,8 @@
 //!   deadlocked thread, canonical ordering, bug identity, adjacency and
 //!   the §III-D merge (generalization);
 //! * [`History`] — the persistent signature store with its text format;
+//! * [`SiteTable`], [`SiteId`] — a core's numbering of the sites its lock
+//!   path sees, so that stacks on that path are integer slices;
 //! * [`AvoidanceMatcher`] — the instantiation-matching kernel;
 //! * [`DimmunixCore`] — lock-state tracking, the avoidance module
 //!   (suspension + starvation-yield cancellation), the detection module
@@ -38,6 +40,7 @@ mod history;
 mod ids;
 mod matcher;
 mod signature;
+mod sites;
 
 pub use config::{BreakPolicy, DimmunixConfig};
 pub use core::{CoreStats, DimmunixCore, RequestOutcome};
@@ -48,3 +51,4 @@ pub use history::{AddOutcome, History, HistoryError};
 pub use ids::{LockId, ThreadId};
 pub use matcher::{AvoidanceMatcher, Instantiation, LockRecord, RecordRef};
 pub use signature::{ParseSignatureError, SigEntry, SigOrigin, Signature};
+pub use sites::{SiteId, SiteTable};

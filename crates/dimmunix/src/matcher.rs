@@ -12,12 +12,19 @@
 //! locks must be pairwise distinct across positions, so this is a small
 //! exact-matching problem solved by backtracking (deadlock arity is 2–4 in
 //! practice).
+//!
+//! It works on stacks of [`SiteId`]s from its [`SiteTable`]: a suffix
+//! comparison compares integers. The owned-record entry points look their
+//! `CallStack`s up in the table first; a site the table lacks matches no
+//! signature frame.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use crate::frame::{CallStack, Site};
+use crate::frame::CallStack;
 use crate::history::History;
 use crate::ids::{LockId, ThreadId};
+use crate::signature::Signature;
+use crate::sites::{SiteId, SiteTable};
 
 /// A hold-or-wait record: thread `thread` holds (or waits for) `lock`,
 /// and had call stack `stack` at the acquisition (or at the blocked
@@ -32,8 +39,9 @@ pub struct LockRecord {
     pub stack: CallStack,
 }
 
-/// A [`LockRecord`] by reference: what the matcher reads. The core hands
-/// the matcher its published holds and waits in this form, so deciding an
+/// A hold-or-wait record by reference, its stack as ids from the
+/// matcher's [`SiteTable`]: what the matcher reads. The core hands the
+/// matcher its published holds and waits in this form, so deciding an
 /// acquisition copies no stack.
 #[derive(Debug, Clone, Copy)]
 pub struct RecordRef<'a> {
@@ -41,19 +49,8 @@ pub struct RecordRef<'a> {
     pub thread: ThreadId,
     /// The lock held or waited for.
     pub lock: LockId,
-    /// Call stack at acquisition / blocked request.
-    pub stack: &'a CallStack,
-}
-
-impl LockRecord {
-    /// This record, borrowed.
-    pub fn as_ref(&self) -> RecordRef<'_> {
-        RecordRef {
-            thread: self.thread,
-            lock: self.lock,
-            stack: &self.stack,
-        }
-    }
+    /// Call stack at acquisition / blocked request, outermost first.
+    pub stack: &'a [SiteId],
 }
 
 /// A completed instantiation found by the matcher.
@@ -66,50 +63,80 @@ pub struct Instantiation {
     pub participants: Vec<(ThreadId, LockId)>,
 }
 
-/// Pre-indexed outer stacks of every history signature.
+/// Pre-indexed outer stacks of every history signature. A clone shares
+/// the site table.
 #[derive(Debug, Clone, Default)]
 pub struct AvoidanceMatcher {
+    /// Interns the outer stacks; shared with the core and runtime that
+    /// use this matcher.
+    sites: Arc<SiteTable>,
     /// Outer stacks per signature.
-    positions: Vec<Vec<CallStack>>,
-    /// Top-frame site → (signature, position) pairs whose outer stack ends
-    /// at that site. Suffix matching requires equal top frames, so a
-    /// candidate whose top site no signature names costs one probe of this
-    /// map and nothing else. What the index does not prune: at a named
-    /// site every listed slot still pays a suffix comparison, and every
-    /// slot whose suffix matches pays a backtracking pass over the
+    positions: Vec<Vec<Box<[SiteId]>>>,
+    /// Indexed by top-frame site id: the (signature, position) pairs whose
+    /// outer stack ends at that site, up to the highest such id. Suffix
+    /// matching requires equal top frames, so a candidate whose top site
+    /// no signature names costs one bounds-checked index and nothing else.
+    /// What the index does not prune: at a named site every listed slot
+    /// still pays a suffix comparison (a compare of two id slices), and
+    /// every slot whose suffix matches pays a backtracking pass over the
     /// published records.
-    by_top: HashMap<Site, Vec<(usize, usize)>>,
+    by_top: Vec<Vec<(usize, usize)>>,
     /// Cumulative count of stack-suffix comparisons performed — the cost
     /// driver of signature matching. Runtimes convert the delta per
     /// request into simulated time, reproducing the paper's observation
     /// that shallow (depth-1) signatures cost far more than deep ones.
     work: u64,
+    /// The backtracking pass's position assignment, kept so a suffix hit
+    /// allocates nothing.
+    scratch: Vec<Option<(ThreadId, LockId)>>,
 }
 
 impl AvoidanceMatcher {
-    /// Builds a matcher over the signatures of `history`.
+    /// Builds a matcher over the signatures of `history`, with a site
+    /// table of its own.
     pub fn new(history: &History) -> Self {
         let mut m = AvoidanceMatcher::default();
         m.rebuild(history);
         m
     }
 
-    /// Rebuilds the index after the history changed.
+    /// The table the matcher's stacks are ids in.
+    pub fn sites(&self) -> &Arc<SiteTable> {
+        &self.sites
+    }
+
+    /// Rebuilds the index after the history changed. Interns the outer
+    /// stacks' sites.
     pub fn rebuild(&mut self, history: &History) {
         self.positions.clear();
         self.by_top.clear();
-        for (si, sig) in history.signatures().iter().enumerate() {
-            let outers: Vec<CallStack> = sig.entries().iter().map(|e| e.outer.clone()).collect();
-            for (pi, outer) in outers.iter().enumerate() {
-                if let Some(top) = outer.top() {
-                    self.by_top
-                        .entry(top.site.clone())
-                        .or_default()
-                        .push((si, pi));
-                }
-            }
-            self.positions.push(outers);
+        for sig in history.signatures() {
+            self.push(sig);
         }
+    }
+
+    /// Indexes `sig` as the history's next signature: what [`rebuild`]
+    /// would do after [`History::add`] appended it, without re-indexing
+    /// the others.
+    ///
+    /// [`rebuild`]: Self::rebuild
+    pub fn push(&mut self, sig: &Signature) {
+        let si = self.positions.len();
+        let outers: Vec<Box<[SiteId]>> = sig
+            .entries()
+            .iter()
+            .map(|e| self.sites.intern_stack(&e.outer))
+            .collect();
+        for (pi, outer) in outers.iter().enumerate() {
+            if let Some(top) = outer.last() {
+                let top = top.index();
+                if top >= self.by_top.len() {
+                    self.by_top.resize_with(top + 1, Vec::new);
+                }
+                self.by_top[top].push((si, pi));
+            }
+        }
+        self.positions.push(outers);
     }
 
     /// Cumulative suffix-comparison count (monotonic). The difference
@@ -139,39 +166,56 @@ impl AvoidanceMatcher {
         candidate: &LockRecord,
         records: &[LockRecord],
     ) -> Option<Instantiation> {
-        self.would_instantiate_ref(candidate.as_ref(), records.iter().map(LockRecord::as_ref))
+        // Suffix matching needs equal top sites: a candidate at a site no
+        // signature names is turned away before any stack is looked up.
+        let top = candidate.stack.frames().last()?;
+        let top = self.sites.read().get_site(&top.site)?;
+        if self.by_top.get(top.index()).is_none_or(Vec::is_empty) {
+            return None;
+        }
+        let candidate_ids = self.sites.read().lookup(&candidate.stack);
+        let record_ids = self.lookup(records);
+        let candidate = RecordRef {
+            thread: candidate.thread,
+            lock: candidate.lock,
+            stack: &candidate_ids,
+        };
+        self.would_instantiate_ref(candidate, by_ref(records, &record_ids))
     }
 
     /// [`would_instantiate`](Self::would_instantiate) over borrowed
-    /// records. `records` is walked once per open signature position, in
-    /// its own order, so the order decides which of several eligible
-    /// records is reported and how much [`work`](Self::work) is charged.
+    /// records, their stacks ids from [`sites`](Self::sites). `records`
+    /// is walked once per open signature position, in its own order, so
+    /// the order decides which of several eligible records is reported and
+    /// how much [`work`](Self::work) is charged.
     pub fn would_instantiate_ref<'a>(
         &mut self,
         candidate: RecordRef<'_>,
         records: impl Iterator<Item = RecordRef<'a>> + Clone,
     ) -> Option<Instantiation> {
-        let top = candidate.stack.top()?;
-        let slots = self.by_top.get(&top.site)?;
+        let top = candidate.stack.last()?;
+        let slots = self.by_top.get(top.index())?;
         for &(si, pi) in slots {
             self.work += 1;
             let outers = &self.positions[si];
-            if !outers[pi].is_suffix_of(candidate.stack) {
+            if !candidate.stack.ends_with(&outers[pi]) {
                 continue;
             }
-            let mut assignment = vec![None; outers.len()];
+            let assignment = &mut self.scratch;
+            assignment.clear();
+            assignment.resize(outers.len(), None);
             assignment[pi] = Some((candidate.thread, candidate.lock));
             if backtrack(
                 &mut self.work,
                 outers,
                 &records,
-                &mut assignment,
+                assignment,
                 0,
                 Some(candidate.thread),
             ) {
                 return Some(Instantiation {
                     sig_index: si,
-                    participants: assignment.into_iter().flatten().collect(),
+                    participants: assignment.iter().flatten().copied().collect(),
                 });
             }
         }
@@ -185,12 +229,33 @@ impl AvoidanceMatcher {
         si: usize,
         records: &[LockRecord],
     ) -> Option<Vec<(ThreadId, LockId)>> {
+        let record_ids = self.lookup(records);
         let outers = self.positions.get(si)?;
         let mut assignment = vec![None; outers.len()];
-        let records = records.iter().map(LockRecord::as_ref);
+        let records = by_ref(records, &record_ids);
         backtrack(&mut self.work, outers, &records, &mut assignment, 0, None)
             .then(|| assignment.into_iter().flatten().collect())
     }
+
+    /// The ids of each record's stack, a site the table lacks as an id
+    /// that matches nothing.
+    fn lookup(&self, records: &[LockRecord]) -> Vec<Vec<SiteId>> {
+        let sites = self.sites.read();
+        records.iter().map(|r| sites.lookup(&r.stack)).collect()
+    }
+}
+
+/// `records` with their stacks replaced by `ids` (one per record, in
+/// order).
+fn by_ref<'a>(
+    records: &'a [LockRecord],
+    ids: &'a [Vec<SiteId>],
+) -> impl Iterator<Item = RecordRef<'a>> + Clone {
+    records.iter().zip(ids).map(|(r, stack)| RecordRef {
+        thread: r.thread,
+        lock: r.lock,
+        stack,
+    })
 }
 
 /// Fills unassigned positions from `records`, requiring pairwise distinct
@@ -198,7 +263,7 @@ impl AvoidanceMatcher {
 /// fill any other position. Every suffix comparison is added to `work`.
 fn backtrack<'a, I>(
     work: &mut u64,
-    outers: &[CallStack],
+    outers: &[Box<[SiteId]>],
     records: &I,
     assignment: &mut [Option<(ThreadId, LockId)>],
     from: usize,
@@ -222,7 +287,7 @@ where
             continue;
         }
         *work += 1;
-        if !outers[pos].is_suffix_of(r.stack) {
+        if !r.stack.ends_with(&outers[pos]) {
             continue;
         }
         assignment[pos] = Some((r.thread, r.lock));
@@ -238,7 +303,7 @@ where
 mod tests {
     use super::*;
     use crate::frame::Frame;
-    use crate::signature::{SigEntry, Signature};
+    use crate::signature::SigEntry;
 
     fn cs(frames: &[(&str, u32)]) -> CallStack {
         frames
@@ -392,9 +457,13 @@ mod tests {
         m.rebuild(&h);
         assert!(m.is_empty());
         let cand = rec(2, 2, &[("run", 2), ("lockB", 20)]);
-        assert!(m
-            .would_instantiate(&cand, &[rec(1, 1, &[("run", 1), ("lockA", 10)])])
-            .is_none());
+        let partner = [rec(1, 1, &[("run", 1), ("lockA", 10)])];
+        assert!(m.would_instantiate(&cand, &partner).is_none());
+        // Pushing the signature back indexes it as rebuilding would.
+        m.push(&history_ab().signatures()[0]);
+        assert_eq!(m.len(), 1);
+        let inst = m.would_instantiate(&cand, &partner).expect("instantiation");
+        assert_eq!(inst.sig_index, 0);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   programs can unwind (modelling the user restarting a hung app).
 //!
 //! Both runtimes drive the identical [`communix_dimmunix::DimmunixCore`];
-//! nothing in the avoidance/detection logic is runtime-specific.
+//! nothing in the avoidance/detection logic is runtime-specific. Both
+//! build their threads' stacks as ids in the core's
+//! [`communix_dimmunix::SiteTable`] and hand them over through
+//! [`DimmunixCore::request_ids`](communix_dimmunix::DimmunixCore::request_ids).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

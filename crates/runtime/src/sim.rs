@@ -21,8 +21,8 @@ use std::sync::Arc;
 use communix_bytecode::{ClassName, Instr, LockExpr, LoweredProgram, MethodRef, SyncSite};
 use communix_clock::{Clock, Duration, Instant, VirtualClock};
 use communix_dimmunix::{
-    CallStack, CoreStats, DimmunixConfig, DimmunixCore, Event, Frame, History, LockId,
-    RequestOutcome, Signature, ThreadId, Wake,
+    CoreStats, DimmunixConfig, DimmunixCore, Event, History, LockId, RequestOutcome, Signature,
+    SiteId, ThreadId, Wake,
 };
 
 /// Simulator tunables.
@@ -432,7 +432,7 @@ impl Simulator {
                 let lid = self.resolve_lock(&lock, threads[ti].spec.instance, &site);
                 let stack = self.build_stack(&threads[ti], &site);
                 let tid = threads[ti].id;
-                let (outcome, wakes) = self.core.request(tid, lid, stack);
+                let (outcome, wakes) = self.core.request_ids(tid, lid, stack);
                 // Charge matching work.
                 let work = self.core.stats().match_work;
                 let delta = work - *prev_match_work;
@@ -534,10 +534,12 @@ impl Simulator {
         id
     }
 
-    /// Builds the thread's current Dimmunix call stack: one frame per
-    /// activation (callers at their call line), topped by the sync site.
-    fn build_stack(&self, t: &SimThread, site: &SyncSite) -> CallStack {
-        let mut frames = Vec::with_capacity(t.stack.len() + 1);
+    /// Builds the thread's current Dimmunix call stack, as ids in the
+    /// core's site table: one frame per activation (callers at their call
+    /// line), topped by the sync site.
+    fn build_stack(&self, t: &SimThread, site: &SyncSite) -> Box<[SiteId]> {
+        let sites = self.core.sites();
+        let mut frames = Vec::with_capacity(t.stack.len());
         for (depth, act) in t.stack.iter().enumerate() {
             let is_top = depth + 1 == t.stack.len();
             if is_top {
@@ -556,17 +558,9 @@ impl Simulator {
                     _ => None,
                 })
                 .unwrap_or(0);
-            frames.push(Frame::new(
-                act.mref.class.as_str(),
-                act.mref.method_name(),
-                line,
-            ));
+            frames.push(sites.intern(act.mref.class.as_str(), act.mref.method_name(), line));
         }
-        frames.push(Frame::new(
-            site.class.as_str(),
-            site.method.as_ref(),
-            site.line,
-        ));
-        frames.into_iter().collect()
+        frames.push(sites.intern(site.class.as_str(), site.method.as_ref(), site.line));
+        frames.into()
     }
 }

@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use communix_clock::{Clock, SystemClock};
 use communix_dimmunix::{
-    CallStack, CoreStats, DimmunixConfig, DimmunixCore, Event, Frame, History, LockId,
-    RequestOutcome, ThreadId, Wake,
+    CoreStats, DimmunixConfig, DimmunixCore, Event, History, LockId, RequestOutcome, SiteId,
+    SiteTable, ThreadId, Wake,
 };
 use parking_lot::{Condvar, Mutex};
 
@@ -45,9 +45,13 @@ struct Parker {
 /// Events stay in the core until [`DlxRuntime::drain_events`] takes them
 /// under the same `core` mutex every acquisition takes: with one lock
 /// there is no order for a drain and an acquisition to disagree on.
+///
+/// `sites` is the core's own table: a thread pushing a frame interns its
+/// site there without taking `core`.
 #[derive(Debug)]
 struct Inner {
     core: Mutex<DimmunixCore>,
+    sites: Arc<SiteTable>,
     parkers: Mutex<HashMap<ThreadId, Arc<Parker>>>,
     lock_names: Mutex<HashMap<String, LockId>>,
     next_thread: AtomicU64,
@@ -82,9 +86,11 @@ impl DlxRuntime {
 
     /// Creates a runtime with an explicit clock (tests use a virtual one).
     pub fn with_clock(config: DimmunixConfig, clock: Arc<dyn Clock>) -> Self {
+        let core = DimmunixCore::new(config, clock);
         DlxRuntime {
             inner: Arc::new(Inner {
-                core: Mutex::new(DimmunixCore::new(config, clock)),
+                sites: core.sites().clone(),
+                core: Mutex::new(core),
                 parkers: Mutex::new(HashMap::new()),
                 lock_names: Mutex::new(HashMap::new()),
                 next_thread: AtomicU64::new(1),
@@ -107,6 +113,12 @@ impl DlxRuntime {
     /// Core counters.
     pub fn stats(&self) -> CoreStats {
         self.inner.core.lock().stats()
+    }
+
+    /// Distinct sites interned so far: those of the frames threads pushed
+    /// and of the history's outer stacks, however many acquisitions ran.
+    pub fn site_count(&self) -> usize {
+        self.inner.sites.len()
     }
 
     /// Drains events accumulated since the last call (deadlocks,
@@ -141,7 +153,7 @@ impl DlxRuntime {
         DlxThread {
             runtime: self.clone(),
             id,
-            stack: std::cell::RefCell::new(CallStack::empty()),
+            stack: std::cell::RefCell::new(Vec::new()),
         }
     }
 
@@ -169,12 +181,13 @@ impl DlxRuntime {
 }
 
 /// A per-thread handle: owns the thread's Dimmunix identity and its
-/// logical call stack. Not `Sync` — each OS thread registers its own.
+/// logical call stack, kept as site ids of the runtime's core (outermost
+/// first). Not `Sync` — each OS thread registers its own.
 #[derive(Debug)]
 pub struct DlxThread {
     runtime: DlxRuntime,
     id: ThreadId,
-    stack: std::cell::RefCell<CallStack>,
+    stack: std::cell::RefCell<Vec<SiteId>>,
 }
 
 impl DlxThread {
@@ -183,11 +196,12 @@ impl DlxThread {
         self.id
     }
 
-    /// Pushes a logical stack frame (entering a method / sync site).
+    /// Pushes a logical stack frame (entering a method / sync site). A
+    /// site pushed before allocates nothing; no call takes the core's
+    /// mutex.
     pub fn push_frame(&self, class: &str, method: &str, line: u32) {
-        self.stack
-            .borrow_mut()
-            .push(Frame::new(class, method, line));
+        let site = self.runtime.inner.sites.intern(class, method, line);
+        self.stack.borrow_mut().push(site);
     }
 
     /// Pops the top logical stack frame.
@@ -205,8 +219,14 @@ impl DlxThread {
     /// already been added to the history). The caller should unwind,
     /// dropping its other guards.
     pub fn lock(&self, lock: LockId) -> Result<DlxGuard<'_>, DeadlockAborted> {
-        let stack = self.stack.borrow().clone();
-        let (outcome, wakes) = self.runtime.inner.core.lock().request(self.id, lock, stack);
+        // The one copy an acquisition makes: the hold (or wait) keeps it.
+        let stack: Box<[SiteId]> = self.stack.borrow().as_slice().into();
+        let (outcome, wakes) = self
+            .runtime
+            .inner
+            .core
+            .lock()
+            .request_ids(self.id, lock, stack);
         self.runtime.deliver(wakes);
         match outcome {
             RequestOutcome::Acquired => Ok(DlxGuard {

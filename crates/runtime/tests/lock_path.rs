@@ -1,9 +1,11 @@
 //! The lock path, core and real-thread runtime: what an acquisition
-//! allocates (counted rather than timed), and that draining events cannot
-//! hang against it.
+//! allocates (counted rather than timed), that the site table holds each
+//! site once however many acquisitions run, and that draining events
+//! cannot hang against it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
@@ -11,9 +13,9 @@ use std::time::Duration;
 use communix_clock::VirtualClock;
 use communix_dimmunix::{
     CallStack, DimmunixConfig, DimmunixCore, Event, Frame, History, LockId, SigEntry, Signature,
-    ThreadId,
+    Site, ThreadId,
 };
-use communix_runtime::DlxRuntime;
+use communix_runtime::{DlxRuntime, DlxThread};
 
 thread_local! {
     /// Allocations made by this thread (the harness runs other tests on
@@ -79,22 +81,22 @@ fn history(n: usize) -> History {
         .collect()
 }
 
-/// Allocations of the 100th request+release pair on a core with `history`.
-/// The earlier pairs create the thread's and the lock's entries, and the
-/// undrained event buffer last doubled at its 128th event — this pair
-/// pushes the 199th and 200th.
+/// Allocations of the 100th request+release pair on a core with `history`,
+/// the stack handed over as ids. The earlier pairs create the thread's and
+/// the lock's entries, and the undrained event buffer last doubled at its
+/// 128th event — this pair pushes the 199th and 200th.
 fn steady_pair_allocations(history: History) -> u64 {
     let mut core = DimmunixCore::with_history(
         DimmunixConfig::default(),
         Arc::new(VirtualClock::new()),
         history,
     );
-    let app = stack("app.Hot", 12);
+    let app = core.sites().intern_stack(&stack("app.Hot", 12));
     let mut counted = 0;
     for round in 0..100 {
         let s = app.clone();
         let n = allocations(|| {
-            let _ = core.request(ThreadId(1), LockId(1), s);
+            let _ = core.request_ids(ThreadId(1), LockId(1), s);
             let _ = core.release(ThreadId(1), LockId(1));
         });
         if round == 99 {
@@ -112,9 +114,159 @@ fn unnamed_site_allocates_the_same_with_and_without_a_history() {
     let with_empty = steady_pair_allocations(History::new());
     let with_full = steady_pair_allocations(full);
     assert_eq!(with_full, with_empty);
-    // The stack arrives owned and moves into the hold: in the steady
-    // state the pair allocates nothing at all.
+    // The ids arrive owned and move into the hold: in the steady state
+    // the pair allocates nothing at all.
     assert_eq!(with_full, 0);
+}
+
+const HOT: &str = "lockbench.Hot";
+/// Frames under each hot site.
+const CALLERS: u32 = 11;
+/// Hot sites the outer acquisition rotates over.
+const SITES: u32 = 8;
+
+/// The frame at hot site `site`.
+fn hot_frame(site: u32) -> Frame {
+    Frame::new(HOT, format!("site{site}"), 100 + site)
+}
+
+/// One near miss per hot site: its first outer stack is the top five
+/// frames of an acquisition there, so every acquisition at the site
+/// compares that suffix, matches it and backtracks; its second ends where
+/// no thread goes, so it is never instantiated.
+fn near_misses() -> History {
+    (0..SITES)
+        .map(|site| {
+            let outer: CallStack = (CALLERS - 4..CALLERS)
+                .map(|d| Frame::new(HOT, format!("caller{d}"), 10 + d))
+                .chain(std::iter::once(hot_frame(site)))
+                .collect();
+            let cold: CallStack = (0..5)
+                .map(|d| Frame::new("lockbench.Cold", format!("cold{site}_{d}"), 900 + d))
+                .collect();
+            let inner =
+                |line: u32| CallStack::new(vec![Frame::new("lockbench.Cold", "inner", line)]);
+            Signature::local(vec![
+                SigEntry::new(outer, inner(700 + site)),
+                SigEntry::new(cold, inner(800 + site)),
+            ])
+        })
+        .collect()
+}
+
+/// The benchmark's `lock_overhead` shape: one thread, [`CALLERS`] caller
+/// frames, nested pairs of two private locks with the outer acquisition
+/// rotating over [`SITES`] hot sites, a history of [`near_misses`].
+struct HotPath {
+    rt: DlxRuntime,
+    thread: DlxThread,
+    outer: LockId,
+    inner: LockId,
+    /// Method names of the hot sites, made before anything is counted.
+    sites: Vec<String>,
+    next: usize,
+}
+
+impl HotPath {
+    fn new() -> HotPath {
+        let rt = DlxRuntime::new(DimmunixConfig::default());
+        rt.set_history(near_misses());
+        let thread = rt.register_thread();
+        for d in 0..CALLERS {
+            thread.push_frame(HOT, &format!("caller{d}"), 10 + d);
+        }
+        HotPath {
+            outer: rt.fresh_lock(),
+            inner: rt.fresh_lock(),
+            sites: (0..SITES)
+                .map(|s| hot_frame(s).site.method.to_string())
+                .collect(),
+            thread,
+            rt,
+            next: 0,
+        }
+    }
+
+    /// One nested pair at the next hot site: two acquires, two releases.
+    fn pair(&mut self) {
+        let site = self.next;
+        self.next = (site + 1) % self.sites.len();
+        let t = &self.thread;
+        t.push_frame(HOT, &self.sites[site], 100 + site as u32);
+        let outer = t.lock(self.outer).expect("private locks");
+        t.push_frame(HOT, "nested", 200 + site as u32);
+        let inner = t.lock(self.inner).expect("private locks");
+        drop(inner);
+        t.pop_frame();
+        drop(outer);
+        t.pop_frame();
+    }
+}
+
+#[test]
+fn a_hot_pair_allocates_only_its_two_id_copies() {
+    const PAIRS: u64 = 8;
+    let mut hot = HotPath::new();
+    for _ in 0..64 {
+        hot.pair();
+    }
+    hot.rt.drain_events();
+    let before = hot.rt.stats();
+
+    let allocs = allocations(|| {
+        for _ in 0..PAIRS {
+            hot.pair();
+        }
+    });
+
+    // Each outer acquisition compared one suffix, which matched, and
+    // backtracked; nothing was suspended.
+    let after = hot.rt.stats();
+    assert_eq!(after.match_work - before.match_work, PAIRS);
+    assert_eq!(after.suspensions, 0);
+    // One copy of the thread's ids per acquisition. Beyond them only the
+    // event buffer, empty after the drain, which doubles at most five
+    // times on its way to 32 events.
+    assert!(
+        allocs >= 2 * PAIRS && allocs - 2 * PAIRS <= 5,
+        "{allocs} allocations for {PAIRS} lock pairs: 2 id copies each, plus at most 5 event-buffer doublings"
+    );
+    // A frame at a site the table has: a read lock and a hash, no heap.
+    let site = &hot.sites[3];
+    let push = allocations(|| {
+        hot.thread.push_frame(HOT, site, 103);
+        hot.thread.pop_frame();
+    });
+    assert_eq!(push, 0, "push_frame of a known site allocated");
+}
+
+#[test]
+fn the_site_table_keeps_each_site_once_however_many_acquisitions() {
+    const PAIRS: usize = 100_000;
+    let mut hot = HotPath::new();
+    for i in 0..PAIRS {
+        hot.pair();
+        if i % 1024 == 0 {
+            hot.rt.drain_events();
+        }
+    }
+    assert_eq!(hot.rt.stats().requests, 2 * PAIRS as u64);
+
+    // The program's sites: the callers, each hot site and the nested
+    // acquisition under it. The history's: its outer stacks (inner stacks
+    // are not matched, so not interned).
+    let mut expected: BTreeSet<Site> = (0..CALLERS)
+        .map(|d| Site::new(HOT, format!("caller{d}"), 10 + d))
+        .chain((0..SITES).map(|s| hot_frame(s).site))
+        .chain((0..SITES).map(|s| Site::new(HOT, "nested", 200 + s)))
+        .collect();
+    for sig in near_misses().signatures() {
+        for e in sig.entries() {
+            expected.extend(e.outer.frames().iter().map(|f| f.site.clone()));
+        }
+    }
+    assert_eq!(expected.len(), 11 + 8 + 8 + 8 * 5);
+    assert_eq!(hot.rt.site_count(), expected.len());
 }
 
 #[test]
