@@ -144,11 +144,9 @@ impl CommunixAgent {
                 Some((idx, &mut retries)),
             );
         }
-        for idx in retries {
-            // Persist the retry set; I/O errors only lose the retry
-            // optimization, never correctness.
-            let _ = repo.mark_nesting_retry(idx);
-        }
+        // Persist the retry set; I/O errors only lose the retry
+        // optimization, never correctness.
+        let _ = repo.mark_nesting_retries(retries);
         let _ = repo.mark_inspected();
         report.elapsed = start.elapsed();
         report
@@ -178,9 +176,7 @@ impl CommunixAgent {
                 Some((idx, &mut retries)),
             );
         }
-        for idx in retries {
-            let _ = repo.mark_nesting_retry(idx);
-        }
+        let _ = repo.mark_nesting_retries(retries);
         report.elapsed = start.elapsed();
         report
     }

@@ -7,8 +7,10 @@
 //! [`upload_signature`]) run over any connector; over TCP the connector
 //! is [`PipelinedConnector`], the blocking face of the
 //! [`PipelinedClient`] engine, which keeps a window of requests in
-//! flight on one nonblocking connection and coalesces consecutive
-//! signature uploads into batch frames.
+//! flight on one nonblocking connection.
+//!
+//! On disk, [`LocalRepository`] is one append-only file of the server
+//! WAL's CRC-framed records ([`communix_net::record`]).
 //!
 //! [`ClientDaemon::spawn`] takes a *dial* closure rather than a live
 //! connector, so it redials after a server restart and resumes syncing

@@ -10,16 +10,11 @@
 //! -supplied callback. Throughput becomes `window / RTT` until the
 //! server or the wire saturates.
 //!
-//! Two extra tricks ride on the window:
-//!
-//! * **ADD coalescing** — consecutive queued single-signature uploads
-//!   collapse into one `ADD_BATCH` wire frame at flush time; the
-//!   server's per-item verdicts fan back out to the individual
-//!   callbacks as synthesized [`Reply::AddAck`]s. Callers write the
-//!   simple one-ADD-at-a-time code and get batched wire traffic.
-//! * **Zero-copy framing** — requests encode straight into the
-//!   connection's reusable write buffer (the codec's `*_into` path), so
-//!   a full window costs zero per-frame allocations.
+//! Requests encode straight into the connection's reusable write buffer
+//! (the codec's `*_into` path), so a full window costs zero per-frame
+//! allocations. Each request is its own frame; a caller with many
+//! signatures to upload sends one `ADD_BATCH` itself
+//! ([`upload_batch`](crate::upload_batch)).
 //!
 //! The engine is deliberately futures-free: [`PipelinedClient::pump`]
 //! makes all progress that needs no waiting, [`PipelinedClient::wait`]
@@ -36,7 +31,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use communix_net::{BatchAdd, EncryptedId, NonblockingClient, Reply, Request};
+use communix_net::{NonblockingClient, Reply, Request};
 use communix_telemetry::{Gauge, Histogram, Registry};
 use parking_lot::Mutex;
 
@@ -53,8 +48,7 @@ pub enum PipelineError {
     /// The connection failed; every request at or behind the failure is
     /// completed with this error.
     Transport(String),
-    /// The server broke frame-order matching (an unsolicited reply, or
-    /// a batch ack that does not match the batch item-for-item). The
+    /// The server broke frame-order matching (an unsolicited reply). The
     /// connection is dropped — after a desync, no later reply can be
     /// trusted to answer the request it sits behind.
     Protocol(String),
@@ -85,8 +79,6 @@ pub struct PipelineConfig {
     /// Maximum wire frames in flight (sent, reply not yet received).
     /// `1` degenerates to blocking request→reply behavior.
     pub window: usize,
-    /// Maximum single ADDs coalesced into one `ADD_BATCH` frame.
-    pub max_coalesce: usize,
     /// Metrics sink; `None` gives the client a private registry.
     pub registry: Option<Arc<Registry>>,
 }
@@ -95,7 +87,6 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             window: 16,
-            max_coalesce: 256,
             registry: None,
         }
     }
@@ -105,45 +96,20 @@ impl fmt::Debug for PipelineConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PipelineConfig")
             .field("window", &self.window)
-            .field("max_coalesce", &self.max_coalesce)
             .field("registry", &self.registry.is_some())
             .finish()
     }
 }
 
-/// A request waiting for a window slot.
-enum QueuedOp {
-    /// A coalescible single-signature upload.
-    Add {
-        sender: EncryptedId,
-        sig_text: String,
-        complete: Completion,
-    },
-    /// Any other request, sent as its own frame.
-    Frame {
-        request: Request,
-        complete: Completion,
-    },
-}
-
-/// What one in-flight wire frame resolves to.
-enum Expect {
-    /// One request, one callback.
-    Single(Completion),
-    /// A coalesced `ADD_BATCH`: the server's per-item verdicts fan out
-    /// to these callbacks, in order, as synthesized `AddAck`s.
-    Batch(Vec<Completion>),
-}
-
 /// One wire frame awaiting its reply.
 struct InFlight {
-    expect: Expect,
+    complete: Completion,
     sent_at: Instant,
 }
 
 /// A pipelined Communix client: a bounded window of requests in flight
-/// on one nonblocking connection, with FIFO reply matching and ADD
-/// coalescing (see the crate docs for the model).
+/// on one nonblocking connection, with FIFO reply matching (see the
+/// module docs for the model).
 ///
 /// # Telemetry
 ///
@@ -158,10 +124,10 @@ struct InFlight {
 ///   window refill (how much pipelining each pump achieves).
 pub struct PipelinedClient {
     conn: NonblockingClient,
-    queue: VecDeque<QueuedOp>,
+    /// Requests waiting for a window slot.
+    queue: VecDeque<(Request, Completion)>,
     inflight: VecDeque<InFlight>,
     window: usize,
-    max_coalesce: usize,
     dead: Option<PipelineError>,
     registry: Arc<Registry>,
     inflight_gauge: Arc<Gauge>,
@@ -197,7 +163,6 @@ impl PipelinedClient {
             queue: VecDeque::new(),
             inflight: VecDeque::new(),
             window: config.window.max(1),
-            max_coalesce: config.max_coalesce.max(1),
             dead: None,
             registry,
             inflight_gauge,
@@ -220,37 +185,12 @@ impl PipelinedClient {
             complete(Err(err.clone()));
             return;
         }
-        self.queue.push_back(QueuedOp::Frame { request, complete });
+        self.queue.push_back((request, complete));
     }
 
-    /// Submits a single-signature upload that may coalesce: consecutive
-    /// queued ADDs leave as one `ADD_BATCH` wire frame, and `complete`
-    /// receives this item's verdict as a synthesized
-    /// [`Reply::AddAck`] — indistinguishable from an uncoalesced ADD.
-    pub fn submit_add(&mut self, sender: EncryptedId, sig_text: String, complete: Completion) {
-        if let Some(err) = &self.dead {
-            complete(Err(err.clone()));
-            return;
-        }
-        self.queue.push_back(QueuedOp::Add {
-            sender,
-            sig_text,
-            complete,
-        });
-    }
-
-    /// Requests still queued or in flight. A coalesced batch counts
-    /// each of its items.
+    /// Requests still queued or in flight.
     pub fn pending(&self) -> usize {
-        let batched: usize = self
-            .inflight
-            .iter()
-            .map(|f| match &f.expect {
-                Expect::Single(_) => 1,
-                Expect::Batch(cbs) => cbs.len(),
-            })
-            .sum();
-        self.queue.len() + batched
+        self.queue.len() + self.inflight.len()
     }
 
     /// Whether nothing is queued or in flight.
@@ -259,7 +199,7 @@ impl PipelinedClient {
     }
 
     /// Makes all progress possible without blocking: fills the window
-    /// from the queue (coalescing consecutive ADDs), flushes the write
+    /// from the queue, flushes the write
     /// buffer, and dispatches every reply that has fully arrived.
     /// Callbacks fire on this thread, inside this call.
     ///
@@ -339,8 +279,15 @@ impl PipelinedClient {
     /// at the kernel.
     fn fill_and_flush(&mut self) -> Result<(), PipelineError> {
         let mut framed = 0u64;
-        while self.inflight.len() < self.window && !self.queue.is_empty() {
-            self.frame_next();
+        while self.inflight.len() < self.window {
+            let Some((request, complete)) = self.queue.pop_front() else {
+                break;
+            };
+            self.conn.queue(&request);
+            self.inflight.push_back(InFlight {
+                complete,
+                sent_at: Instant::now(),
+            });
             framed += 1;
         }
         if framed > 0 {
@@ -353,60 +300,8 @@ impl PipelinedClient {
         }
     }
 
-    /// Turns the front of the queue into exactly one wire frame:
-    /// consecutive ADDs coalesce into one `ADD_BATCH` (up to
-    /// `max_coalesce`), anything else goes out as itself.
-    fn frame_next(&mut self) {
-        let sent_at = Instant::now();
-        match self.queue.pop_front() {
-            None => {}
-            Some(QueuedOp::Frame { request, complete }) => {
-                self.conn.queue(&request);
-                self.inflight.push_back(InFlight {
-                    expect: Expect::Single(complete),
-                    sent_at,
-                });
-            }
-            Some(QueuedOp::Add {
-                sender,
-                sig_text,
-                complete,
-            }) => {
-                let mut adds = vec![BatchAdd { sender, sig_text }];
-                let mut completions = vec![complete];
-                while adds.len() < self.max_coalesce
-                    && matches!(self.queue.front(), Some(QueuedOp::Add { .. }))
-                {
-                    if let Some(QueuedOp::Add {
-                        sender,
-                        sig_text,
-                        complete,
-                    }) = self.queue.pop_front()
-                    {
-                        adds.push(BatchAdd { sender, sig_text });
-                        completions.push(complete);
-                    }
-                }
-                if adds.len() == 1 {
-                    let BatchAdd { sender, sig_text } = adds.pop().expect("one add");
-                    self.conn.queue(&Request::Add { sender, sig_text });
-                    self.inflight.push_back(InFlight {
-                        expect: Expect::Single(completions.pop().expect("one completion")),
-                        sent_at,
-                    });
-                } else {
-                    self.conn.queue(&Request::AddBatch { adds });
-                    self.inflight.push_back(InFlight {
-                        expect: Expect::Batch(completions),
-                        sent_at,
-                    });
-                }
-            }
-        }
-    }
-
     /// Completes the oldest in-flight frame with `reply` (FIFO
-    /// matching), fanning a batch ack out to its items' callbacks.
+    /// matching).
     fn dispatch(&mut self, reply: Reply) -> Result<(), PipelineError> {
         let Some(frame) = self.inflight.pop_front() else {
             return Err(self.kill(PipelineError::Protocol(format!(
@@ -415,39 +310,7 @@ impl PipelinedClient {
         };
         self.rtt.record_duration(frame.sent_at.elapsed());
         self.inflight_gauge.set(self.inflight.len() as u64);
-        match frame.expect {
-            Expect::Single(complete) => complete(Ok(reply)),
-            Expect::Batch(completions) => match reply {
-                Reply::BatchAck { results } if results.len() == completions.len() => {
-                    for (complete, result) in completions.into_iter().zip(results) {
-                        complete(Ok(Reply::AddAck {
-                            accepted: result.accepted,
-                            reason: result.reason,
-                        }));
-                    }
-                }
-                Reply::Error { message } => {
-                    // A server-level error answers the whole frame;
-                    // every coalesced item sees it, as it would have
-                    // uncoalesced.
-                    for complete in completions {
-                        complete(Ok(Reply::Error {
-                            message: message.clone(),
-                        }));
-                    }
-                }
-                other => {
-                    let err = PipelineError::Protocol(format!(
-                        "batch of {} answered by {other:?}",
-                        completions.len()
-                    ));
-                    for complete in completions {
-                        complete(Err(err.clone()));
-                    }
-                    return Err(self.kill(err));
-                }
-            },
-        }
+        (frame.complete)(Ok(reply));
         Ok(())
     }
 
@@ -455,22 +318,10 @@ impl PipelinedClient {
     /// client dead, and returns `err` for convenience.
     fn kill(&mut self, err: PipelineError) -> PipelineError {
         self.dead = Some(err.clone());
-        for op in self.queue.drain(..) {
-            let complete = match op {
-                QueuedOp::Add { complete, .. } => complete,
-                QueuedOp::Frame { complete, .. } => complete,
-            };
+        let queued = self.queue.drain(..).map(|(_, complete)| complete);
+        let inflight = self.inflight.drain(..).map(|frame| frame.complete);
+        for complete in queued.chain(inflight) {
             complete(Err(err.clone()));
-        }
-        for frame in self.inflight.drain(..) {
-            match frame.expect {
-                Expect::Single(complete) => complete(Err(err.clone())),
-                Expect::Batch(completions) => {
-                    for complete in completions {
-                        complete(Err(err.clone()));
-                    }
-                }
-            }
         }
         self.inflight_gauge.set(0);
         err

@@ -1,8 +1,7 @@
 //! Incremental synchronization with the Communix server.
 //!
 //! [`Connector`] abstracts "a way to reach the server": over TCP in real
-//! deployments, in-process for tests and the Figure 2 benchmark, or
-//! through the simulated network for Figure 3.
+//! deployments, or in-process for tests and the benchmark.
 //!
 //! Two sync flavors share the connector:
 //!

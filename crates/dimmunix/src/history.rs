@@ -159,7 +159,11 @@ impl History {
         History::from_text(&text)
     }
 
-    /// Saves to a file path (atomic: writes `path.tmp` then renames).
+    /// Saves to a file path, atomically and durably: writes `path.tmp`
+    /// and fsyncs it, renames it over `path`, then fsyncs the directory.
+    /// A crash or power loss at any point leaves the old file or the new
+    /// one, never a mix, and once this returns `Ok` the new one survives
+    /// a power loss.
     ///
     /// # Errors
     ///
@@ -167,8 +171,20 @@ impl History {
     pub fn save_to_path(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_text())?;
-        std::fs::rename(&tmp, path)
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(self.to_text().as_bytes())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        // Directories cannot be opened as files everywhere; where they
+        // can, the rename is durable only once the directory is synced.
+        if let Ok(dir) = std::fs::File::open(dir) {
+            dir.sync_all()?;
+        }
+        Ok(())
     }
 
     /// Loads from a file path; a missing file yields an empty history

@@ -12,6 +12,9 @@
 //! connection on which `communix-client`'s pipelined engine keeps a
 //! window of requests in flight. All unsafe syscall plumbing lives in
 //! the vendored `polling` crate; this crate stays `forbid(unsafe_code)`.
+//!
+//! [`record`] is the CRC-framed, append-only log format both sides keep
+//! on disk: the server's WAL and the client's local repository.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +26,7 @@ mod codec;
 mod event;
 #[cfg(unix)]
 mod reactor;
+pub mod record;
 mod tcp;
 #[cfg(all(test, unix))]
 mod test_io;

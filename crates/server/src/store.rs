@@ -21,7 +21,9 @@
 //! `wal-{epoch:010}-{seq:010}.log` segments and nothing else. Each starts
 //! with the 8-byte magic `CXWAL001` followed by records framed as
 //! `[len: u32 LE][crc32(payload): u32 LE][payload]`, one per accepted
-//! signature, where `payload` is the signature text (UTF-8). Records are
+//! signature, where `payload` is the signature text (UTF-8). The framing,
+//! the CRC and the replay walk live in [`communix_net::record`], the one
+//! log format the client's local repository writes too. Records are
 //! buffered by the OS and fsync'd on a group-commit interval
 //! ([`DurabilityConfig::fsync_interval`]; zero means fsync on every
 //! append). A torn final record — the crash case group commit tolerates
@@ -64,6 +66,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use communix_net::record;
 use communix_telemetry::{Counter, Histogram, Registry};
 use parking_lot::{Mutex, RwLock};
 
@@ -284,7 +287,7 @@ impl Store {
             };
             // Framed (CRC included) before the append lock, written under
             // it: the record lands in the log at the signature's index.
-            let record = frame(sig_text);
+            let record = record::frame(sig_text);
             db.add_with(sig_text, |_| {
                 let mut wal = wal.lock();
                 match wal.append(&record) {
@@ -477,74 +480,6 @@ fn spawn_flusher(wal: Arc<Mutex<Wal>>, interval: Duration, metrics: StoreMetrics
 }
 
 // ---------------------------------------------------------------------
-// CRC32 (IEEE 802.3, written from scratch — no external deps)
-// ---------------------------------------------------------------------
-
-/// Slicing-by-8 tables, built at compile time. `CRC_TABLES[0]` is the
-/// classic byte table; `CRC_TABLES[k][b]` is byte `b`'s CRC contribution
-/// followed by `k` zero bytes, so eight lookups advance the CRC over
-/// eight bytes at once.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut b = 0;
-    while b < 256 {
-        let mut c = b as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            bit += 1;
-        }
-        tables[0][b] = c;
-        b += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut b = 0;
-        while b < 256 {
-            let prev = tables[k - 1][b];
-            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            b += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// CRC-32 (IEEE) of `data`, eight bytes per step: every WAL record pays
-/// it on append and again on each replay (recovery, GC), over the whole
-/// ≈ 1.7 KB signature text.
-fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = !0u32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][w[4] as usize]
-            ^ t[2][w[5] as usize]
-            ^ t[1][w[6] as usize]
-            ^ t[0][w[7] as usize];
-    }
-    for &byte in words.remainder() {
-        crc = t[0][((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
-/// One WAL record: `[len: u32 LE][crc32(text): u32 LE][text]`.
-fn frame(text: &str) -> Vec<u8> {
-    let (len, crc) = (text.len() as u32, crc32(text.as_bytes()));
-    [&len.to_le_bytes(), &crc.to_le_bytes(), text.as_bytes()].concat()
-}
-
-// ---------------------------------------------------------------------
 // WAL
 // ---------------------------------------------------------------------
 
@@ -622,7 +557,7 @@ impl Wal {
         })
     }
 
-    /// Writes one [`frame`]d record. Rolls to a new segment first when
+    /// Writes one [`record::frame`]d record. Rolls to a new segment first when
     /// the current one is full.
     fn append(&mut self, record: &[u8]) -> io::Result<()> {
         if self.seg_bytes >= self.segment_limit {
@@ -666,34 +601,6 @@ impl Wal {
 // Replay + recovery
 // ---------------------------------------------------------------------
 
-/// Walks `[len][crc][payload]` records in `data`, feeding each valid
-/// payload to `sink`; returns `(records, torn)` where `torn` means the
-/// walk stopped early on a truncated or corrupt record.
-fn replay_records(data: &[u8], mut sink: impl FnMut(&str)) -> (u64, bool) {
-    let mut offset = 0usize;
-    let mut records = 0u64;
-    while offset < data.len() {
-        let Some(header) = data.get(offset..offset + 8) else {
-            return (records, true);
-        };
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-        let Some(payload) = data.get(offset + 8..offset + 8 + len) else {
-            return (records, true);
-        };
-        if crc32(payload) != crc {
-            return (records, true);
-        }
-        let Ok(text) = std::str::from_utf8(payload) else {
-            return (records, true);
-        };
-        sink(text);
-        records += 1;
-        offset += 8 + len;
-    }
-    (records, false)
-}
-
 /// Replays the segment at `path` into `db` through the dedup'd add path
 /// — what recovery and a GC rebuild both do. Returns `(records,
 /// signature bytes, torn)`; a missing or foreign magic is a torn
@@ -704,11 +611,11 @@ fn replay_segment(path: &Path, db: &SignatureDb) -> io::Result<(u64, u64, bool)>
         return Ok((0, 0, true));
     };
     let mut sig_bytes = 0u64;
-    let (records, torn) = replay_records(body, |text| {
+    let (records, valid_len) = record::replay(body, |text| {
         sig_bytes += text.len() as u64;
         db.add(text);
     });
-    Ok((records, sig_bytes, torn))
+    Ok((records, sig_bytes, valid_len < body.len()))
 }
 
 /// Replays every segment under `config.dir` into a fresh database and
@@ -768,7 +675,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    use proptest::prelude::*;
+    use communix_net::record::frame;
 
     static DIRS: AtomicUsize = AtomicUsize::new(0);
 
@@ -808,58 +715,6 @@ mod tests {
         for i in range {
             store.add(&format!("sig-{i:06}"));
         }
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard IEEE test vector plus the empty string.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    /// The byte-at-a-time CRC the slicing tables replaced, kept as the
-    /// reference they are compared against.
-    fn reference_crc32(data: &[u8]) -> u32 {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        let mut crc = !0u32;
-        for &byte in data {
-            crc = table[((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        !crc
-    }
-
-    proptest! {
-        /// Every length and every alignment: the eight-byte steps start
-        /// wherever the slice does, and the tail takes what is left.
-        #[test]
-        fn sliced_crc_equals_the_byte_at_a_time_reference(
-            bytes in proptest::collection::vec(any::<u8>(), 0..4104),
-        ) {
-            for start in 0..8.min(bytes.len() + 1) {
-                let data = &bytes[start..];
-                prop_assert_eq!(crc32(data), reference_crc32(data), "from {}", start);
-            }
-        }
-    }
-
-    #[test]
-    fn a_wal_record_is_the_bytes_the_byte_at_a_time_crc_framed() {
-        let text = "app.Bank#transfer:42:\
-                    9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08";
-        let mut golden = vec![85, 0, 0, 0, 0x17, 0x56, 0x45, 0x65];
-        golden.extend_from_slice(text.as_bytes());
-        assert_eq!(frame(text), golden);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //! degrade safely — a broken history or repository may cost protection,
 //! never correctness.
 
+use std::io::Write as _;
 use std::sync::Arc;
 
 use communix::client::LocalRepository;
 use communix::clock::{VirtualClock, DAY};
 use communix::dimmunix::{History, HistoryError};
-use communix::net::{Reply, Request};
+use communix::net::{record, Reply, Request};
 use communix::server::{CommunixServer, ServerConfig};
 use communix::workloads::{DeadlockApp, SigGen};
 use communix::{CommunixNode, NodeConfig};
@@ -76,10 +77,14 @@ fn corrupt_repository_contents_are_quarantined_by_the_agent() {
 fn repo_state_file_corruption_is_clamped() {
     let dir = std::env::temp_dir().join(format!("communix-fi-repo-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    // A state file pointing beyond the (empty) data plus junk retries.
-    std::fs::write(dir.join("state.txt"), "cursor 10\nretry 3 99 xyz\n").unwrap();
-    std::fs::write(dir.join("signatures.txt"), "").unwrap();
+    drop(LocalRepository::open(&dir).unwrap());
+    // A state record pointing beyond the (empty) data plus junk retries.
+    let mut log = std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join("repository.log"))
+        .unwrap();
+    log.write_all(&record::frame("ccursor 10\nretry 3 99 xyz\n"))
+        .unwrap();
     let repo = LocalRepository::open(&dir).unwrap();
     assert_eq!(repo.len(), 0);
     assert_eq!(repo.uninspected_count(), 0);

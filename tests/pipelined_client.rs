@@ -1,5 +1,5 @@
 //! Integration: the pipelined client against real servers — windowed
-//! in-flight requests, ADD coalescing, FIFO matching under rejection,
+//! in-flight requests, FIFO matching under rejection,
 //! backpressure, and clean shutdown, plus the blocking facade running
 //! the existing sync helpers unchanged.
 
@@ -13,7 +13,7 @@ use communix::client::{
     fetch_stats, obtain_id, sync_delta, sync_once, upload_batch, upload_signature, LocalRepository,
     PipelineConfig, PipelineError, PipelinedClient, PipelinedConnector,
 };
-use communix::net::{Handler, Reply, Request, TcpServer};
+use communix::net::{EncryptedId, Handler, Reply, Request, TcpServer};
 use communix::server::CommunixServer;
 use communix::workloads::SigGen;
 use parking_lot::Mutex;
@@ -42,32 +42,34 @@ fn ordered(
     })
 }
 
+/// A single-signature upload request from `sender`.
+fn add(sender: EncryptedId, gen: &mut SigGen) -> Request {
+    Request::Add {
+        sender,
+        sig_text: gen.random_signature().to_string(),
+    }
+}
+
 #[test]
-fn pipelined_uploads_coalesce_and_complete_in_submission_order() {
+fn pipelined_uploads_complete_in_submission_order() {
     let (mut tcp, srv) = serve();
     let mut gen = SigGen::new(7);
     let mut client = PipelinedClient::connect(tcp.addr(), config(8)).unwrap();
     let order = Arc::new(Mutex::new(Vec::new()));
 
-    // Six coalescible ADDs, a GET wedged in the middle, two more ADDs:
-    // the window mixes batch frames with ordinary frames.
+    // Six ADDs, a GET wedged in the middle, two more ADDs: one window
+    // of mixed frames.
     let mut index = 0;
     for _ in 0..6 {
-        client.submit_add(
-            srv.authority().issue(index as u64),
-            gen.random_signature().to_string(),
-            ordered(&order, index),
-        );
+        let sender = srv.authority().issue(index as u64);
+        client.submit(add(sender, &mut gen), ordered(&order, index));
         index += 1;
     }
     client.submit(Request::Get { from: 0 }, ordered(&order, index));
     index += 1;
     for _ in 0..2 {
-        client.submit_add(
-            srv.authority().issue(index as u64),
-            gen.random_signature().to_string(),
-            ordered(&order, index),
-        );
+        let sender = srv.authority().issue(index as u64);
+        client.submit(add(sender, &mut gen), ordered(&order, index));
         index += 1;
     }
 
@@ -78,16 +80,6 @@ fn pipelined_uploads_coalesce_and_complete_in_submission_order() {
         "completions must fire in submission order"
     );
     assert_eq!(srv.db().len(), 8, "all eight uploads must land");
-
-    // Coalescing means fewer wire frames than requests: the RTT
-    // histogram has one sample per frame.
-    let snapshot = client.telemetry().snapshot();
-    let frames = snapshot.histogram("client.rtt").expect("rtt recorded");
-    assert!(
-        (frames.count() as usize) < index,
-        "expected coalescing to shrink {index} requests below {index} frames, got {}",
-        frames.count()
-    );
     tcp.shutdown();
 }
 
@@ -121,8 +113,8 @@ fn forged_id_rejection_mid_window_does_not_desync() {
     let mut client = PipelinedClient::connect(tcp.addr(), config(8)).unwrap();
     let verdicts = Arc::new(Mutex::new(Vec::new()));
 
-    // Three coalesced ADDs with a forged id in the middle, then a GET
-    // behind them in the same window.
+    // Three ADDs with a forged id in the middle, then a GET behind them
+    // in the same window.
     let ids = [
         srv.authority().issue(1),
         [0xEE; 16], // forged
@@ -130,9 +122,8 @@ fn forged_id_rejection_mid_window_does_not_desync() {
     ];
     for sender in ids {
         let verdicts = verdicts.clone();
-        client.submit_add(
-            sender,
-            gen.random_signature().to_string(),
+        client.submit(
+            add(sender, &mut gen),
             Box::new(
                 move |result| match result.expect("transport must survive") {
                     Reply::AddAck { accepted, reason } => verdicts.lock().push((accepted, reason)),
@@ -146,7 +137,7 @@ fn forged_id_rejection_mid_window_does_not_desync() {
     client.submit(
         Request::Get { from: 0 },
         Box::new(move |result| {
-            *tail2.lock() = Some(result.expect("GET behind the batch must succeed"));
+            *tail2.lock() = Some(result.expect("GET behind the ADDs must succeed"));
         }),
     );
 
@@ -156,7 +147,7 @@ fn forged_id_rejection_mid_window_does_not_desync() {
     assert!(verdicts[0].0);
     assert!(!verdicts[1].0, "forged id must be rejected");
     assert_eq!(verdicts[1].1, "invalid encrypted sender id");
-    assert!(verdicts[2].0, "rejection must not poison the batch");
+    assert!(verdicts[2].0, "rejection must not poison the window");
     match tail.lock().take().expect("GET must complete") {
         Reply::Sigs { from: 0, sigs } => {
             assert_eq!(sigs.len(), 2, "exactly the two accepted signatures");
