@@ -127,27 +127,17 @@ impl CommunixAgent {
     ) -> StartupReport {
         let start = Instant::now();
         let mut report = StartupReport::default();
-        let validator = self.validator(app_hashes);
-
         let pending: Vec<(usize, String)> = repo
             .uninspected()
             .map(|(i, s)| (i, s.to_string()))
             .collect();
-        let mut retries = Vec::new();
-        for (idx, text) in pending {
-            report.inspected += 1;
-            self.process_one(
-                &validator,
-                &text,
-                history,
-                &mut report,
-                Some((idx, &mut retries)),
-            );
-        }
-        // Persist the retry set; I/O errors only lose the retry
-        // optimization, never correctness.
-        let _ = repo.mark_nesting_retries(retries);
-        let _ = repo.mark_inspected();
+        let (admitted, deferred) =
+            self.inspect(app_hashes, pending, repo.is_durable(), history, &mut report);
+        // One append: the admissions, then the retry set and the cursor.
+        // An I/O error costs a re-inspection at the next start, never
+        // correctness.
+        let retries = repo.nesting_retry_indices().into_iter().chain(deferred);
+        let _ = repo.commit_agent_pass(&admitted, retries, repo.len());
         report.elapsed = start.elapsed();
         report
     }
@@ -163,20 +153,11 @@ impl CommunixAgent {
     ) -> StartupReport {
         let start = Instant::now();
         let mut report = StartupReport::default();
-        let validator = self.validator(app_hashes);
-        let pending = repo.take_nesting_retries().unwrap_or_default();
-        let mut retries = Vec::new();
-        for (idx, text) in pending {
-            report.inspected += 1;
-            self.process_one(
-                &validator,
-                &text,
-                history,
-                &mut report,
-                Some((idx, &mut retries)),
-            );
-        }
-        let _ = repo.mark_nesting_retries(retries);
+        let pending = repo.nesting_retries();
+        let (admitted, deferred) =
+            self.inspect(app_hashes, pending, repo.is_durable(), history, &mut report);
+        let cursor = repo.len() - repo.uninspected_count();
+        let _ = repo.commit_agent_pass(&admitted, deferred, cursor);
         report.elapsed = start.elapsed();
         report
     }
@@ -194,33 +175,44 @@ impl CommunixAgent {
         }
     }
 
-    /// Validates and files a single signature text.
-    fn process_one(
+    /// Validates and files each `(index, text)` of `pending` into
+    /// `history`. Returns the signatures that changed the history, as
+    /// validated (kept only when `keep_admitted`: a durable repository
+    /// logs them), and the indices deferred on the nesting check.
+    fn inspect(
         &self,
-        validator: &SignatureValidator<'_>,
-        text: &str,
+        app_hashes: &HashMap<String, Digest>,
+        pending: Vec<(usize, String)>,
+        keep_admitted: bool,
         history: &mut History,
         report: &mut StartupReport,
-        retry_slot: Option<(usize, &mut Vec<usize>)>,
-    ) {
-        let Ok(sig) = text.parse::<Signature>() else {
-            report.rejected += 1;
-            return;
-        };
-        match validator.validate(&sig) {
-            Ok(valid) => {
-                let outcome =
-                    history.add_generalizing(valid, self.config.validator.min_outer_depth);
-                report.absorb_outcome(outcome);
-            }
-            Err(ValidationError::NestingUnknown { .. }) => {
-                report.deferred += 1;
-                if let Some((idx, retries)) = retry_slot {
-                    retries.push(idx);
+    ) -> (Vec<Signature>, Vec<usize>) {
+        let validator = self.validator(app_hashes);
+        let (mut admitted, mut deferred) = (Vec::new(), Vec::new());
+        for (idx, text) in pending {
+            report.inspected += 1;
+            let Ok(sig) = text.parse::<Signature>() else {
+                report.rejected += 1;
+                continue;
+            };
+            match validator.validate(&sig) {
+                Ok(valid) => {
+                    let kept = keep_admitted.then(|| valid.clone());
+                    let outcome =
+                        history.add_generalizing(valid, self.config.validator.min_outer_depth);
+                    report.absorb_outcome(outcome);
+                    if outcome != AddOutcome::Duplicate {
+                        admitted.extend(kept);
+                    }
                 }
+                Err(ValidationError::NestingUnknown { .. }) => {
+                    report.deferred += 1;
+                    deferred.push(idx);
+                }
+                Err(_) => report.rejected += 1,
             }
-            Err(_) => report.rejected += 1,
         }
+        (admitted, deferred)
     }
 }
 
@@ -264,6 +256,12 @@ mod tests {
     /// same bug: they share the 5 innermost (top) frames and differ only
     /// in the frames below, so generalization can merge them at depth 5.
     fn sig_text(p: &Program, extra: usize) -> String {
+        sig_text_at(p, extra, 2)
+    }
+
+    /// As [`sig_text`], with the outer lock statement at `line` of
+    /// `app.C.outer` (line 2 is the nested one).
+    fn sig_text_at(p: &Program, extra: usize, line: u32) -> String {
         let outer = |final_line: u32| -> CallStack {
             let mut frames: Vec<Frame> = (0..extra)
                 .map(|i| frame(p, "app.D", "helper", 50 + i as u32))
@@ -274,8 +272,8 @@ mod tests {
         };
         let inner: CallStack = vec![frame(p, "app.C", "outer", 3)].into_iter().collect();
         Signature::remote(vec![
-            SigEntry::new(outer(2), inner.clone()),
-            SigEntry::new(outer(2), inner),
+            SigEntry::new(outer(line), inner.clone()),
+            SigEntry::new(outer(line), inner),
         ])
         .to_string()
     }
@@ -394,5 +392,59 @@ mod tests {
             r.inspected,
             r.accepted + r.merged + r.duplicates + r.rejected + r.deferred
         );
+    }
+
+    /// A start-up writes its admissions, the retry set and the cursor in
+    /// one append, the cursor last. Cut at each of its record
+    /// boundaries, the log reopens to a history that one more start-up
+    /// completes to the uncut run's.
+    #[test]
+    fn a_startup_cut_at_any_record_completes_to_the_uncut_history() {
+        let p = program();
+        let agent = ready_agent(&p);
+        let dir = std::env::temp_dir().join(format!("communix-agent-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("repository.log");
+        // One bug's manifestations: the second generalizes the first, the
+        // last is covered. Line 9 is no lock statement, so its signature
+        // waits for a nesting verdict.
+        let texts = [
+            sig_text(&p, 2),
+            sig_text_at(&p, 0, 9),
+            sig_text(&p, 0),
+            "garbage".to_string(),
+            sig_text(&p, 1),
+        ];
+        let mut uncut = History::new();
+        let start = {
+            let mut repo = LocalRepository::open(&dir).unwrap();
+            repo.append(texts.clone()).unwrap();
+            let start = std::fs::metadata(&path).unwrap().len() as usize;
+            let r = agent.startup(&hashes(&p), &mut repo, &mut uncut);
+            assert_eq!(
+                (r.accepted, r.merged, r.duplicates, r.rejected, r.deferred),
+                (1, 1, 1, 1, 1)
+            );
+            start
+        };
+        let written = std::fs::read(&path).unwrap();
+        let mut cuts = vec![start];
+        while let Some(&at) = cuts.last().filter(|&&at| at < written.len()) {
+            let len = u32::from_le_bytes(written[at..at + 4].try_into().unwrap()) as usize;
+            cuts.push(at + 8 + len);
+        }
+        assert_eq!(cuts.len(), 4, "two admissions and the state record");
+
+        for cut in cuts {
+            std::fs::write(&path, &written[..cut]).unwrap();
+            let mut repo = LocalRepository::open(&dir).unwrap();
+            let min_depth = AgentConfig::default().validator.min_outer_depth;
+            let mut history = repo.take_history(min_depth);
+            agent.startup(&hashes(&p), &mut repo, &mut history);
+            assert_eq!(history.signatures(), uncut.signatures(), "cut {cut}");
+            assert_eq!(repo.nesting_retry_indices(), vec![1], "cut {cut}");
+            assert_eq!(repo.uninspected_count(), 0, "cut {cut}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,8 +15,8 @@
 //! [`ClassFile::bytecode_hash`](crate::ClassFile::bytecode_hash) (SHA-256
 //! over the class's canonical bytes) for every loaded class on every call,
 //! and a node calls it at every start-up. Hashing each class once per
-//! loader is ROADMAP's node-side item (b), after the hash is streamed
-//! into SHA-256 without building the canonical text.
+//! loader is ROADMAP item 6 (step 1), after the hash is streamed into
+//! SHA-256 without building the canonical text.
 
 use std::collections::BTreeSet;
 

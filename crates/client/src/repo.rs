@@ -1,4 +1,5 @@
-//! The client's local signature repository.
+//! The node's log: the client's local signature repository, and the
+//! deadlock history the node builds from it.
 //!
 //! "The Communix client, running on an arbitrary machine in the Internet,
 //! periodically downloads the new deadlock signatures from the server into
@@ -8,38 +9,52 @@
 //!
 //! The repository also carries the agent's inspection cursor ("the
 //! inspection of the local repository is incremental, i.e., every
-//! signature is analyzed only once", §III-B) and the set of signatures
+//! signature is analyzed only once", §III-B), the set of signatures
 //! that passed the hash check but failed the nesting check — those are
-//! re-checked when new classes are loaded (§III-C3).
+//! re-checked when new classes are loaded (§III-C3) — and Dimmunix's
+//! "persistent history" (§II-A): the signatures detected locally, which
+//! wait here for upload, and the ones the agent admitted.
 //!
 //! # On-disk layout ([`LocalRepository::open`]'s directory)
 //!
 //! `repository.log` and nothing else: the 8-byte magic `CXREPO01`, then
 //! [`communix_net::record`]s — the server WAL's framing — whose payload
-//! is a one-byte kind and text: `s` + a downloaded signature (the *n*-th
-//! is local index *n*), or `c` + the cursor state (`cursor`,
-//! `server_cursor` and `retry` lines; the last one replayed wins). Each
-//! mutating call appends only its own new records, with one write and
-//! one `sync_data`; nothing is rewritten.
+//! is a one-byte kind and text:
+//!
+//! * `s` + a downloaded signature (the *n*-th is local index *n*);
+//! * `l` + a signature Dimmunix detected locally;
+//! * `a` + a signature the agent admitted, as validated (and possibly
+//!   trimmed) against the class hashes of that run;
+//! * `c` + the cursor state: `cursor`, `server_cursor`, `retry` and
+//!   `uploaded` lines (how many `l` records the server acked); the last
+//!   one replayed wins.
+//!
+//! Each mutating call appends only its own new records, with one write
+//! and one `sync_data`; nothing is rewritten. The deadlock history is
+//! not stored whole: [`LocalRepository::take_history`] folds the `l` and
+//! `a` records in log order, because generalization does not commute.
 //!
 //! # Crash rule
 //!
 //! A crash mid-write leaves a torn last record. Opening replays up to it
 //! — a prefix of what was written — clamps the cursors to what replayed,
 //! and cuts the file back there before anything is appended: a record
-//! behind a torn one would never replay. Once an epoch resync has
-//! diverged the server cursor from the signature count, each stored
-//! signature moves it by one, in memory and on replay, so a cut between
-//! two appended records never leaves it behind the signatures held (the
-//! next sync would store them twice). Until the cursor record of a
-//! resync's first window lands, the cursor is still the old epoch's,
-//! past the new total, and the next sync resyncs again.
+//! behind a torn one would never replay. A call's state record ends its
+//! write, so a cut leaves the cursors behind its other records, never
+//! ahead: what was admitted, uploaded or synced is redone, harmlessly.
+//! Once an epoch resync has diverged the server cursor from the
+//! signature count, each stored signature moves it by one, in memory and
+//! on replay, and every later window is merged rather than appended, so
+//! re-reading stores nothing twice. Until the cursor record of a resync's
+//! first window lands, the cursor is still the old epoch's, past the new
+//! total, and the next sync resyncs again.
 
 use std::collections::{BTreeSet, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _, Write as _};
 use std::path::Path;
 
+use communix_dimmunix::{History, Signature};
 use communix_net::record;
 
 /// The repository's one file.
@@ -48,6 +63,8 @@ const MAGIC: &[u8; 8] = b"CXREPO01";
 /// Record kinds: the payload's first byte.
 const SIG: &str = "s";
 const STATE: &str = "c";
+const DETECTED: &str = "l";
+const ADMITTED: &str = "a";
 /// The files of the retired two-file layout; a directory holding one is
 /// refused rather than half-read.
 const LEGACY_FILES: [&str; 2] = ["signatures.txt", "state.txt"];
@@ -69,6 +86,20 @@ pub struct LocalRepository {
     /// an epoch resync ([`LocalRepository::merge`] drops duplicates, so
     /// the local count falls behind the server index).
     server_cursor: Option<usize>,
+    /// Local detections the server has not acked yet, in detection order.
+    pending: Vec<Signature>,
+    /// How many local detections the server has acked.
+    uploaded: usize,
+    /// The `l` and `a` records replayed at open, in log order, until
+    /// [`LocalRepository::take_history`] folds them.
+    replayed: Vec<HistoryRecord>,
+}
+
+/// A replayed record of the deadlock history.
+#[derive(Debug)]
+enum HistoryRecord {
+    Detected(Signature),
+    Admitted(Signature),
 }
 
 /// The open `repository.log` and the length of its valid prefix.
@@ -94,6 +125,14 @@ impl Log {
         self.len += records.len() as u64;
         Ok(())
     }
+}
+
+/// `items` as records of `kind`, back to back.
+fn frame_all(kind: &str, items: impl IntoIterator<Item = impl std::fmt::Display>) -> Vec<u8> {
+    items
+        .into_iter()
+        .flat_map(|item| record::frame(&format!("{kind}{item}")))
+        .collect()
 }
 
 impl LocalRepository {
@@ -166,14 +205,19 @@ impl LocalRepository {
         Ok(repo)
     }
 
-    /// Applies one replayed record; a kind this version does not write
-    /// is skipped.
+    /// Applies one replayed record; a kind this version does not write,
+    /// or a history record that does not parse, is skipped.
     fn apply(&mut self, payload: &str) {
         if let Some(sig) = payload.strip_prefix(SIG) {
             self.sigs.push(sig.to_owned());
             self.advance_server_cursor(1);
         } else if let Some(state) = payload.strip_prefix(STATE) {
             self.parse_state(state);
+        } else if let Some(Ok(sig)) = payload.strip_prefix(DETECTED).map(str::parse::<Signature>) {
+            self.pending.push(sig.clone());
+            self.replayed.push(HistoryRecord::Detected(sig));
+        } else if let Some(Ok(sig)) = payload.strip_prefix(ADMITTED).map(str::parse) {
+            self.replayed.push(HistoryRecord::Admitted(sig));
         }
     }
 
@@ -182,6 +226,7 @@ impl LocalRepository {
         self.agent_cursor = 0;
         self.nesting_retry.clear();
         self.server_cursor = None;
+        let mut uploaded: usize = 0;
         for line in text.lines() {
             if let Some(v) = line.strip_prefix("cursor ") {
                 if let Ok(n) = v.trim().parse() {
@@ -197,8 +242,16 @@ impl LocalRepository {
                 if let Ok(n) = v.trim().parse() {
                     self.server_cursor = Some(n);
                 }
+            } else if let Some(v) = line.strip_prefix("uploaded ") {
+                uploaded = v.trim().parse().unwrap_or(0);
             }
         }
+        // The count only grows, and never past the detections replayed.
+        let acked = uploaded
+            .saturating_sub(self.uploaded)
+            .min(self.pending.len());
+        self.pending.drain(..acked);
+        self.uploaded += acked;
     }
 
     /// Number of downloaded signatures — the `n` in the client's
@@ -210,6 +263,11 @@ impl LocalRepository {
     /// Whether the repository is empty.
     pub fn is_empty(&self) -> bool {
         self.sigs.is_empty()
+    }
+
+    /// Whether the repository is disk-backed (and so logs admissions).
+    pub fn is_durable(&self) -> bool {
+        self.log.is_some()
     }
 
     /// The signature text at `index`.
@@ -226,7 +284,7 @@ impl LocalRepository {
     pub fn append(&mut self, sigs: impl IntoIterator<Item = String>) -> io::Result<usize> {
         let before = self.sigs.len();
         self.sigs.extend(sigs);
-        self.commit_sigs(before)
+        self.commit_sigs(before, None)
     }
 
     /// The server-side index the next incremental sync should request
@@ -236,10 +294,15 @@ impl LocalRepository {
         self.server_cursor.unwrap_or(self.sigs.len())
     }
 
+    /// Whether an epoch resync has diverged the sync cursor from
+    /// [`len`](LocalRepository::len): every later window is then merged.
+    pub(crate) fn cursor_diverged(&self) -> bool {
+        self.server_cursor.is_some()
+    }
+
     /// Records how far into the *server's* log this repository has
-    /// synced. [`sync_delta`](crate::sync::sync_delta) advances this as
-    /// windows land; after a store epoch switch (the server compacted
-    /// and renumbered) the cursor tracks the new epoch's indices while
+    /// synced. After a store epoch switch (the server compacted and
+    /// renumbered) the cursor tracks the new epoch's indices while
     /// [`len`](LocalRepository::len) keeps counting locally stored
     /// signatures.
     ///
@@ -247,27 +310,27 @@ impl LocalRepository {
     ///
     /// Propagates I/O failures when disk-backed.
     pub fn set_sync_cursor(&mut self, cursor: usize) -> io::Result<()> {
-        if self.server_cursor == Some(cursor)
-            || (self.server_cursor.is_none() && cursor == self.sigs.len())
-        {
-            return Ok(());
-        }
-        self.server_cursor = Some(cursor);
-        self.log_state()
+        self.commit_sigs(self.sigs.len(), Some(cursor)).map(drop)
     }
 
-    /// Appends only the signatures not already present — the epoch-resync
-    /// counterpart of [`append`](LocalRepository::append). When the
-    /// server's store switches epochs (compaction renumbered its log),
-    /// the client re-reads from index 0; signatures it already holds are
-    /// skipped so agent cursors and nesting-retry indices stay valid.
+    /// Stores only the signatures not already present and moves the sync
+    /// cursor to `cursor`, the server index after them, logging both with
+    /// one write — the epoch-resync counterpart of
+    /// [`append`](LocalRepository::append). When the server's store
+    /// switches epochs (compaction renumbered its log), the client
+    /// re-reads from index 0; signatures it already holds are skipped so
+    /// agent cursors and nesting-retry indices stay valid.
     ///
     /// Returns the number of genuinely new signatures stored.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures when disk-backed.
-    pub fn merge(&mut self, sigs: impl IntoIterator<Item = String>) -> io::Result<usize> {
+    pub fn merge(
+        &mut self,
+        sigs: impl IntoIterator<Item = String>,
+        cursor: usize,
+    ) -> io::Result<usize> {
         // Membership is decided against borrowed texts — the held ones and
         // the batch's own — and only then are the newcomers moved in.
         let incoming: Vec<String> = sigs.into_iter().collect();
@@ -281,20 +344,33 @@ impl LocalRepository {
                 .zip(fresh)
                 .filter_map(|(s, fresh)| fresh.then_some(s)),
         );
-        self.commit_sigs(before)
+        self.commit_sigs(before, Some(cursor))
     }
 
-    /// Logs the signatures stored from local index `first` on, moves a
-    /// diverged server cursor past them as replay does, and returns how
-    /// many there are. A failed write takes them back out: a signature
-    /// the log lost would shift every later index on the next open.
-    fn commit_sigs(&mut self, first: usize) -> io::Result<usize> {
-        if let Err(e) = self.log_sigs(first) {
-            self.sigs.truncate(first);
-            return Err(e);
-        }
+    /// Logs the signatures stored from local index `first` on, then a
+    /// state record if `cursor` puts the sync cursor where their replay
+    /// would not: one write. Returns how many signatures there are. A
+    /// failed write takes them back out: a signature the log lost would
+    /// shift every later index on the next open.
+    fn commit_sigs(&mut self, first: usize, cursor: Option<usize>) -> io::Result<usize> {
         let added = self.sigs.len() - first;
+        let before = self.server_cursor;
         self.advance_server_cursor(added);
+        let moved = cursor.filter(|&c| c != self.sync_cursor());
+        if let Some(c) = moved {
+            self.server_cursor = Some(c);
+        }
+        if self.is_durable() {
+            let mut records = frame_all(SIG, &self.sigs[first..]);
+            if moved.is_some() {
+                records.extend(self.state_record());
+            }
+            if let Err(e) = self.write(&records) {
+                self.sigs.truncate(first);
+                self.server_cursor = before;
+                return Err(e);
+            }
+        }
         Ok(added)
     }
 
@@ -318,54 +394,12 @@ impl LocalRepository {
         self.sigs.len() - self.agent_cursor
     }
 
-    /// Marks every signature up to the current end as inspected.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures when disk-backed.
-    pub fn mark_inspected(&mut self) -> io::Result<()> {
-        if self.agent_cursor == self.sigs.len() {
-            return Ok(());
-        }
-        self.agent_cursor = self.sigs.len();
-        self.log_state()
-    }
-
-    /// Records that the signatures at `indices` passed the hash check but
-    /// failed the nesting check (re-check them when new classes load).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures when disk-backed.
-    pub fn mark_nesting_retries(
-        &mut self,
-        indices: impl IntoIterator<Item = usize>,
-    ) -> io::Result<()> {
-        let before = self.nesting_retry.len();
-        self.nesting_retry.extend(indices);
-        if self.nesting_retry.len() == before {
-            return Ok(());
-        }
-        self.log_state()
-    }
-
-    /// Takes the nesting-retry set (the caller re-validates them).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures when disk-backed.
-    pub fn take_nesting_retries(&mut self) -> io::Result<Vec<(usize, String)>> {
-        if self.nesting_retry.is_empty() {
-            return Ok(Vec::new());
-        }
-        let out: Vec<(usize, String)> = self
-            .nesting_retry
+    /// The signatures queued for nesting re-check, with their indices.
+    pub fn nesting_retries(&self) -> Vec<(usize, String)> {
+        self.nesting_retry
             .iter()
             .filter_map(|&i| self.sigs.get(i).map(|s| (i, s.clone())))
-            .collect();
-        self.nesting_retry.clear();
-        self.log_state()?;
-        Ok(out)
+            .collect()
     }
 
     /// Indices currently queued for nesting re-check.
@@ -373,28 +407,102 @@ impl LocalRepository {
         self.nesting_retry.iter().copied().collect()
     }
 
-    /// Logs the signatures from local index `first` on: one write, one
-    /// `sync_data`. Writes nothing in memory.
-    fn log_sigs(&mut self, first: usize) -> io::Result<()> {
-        let Some(log) = &mut self.log else {
-            return Ok(());
-        };
-        if first == self.sigs.len() {
+    /// Logs one agent pass with one write and one `sync_data`: an `a`
+    /// record per signature it `admitted` into the history, in order,
+    /// then the state record with the nesting-retry set replaced by
+    /// `retries` and the inspection cursor at `cursor`. An in-memory
+    /// repository keeps no admission, so callers format them only when
+    /// [`is_durable`](LocalRepository::is_durable).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures when disk-backed.
+    pub fn commit_agent_pass(
+        &mut self,
+        admitted: &[Signature],
+        retries: impl IntoIterator<Item = usize>,
+        cursor: usize,
+    ) -> io::Result<()> {
+        let retries: BTreeSet<usize> = retries.into_iter().collect();
+        let cursor = cursor.min(self.sigs.len());
+        if admitted.is_empty() && retries == self.nesting_retry && cursor == self.agent_cursor {
             return Ok(());
         }
-        let records: Vec<u8> = self.sigs[first..]
-            .iter()
-            .flat_map(|sig| record::frame(&format!("{SIG}{sig}")))
-            .collect();
-        log.append(&records)
+        self.nesting_retry = retries;
+        self.agent_cursor = cursor;
+        if !self.is_durable() {
+            return Ok(());
+        }
+        let mut records = frame_all(ADMITTED, admitted);
+        records.extend(self.state_record());
+        self.write(&records)
     }
 
-    /// Logs the cursor state, every cursor one line: one record, one
-    /// write, one `sync_data`. Writes nothing in memory.
-    fn log_state(&mut self) -> io::Result<()> {
-        let Some(log) = &mut self.log else {
+    /// Logs signatures Dimmunix detected in this run (`l` records: one
+    /// write, one `sync_data`) and queues them for upload. A failed write
+    /// queues nothing, so the `uploaded` count keeps matching the log.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures when disk-backed.
+    pub fn log_detections(&mut self, sigs: &[Signature]) -> io::Result<()> {
+        if self.is_durable() {
+            self.write(&frame_all(DETECTED, sigs))?;
+        }
+        self.pending.extend_from_slice(sigs);
+        Ok(())
+    }
+
+    /// Local detections the server has not acked yet, in detection order.
+    pub fn pending_uploads(&self) -> &[Signature] {
+        &self.pending
+    }
+
+    /// Records that the server acked every pending upload: one state
+    /// record, one `sync_data`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures when disk-backed; the uploads are then
+    /// pending again at the next open.
+    pub fn mark_uploaded(&mut self) -> io::Result<()> {
+        if self.pending.is_empty() {
             return Ok(());
-        };
+        }
+        self.uploaded += self.pending.len();
+        self.pending.clear();
+        if !self.is_durable() {
+            return Ok(());
+        }
+        self.write(&self.state_record())
+    }
+
+    /// Folds the `l` and `a` records replayed at open into the history
+    /// they built, in log order: detections through [`History::add`],
+    /// admissions through [`History::add_generalizing`] at
+    /// `min_outer_depth`. Records logged since the open are in the live
+    /// history already, so a second call returns an empty one.
+    pub fn take_history(&mut self, min_outer_depth: usize) -> History {
+        let mut history = History::new();
+        for record in std::mem::take(&mut self.replayed) {
+            match record {
+                HistoryRecord::Detected(sig) => history.add(sig),
+                HistoryRecord::Admitted(sig) => history.add_generalizing(sig, min_outer_depth),
+            };
+        }
+        history
+    }
+
+    /// Appends `records` with one write and one `sync_data`, if any.
+    fn write(&mut self, records: &[u8]) -> io::Result<()> {
+        match &mut self.log {
+            Some(log) if !records.is_empty() => log.append(records),
+            _ => Ok(()),
+        }
+    }
+
+    /// The cursor state as one record, every cursor one line.
+    fn state_record(&self) -> Vec<u8> {
         let mut text = format!("{STATE}cursor {}\n", self.agent_cursor);
         if let Some(c) = self.server_cursor {
             text.push_str(&format!("server_cursor {c}\n"));
@@ -406,7 +514,10 @@ impl LocalRepository {
             }
             text.push('\n');
         }
-        log.append(&record::frame(&text))
+        if self.uploaded > 0 {
+            text.push_str(&format!("uploaded {}\n", self.uploaded));
+        }
+        record::frame(&text)
     }
 }
 
@@ -417,6 +528,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    use communix_dimmunix::{History, Signature};
     use communix_net::{Reply, Request};
     use communix_server::CommunixServer;
 
@@ -472,7 +584,7 @@ mod tests {
         assert_eq!(r.uninspected_count(), 2);
         let idx: Vec<usize> = r.uninspected().map(|(i, _)| i).collect();
         assert_eq!(idx, vec![0, 1]);
-        r.mark_inspected().unwrap();
+        r.commit_agent_pass(&[], [], r.len()).unwrap();
         assert_eq!(r.uninspected_count(), 0);
         r.append([sig_text(3)]).unwrap();
         let idx: Vec<usize> = r.uninspected().map(|(i, _)| i).collect();
@@ -483,11 +595,11 @@ mod tests {
     fn nesting_retry_bookkeeping() {
         let mut r = LocalRepository::in_memory();
         r.append([sig_text(1), sig_text(2)]).unwrap();
-        r.mark_nesting_retries([1]).unwrap();
+        r.commit_agent_pass(&[], [1], 2).unwrap();
         assert_eq!(r.nesting_retry_indices(), vec![1]);
-        let retries = r.take_nesting_retries().unwrap();
-        assert_eq!(retries.len(), 1);
-        assert_eq!(retries[0].0, 1);
+        assert_eq!(r.nesting_retries(), vec![(1, sig_text(2))]);
+        assert_eq!(r.uninspected_count(), 0);
+        r.commit_agent_pass(&[], [], 2).unwrap();
         assert!(r.nesting_retry_indices().is_empty());
     }
 
@@ -497,9 +609,9 @@ mod tests {
         {
             let mut r = LocalRepository::open(&dir).unwrap();
             r.append([sig_text(1), sig_text(2), sig_text(3)]).unwrap();
-            r.mark_inspected().unwrap();
+            r.commit_agent_pass(&[], [], 3).unwrap();
             r.append([sig_text(4)]).unwrap();
-            r.mark_nesting_retries([0]).unwrap();
+            r.commit_agent_pass(&[], [0], 3).unwrap();
         }
         {
             let r = LocalRepository::open(&dir).unwrap();
@@ -555,9 +667,9 @@ mod tests {
     fn merge_skips_duplicates_and_keeps_indices_stable() {
         let mut r = LocalRepository::in_memory();
         r.append([sig_text(1), sig_text(2)]).unwrap();
-        r.mark_inspected().unwrap();
+        r.commit_agent_pass(&[], [], 2).unwrap();
         // Epoch resync replays an overlapping window: one dup, one new.
-        let added = r.merge([sig_text(2), sig_text(3)]).unwrap();
+        let added = r.merge([sig_text(2), sig_text(3)], 2).unwrap();
         assert_eq!(added, 1);
         assert_eq!(r.len(), 3);
         assert_eq!(r.sig(2), Some(sig_text(3).as_str()));
@@ -565,10 +677,11 @@ mod tests {
         // still valid and only the merged-in newcomer awaits inspection.
         let idx: Vec<usize> = r.uninspected().map(|(i, _)| i).collect();
         assert_eq!(idx, vec![2]);
+        assert_eq!(r.sync_cursor(), 2, "the cursor the window was merged with");
         // A text repeated within one batch is stored once, where it first
         // appears.
         let added = r
-            .merge([sig_text(4), sig_text(1), sig_text(4), sig_text(5)])
+            .merge([sig_text(4), sig_text(1), sig_text(4), sig_text(5)], 6)
             .unwrap();
         assert_eq!(added, 2);
         assert_eq!(r.len(), 5);
@@ -599,6 +712,45 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Detections, admissions and the upload count survive a reopen: the
+    /// history folds the `l` and `a` records in log order, only the
+    /// detections past the last `uploaded` count are pending, and an
+    /// in-memory repository keeps no admission.
+    #[test]
+    fn detections_admissions_and_uploads_replay_in_log_order() {
+        let sig = |tag| sig_text(tag).parse::<Signature>().unwrap();
+        let dir = scratch("history");
+        let mut live = History::new();
+        {
+            let mut r = LocalRepository::open(&dir).unwrap();
+            r.log_detections(&[sig(1), sig(2)]).unwrap();
+            live.add(sig(1));
+            live.add(sig(2));
+            r.mark_uploaded().unwrap();
+            r.append([sig_text(3)]).unwrap();
+            r.commit_agent_pass(&[sig(3)], [], 1).unwrap();
+            live.add_generalizing(sig(3), 5);
+            r.log_detections(&[sig(4)]).unwrap();
+            live.add(sig(4));
+            assert_eq!(r.pending_uploads(), [sig(4)]);
+        }
+        let mut r = LocalRepository::open(&dir).unwrap();
+        assert_eq!(r.pending_uploads(), [sig(4)]);
+        assert_eq!(r.uninspected_count(), 0);
+        assert_eq!(r.take_history(5).signatures(), live.signatures());
+        assert!(r.take_history(5).is_empty(), "folded once");
+        std::fs::remove_dir_all(&dir).ok();
+
+        let mut r = LocalRepository::in_memory();
+        r.append([sig_text(3)]).unwrap();
+        r.commit_agent_pass(&[sig(3)], [], 1).unwrap();
+        r.log_detections(&[sig(4)]).unwrap();
+        assert_eq!(r.take_history(5).len(), 0, "nothing replayed in memory");
+        assert_eq!(r.pending_uploads(), [sig(4)]);
+        r.mark_uploaded().unwrap();
+        assert!(r.pending_uploads().is_empty());
+    }
+
     #[test]
     fn sig_accessor_bounds() {
         let mut r = LocalRepository::in_memory();
@@ -609,42 +761,51 @@ mod tests {
     }
 
     /// Cuts the log of three sync windows, the agent's marks, an epoch
-    /// resync and one more window after it at every record boundary, and
-    /// inside each record of the last two windows: each cut reopens to a
-    /// prefix of what was written, the appends behind it survive a second
-    /// reopen, and one sync against the server those records came from
-    /// restores its set exactly once.
+    /// resync, one more window after it and a second resync in windows
+    /// of two — each later window one held signature and one newcomer —
+    /// at every record boundary, and inside each record after the first
+    /// epoch: each cut reopens to a prefix of what was written, the
+    /// appends behind it survive a second reopen, and one sync against
+    /// the server those records came from restores its set exactly once.
     #[test]
     fn every_crash_prefix_reopens_to_a_prefix_that_one_sync_completes() {
-        let texts: Vec<String> = (0..16).map(|i| sig_text(10 * i)).collect();
+        let texts: Vec<String> = (0..18).map(|i| sig_text(10 * i)).collect();
         // Epoch 0 serves the first twelve. After a GC evicted the first
         // eight, the next epoch serves the other four and then four new
-        // ones, two per window.
+        // ones, two per window. After a second GC, the third epoch serves
+        // held signatures with the last two new ones in between.
         let old = communix_server::builder().build().unwrap();
         let new = communix_server::builder().build().unwrap();
+        let newest = communix_server::builder().build().unwrap();
         for t in &texts[..12] {
             old.store().add(t);
         }
         for t in &texts[8..14] {
             new.store().add(t);
         }
+        for i in [1, 3, 5, 16, 7, 17] {
+            newest.store().add(&texts[i]);
+        }
 
         let dir = scratch("crash");
         let path = dir.join(LOG_FILE);
-        let epoch_start = {
+        let epoch_len = || fs::metadata(&path).unwrap().len() as usize;
+        let (epoch1, epoch2) = {
             let mut r = LocalRepository::open(&dir).unwrap();
             assert_eq!(sync_delta(&mut via(&old), &mut r, 4).unwrap(), 12);
-            r.mark_inspected().unwrap();
-            r.mark_nesting_retries([1, 5]).unwrap();
-            let epoch_start = fs::metadata(&path).unwrap().len() as usize;
+            r.commit_agent_pass(&[], [1, 5], r.len()).unwrap();
+            let epoch1 = epoch_len();
             assert_eq!(sync_delta(&mut via(&new), &mut r, 0).unwrap(), 2);
             assert_eq!((r.len(), r.sync_cursor()), (14, 6));
-            for t in &texts[14..] {
+            for t in &texts[14..16] {
                 new.store().add(t);
             }
             assert_eq!(sync_delta(&mut via(&new), &mut r, 0).unwrap(), 2);
             assert_eq!((r.len(), r.sync_cursor()), (16, 8));
-            epoch_start
+            let epoch2 = epoch_len();
+            assert_eq!(sync_delta(&mut via(&newest), &mut r, 2).unwrap(), 2);
+            assert_eq!((r.len(), r.sync_cursor()), (18, 6));
+            (epoch1, epoch2)
         };
         let names: Vec<_> = fs::read_dir(&dir)
             .unwrap()
@@ -654,20 +815,23 @@ mod tests {
 
         let written = fs::read(&path).unwrap();
         let ends = record_ends(&written);
-        // 12 signatures and 2 marks; the resync's 2 newcomers and its
-        // cursor; the 2 signatures of the window after it.
-        assert_eq!(ends.len(), 19);
-        assert_eq!(ends[13], epoch_start);
-        let inside = ends[13..].windows(2).map(|pair| (pair[0] + pair[1]) / 2);
+        // 12 signatures and the marks; the resync's 2 newcomers and its
+        // cursor; the 2 signatures of the window after it; the second
+        // resync's cursor, then a newcomer and a cursor per window.
+        assert_eq!(ends.len(), 23);
+        assert_eq!((ends[12], ends[17]), (epoch1, epoch2));
+        let inside = ends[12..].windows(2).map(|pair| (pair[0] + pair[1]) / 2);
         let mut cuts = vec![MAGIC.len()];
         cuts.extend(ends.iter().copied().chain(inside));
 
         for cut in cuts {
             fs::write(&path, &written[..cut]).unwrap();
-            let (server, expect) = if cut <= epoch_start {
+            let (server, expect) = if cut <= epoch1 {
                 (&old, &texts[..12])
+            } else if cut <= epoch2 {
+                (&new, &texts[..16])
             } else {
-                (&new, &texts[..])
+                (&newest, &texts[..])
             };
             let mut r = LocalRepository::open(&dir).unwrap();
             let held = sigs(&r);

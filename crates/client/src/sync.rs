@@ -145,8 +145,9 @@ pub fn upload_signature(
 /// [`sync_cursor`](LocalRepository::sync_cursor) tracks the server-side
 /// index across syncs, so a post-epoch repository (which may hold more
 /// signatures than the server now serves) does not re-read the world on
-/// every sync. A second shrink within one sync is reported as a protocol
-/// error rather than looped on.
+/// every sync; once it has diverged, every later window is merged too.
+/// A second shrink within one sync is reported as a protocol error
+/// rather than looped on.
 ///
 /// Returns the number of new signatures stored.
 ///
@@ -203,14 +204,16 @@ pub fn sync_delta(
                         sigs.len()
                     )));
                 }
+                // A merged window and its cursor land in one write. Once a
+                // resync has diverged the cursor, every window is merged, so
+                // a resync cut between two windows resumes deduplicating.
                 let got = sigs.len() as u64;
-                downloaded += if epoch_restart {
-                    repo.merge(sigs)?
+                from += got;
+                downloaded += if epoch_restart || repo.cursor_diverged() {
+                    repo.merge(sigs, from as usize)?
                 } else {
                     repo.append(sigs)?
                 };
-                from += got;
-                repo.set_sync_cursor(from as usize)?;
                 if from >= total {
                     return Ok(downloaded);
                 }

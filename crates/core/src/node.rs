@@ -26,6 +26,15 @@
 //! The nesting analysis runs at the *first* shutdown and again whenever a
 //! run loaded classes no previous run had loaded (§III-C3); signatures
 //! that were deferred pending the analysis are re-checked right after it.
+//!
+//! # Persistence
+//!
+//! The [`LocalRepository`] is the node's only durable state. On disk,
+//! each step logs its part before it returns: `sync` the windows and
+//! cursor, `startup` and the shutdown re-check what the agent admitted
+//! and its cursors, `run` the deadlocks Dimmunix detected, and
+//! `upload_pending` the acked count. [`CommunixNode::with_repo`] folds
+//! the history back, so a node killed after `run` loses no detection.
 
 use communix_agent::{AgentConfig, CommunixAgent, StartupReport};
 use communix_bytecode::{ClassLoader, LoweredProgram, Program};
@@ -49,11 +58,6 @@ pub struct NodeConfig {
     pub sim: SimConfig,
     /// Agent configuration.
     pub agent: AgentConfig,
-    /// Where Dimmunix persists the deadlock history ("stores it in a
-    /// persistent history", §II-A). Loaded at node construction, saved
-    /// at every [`CommunixNode::shutdown`]. `None` keeps the history
-    /// in memory only (tests, simulations).
-    pub history_path: Option<std::path::PathBuf>,
 }
 
 impl NodeConfig {
@@ -63,12 +67,6 @@ impl NodeConfig {
             user,
             ..NodeConfig::default()
         }
-    }
-
-    /// Persists the deadlock history at `path` across node lifetimes.
-    pub fn with_history_path(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.history_path = Some(path.into());
-        self
     }
 }
 
@@ -97,7 +95,6 @@ pub struct CommunixNode {
     plugin: CommunixPlugin,
     loader: ClassLoader,
     encrypted_id: Option<EncryptedId>,
-    pending_uploads: Vec<Signature>,
 }
 
 impl CommunixNode {
@@ -107,19 +104,18 @@ impl CommunixNode {
     }
 
     /// Creates a node with an existing (possibly disk-backed) repository.
-    ///
-    /// If the config names a history path, the persisted deadlock
-    /// history is loaded into Dimmunix (a missing file is a first run;
-    /// a *corrupt* file is ignored with the same effect — losing the
-    /// history costs protection, never correctness).
-    pub fn with_repo(program: Program, config: NodeConfig, repo: LocalRepository) -> Self {
+    /// Dimmunix starts from the deadlock history the repository's log
+    /// folds to ([`LocalRepository::take_history`]): every detection and
+    /// every admission it recorded, in order.
+    pub fn with_repo(program: Program, config: NodeConfig, mut repo: LocalRepository) -> Self {
         let lowered = LoweredProgram::lower(&program);
-        let mut simulator = Simulator::new(lowered, config.dimmunix.clone(), config.sim.clone());
-        if let Some(path) = &config.history_path {
-            if let Ok(history) = History::load_from_path(path) {
-                simulator.set_history(history);
-            }
-        }
+        let history = repo.take_history(config.agent.validator.min_outer_depth);
+        let simulator = Simulator::with_history(
+            lowered,
+            config.dimmunix.clone(),
+            config.sim.clone(),
+            history,
+        );
         let plugin = CommunixPlugin::for_program(&program);
         let agent = CommunixAgent::new(config.agent.clone());
         CommunixNode {
@@ -131,7 +127,6 @@ impl CommunixNode {
             plugin,
             loader: ClassLoader::new(),
             encrypted_id: None,
-            pending_uploads: Vec::new(),
         }
     }
 
@@ -172,7 +167,7 @@ impl CommunixNode {
 
     /// Signatures detected locally and not yet uploaded.
     pub fn pending_uploads(&self) -> &[Signature] {
-        &self.pending_uploads
+        self.repo.pending_uploads()
     }
 
     /// Requests an encrypted sender id from the server (§III-C2: "each
@@ -225,39 +220,40 @@ impl CommunixNode {
     }
 
     /// Runs a workload. Deadlock signatures detected during the run are
-    /// queued for upload (the plugin sends them "right after Dimmunix
-    /// produces the signatures" — call [`CommunixNode::upload_pending`]).
+    /// logged to the repository before this returns, and wait there for
+    /// upload (the plugin sends them "right after Dimmunix produces the
+    /// signatures" — call [`CommunixNode::upload_pending`]). If the log
+    /// write fails they stay in this run's history only.
     pub fn run(&mut self, specs: &[ThreadSpec]) -> SimOutcome {
         let outcome = self.simulator.run(specs);
-        self.pending_uploads
-            .extend(outcome.deadlocks.iter().cloned());
+        let _ = self.repo.log_detections(&outcome.deadlocks);
         outcome
     }
 
     /// Uploads every pending signature with the node's encrypted id in
     /// a single `ADD_BATCH` round trip (none when nothing is pending).
-    /// Returns how many the server accepted; all items are dequeued
-    /// either way (each received its verdict).
+    /// Returns how many the server accepted; once the batch is acked all
+    /// items are marked uploaded either way (each received its verdict).
     ///
     /// # Errors
     ///
-    /// Returns [`SyncError`] if the node has no id or the transport
-    /// fails; on failure the whole batch remains queued, and sending it
-    /// again is safe (the server acks what it already stored as
-    /// duplicates).
+    /// Returns [`SyncError`] if the node has no id, the transport fails
+    /// or the repository cannot log the upload; on failure the whole
+    /// batch remains pending (after a failed log write: at the next
+    /// open), and sending it again is safe (the server acks what it
+    /// already stored as duplicates).
     pub fn upload_pending(&mut self, connector: &mut dyn Connector) -> Result<usize, SyncError> {
         let Some(id) = self.encrypted_id else {
             return Err(SyncError::Transport(
                 "node has no encrypted id (call obtain_id first)".into(),
             ));
         };
-        if self.pending_uploads.is_empty() {
+        let pending = self.repo.pending_uploads();
+        if pending.is_empty() {
             return Ok(0);
         }
-        let results = self
-            .plugin
-            .upload_all(connector, id, &self.pending_uploads)?;
-        self.pending_uploads.clear();
+        let results = self.plugin.upload_all(connector, id, pending)?;
+        self.repo.mark_uploaded()?;
         Ok(results.iter().filter(|r| r.accepted).count())
     }
 
@@ -276,9 +272,10 @@ impl CommunixNode {
     }
 
     /// Application shutdown: runs the nesting analysis if this was the
-    /// first run or new classes were loaded (§III-C3), re-checks
-    /// signatures that had been deferred on the nesting check, and
-    /// persists the deadlock history if the node has a history path.
+    /// first run or new classes were loaded (§III-C3) and re-checks
+    /// signatures that had been deferred on the nesting check. The
+    /// history needs no saving: every step that changed it logged the
+    /// change.
     pub fn shutdown(&mut self) -> ShutdownReport {
         let new_classes = self.loader.end_run();
         let mut report = ShutdownReport::default();
@@ -299,11 +296,6 @@ impl CommunixNode {
             self.simulator.set_history(history);
             report.rechecked = recheck.inspected;
             report.recheck_accepted = recheck.accepted + recheck.merged;
-        }
-        if let Some(path) = &self.config.history_path {
-            // Best-effort persistence: an unwritable history file costs
-            // future protection, not this run's correctness.
-            let _ = self.simulator.history().save_to_path(path);
         }
         report
     }

@@ -1,16 +1,14 @@
-//! The persistent deadlock history.
+//! The deadlock history.
 //!
 //! Dimmunix "extracts the signature of the deadlock, stores it in a
 //! persistent history, then alters future thread schedules … to avoid
-//! execution flows matching the signature" (§II-A). The history is a set
-//! of signatures persisted as a text file, one `sig … end` block per
-//! signature (mirroring the original Dimmunix history format).
+//! execution flows matching the signature" (§II-A). The history is an
+//! ordered set of signatures. It persists as the operations that built
+//! it: a Communix node logs each detection and each admission to its
+//! repository log and folds them back through [`History::add`] and
+//! [`History::add_generalizing`] in log order at the next start.
 
-use std::fmt;
-use std::io::{self, Read, Write};
-use std::path::Path;
-
-use crate::signature::{ParseSignatureError, SigOrigin, Signature};
+use crate::signature::{SigOrigin, Signature};
 
 /// What [`History::add`] did with a signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,7 +22,7 @@ pub enum AddOutcome {
     Merged(usize),
 }
 
-/// An in-memory, persistable set of deadlock signatures.
+/// An ordered set of deadlock signatures.
 #[derive(Debug, Clone, Default)]
 pub struct History {
     sigs: Vec<Signature>,
@@ -99,7 +97,8 @@ impl History {
         std::mem::take(&mut self.sigs)
     }
 
-    /// Serializes the history to its text form.
+    /// The history as text: a header line, then one `sig … end` block
+    /// per signature.
     pub fn to_text(&self) -> String {
         let mut out = String::from("# dimmunix deadlock history v1\n");
         for s in &self.sigs {
@@ -107,99 +106,6 @@ impl History {
             out.push('\n');
         }
         out
-    }
-
-    /// Parses a history from its text form.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistoryError::Parse`] on malformed blocks; parsing is
-    /// strict because a corrupt history could silently disable avoidance.
-    pub fn from_text(text: &str) -> Result<Self, HistoryError> {
-        let mut sigs = Vec::new();
-        let mut block = String::new();
-        for line in text.lines() {
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            block.push_str(trimmed);
-            block.push('\n');
-            if trimmed == "end" {
-                let sig: Signature = block.trim_end().parse().map_err(HistoryError::Parse)?;
-                sigs.push(sig);
-                block.clear();
-            }
-        }
-        if !block.is_empty() {
-            return Err(HistoryError::Parse(ParseSignatureError::new(
-                "truncated signature block at end of file",
-            )));
-        }
-        Ok(History { sigs })
-    }
-
-    /// Writes the history to `writer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save_to(&self, mut writer: impl Write) -> io::Result<()> {
-        writer.write_all(self.to_text().as_bytes())
-    }
-
-    /// Reads a history from `reader`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistoryError`] on I/O or parse failures.
-    pub fn load_from(mut reader: impl Read) -> Result<Self, HistoryError> {
-        let mut text = String::new();
-        reader.read_to_string(&mut text).map_err(HistoryError::Io)?;
-        History::from_text(&text)
-    }
-
-    /// Saves to a file path, atomically and durably: writes `path.tmp`
-    /// and fsyncs it, renames it over `path`, then fsyncs the directory.
-    /// A crash or power loss at any point leaves the old file or the new
-    /// one, never a mix, and once this returns `Ok` the new one survives
-    /// a power loss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save_to_path(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(self.to_text().as_bytes())?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        let dir = match path.parent() {
-            Some(dir) if !dir.as_os_str().is_empty() => dir,
-            _ => Path::new("."),
-        };
-        // Directories cannot be opened as files everywhere; where they
-        // can, the rename is durable only once the directory is synced.
-        if let Ok(dir) = std::fs::File::open(dir) {
-            dir.sync_all()?;
-        }
-        Ok(())
-    }
-
-    /// Loads from a file path; a missing file yields an empty history
-    /// (first run of an application).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HistoryError`] on read or parse failures other than
-    /// file-not-found.
-    pub fn load_from_path(path: impl AsRef<Path>) -> Result<Self, HistoryError> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => History::from_text(&text),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(History::new()),
-            Err(e) => Err(HistoryError::Io(e)),
-        }
     }
 
     /// Counts signatures by origin `(local, remote)`.
@@ -227,33 +133,6 @@ impl Extend<Signature> for History {
     fn extend<T: IntoIterator<Item = Signature>>(&mut self, iter: T) {
         for s in iter {
             self.add(s);
-        }
-    }
-}
-
-/// Errors from history persistence.
-#[derive(Debug)]
-pub enum HistoryError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// Malformed history text.
-    Parse(ParseSignatureError),
-}
-
-impl fmt::Display for HistoryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HistoryError::Io(e) => write!(f, "history i/o error: {e}"),
-            HistoryError::Parse(e) => write!(f, "history parse error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for HistoryError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            HistoryError::Io(e) => Some(e),
-            HistoryError::Parse(e) => Some(e),
         }
     }
 }
@@ -322,69 +201,6 @@ mod tests {
         // (shorter) suffix: nothing changes.
         assert_eq!(h.add_generalizing(sig(1, 4), 0), AddOutcome::Duplicate);
         assert_eq!(h.len(), 1);
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let mut h = History::new();
-        h.add(sig(1, 2));
-        h.add(sig(2, 0).with_origin(SigOrigin::Remote));
-        let text = h.to_text();
-        let parsed = History::from_text(&text).unwrap();
-        assert_eq!(parsed.signatures(), h.signatures());
-        assert_eq!(parsed.count_by_origin(), (1, 1));
-    }
-
-    #[test]
-    fn empty_and_comment_lines_ignored() {
-        let text = "# comment\n\n# another\n";
-        let h = History::from_text(text).unwrap();
-        assert!(h.is_empty());
-    }
-
-    #[test]
-    fn truncated_block_rejected() {
-        let mut text = sig(1, 0).to_string();
-        text.truncate(text.len() - 4); // drop "end"
-        assert!(matches!(
-            History::from_text(&text),
-            Err(HistoryError::Parse(_))
-        ));
-    }
-
-    #[test]
-    fn corrupt_line_rejected() {
-        let text = "sig local\nouter garbage-without-hash-sep:1\ninner a#b:1\nend\n";
-        assert!(History::from_text(text).is_err());
-    }
-
-    #[test]
-    fn file_roundtrip_and_missing_file() {
-        let dir = std::env::temp_dir().join(format!("dimmunix-hist-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("app.history");
-
-        // Missing file => empty history.
-        let h0 = History::load_from_path(&path).unwrap();
-        assert!(h0.is_empty());
-
-        let mut h = History::new();
-        h.add(sig(1, 2));
-        h.save_to_path(&path).unwrap();
-        let h2 = History::load_from_path(&path).unwrap();
-        assert_eq!(h2.signatures(), h.signatures());
-
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn reader_writer_roundtrip() {
-        let mut h = History::new();
-        h.add(sig(3, 1));
-        let mut buf = Vec::new();
-        h.save_to(&mut buf).unwrap();
-        let h2 = History::load_from(&buf[..]).unwrap();
-        assert_eq!(h2.signatures(), h.signatures());
     }
 
     #[test]

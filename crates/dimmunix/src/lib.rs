@@ -15,7 +15,7 @@
 //! * [`Signature`], [`SigEntry`] — outer + inner call stacks per
 //!   deadlocked thread, canonical ordering, bug identity, adjacency and
 //!   the §III-D merge (generalization);
-//! * [`History`] — the persistent signature store with its text format;
+//! * [`History`] — the ordered signature set avoidance matches against;
 //! * [`SiteTable`], [`SiteId`] — a core's numbering of the sites its lock
 //!   path sees, so that stacks on that path are integer slices;
 //! * [`AvoidanceMatcher`] — the instantiation-matching kernel;
@@ -47,7 +47,7 @@ pub use core::{CoreStats, DimmunixCore, RequestOutcome};
 pub use events::{Event, Wake};
 pub use fp::FalsePositiveDetector;
 pub use frame::{CallStack, Frame, ParseFrameError, Site};
-pub use history::{AddOutcome, History, HistoryError};
+pub use history::{AddOutcome, History};
 pub use ids::{LockId, ThreadId};
 pub use matcher::{AvoidanceMatcher, Instantiation, LockRecord, RecordRef};
 pub use signature::{ParseSignatureError, SigEntry, SigOrigin, Signature};

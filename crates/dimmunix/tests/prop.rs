@@ -67,14 +67,6 @@ proptest! {
         prop_assert_eq!(parsed, sig);
     }
 
-    /// History text serialization round-trips for arbitrary signature sets.
-    #[test]
-    fn history_text_roundtrip(sigs in proptest::collection::vec(arb_signature(), 0..8)) {
-        let h: History = sigs.into_iter().collect();
-        let parsed = History::from_text(&h.to_text()).unwrap();
-        prop_assert_eq!(parsed.signatures(), h.signatures());
-    }
-
     /// A stack is always a suffix of itself; a deeper stack never is.
     #[test]
     fn suffix_reflexivity(s in arb_stack(10)) {

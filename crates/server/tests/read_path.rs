@@ -174,7 +174,7 @@ fn merging_an_all_duplicate_window_copies_no_held_text() {
     let mut repo = LocalRepository::in_memory();
     repo.append(held.clone()).expect("in-memory");
     let window = held[256..768].to_vec();
-    let (_, bytes, added) = allocations(|| repo.merge(window).expect("in-memory"));
+    let (_, bytes, added) = allocations(|| repo.merge(window, 1024).expect("in-memory"));
     assert_eq!(added, 0);
     assert_eq!(repo.len(), 1024);
     // A set of borrowed keys and a flag per incoming text.

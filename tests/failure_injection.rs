@@ -7,34 +7,158 @@ use std::sync::Arc;
 
 use communix::client::LocalRepository;
 use communix::clock::{VirtualClock, DAY};
-use communix::dimmunix::{History, HistoryError};
+use communix::dimmunix::Signature;
 use communix::net::{record, Reply, Request};
 use communix::server::{CommunixServer, ServerConfig};
-use communix::workloads::{DeadlockApp, SigGen};
+use communix::workloads::{DeadlockApp, ManifestationApp, SigGen};
 use communix::{CommunixNode, NodeConfig};
 
+/// A fresh server on a virtual clock.
+fn server() -> Arc<CommunixServer> {
+    Arc::new(CommunixServer::new(
+        ServerConfig::default(),
+        Arc::new(VirtualClock::new()),
+    ))
+}
+
+/// Uploads `node`'s pending signatures to a fresh server and returns the
+/// texts its `ADD_BATCH` carried.
+fn upload_to_fresh_server(node: &mut CommunixNode) -> Vec<String> {
+    let srv = server();
+    let mut sent = Vec::new();
+    let mut conn = |req: Request| -> Result<Reply, String> {
+        if let Request::AddBatch { adds } = &req {
+            sent.extend(adds.iter().map(|a| a.sig_text.clone()));
+        }
+        Ok(srv.handle(req))
+    };
+    node.obtain_id(&mut conn).unwrap();
+    node.upload_pending(&mut conn).unwrap();
+    sent
+}
+
+/// What the plugin sends for `sigs`.
+fn as_uploaded(node: &CommunixNode, sigs: &[Signature]) -> Vec<String> {
+    sigs.iter()
+        .map(|sig| node.plugin().attach_hashes(sig).to_string())
+        .collect()
+}
+
 #[test]
-fn truncated_history_file_is_rejected_loudly() {
-    let dir = std::env::temp_dir().join(format!("communix-fi-hist-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("app.history");
+fn a_killed_node_loses_no_detection() {
+    // A deadlocked application ends by being killed: the node neither
+    // shuts down nor drops. What `run` detected is in the repository log
+    // by the time it returns.
+    let app = DeadlockApp::new(4);
+    let dir = std::env::temp_dir().join(format!("communix-fi-kill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        let repo = LocalRepository::open(&dir).unwrap();
+        CommunixNode::with_repo(app.program().clone(), NodeConfig::for_user(3), repo)
+    };
 
-    let mut h = History::new();
-    h.add(SigGen::new(1).random_signature());
-    h.save_to_path(&path).unwrap();
+    let mut node = open();
+    node.startup();
+    let detected = node.run(&app.deadlock_specs()).deadlocks;
+    assert_eq!(detected.len(), 1);
+    std::mem::forget(node);
 
-    // Chop the tail off: strict parsing must fail rather than silently
-    // load half a history (silent loss would disable avoidance).
-    let text = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, &text[..text.len() - 10]).unwrap();
-    assert!(matches!(
-        History::load_from_path(&path),
-        Err(HistoryError::Parse(_))
-    ));
+    let mut node = open();
+    assert_eq!(node.history().len(), 1, "the detection survives the kill");
+    assert_eq!(node.history().signatures(), detected);
+    let sent = upload_to_fresh_server(&mut node);
+    assert_eq!(sent, as_uploaded(&node, &detected), "exactly the detection");
+    drop(node);
+    assert!(open().pending_uploads().is_empty(), "the upload was logged");
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-    // A missing file, by contrast, is a legitimate first run.
-    std::fs::remove_file(&path).unwrap();
-    assert!(History::load_from_path(&path).unwrap().is_empty());
+/// Cuts a node's log — a downloaded signature, the agent's deferral, two
+/// detections with an upload between them, and the re-check's admission
+/// — at every record boundary and inside every record: each reopen folds
+/// to the live history after the operations the prefix holds, and
+/// uploads exactly the detections past its last upload count.
+#[test]
+fn every_node_log_crash_prefix_reopens_to_a_prefix_of_the_live_history() {
+    let app = ManifestationApp::new(3, 3);
+    let dir = std::env::temp_dir().join(format!("communix-fi-node-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("repository.log");
+    let open = || {
+        let repo = LocalRepository::open(&dir).unwrap();
+        CommunixNode::with_repo(app.program().clone(), NodeConfig::for_user(3), repo)
+    };
+
+    // A peer shares the bug's manifestation via path 1.
+    let srv = server();
+    let mut conn = |req: Request| -> Result<Reply, String> { Ok(srv.handle(req)) };
+    let mut peer = CommunixNode::new(app.program().clone(), NodeConfig::for_user(0));
+    peer.obtain_id(&mut conn).unwrap();
+    peer.startup();
+    peer.run(&app.deadlock_specs(1));
+    peer.upload_pending(&mut conn).unwrap();
+
+    // The live node, and each history it passes through.
+    let mut lives = vec![Vec::new()];
+    let mut detections = Vec::new();
+    {
+        let mut node = open();
+        node.obtain_id(&mut conn).unwrap();
+        assert_eq!(node.sync(&mut conn).unwrap(), 1);
+        assert_eq!(node.startup().deferred, 1, "no nesting analysis yet");
+        for path in [0, 2] {
+            detections.extend(node.run(&app.deadlock_specs(path)).deadlocks);
+            lives.push(node.history().signatures().to_vec());
+            if path == 0 {
+                assert_eq!(node.upload_pending(&mut conn).unwrap(), 1);
+            }
+        }
+        assert_eq!(node.shutdown().recheck_accepted, 1);
+        lives.push(node.history().signatures().to_vec());
+    }
+    assert_eq!(detections.len(), 2);
+    let sizes: Vec<usize> = lives.iter().map(Vec::len).collect();
+    assert_eq!(sizes, [0, 1, 2, 2], "the admission generalized a detection");
+
+    let written = std::fs::read(&path).unwrap();
+    let mut records = Vec::new();
+    let mut end = 8;
+    record::replay(&written[8..], |payload| {
+        end += 8 + payload.len();
+        records.push((end, payload.to_owned()));
+    });
+    let kinds: String = records.iter().map(|(_, p)| &p[..1]).collect();
+    assert_eq!(kinds, "sclclac");
+
+    let mut cuts = vec![8];
+    for (end, _) in &records {
+        let start = cuts[cuts.len() - 1];
+        cuts.extend([(start + end) / 2, *end]);
+    }
+    for cut in cuts {
+        std::fs::write(&path, &written[..cut]).unwrap();
+        let replayed = records.iter().filter(|(end, _)| *end <= cut);
+        let (mut ops, mut detected, mut uploaded) = (0, 0, 0);
+        for (_, payload) in replayed {
+            match &payload[..1] {
+                "l" => (ops, detected) = (ops + 1, detected + 1),
+                "a" => ops += 1,
+                "c" => {
+                    if let Some(n) = payload.lines().find_map(|l| l.strip_prefix("uploaded ")) {
+                        uploaded = n.parse().unwrap();
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut node = open();
+        assert_eq!(node.history().signatures(), lives[ops], "cut {cut}");
+        let sent = upload_to_fresh_server(&mut node);
+        let expect = as_uploaded(&node, &detections[uploaded..detected]);
+        assert_eq!(sent, expect, "cut {cut}");
+        drop(node);
+        assert!(open().pending_uploads().is_empty(), "cut {cut}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

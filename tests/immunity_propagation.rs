@@ -118,17 +118,15 @@ fn node_keeps_receiving_immunity_after_a_server_gc() {
 
 #[test]
 fn immunity_survives_restart_via_persistent_state() {
-    // The full persistence story: the repository carries downloaded
+    // The full persistence story: the repository log carries downloaded
     // signatures and the agent's inspection cursor across restarts
-    // (§III-B), and Dimmunix's history file carries the validated
-    // signatures (§II-A: "stores it in a persistent history").
+    // (§III-B), and the signatures the agent admitted, from which the
+    // next start folds Dimmunix's history back (§II-A: "stores it in a
+    // persistent history").
     let srv = server();
     let app = DeadlockApp::new(4);
     let dir = std::env::temp_dir().join(format!("communix-it-repo-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let history_path = dir.join("app.history");
-    let config = || NodeConfig::for_user(1).with_history_path(&history_path);
 
     // Victim uploads.
     let mut victim = CommunixNode::new(app.program().clone(), NodeConfig::for_user(0));
@@ -139,27 +137,34 @@ fn immunity_survives_restart_via_persistent_state() {
     victim.upload_pending(&mut conn).unwrap();
 
     // "Session 1" of the protected machine: sync into a disk-backed
-    // repository, validate, persist history at shutdown, exit.
-    {
-        let repo = communix::client::LocalRepository::open(dir.join("repo")).unwrap();
-        let mut node = CommunixNode::with_repo(app.program().clone(), config(), repo);
+    // repository, validate (the re-check at shutdown admits), exit.
+    let history = {
+        let repo = communix::client::LocalRepository::open(&dir).unwrap();
+        let mut node =
+            CommunixNode::with_repo(app.program().clone(), NodeConfig::for_user(1), repo);
         let mut conn = connector(&srv);
         assert_eq!(node.sync(&mut conn).unwrap(), 1);
         node.startup();
-        let sd = node.shutdown(); // analysis + recheck + history save
+        let sd = node.shutdown(); // analysis + recheck
         assert_eq!(sd.recheck_accepted, 1);
-    }
-    assert!(history_path.exists(), "history persisted at shutdown");
+        node.history().signatures().to_vec()
+    };
+    assert_eq!(history.len(), 1);
 
     // "Session 2": a brand-new process. The repository remembers the
-    // inspection cursor (every signature analyzed exactly once); the
-    // history file brings the validated signature straight back.
+    // inspection cursor (every signature analyzed exactly once); its log
+    // brings the validated signature straight back, before any startup.
     {
-        let repo = communix::client::LocalRepository::open(dir.join("repo")).unwrap();
+        let repo = communix::client::LocalRepository::open(&dir).unwrap();
         assert_eq!(repo.len(), 1);
         assert_eq!(repo.uninspected_count(), 0, "cursor persisted");
-        let mut node = CommunixNode::with_repo(app.program().clone(), config(), repo);
-        assert_eq!(node.history().len(), 1, "history loaded from disk");
+        let mut node =
+            CommunixNode::with_repo(app.program().clone(), NodeConfig::for_user(1), repo);
+        assert_eq!(
+            node.history().signatures(),
+            history,
+            "history folded from the log"
+        );
         let report = node.startup();
         assert_eq!(report.inspected, 0, "nothing re-inspected");
         let outcome = node.run(&app.deadlock_specs());
