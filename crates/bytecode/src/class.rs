@@ -2,10 +2,10 @@
 
 use std::collections::BTreeMap;
 
-use communix_crypto::{sha256, Digest};
+use communix_crypto::{Digest, Sha256};
 
 use crate::ast::Stmt;
-use crate::names::{ClassName, MethodRef, SyncSite};
+use crate::names::{ClassName, LockExpr, MethodRef, SyncSite};
 
 /// A method of a class.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,27 +93,48 @@ impl ClassFile {
     /// actually loaded (§III-B: "hash values of class bytecodes, in order
     /// to distinguish different versions of the same class or different
     /// classes having the same name").
+    ///
+    /// The serializer behind [`ClassFile::canonical_bytes`] streams its
+    /// bytes straight into SHA-256 here, through a stack buffer: the text
+    /// is never built, and hashing a class allocates nothing.
     pub fn bytecode_hash(&self) -> Digest {
-        sha256(self.canonical_bytes().as_bytes())
+        let mut sink = HashSink::new();
+        self.serialize(&mut sink);
+        sink.finish()
     }
 
     /// Canonical textual serialization (a stable "disassembly") that the
     /// hash is computed over.
+    ///
+    /// One serializer, two sinks: this collects the bytes that
+    /// [`ClassFile::bytecode_hash`] hashes as they are produced, so the two
+    /// cannot disagree.
     pub fn canonical_bytes(&self) -> String {
-        let mut out = String::new();
-        out.push_str("class ");
-        out.push_str(self.name.as_str());
-        out.push('\n');
+        let mut out = Vec::new();
+        self.serialize(&mut out);
+        String::from_utf8(out).expect("the canonical text is made of UTF-8 pieces")
+    }
+
+    /// Writes the canonical text: a `class` line, then per method a
+    /// `method` line and its statements, two spaces of indent per level.
+    fn serialize(&self, out: &mut impl Sink) {
+        out.put(b"class ");
+        out.text(self.name.as_str());
+        out.put(b"\n");
         for m in &self.methods {
-            out.push_str(&format!(
-                "method {} sync={} opaque={} line={}\n",
-                m.name, m.synchronized, m.opaque, m.decl_line
-            ));
+            out.put(b"method ");
+            out.text(&m.name);
+            out.put(b" sync=");
+            out.boolean(m.synchronized);
+            out.put(b" opaque=");
+            out.boolean(m.opaque);
+            out.put(b" line=");
+            out.decimal(m.decl_line);
+            out.put(b"\n");
             for s in &m.body {
-                serialize_stmt(s, 1, &mut out);
+                serialize_stmt(s, 1, out);
             }
         }
-        out
     }
 
     /// Total sync blocks + synchronized methods in the class.
@@ -127,47 +148,165 @@ impl ClassFile {
     }
 }
 
-fn serialize_stmt(s: &Stmt, depth: usize, out: &mut String) {
-    let pad = "  ".repeat(depth);
+/// Where the canonical serializer writes. Every piece is UTF-8.
+trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+
+    fn text(&mut self, s: &str) {
+        self.put(s.as_bytes());
+    }
+
+    fn boolean(&mut self, b: bool) {
+        self.put(if b { b"true" } else { b"false" });
+    }
+
+    /// `n` in decimal.
+    fn decimal(&mut self, mut n: u32) {
+        let mut digits = [0u8; 10];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.put(&digits[at..]);
+    }
+
+    /// Two spaces per nesting level.
+    fn indent(&mut self, depth: usize) {
+        const SPACES: &[u8; 64] = &[b' '; 64];
+        let mut n = 2 * depth;
+        while n > 0 {
+            let run = n.min(SPACES.len());
+            self.put(&SPACES[..run]);
+            n -= run;
+        }
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// SHA-256 behind a stack buffer: the serializer's pieces are a few bytes
+/// each, so they are gathered into whole runs of blocks, which the hasher
+/// compresses in place.
+struct HashSink {
+    hasher: Sha256,
+    buf: [u8; 4096],
+    len: usize,
+}
+
+impl HashSink {
+    fn new() -> Self {
+        HashSink {
+            hasher: Sha256::new(),
+            buf: [0; 4096],
+            len: 0,
+        }
+    }
+
+    fn finish(mut self) -> Digest {
+        self.hasher.update(&self.buf[..self.len]);
+        self.hasher.finalize()
+    }
+}
+
+impl Sink for HashSink {
+    fn put(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            if self.len == self.buf.len() {
+                self.hasher.update(&self.buf);
+                self.len = 0;
+            }
+            let take = bytes.len().min(self.buf.len() - self.len);
+            self.buf[self.len..self.len + take].copy_from_slice(&bytes[..take]);
+            self.len += take;
+            bytes = &bytes[take..];
+        }
+    }
+}
+
+fn serialize_stmt(s: &Stmt, depth: usize, out: &mut impl Sink) {
+    out.indent(depth);
     match s {
         Stmt::Sync { lock, line, body } => {
-            out.push_str(&format!("{pad}sync {lock} @{line}\n"));
-            for c in body {
-                serialize_stmt(c, depth + 1, out);
+            out.put(b"sync ");
+            match lock {
+                LockExpr::This => out.put(b"this"),
+                LockExpr::Global(name) => {
+                    out.put(b"lock:");
+                    out.text(name);
+                }
             }
-            out.push_str(&format!("{pad}end\n"));
+            at_line(*line, out);
+            serialize_block(body, depth, out);
         }
-        Stmt::Call { target, line } => out.push_str(&format!("{pad}call {target} @{line}\n")),
-        Stmt::Work { ticks, line } => out.push_str(&format!("{pad}work {ticks} @{line}\n")),
+        Stmt::Call { target, line } => {
+            out.put(b"call ");
+            out.text(target.class.as_str());
+            out.put(b".");
+            out.text(target.method_name());
+            at_line(*line, out);
+        }
+        Stmt::Work { ticks, line } => {
+            out.put(b"work ");
+            out.decimal(*ticks);
+            at_line(*line, out);
+        }
         Stmt::If {
             then_branch,
             else_branch,
             line,
         } => {
-            out.push_str(&format!("{pad}if @{line}\n"));
+            out.put(b"if");
+            at_line(*line, out);
             for c in then_branch {
                 serialize_stmt(c, depth + 1, out);
             }
-            out.push_str(&format!("{pad}else\n"));
-            for c in else_branch {
-                serialize_stmt(c, depth + 1, out);
-            }
-            out.push_str(&format!("{pad}end\n"));
+            out.indent(depth);
+            out.put(b"else\n");
+            serialize_block(else_branch, depth, out);
         }
         Stmt::Repeat { times, body, line } => {
-            out.push_str(&format!("{pad}repeat {times} @{line}\n"));
-            for c in body {
-                serialize_stmt(c, depth + 1, out);
-            }
-            out.push_str(&format!("{pad}end\n"));
+            out.put(b"repeat ");
+            out.decimal(*times);
+            at_line(*line, out);
+            serialize_block(body, depth, out);
         }
         Stmt::ExplicitLock { name, line } => {
-            out.push_str(&format!("{pad}xlock {name} @{line}\n"));
+            out.put(b"xlock ");
+            out.text(name);
+            at_line(*line, out);
         }
         Stmt::ExplicitUnlock { name, line } => {
-            out.push_str(&format!("{pad}xunlock {name} @{line}\n"));
+            out.put(b"xunlock ");
+            out.text(name);
+            at_line(*line, out);
         }
     }
+}
+
+/// ` @line` and the end of the statement's line.
+fn at_line(line: u32, out: &mut impl Sink) {
+    out.put(b" @");
+    out.decimal(line);
+    out.put(b"\n");
+}
+
+/// The statements of a block one level in, then its `end` line.
+fn serialize_block(body: &[Stmt], depth: usize, out: &mut impl Sink) {
+    for c in body {
+        serialize_stmt(c, depth + 1, out);
+    }
+    out.indent(depth);
+    out.put(b"end\n");
 }
 
 /// A complete program: the closed set of classes an application consists

@@ -12,11 +12,12 @@
 //! current run, remembers the set from previous runs, and reports the
 //! delta. It does the second; it does **not** yet do the first: nothing
 //! here keeps a digest, so [`ClassLoader::loaded_hashes`] runs
-//! [`ClassFile::bytecode_hash`](crate::ClassFile::bytecode_hash) (SHA-256
-//! over the class's canonical bytes) for every loaded class on every call,
-//! and a node calls it at every start-up. Hashing each class once per
-//! loader is ROADMAP item 6 (step 1), after the hash is streamed into
-//! SHA-256 without building the canonical text.
+//! [`ClassFile::bytecode_hash`](crate::ClassFile::bytecode_hash) for every
+//! loaded class on every call, and a node calls it at every start-up. That
+//! hash streams the class's canonical bytes straight into SHA-256 without
+//! building the text or allocating, so what each call repeats is the
+//! SHA-256 itself. Hashing each class once per loader is the rest of
+//! ROADMAP item 6 (step 1).
 
 use std::collections::BTreeSet;
 

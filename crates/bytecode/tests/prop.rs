@@ -6,23 +6,27 @@
 //! * every `synchronized` construct appears as exactly one sync site;
 //! * all branch/jump/loop targets stay in bounds;
 //! * lowering is deterministic, and class hashing is stable under
-//!   lowering (hashes are computed over the structured form).
+//!   lowering (hashes are computed over the structured form);
+//! * the streaming canonical serializer writes exactly the text the
+//!   `format!`-built one wrote, and the hash is the SHA-256 of that text.
 
 use communix_bytecode::{
-    ClassName, Instr, LockExpr, LoweredProgram, Program, ProgramBuilder, Stmt,
+    ClassFile, ClassName, Instr, LockExpr, LoweredProgram, Program, ProgramBuilder, Stmt,
 };
+use communix_crypto::sha256;
 use proptest::prelude::*;
 
 /// A recursive statement-tree strategy over a small vocabulary.
 fn arb_stmt(depth: u32) -> BoxedStrategy<StmtSpec> {
     let leaf = prop_oneof![
         (1..5u32).prop_map(StmtSpec::Work),
+        any::<u32>().prop_map(StmtSpec::Work),
         (0..3u8).prop_map(StmtSpec::Call),
         (0..3u8).prop_map(StmtSpec::ExplicitPair),
     ];
     leaf.prop_recursive(depth, 24, 4, |inner| {
         prop_oneof![
-            (0..3u8, proptest::collection::vec(inner.clone(), 0..3))
+            (0..4u8, proptest::collection::vec(inner.clone(), 0..3))
                 .prop_map(|(l, body)| StmtSpec::Sync(l, body)),
             (
                 proptest::collection::vec(inner.clone(), 0..3),
@@ -43,6 +47,7 @@ enum StmtSpec {
     Work(u32),
     Call(u8),
     ExplicitPair(u8),
+    /// Lock 3 is `this`; the others are globals.
     Sync(u8, Vec<StmtSpec>),
     If(Vec<StmtSpec>, Vec<StmtSpec>),
     Repeat(u32, Vec<StmtSpec>),
@@ -61,7 +66,11 @@ fn emit(spec: &StmtSpec, s: &mut communix_bytecode::StmtSink<'_>) {
                 .explicit_unlock(&format!("rl{k}"));
         }
         StmtSpec::Sync(l, body) => {
-            s.sync(LockExpr::global(format!("L{l}")), |s| {
+            let lock = match l {
+                3 => LockExpr::This,
+                _ => LockExpr::global(format!("L{l}")),
+            };
+            s.sync(lock, |s| {
                 for c in body {
                     emit(c, s);
                 }
@@ -163,8 +172,89 @@ fn check_balanced(code: &[Instr]) -> Result<(), String> {
     Ok(())
 }
 
+/// The `format!`-built serializer the streaming one replaced, kept as the
+/// reference model its text is compared against.
+fn reference_canonical_bytes(class: &ClassFile) -> String {
+    fn serialize_stmt(s: &Stmt, depth: usize, out: &mut String) {
+        let pad = "  ".repeat(depth);
+        match s {
+            Stmt::Sync { lock, line, body } => {
+                out.push_str(&format!("{pad}sync {lock} @{line}\n"));
+                for c in body {
+                    serialize_stmt(c, depth + 1, out);
+                }
+                out.push_str(&format!("{pad}end\n"));
+            }
+            Stmt::Call { target, line } => out.push_str(&format!("{pad}call {target} @{line}\n")),
+            Stmt::Work { ticks, line } => out.push_str(&format!("{pad}work {ticks} @{line}\n")),
+            Stmt::If {
+                then_branch,
+                else_branch,
+                line,
+            } => {
+                out.push_str(&format!("{pad}if @{line}\n"));
+                for c in then_branch {
+                    serialize_stmt(c, depth + 1, out);
+                }
+                out.push_str(&format!("{pad}else\n"));
+                for c in else_branch {
+                    serialize_stmt(c, depth + 1, out);
+                }
+                out.push_str(&format!("{pad}end\n"));
+            }
+            Stmt::Repeat { times, body, line } => {
+                out.push_str(&format!("{pad}repeat {times} @{line}\n"));
+                for c in body {
+                    serialize_stmt(c, depth + 1, out);
+                }
+                out.push_str(&format!("{pad}end\n"));
+            }
+            Stmt::ExplicitLock { name, line } => {
+                out.push_str(&format!("{pad}xlock {name} @{line}\n"));
+            }
+            Stmt::ExplicitUnlock { name, line } => {
+                out.push_str(&format!("{pad}xunlock {name} @{line}\n"));
+            }
+        }
+    }
+
+    let mut out = String::new();
+    out.push_str("class ");
+    out.push_str(class.name.as_str());
+    out.push('\n');
+    for m in &class.methods {
+        out.push_str(&format!(
+            "method {} sync={} opaque={} line={}\n",
+            m.name, m.synchronized, m.opaque, m.decl_line
+        ));
+        for s in &m.body {
+            serialize_stmt(s, 1, &mut out);
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The streamed serializer writes the reference model's text, and the
+    /// class hash is the SHA-256 of that text, for every class of the
+    /// program. Repeating the statements makes classes of up to tens of
+    /// KiB, past the hash's 4 KiB stack buffer.
+    #[test]
+    fn canonical_text_and_hash_match_the_reference_model(
+        specs in proptest::collection::vec(arb_stmt(4), 0..6),
+        copies in 1usize..64,
+        synchronized in any::<bool>(),
+    ) {
+        let specs: Vec<StmtSpec> = specs.iter().cycle().take(specs.len() * copies).cloned().collect();
+        let p = build_program(&specs, synchronized);
+        for class in p.iter() {
+            let text = class.canonical_bytes();
+            prop_assert_eq!(&text, &reference_canonical_bytes(class));
+            prop_assert_eq!(class.bytecode_hash(), sha256(text.as_bytes()));
+        }
+    }
 
     /// Lowered code is monitor-balanced on every path, in-bounds, and
     /// ends every path with Return.
