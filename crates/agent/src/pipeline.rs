@@ -11,6 +11,13 @@
 //! the first time. … The nesting analysis is performed at shutdown, first
 //! time the application runs, and each time new classes … are loaded."
 //! (§III-C3)
+//!
+//! A pass reads each signature's text where the repository keeps it,
+//! borrowed, and allocates per signature only for what it parses, the
+//! stack suffixes validation keeps and the merge generalization builds:
+//! a parsed frame shares a class or method name equal to the previous
+//! frame's, validation shares names with the nesting lookups, and a
+//! history probe compares lock statements in place.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -127,12 +134,13 @@ impl CommunixAgent {
     ) -> StartupReport {
         let start = Instant::now();
         let mut report = StartupReport::default();
-        let pending: Vec<(usize, String)> = repo
-            .uninspected()
-            .map(|(i, s)| (i, s.to_string()))
-            .collect();
-        let (admitted, deferred) =
-            self.inspect(app_hashes, pending, repo.is_durable(), history, &mut report);
+        let (admitted, deferred) = self.inspect(
+            app_hashes,
+            repo.uninspected(),
+            repo.is_durable(),
+            history,
+            &mut report,
+        );
         // One append: the admissions, then the retry set and the cursor.
         // An I/O error costs a re-inspection at the next start, never
         // correctness.
@@ -153,9 +161,13 @@ impl CommunixAgent {
     ) -> StartupReport {
         let start = Instant::now();
         let mut report = StartupReport::default();
-        let pending = repo.nesting_retries();
-        let (admitted, deferred) =
-            self.inspect(app_hashes, pending, repo.is_durable(), history, &mut report);
+        let (admitted, deferred) = self.inspect(
+            app_hashes,
+            repo.nesting_retries(),
+            repo.is_durable(),
+            history,
+            &mut report,
+        );
         let cursor = repo.len() - repo.uninspected_count();
         let _ = repo.commit_agent_pass(&admitted, deferred, cursor);
         report.elapsed = start.elapsed();
@@ -176,13 +188,14 @@ impl CommunixAgent {
     }
 
     /// Validates and files each `(index, text)` of `pending` into
-    /// `history`. Returns the signatures that changed the history, as
-    /// validated (kept only when `keep_admitted`: a durable repository
-    /// logs them), and the indices deferred on the nesting check.
-    fn inspect(
+    /// `history`, parsing each text where the repository keeps it.
+    /// Returns the signatures that changed the history, as validated
+    /// (kept only when `keep_admitted`: a durable repository logs them),
+    /// and the indices deferred on the nesting check.
+    fn inspect<'r>(
         &self,
         app_hashes: &HashMap<String, Digest>,
-        pending: Vec<(usize, String)>,
+        pending: impl Iterator<Item = (usize, &'r str)>,
         keep_admitted: bool,
         history: &mut History,
         report: &mut StartupReport,

@@ -8,7 +8,9 @@
 //!    signature; a deeper mismatch trims the stack to its longest
 //!    matching suffix. Inner stacks are checked too — "the signature may
 //!    correspond to an earlier version of the application" whose
-//!    deadlock-prone section was since fixed.
+//!    deadlock-prone section was since fixed. Every stack must have a
+//!    top frame: a signature with an empty stack is rejected, since
+//!    dropping a stack would otherwise skip its check.
 //! 2. **Depth rule**: outer call stacks must keep depth ≥ 5; shallower
 //!    signatures are the §IV-B slowdown attack and are rejected.
 //! 3. **Nesting rule**: outer stacks must end in *nested* synchronized
@@ -18,6 +20,7 @@
 use std::collections::HashMap;
 
 use communix_analysis::{Nesting, NestingReport};
+use communix_bytecode::SyncSite;
 use communix_crypto::Digest;
 use communix_dimmunix::{CallStack, SigEntry, SigOrigin, Signature, Site};
 
@@ -41,6 +44,9 @@ pub enum ValidationError {
         /// The unhashed frame's site.
         site: Site,
     },
+    /// An outer or inner stack has no frames, so it has no lock
+    /// statement and nothing whose version could be checked.
+    EmptyStack,
     /// An outer stack's depth fell below the minimum (5).
     OuterTooShallow {
         /// The offending depth.
@@ -72,6 +78,7 @@ impl std::fmt::Display for ValidationError {
             ValidationError::MissingHash { site } => {
                 write!(f, "frame {site} carries no bytecode hash")
             }
+            ValidationError::EmptyStack => f.write_str("empty call stack"),
             ValidationError::OuterTooShallow { depth } => {
                 write!(f, "outer call stack depth {depth} below minimum")
             }
@@ -186,7 +193,7 @@ impl<'a> SignatureValidator<'a> {
                 .outer
                 .top()
                 .map(|f| &f.site)
-                .expect("depth check passed implies non-empty");
+                .expect("check_stack rejects an empty stack");
             let bc_site = to_bytecode_site(site);
             match self.nesting.and_then(|n| n.classify(&bc_site)) {
                 Some(Nesting::Nested) => {}
@@ -203,26 +210,22 @@ impl<'a> SignatureValidator<'a> {
     }
 
     /// The hash check of §III-C3: scan from the top frame down; reject on
-    /// a top mismatch, trim to the longest matching suffix otherwise.
+    /// a top mismatch, trim to the longest matching suffix otherwise. An
+    /// empty stack has no top to check and is rejected.
     fn check_stack(&self, stack: &CallStack) -> Result<CallStack, ValidationError> {
         let frames = stack.frames();
-        let Some(top) = frames.last() else {
-            return Ok(stack.clone());
+        let Some((top, below)) = frames.split_last() else {
+            return Err(ValidationError::EmptyStack);
         };
         // Top frame must verify.
         self.frame_matches(top)?;
         // Walk down from the frame below the top; the first mismatch
         // trims everything below (and including) it.
-        let mut keep_from = 0;
-        for (i, frame) in frames.iter().enumerate().rev().skip(1) {
-            if self.frame_matches(frame).is_err() {
-                keep_from = i + 1;
-                break;
-            }
-        }
-        let mut out = stack.clone();
-        out.truncate_to_suffix(frames.len() - keep_from);
-        Ok(out)
+        let keep_from = below
+            .iter()
+            .rposition(|f| self.frame_matches(f).is_err())
+            .map_or(0, |i| i + 1);
+        Ok(CallStack::new(frames[keep_from..].to_vec()))
     }
 
     fn frame_matches(&self, frame: &communix_dimmunix::Frame) -> Result<(), ValidationError> {
@@ -247,9 +250,13 @@ impl<'a> SignatureValidator<'a> {
 }
 
 /// Converts a dimmunix frame site to the bytecode crate's site type used
-/// by the nesting report.
-fn to_bytecode_site(site: &Site) -> communix_bytecode::SyncSite {
-    communix_bytecode::SyncSite::new(site.class.as_ref(), site.method.as_ref(), site.line)
+/// by the nesting report, sharing the site's names.
+fn to_bytecode_site(site: &Site) -> SyncSite {
+    SyncSite {
+        class: site.class.clone().into(),
+        method: site.method.clone(),
+        line: site.line,
+    }
 }
 
 #[cfg(test)]
@@ -620,6 +627,32 @@ mod tests {
             v.validate(&valid_sig(&p)),
             Err(ValidationError::NestingUnknown { .. })
         ));
+    }
+
+    #[test]
+    fn empty_stack_rejects() {
+        // Dropping the inner stacks must not skip their version check:
+        // two valid depth-5 outer stacks with empty inner lines.
+        let p = program();
+        let lowered = LoweredProgram::lower(&p);
+        let report = NestingAnalyzer::new(&lowered).analyze();
+        let v = validator_with_nesting(&p, &report);
+        let entries: Vec<SigEntry> = valid_sig(&p)
+            .entries()
+            .iter()
+            .map(|e| SigEntry::new(e.outer.clone(), CallStack::empty()))
+            .collect();
+        let text = Signature::remote(entries.clone()).to_string();
+        assert!(text.contains("\ninner \n"), "{text}");
+        let sig: Signature = text.parse().expect("empty stack lines parse");
+        assert_eq!(v.validate(&sig), Err(ValidationError::EmptyStack));
+        // An empty outer stack is refused the same way.
+        let mut entries = entries;
+        entries[1] = SigEntry::new(CallStack::empty(), valid_sig(&p).entries()[1].inner.clone());
+        assert_eq!(
+            v.validate(&Signature::remote(entries)),
+            Err(ValidationError::EmptyStack)
+        );
     }
 
     #[test]

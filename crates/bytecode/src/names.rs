@@ -53,6 +53,13 @@ impl From<String> for ClassName {
     }
 }
 
+impl From<Arc<str>> for ClassName {
+    /// Shares `name` instead of copying it.
+    fn from(name: Arc<str>) -> Self {
+        ClassName(name)
+    }
+}
+
 impl FromStr for ClassName {
     type Err = std::convert::Infallible;
 

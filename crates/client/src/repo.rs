@@ -395,11 +395,10 @@ impl LocalRepository {
     }
 
     /// The signatures queued for nesting re-check, with their indices.
-    pub fn nesting_retries(&self) -> Vec<(usize, String)> {
+    pub fn nesting_retries(&self) -> impl Iterator<Item = (usize, &str)> {
         self.nesting_retry
             .iter()
-            .filter_map(|&i| self.sigs.get(i).map(|s| (i, s.clone())))
-            .collect()
+            .filter_map(|&i| self.sigs.get(i).map(|s| (i, s.as_str())))
     }
 
     /// Indices currently queued for nesting re-check.
@@ -597,7 +596,7 @@ mod tests {
         r.append([sig_text(1), sig_text(2)]).unwrap();
         r.commit_agent_pass(&[], [1], 2).unwrap();
         assert_eq!(r.nesting_retry_indices(), vec![1]);
-        assert_eq!(r.nesting_retries(), vec![(1, sig_text(2))]);
+        assert!(r.nesting_retries().eq([(1, sig_text(2).as_str())]));
         assert_eq!(r.uninspected_count(), 0);
         r.commit_agent_pass(&[], [], 2).unwrap();
         assert!(r.nesting_retry_indices().is_empty());

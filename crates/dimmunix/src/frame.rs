@@ -6,12 +6,20 @@
 //! bytecode" (§III-C3). Frame *n* is the **top** frame; in our
 //! representation the top frame is the *last* element, so the paper's
 //! "call stack suffix" (the innermost frames) is a `Vec` tail.
+//!
+//! Parsing walks a stack's text once. A hashed frame's 64 digest digits
+//! are decoded where they lie instead of being scanned for separators
+//! first, and a frame whose class or method is the same text as the
+//! previous frame's (within one stack or signature) shares that frame's
+//! `Arc<str>` instead of allocating its own. What that saves depends on
+//! the input: consecutive frames share a class when one method of a
+//! class calls another, but share a method only under recursion.
 
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use communix_crypto::Digest;
+use communix_crypto::{Digest, DIGEST_LEN};
 
 /// A source location: class, method, line. Two frames denote the same
 /// *lock statement* iff their sites are equal — hashes are deliberately
@@ -139,36 +147,134 @@ impl FromStr for Frame {
     type Err = ParseFrameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (class, rest) = s
-            .split_once('#')
-            .ok_or_else(|| ParseFrameError::new(format!("missing '#' in {s:?}")))?;
-        if class.is_empty() {
-            return Err(ParseFrameError::new("empty class name"));
-        }
-        let mut parts = rest.split(':');
-        let method = parts
-            .next()
-            .filter(|m| !m.is_empty())
-            .ok_or_else(|| ParseFrameError::new("empty method name"))?;
-        let line: u32 = parts
-            .next()
-            .ok_or_else(|| ParseFrameError::new("missing line number"))?
-            .parse()
-            .map_err(|e| ParseFrameError::new(format!("bad line number: {e}")))?;
-        let hash = match parts.next() {
-            None => None,
-            Some(h) => Some(
-                Digest::from_hex(h).map_err(|e| ParseFrameError::new(format!("bad hash: {e}")))?,
-            ),
-        };
-        if parts.next().is_some() {
-            return Err(ParseFrameError::new("trailing fields"));
-        }
-        Ok(Frame {
-            site: Site::new(class, method, line),
-            hash,
-        })
+        parse_frame(s, None, &mut SharedNames::default()).map(|(frame, _)| frame)
     }
+}
+
+/// The class and method names of the frame parsed last. A frame whose
+/// class or method is the same text shares the previous frame's
+/// `Arc<str>` instead of allocating its own, so a parse saves one
+/// allocation per name that repeats its predecessor's. Only the previous
+/// frame is remembered, so a stack of all-distinct names costs one
+/// comparison per name and nothing more.
+#[derive(Default)]
+pub(crate) struct SharedNames {
+    class: Option<Arc<str>>,
+    method: Option<Arc<str>>,
+}
+
+impl SharedNames {
+    fn site(&mut self, class: &str, method: &str, line: u32) -> Site {
+        Site {
+            class: share(&mut self.class, class),
+            method: share(&mut self.method, method),
+            line,
+        }
+    }
+}
+
+/// `prev` when it holds `name`; otherwise a new `Arc` for `name`, which
+/// becomes `prev`.
+fn share(prev: &mut Option<Arc<str>>, name: &str) -> Arc<str> {
+    match prev {
+        Some(p) if **p == *name => p.clone(),
+        _ => prev.insert(Arc::from(name)).clone(),
+    }
+}
+
+/// Index of the first `a` or `sep` in `bytes` at or after `from`.
+fn find(bytes: &[u8], from: usize, a: u8, sep: Option<u8>) -> Option<usize> {
+    bytes[from..]
+        .iter()
+        .position(|&x| x == a || Some(x) == sep)
+        .map(|i| from + i)
+}
+
+/// Parses the frame at the head of `s` (`class#method:line[:hash]`, up
+/// to the first `sep` or the end). Returns it with the text after that
+/// `sep`, or `None` when the frame ended the text. A stack separates its
+/// frames with `|`; a lone frame has no separator.
+///
+/// The fields and errors are those of splitting the stack on `|`, the
+/// frame once on `#` and then on `:`, in that order, but the text is
+/// walked once: a hash of 64 hex digits followed by the frame's end is
+/// decoded in place and never scanned for separators.
+fn parse_frame<'s>(
+    s: &'s str,
+    sep: Option<u8>,
+    names: &mut SharedNames,
+) -> Result<(Frame, Option<&'s str>), ParseFrameError> {
+    let b = s.as_bytes();
+    // Each separator is ASCII, so every index below is a char boundary.
+    let class_end = match find(b, 0, b'#', sep) {
+        Some(i) if b[i] == b'#' => i,
+        end => {
+            let piece = &s[..end.unwrap_or(s.len())];
+            return Err(ParseFrameError::new(format!("missing '#' in {piece:?}")));
+        }
+    };
+    if class_end == 0 {
+        return Err(ParseFrameError::new("empty class name"));
+    }
+    let method_start = class_end + 1;
+    let method_end = find(b, method_start, b':', sep).unwrap_or(b.len());
+    if method_end == method_start {
+        return Err(ParseFrameError::new("empty method name"));
+    }
+    if b.get(method_end) != Some(&b':') {
+        return Err(ParseFrameError::new("missing line number"));
+    }
+    let line_start = method_end + 1;
+    let line_end = find(b, line_start, b':', sep).unwrap_or(b.len());
+    let line: u32 = s[line_start..line_end]
+        .parse()
+        .map_err(|e| ParseFrameError::new(format!("bad line number: {e}")))?;
+    let (hash, end) = if b.get(line_end) == Some(&b':') {
+        let hash_start = line_end + 1;
+        let after = hash_start + 2 * DIGEST_LEN;
+        // Hex digits hold no separator, so a digest that decodes and is
+        // followed by one (or by the end) is the whole field.
+        let ends_field = match b.get(after) {
+            None | Some(b':') => true,
+            Some(&x) => Some(x) == sep,
+        };
+        let in_place = s
+            .get(hash_start..after)
+            .filter(|_| ends_field)
+            .and_then(|h| Digest::from_hex(h).ok());
+        match in_place {
+            Some(d) => (Some(d), after),
+            None => {
+                let hash_end = find(b, hash_start, b':', sep).unwrap_or(b.len());
+                let d = Digest::from_hex(&s[hash_start..hash_end])
+                    .map_err(|e| ParseFrameError::new(format!("bad hash: {e}")))?;
+                (Some(d), hash_end)
+            }
+        }
+    } else {
+        (None, line_end)
+    };
+    if b.get(end) == Some(&b':') {
+        return Err(ParseFrameError::new("trailing fields"));
+    }
+    let frame = Frame {
+        site: names.site(&s[..class_end], &s[method_start..method_end], line),
+        hash,
+    };
+    Ok((frame, (end < b.len()).then(|| &s[end + 1..])))
+}
+
+/// Parses a `|`-separated stack, sharing names through `names` (which
+/// the caller may carry from one stack to the next).
+pub(crate) fn parse_stack(s: &str, names: &mut SharedNames) -> Result<CallStack, ParseFrameError> {
+    let mut frames = Vec::new();
+    let mut rest = Some(s).filter(|s| !s.is_empty());
+    while let Some(text) = rest {
+        let (frame, next) = parse_frame(text, Some(b'|'), names)?;
+        frames.push(frame);
+        rest = next;
+    }
+    Ok(CallStack { frames })
 }
 
 /// A call stack: outermost frame first, **top (innermost) frame last**.
@@ -288,14 +394,7 @@ impl FromStr for CallStack {
     type Err = ParseFrameError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.is_empty() {
-            return Ok(CallStack::empty());
-        }
-        let frames = s
-            .split('|')
-            .map(Frame::from_str)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CallStack { frames })
+        parse_stack(s, &mut SharedNames::default())
     }
 }
 

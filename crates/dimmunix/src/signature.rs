@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::frame::{CallStack, Site};
+use crate::frame::{parse_stack, CallStack, SharedNames, Site};
 
 /// Where a signature came from. The generalization rule differs for local
 /// and remote signatures (§III-D): two local signatures merge freely, but
@@ -56,6 +56,11 @@ impl SigEntry {
     /// The inner lock statement.
     pub fn inner_site(&self) -> Option<&Site> {
         self.inner.top().map(|f| &f.site)
+    }
+
+    /// The (outer, inner) lock statements, when both stacks have a top.
+    fn lock_pair(&self) -> Option<(&Site, &Site)> {
+        Some((self.outer_site()?, self.inner_site()?))
     }
 }
 
@@ -116,26 +121,24 @@ impl Signature {
             .unwrap_or(0)
     }
 
-    /// The *bug identity*: the sorted list of (outer, inner) lock-statement
-    /// pairs. "A deadlock bug is uniquely delimited by the outer and inner
-    /// lock statements" (§II-A).
-    pub fn bug_id(&self) -> Vec<(Site, Site)> {
-        let mut id: Vec<(Site, Site)> = self
-            .entries
-            .iter()
-            .filter_map(|e| match (e.outer_site(), e.inner_site()) {
-                (Some(o), Some(i)) => Some((o.clone(), i.clone())),
-                _ => None,
-            })
-            .collect();
-        id.sort();
-        id
-    }
-
     /// Whether two signatures denote the same deadlock bug — "the top
     /// frames of S have to be identical to the top frames of S′" (§III-D).
+    /// The bug identity is the multiset of (outer, inner) lock-statement
+    /// pairs: "a deadlock bug is uniquely delimited by the outer and inner
+    /// lock statements" (§II-A). The two multisets are compared in place,
+    /// so a history probe neither clones nor sorts a site.
     pub fn same_bug(&self, other: &Signature) -> bool {
-        self.arity() == other.arity() && self.bug_id() == other.bug_id()
+        self.arity() == other.arity()
+            && self.lock_pairs().all(|pair| {
+                let theirs = other.lock_pairs().filter(|p| *p == pair).count();
+                theirs != 0 && theirs == self.lock_pairs().filter(|p| *p == pair).count()
+            })
+            && self.lock_pairs().count() == other.lock_pairs().count()
+    }
+
+    /// The (outer, inner) lock statements of the entries that have both.
+    fn lock_pairs(&self) -> impl Iterator<Item = (&Site, &Site)> {
+        self.entries.iter().filter_map(SigEntry::lock_pair)
     }
 
     /// All top frames (outer and inner lock statements) as a site set —
@@ -182,16 +185,16 @@ impl Signature {
         // Pair entries by their (outer, inner) lock statements. Entries
         // are sorted, and same_bug guarantees identical multisets of lock
         // statement pairs, but multiple entries can share a pair; pair
-        // them greedily within each group.
-        let mut used = vec![false; other.entries.len()];
+        // them in order within each group: the k-th of `self`'s entries
+        // with a key takes the k-th of `other`'s.
+        fn key(e: &SigEntry) -> (Option<&Site>, Option<&Site>) {
+            (e.outer_site(), e.inner_site())
+        }
         let mut merged = Vec::with_capacity(self.entries.len());
-        for e in &self.entries {
-            let key = (e.outer_site().cloned(), e.inner_site().cloned());
-            let slot = other.entries.iter().enumerate().find(|(j, o)| {
-                !used[*j] && (o.outer_site().cloned(), o.inner_site().cloned()) == key
-            });
-            let (j, o) = slot?;
-            used[j] = true;
+        for (i, e) in self.entries.iter().enumerate() {
+            let k = key(e);
+            let rank = self.entries[..i].iter().filter(|p| key(p) == k).count();
+            let o = other.entries.iter().filter(|o| key(o) == k).nth(rank)?;
             merged.push(SigEntry::new(
                 e.outer.longest_common_suffix(&o.outer),
                 e.inner.longest_common_suffix(&o.inner),
@@ -268,6 +271,7 @@ impl std::str::FromStr for Signature {
             }
         };
         let mut entries = Vec::new();
+        let mut names = SharedNames::default();
         let mut pending_outer: Option<CallStack> = None;
         let mut saw_end = false;
         for line in lines {
@@ -289,7 +293,7 @@ impl std::str::FromStr for Signature {
                     return Err(ParseSignatureError::new("two 'outer' lines in a row"));
                 }
                 pending_outer = Some(
-                    rest.parse()
+                    parse_stack(rest, &mut names)
                         .map_err(|e| ParseSignatureError::new(format!("{e}")))?,
                 );
             } else if let Some(rest) =
@@ -299,8 +303,7 @@ impl std::str::FromStr for Signature {
                 let outer = pending_outer
                     .take()
                     .ok_or_else(|| ParseSignatureError::new("'inner' without 'outer'"))?;
-                let inner: CallStack = rest
-                    .parse()
+                let inner = parse_stack(rest, &mut names)
                     .map_err(|e| ParseSignatureError::new(format!("{e}")))?;
                 entries.push(SigEntry::new(outer, inner));
             } else {
@@ -524,9 +527,9 @@ mod tests {
     }
 
     #[test]
-    fn bug_id_is_stable_under_entry_permutation() {
+    fn same_bug_is_stable_under_entry_permutation() {
         let a = sig_ab(0);
         let b = Signature::local(vec![a.entries()[1].clone(), a.entries()[0].clone()]);
-        assert_eq!(a.bug_id(), b.bug_id());
+        assert!(a.same_bug(&b) && b.same_bug(&a));
     }
 }

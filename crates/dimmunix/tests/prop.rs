@@ -1,9 +1,14 @@
 //! Property-based tests for signature algebra, history persistence, and
-//! the avoidance matcher.
+//! the avoidance matcher, and the signature parser and generalization
+//! held to the split-based parser and `bug_id`-based merge they replaced,
+//! kept here as reference models.
 
+use std::sync::Arc;
+
+use communix_crypto::{sha256, Digest};
 use communix_dimmunix::{
-    AvoidanceMatcher, CallStack, Frame, History, LockId, LockRecord, RecordRef, SigEntry,
-    SigOrigin, Signature, ThreadId,
+    AddOutcome, AvoidanceMatcher, CallStack, Frame, History, LockId, LockRecord, RecordRef,
+    SigEntry, SigOrigin, Signature, Site, ThreadId,
 };
 use proptest::prelude::*;
 
@@ -212,5 +217,432 @@ proptest! {
         t.truncate_to_suffix(n);
         prop_assert!(t.is_suffix_of(&s));
         prop_assert!(t.depth() <= n.min(s.depth()) || s.depth() <= n);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The parser against its reference model
+// ---------------------------------------------------------------------
+
+/// The split-based `Frame` parser the in-place one replaced: split once
+/// on `#`, then on `:`. Errors are their `Display` text.
+fn reference_frame(s: &str) -> Result<Frame, String> {
+    let err = |m: String| format!("invalid frame: {m}");
+    let (class, rest) = s
+        .split_once('#')
+        .ok_or_else(|| err(format!("missing '#' in {s:?}")))?;
+    if class.is_empty() {
+        return Err(err("empty class name".into()));
+    }
+    let mut parts = rest.split(':');
+    let method = parts
+        .next()
+        .filter(|m| !m.is_empty())
+        .ok_or_else(|| err("empty method name".into()))?;
+    let line: u32 = parts
+        .next()
+        .ok_or_else(|| err("missing line number".into()))?
+        .parse()
+        .map_err(|e| err(format!("bad line number: {e}")))?;
+    let hash = match parts.next() {
+        None => None,
+        Some(h) => Some(Digest::from_hex(h).map_err(|e| err(format!("bad hash: {e}")))?),
+    };
+    if parts.next().is_some() {
+        return Err(err("trailing fields".into()));
+    }
+    Ok(Frame {
+        site: Site::new(class, method, line),
+        hash,
+    })
+}
+
+/// The reference `CallStack` parser: split on `|`, parse each frame.
+fn reference_stack(s: &str) -> Result<CallStack, String> {
+    if s.is_empty() {
+        return Ok(CallStack::empty());
+    }
+    s.split('|').map(reference_frame).collect()
+}
+
+/// The reference `Signature` parser, line by line.
+fn reference_signature(s: &str) -> Result<Signature, String> {
+    let err = |m: String| format!("invalid signature: {m}");
+    let mut lines = s.lines().map(str::trim);
+    let header = lines.next().ok_or_else(|| err("empty input".into()))?;
+    let origin = match header {
+        "sig local" => SigOrigin::Local,
+        "sig remote" => SigOrigin::Remote,
+        other => {
+            return Err(err(format!(
+                "bad header {other:?} (expected 'sig local' or 'sig remote')"
+            )))
+        }
+    };
+    let mut entries = Vec::new();
+    let mut pending_outer: Option<CallStack> = None;
+    let mut saw_end = false;
+    for line in lines {
+        if line.is_empty() {
+            continue;
+        }
+        if saw_end {
+            return Err(err("content after 'end'".into()));
+        }
+        if line == "end" {
+            saw_end = true;
+            continue;
+        }
+        let stack_of = |kind: &str| {
+            line.strip_prefix(kind)
+                .and_then(|r| r.strip_prefix(' '))
+                .or((line == kind).then_some(""))
+        };
+        if let Some(rest) = stack_of("outer") {
+            if pending_outer.is_some() {
+                return Err(err("two 'outer' lines in a row".into()));
+            }
+            pending_outer = Some(reference_stack(rest).map_err(err)?);
+        } else if let Some(rest) = stack_of("inner") {
+            let outer = pending_outer
+                .take()
+                .ok_or_else(|| err("'inner' without 'outer'".into()))?;
+            entries.push(SigEntry::new(outer, reference_stack(rest).map_err(err)?));
+        } else {
+            return Err(err(format!("bad line {line:?}")));
+        }
+    }
+    if !saw_end {
+        return Err(err("missing 'end'".into()));
+    }
+    if pending_outer.is_some() {
+        return Err(err("'outer' without 'inner'".into()));
+    }
+    if entries.is_empty() {
+        return Err(err("signature has no entries".into()));
+    }
+    Ok(Signature::new(entries, origin))
+}
+
+/// An [`arb_signature`] whose frames carry one of three digests or none,
+/// chosen by `seed`'s bits, so texts hold hashed and unhashed frames.
+fn arb_hashed_signature() -> impl Strategy<Value = Signature> {
+    (arb_signature(), any::<u64>()).prop_map(|(sig, mut seed)| {
+        let digests = [sha256(b"v1"), sha256(b"v2"), sha256(b"v3")];
+        let mut hash = || {
+            seed = seed.rotate_left(2);
+            digests.get((seed & 3) as usize).copied()
+        };
+        let mut stack = |s: &CallStack| -> CallStack {
+            s.frames()
+                .iter()
+                .map(|f| Frame {
+                    site: f.site.clone(),
+                    hash: hash(),
+                })
+                .collect()
+        };
+        let entries = sig
+            .entries()
+            .iter()
+            .map(|e| SigEntry::new(stack(&e.outer), stack(&e.inner)))
+            .collect();
+        Signature::new(entries, sig.origin())
+    })
+}
+
+/// Byte offsets where a 64-digit digest starts in `text`.
+fn digest_starts(text: &str) -> Vec<usize> {
+    let b = text.as_bytes();
+    (1..b.len().saturating_sub(63))
+        .filter(|&i| b[i - 1] == b':' && b[i..i + 64].iter().all(u8::is_ascii_hexdigit))
+        .collect()
+}
+
+/// `text` with one damage of kind `kind` at a place `at` picks: a
+/// separator dropped or inserted, a digest cut short, lengthened or
+/// spoiled, an empty frame, an empty stack line, a trailing `|`, or a
+/// class, method or line emptied or rewritten.
+fn mutate(text: &str, kind: u8, at: u64) -> String {
+    let mut t = text.to_string();
+    let pick = |n: usize| (at % n.max(1) as u64) as usize;
+    let seps: Vec<usize> = t
+        .bytes()
+        .enumerate()
+        .filter(|(_, c)| b"|:#".contains(c))
+        .map(|(i, _)| i)
+        .collect();
+    let digests = digest_starts(&t);
+    let line_ends: Vec<usize> = t
+        .match_indices('\n')
+        .map(|(i, _)| i)
+        .filter(|&i| {
+            t[..i]
+                .rsplit('\n')
+                .next()
+                .is_some_and(|l| l.starts_with("outer") || l.starts_with("inner"))
+        })
+        .collect();
+    match kind {
+        1 if !seps.is_empty() => {
+            t.remove(seps[pick(seps.len())]);
+        }
+        2 => {
+            let c = ['|', ':', '#'][(at % 3) as usize];
+            t.insert(pick(t.len() + 1), c);
+        }
+        3 if !digests.is_empty() => {
+            let start = digests[pick(digests.len())];
+            let cut = 1 + (at / 7 % 4) as usize;
+            t.replace_range(start + 64 - cut..start + 64, "");
+        }
+        4 if !digests.is_empty() => {
+            let start = digests[pick(digests.len())];
+            t.insert_str(
+                start + 64,
+                ["a", "0f", "x", ":", ":x"][(at / 7 % 5) as usize],
+            );
+        }
+        5 if !digests.is_empty() => {
+            let start = digests[pick(digests.len())];
+            let digit = start + (at / 7 % 64) as usize;
+            let with = ["g", ":", "|", "#", "é"][(at / 500 % 5) as usize];
+            t.replace_range(digit..digit + 1, with);
+        }
+        6 if !seps.is_empty() => {
+            let i = seps[pick(seps.len())];
+            t.insert(i, '|');
+        }
+        7 if !line_ends.is_empty() => {
+            let end = line_ends[pick(line_ends.len())];
+            let start = t[..end].rfind('\n').map_or(0, |i| i + 1);
+            let kind_len = 5 + (at / 3 % 2) as usize;
+            t.replace_range(start + kind_len..end, "");
+        }
+        8 if !line_ends.is_empty() => {
+            t.insert(line_ends[pick(line_ends.len())], '|');
+        }
+        9 => {
+            let hashes: Vec<usize> = t.match_indices('#').map(|(i, _)| i).collect();
+            let Some(&i) = hashes.get(pick(hashes.len())) else {
+                return t;
+            };
+            let class_start = t[..i].rfind([' ', '|']).map_or(0, |j| j + 1);
+            let method_end = i + t[i..].find(':').unwrap_or(t.len() - i);
+            let line_end = method_end + 1 + t[method_end + 1..].find([':', '|', '\n']).unwrap_or(0);
+            match at / 11 % 5 {
+                0 => t.replace_range(class_start..i, ""),
+                1 => t.replace_range(i + 1..method_end, ""),
+                n => {
+                    let line = ["+7", "4294967296", ""][n as usize - 2];
+                    t.replace_range(method_end + 1..line_end, line);
+                }
+            }
+        }
+        _ => {}
+    }
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// On signature texts and on damaged ones, the in-place parser gives
+    /// the reference parser's value or its error message, for the whole
+    /// signature, each stack line and each frame.
+    #[test]
+    fn parser_matches_the_split_based_reference(
+        sig in arb_hashed_signature(),
+        kind in 0..10u8,
+        at in any::<u64>(),
+    ) {
+        let text = mutate(&sig.to_string(), kind, at);
+        let parsed = text.parse::<Signature>().map_err(|e| e.to_string());
+        prop_assert_eq!(parsed, reference_signature(&text), "{}", text);
+        for line in text.lines() {
+            let stack = line.split_once(' ').map_or("", |(_, s)| s);
+            let parsed = stack.parse::<CallStack>().map_err(|e| e.to_string());
+            prop_assert_eq!(parsed, reference_stack(stack), "{}", stack);
+            for piece in stack.split('|').chain([stack]) {
+                let parsed = piece.parse::<Frame>().map_err(|e| e.to_string());
+                prop_assert_eq!(parsed, reference_frame(piece), "{}", piece);
+            }
+        }
+        if kind == 0 {
+            prop_assert_eq!(text.parse::<Signature>().unwrap(), sig);
+        }
+    }
+
+    /// A frame whose class (method) is the previous frame's shares that
+    /// frame's `Arc`, across the stack lines of one signature.
+    #[test]
+    fn consecutive_frames_share_their_names(sig in arb_hashed_signature()) {
+        let parsed: Signature = sig.to_string().parse().unwrap();
+        let frames: Vec<&Frame> = parsed
+            .entries()
+            .iter()
+            .flat_map(|e| e.outer.frames().iter().chain(e.inner.frames()))
+            .collect();
+        for pair in frames.windows(2) {
+            let (a, b) = (&pair[0].site, &pair[1].site);
+            prop_assert_eq!(a.class == b.class, Arc::ptr_eq(&a.class, &b.class));
+            prop_assert_eq!(a.method == b.method, Arc::ptr_eq(&a.method, &b.method));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Generalization against its reference model
+// ---------------------------------------------------------------------
+
+/// The reference bug identity: the sorted (outer, inner) site pairs.
+fn reference_bug_id(sig: &Signature) -> Vec<(Site, Site)> {
+    let mut id: Vec<(Site, Site)> = sig
+        .entries()
+        .iter()
+        .filter_map(|e| Some((e.outer_site()?.clone(), e.inner_site()?.clone())))
+        .collect();
+    id.sort();
+    id
+}
+
+fn reference_same_bug(a: &Signature, b: &Signature) -> bool {
+    a.arity() == b.arity() && reference_bug_id(a) == reference_bug_id(b)
+}
+
+/// The reference merge: pair each entry greedily with the first unused
+/// entry of `b` with the same lock statements.
+fn reference_merge(a: &Signature, b: &Signature, min_depth: usize) -> Option<Signature> {
+    if !reference_same_bug(a, b) {
+        return None;
+    }
+    let mut used = vec![false; b.entries().len()];
+    let mut merged = Vec::new();
+    for e in a.entries() {
+        let key = (e.outer_site().cloned(), e.inner_site().cloned());
+        let (j, o) = b.entries().iter().enumerate().find(|(j, o)| {
+            !used[*j] && (o.outer_site().cloned(), o.inner_site().cloned()) == key
+        })?;
+        used[j] = true;
+        merged.push(SigEntry::new(
+            e.outer.longest_common_suffix(&o.outer),
+            e.inner.longest_common_suffix(&o.inner),
+        ));
+    }
+    let both_local = a.origin() == SigOrigin::Local && b.origin() == SigOrigin::Local;
+    let origin = if both_local {
+        SigOrigin::Local
+    } else {
+        SigOrigin::Remote
+    };
+    let result = Signature::new(merged, origin);
+    if !both_local && result.min_outer_depth() < min_depth {
+        return None;
+    }
+    Some(result)
+}
+
+/// The reference `History::add_generalizing` over a plain list.
+fn reference_add_generalizing(
+    sigs: &mut Vec<Signature>,
+    sig: Signature,
+    min_depth: usize,
+) -> AddOutcome {
+    if sigs.contains(&sig) {
+        return AddOutcome::Duplicate;
+    }
+    for (i, existing) in sigs.iter_mut().enumerate() {
+        if let Some(merged) = reference_merge(existing, &sig, min_depth) {
+            if merged == *existing {
+                return AddOutcome::Duplicate;
+            }
+            *existing = merged;
+            return AddOutcome::Merged(i);
+        }
+    }
+    sigs.push(sig);
+    AddOutcome::Added
+}
+
+/// A stack over the colliding vocabulary ending at site `top`, with up
+/// to four frames below it; empty when `empty`.
+fn generalizing_stack(top: u8, below: &[(u8, u32)], empty: bool) -> CallStack {
+    if empty {
+        return CallStack::empty();
+    }
+    let frame = |m: u8, l: u32| Frame::new("pkg.Class", format!("method{m}"), l);
+    below
+        .iter()
+        .map(|&(m, l)| frame(m, l))
+        .chain([frame(top % 2, 1 + u32::from(top / 2))])
+        .collect()
+}
+
+/// A run of signatures for [`History::add_generalizing`]: each is one of
+/// three bugs, whose arity-1–3 (outer, inner) lock-statement lists often
+/// repeat a pair, with its own frames below the tops, local or remote
+/// origin, and now and then an empty stack; and the depth rule's minimum.
+fn arb_generalizing_run() -> impl Strategy<Value = (Vec<Signature>, usize)> {
+    let pair = (0..3u8, 0..3u8);
+    let bug = proptest::collection::vec(pair, 1..=3);
+    let below = || proptest::collection::vec((0..2u8, 1..3u32), 0..=4);
+    let stacks = (below(), below(), 0..10u8);
+    let sig = (
+        0..3usize,
+        proptest::bool::ANY,
+        proptest::collection::vec(stacks, 3),
+    );
+    (
+        proptest::collection::vec(bug, 3),
+        proptest::collection::vec(sig, 1..12),
+        prop_oneof![Just(0usize), Just(2usize), Just(5usize)],
+    )
+        .prop_map(|(bugs, run, min_depth)| {
+            let sigs = run
+                .into_iter()
+                .map(|(b, local, stacks)| {
+                    let entries = bugs[b]
+                        .iter()
+                        .zip(stacks)
+                        .map(|(&(o, i), (ob, ib, empty))| {
+                            SigEntry::new(
+                                generalizing_stack(o, &ob, empty == 0),
+                                generalizing_stack(i, &ib, empty == 1),
+                            )
+                        })
+                        .collect();
+                    let origin = if local {
+                        SigOrigin::Local
+                    } else {
+                        SigOrigin::Remote
+                    };
+                    Signature::new(entries, origin)
+                })
+                .collect();
+            (sigs, min_depth)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `same_bug`, `merge` and `add_generalizing` decide as the
+    /// `bug_id`-based reference does, outcome by outcome, and leave the
+    /// same signatures.
+    #[test]
+    fn generalization_matches_the_bug_id_reference((run, min_depth) in arb_generalizing_run()) {
+        for a in &run {
+            for b in &run {
+                prop_assert_eq!(a.same_bug(b), reference_same_bug(a, b));
+                prop_assert_eq!(a.merge(b, min_depth), reference_merge(a, b, min_depth));
+            }
+        }
+        let mut history = History::new();
+        let mut reference = Vec::new();
+        for sig in run {
+            let expected = reference_add_generalizing(&mut reference, sig.clone(), min_depth);
+            prop_assert_eq!(history.add_generalizing(sig, min_depth), expected);
+        }
+        prop_assert_eq!(history.signatures(), &reference[..]);
     }
 }
