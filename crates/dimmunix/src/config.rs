@@ -1,23 +1,13 @@
 //! Dimmunix configuration.
 
-use communix_clock::Duration;
-
-/// What to do when the detection module finds a deadlock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BreakPolicy {
-    /// Abort the requesting thread's acquisition so the hosting
-    /// application can unwind and "restart". Real Dimmunix leaves the JVM
-    /// hung and relies on the user restarting it; aborting the requester
-    /// models that restart while keeping tests and simulations running.
-    #[default]
-    AbortRequester,
-    /// Record the signature but leave the threads deadlocked (closest to
-    /// the paper's behaviour; only usable where the harness kills the
-    /// process, or in the simulator which can observe the hang).
-    LeaveDeadlocked,
-}
-
-/// Tunables for [`crate::DimmunixCore`].
+/// Which of [`crate::DimmunixCore`]'s two modules run.
+///
+/// A detected deadlock always aborts the requesting thread's acquisition
+/// so the hosting application can unwind and "restart". Real Dimmunix
+/// leaves the JVM hung and relies on the user restarting it; aborting the
+/// requester models that restart while keeping tests and simulations
+/// running. The false-positive rule's thresholds are the paper's
+/// (§III-C1) and fixed: see [`crate::FalsePositiveDetector`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DimmunixConfig {
     /// Run the avoidance module before each acquisition (§II-A). Disabled
@@ -25,14 +15,6 @@ pub struct DimmunixConfig {
     pub avoidance: bool,
     /// Run cycle detection on each new wait edge.
     pub detection: bool,
-    /// Deadlock handling policy.
-    pub break_policy: BreakPolicy,
-    /// False-positive rule: instantiation count threshold (paper: 100).
-    pub fp_instantiation_threshold: u64,
-    /// False-positive rule: burst size that must be exceeded (paper: 10).
-    pub fp_burst_threshold: usize,
-    /// False-positive rule: burst window (paper: 1 second).
-    pub fp_burst_window: Duration,
 }
 
 impl Default for DimmunixConfig {
@@ -40,10 +22,6 @@ impl Default for DimmunixConfig {
         DimmunixConfig {
             avoidance: true,
             detection: true,
-            break_policy: BreakPolicy::default(),
-            fp_instantiation_threshold: 100,
-            fp_burst_threshold: 10,
-            fp_burst_window: Duration::from_secs(1),
         }
     }
 }
@@ -54,7 +32,7 @@ impl DimmunixConfig {
     pub fn detection_only() -> Self {
         DimmunixConfig {
             avoidance: false,
-            ..DimmunixConfig::default()
+            detection: true,
         }
     }
 
@@ -64,7 +42,6 @@ impl DimmunixConfig {
         DimmunixConfig {
             avoidance: false,
             detection: false,
-            ..DimmunixConfig::default()
         }
     }
 }
@@ -78,8 +55,6 @@ mod tests {
         let c = DimmunixConfig::default();
         assert!(c.avoidance);
         assert!(c.detection);
-        assert_eq!(c.break_policy, BreakPolicy::AbortRequester);
-        assert_eq!(c.fp_instantiation_threshold, 100);
     }
 
     #[test]

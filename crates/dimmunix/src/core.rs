@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use communix_clock::Clock;
 
-use crate::config::{BreakPolicy, DimmunixConfig};
+use crate::config::DimmunixConfig;
 use crate::events::{Event, Wake};
 use crate::fp::FalsePositiveDetector;
 use crate::frame::CallStack;
@@ -178,7 +178,8 @@ pub struct DimmunixCore {
     locks: HashMap<LockId, LockState>,
     threads: BTreeMap<ThreadId, ThreadState>,
     suspended: Vec<SuspendedReq>,
-    /// Pushed at the back, handed over whole by `drain_events`.
+    /// Deadlocks and false-positive warnings, pushed at the back and
+    /// handed over whole by `drain_events`: nothing per lock operation.
     events: Vec<Event>,
     clock: Arc<dyn Clock>,
     stats: CoreStats,
@@ -188,16 +189,11 @@ pub struct DimmunixCore {
 impl DimmunixCore {
     /// Creates a core with an empty history.
     pub fn new(config: DimmunixConfig, clock: Arc<dyn Clock>) -> Self {
-        let fp = FalsePositiveDetector::new(
-            config.fp_instantiation_threshold,
-            config.fp_burst_threshold,
-            config.fp_burst_window,
-        );
         DimmunixCore {
             config,
             history: History::new(),
             matcher: AvoidanceMatcher::default(),
-            fp,
+            fp: FalsePositiveDetector::new(),
             locks: HashMap::new(),
             threads: BTreeMap::new(),
             suspended: Vec::new(),
@@ -290,11 +286,6 @@ impl DimmunixCore {
         // record is published and avoidance is bypassed.
         if let Some(hold) = self.threads.entry(thread).or_default().holds.get_mut(&lock) {
             hold.reentrancy += 1;
-            self.events.push(Event::Acquired {
-                thread,
-                lock,
-                reentrant: true,
-            });
             return (RequestOutcome::Acquired, Vec::new());
         }
 
@@ -313,11 +304,6 @@ impl DimmunixCore {
                     sig_index: inst.sig_index,
                 });
             }
-            self.events.push(Event::Suspended {
-                thread,
-                lock,
-                sig_index: inst.sig_index,
-            });
             self.seq += 1;
             self.suspended.push(SuspendedReq {
                 thread,
@@ -335,11 +321,6 @@ impl DimmunixCore {
             }
             stack = self.suspended.pop().expect("pushed above").stack;
             self.stats.forced_grants += 1;
-            self.events.push(Event::ForcedGrant {
-                thread,
-                lock,
-                sig_index: inst.sig_index,
-            });
         }
 
         self.publish_request(thread, lock, stack)
@@ -361,7 +342,6 @@ impl DimmunixCore {
             return Vec::new();
         }
         ts.holds.remove(&lock);
-        self.events.push(Event::Released { thread, lock });
 
         let mut wakes = Vec::new();
         let ls = self.locks.entry(lock).or_default();
@@ -381,7 +361,6 @@ impl DimmunixCore {
                     reentrancy: 1,
                 },
             );
-            self.events.push(Event::Granted { thread: next, lock });
             wakes.push(Wake::Granted(next));
         }
 
@@ -453,22 +432,16 @@ impl DimmunixCore {
                     },
                 );
                 self.stats.immediate_acquisitions += 1;
-                self.events.push(Event::Acquired {
-                    thread,
-                    lock,
-                    reentrant: false,
-                });
                 (RequestOutcome::Acquired, Vec::new())
             }
             Some(_owner) => {
                 ls.queue.push_back(thread);
                 self.threads.entry(thread).or_default().waiting = Some(WaitInfo { lock, stack });
                 self.stats.blocks += 1;
-                self.events.push(Event::Blocked { thread, lock });
 
                 if self.config.detection {
                     if let Some(cycle) = self.find_wait_cycle(thread) {
-                        return (self.handle_deadlock(thread, lock, cycle), Vec::new());
+                        return (self.handle_deadlock(thread, lock, &cycle), Vec::new());
                     }
                 }
                 (RequestOutcome::Parked, Vec::new())
@@ -495,17 +468,17 @@ impl DimmunixCore {
 
     /// Extracts the deadlock signature from a wait cycle, records
     /// true-positive credit, appends the signature to the history, and
-    /// applies the break policy. Returns the requester-side outcome.
+    /// aborts the requester's acquisition. Returns the requester-side
+    /// outcome.
     fn handle_deadlock(
         &mut self,
         requester: ThreadId,
         requested_lock: LockId,
-        cycle: Vec<ThreadId>,
+        cycle: &[ThreadId],
     ) -> RequestOutcome {
         self.stats.deadlocks_detected += 1;
         let n = cycle.len();
         let mut entries = Vec::with_capacity(n);
-        let mut locks = Vec::with_capacity(n);
         {
             let sites = self.matcher.sites().read();
             for (i, &t) in cycle.iter().enumerate() {
@@ -521,7 +494,6 @@ impl DimmunixCore {
                 let outer = sites.stack(&ts.holds[&held_lock].stack);
                 let inner = sites.stack(&wait.stack);
                 entries.push(SigEntry::new(outer, inner));
-                locks.push(held_lock);
             }
         }
         let signature = Signature::local(entries);
@@ -537,31 +509,18 @@ impl DimmunixCore {
         if self.history.add(signature.clone()) == AddOutcome::Added {
             self.matcher.push(&signature);
         }
-        self.events.push(Event::DeadlockDetected {
-            signature,
-            threads: cycle.clone(),
-            locks,
-        });
+        self.events.push(Event::DeadlockDetected { signature });
 
-        match self.config.break_policy {
-            BreakPolicy::AbortRequester => {
-                // Withdraw the requester's wait so the application can
-                // unwind; everyone else stays blocked until the unwind
-                // releases their locks.
-                self.stats.aborts += 1;
-                let ts = self.threads.get_mut(&requester).expect("requester exists");
-                ts.waiting = None;
-                if let Some(ls) = self.locks.get_mut(&requested_lock) {
-                    ls.queue.retain(|t| *t != requester);
-                }
-                self.events.push(Event::VictimAborted {
-                    thread: requester,
-                    lock: requested_lock,
-                });
-                RequestOutcome::Aborted
-            }
-            BreakPolicy::LeaveDeadlocked => RequestOutcome::Parked,
+        // Withdraw the requester's wait so the application can unwind;
+        // everyone else stays blocked until the unwind releases their
+        // locks.
+        self.stats.aborts += 1;
+        let ts = self.threads.get_mut(&requester).expect("requester exists");
+        ts.waiting = None;
+        if let Some(ls) = self.locks.get_mut(&requested_lock) {
+            ls.queue.retain(|t| *t != requester);
         }
+        RequestOutcome::Aborted
     }
 
     fn remove_suspended(&mut self, thread: ThreadId) {
@@ -579,24 +538,16 @@ impl DimmunixCore {
                 ref stack,
                 ..
             } = self.suspended[i];
-            match instantiation(&mut self.matcher, &self.threads, thread, lock, stack) {
-                None => {
-                    // Safe now: re-admit through the normal path.
-                    self.events.push(Event::Resumed { thread, lock });
+            // Safe now, or a yield that closes a cycle: re-admit through
+            // the normal path.
+            if let Some(inst) = instantiation(&mut self.matcher, &self.threads, thread, lock, stack)
+            {
+                self.suspended[i].blockers = blockers_of(&inst, thread);
+                if !self.in_extended_cycle(thread) {
+                    i += 1;
+                    continue;
                 }
-                Some(inst) => {
-                    self.suspended[i].blockers = blockers_of(&inst, thread);
-                    if !self.in_extended_cycle(thread) {
-                        i += 1;
-                        continue;
-                    }
-                    self.stats.forced_grants += 1;
-                    self.events.push(Event::ForcedGrant {
-                        thread,
-                        lock,
-                        sig_index: inst.sig_index,
-                    });
-                }
+                self.stats.forced_grants += 1;
             }
             let req = self.suspended.remove(i);
             let (outcome, mut w) = self.publish_request(thread, lock, req.stack);
@@ -899,10 +850,7 @@ mod tests {
         let (o2, _) = c.request(ThreadId(13), LockId(7), cs(&[("x", 1)]));
         assert_eq!(o2, RequestOutcome::Acquired);
         let w2 = c.release(ThreadId(13), LockId(7));
-        let forced = c
-            .drain_events()
-            .iter()
-            .any(|e| matches!(e, Event::ForcedGrant { .. }));
+        let forced = c.stats().forced_grants > 0;
         assert!(
             forced
                 || w.iter()
@@ -916,11 +864,7 @@ mod tests {
     #[test]
     fn fp_suspect_event_emitted_for_noisy_signature() {
         let clock = Arc::new(VirtualClock::new());
-        let cfg = DimmunixConfig {
-            fp_instantiation_threshold: 20, // keep the test small
-            ..DimmunixConfig::default()
-        };
-        let mut c = DimmunixCore::new(cfg, clock.clone());
+        let mut c = DimmunixCore::new(DimmunixConfig::default(), clock.clone());
         // Seed history with the AB signature.
         {
             let mut seed = core();
@@ -932,9 +876,10 @@ mod tests {
             });
         }
         // Repeatedly create the suspension: t_even holds A-position,
-        // t_odd gets suspended at B-position, then both retreat.
+        // t_odd gets suspended at B-position, then both retreat: 100 a
+        // second, past the paper's 100 instantiations.
         let mut suspect = false;
-        for i in 0..30u64 {
+        for i in 0..110u64 {
             let ta = ThreadId(100 + 2 * i);
             let tb = ThreadId(101 + 2 * i);
             let (o, _) = c.request(ta, LockId(1), cs(&[("run", 1), ("lockA", 10)]));
@@ -1045,21 +990,6 @@ mod tests {
         assert_eq!(o, RequestOutcome::Aborted);
         let sig = c.history().signatures().last().unwrap();
         assert_eq!(sig.arity(), 3);
-    }
-
-    #[test]
-    fn leave_deadlocked_policy_parks_requester() {
-        let mut cfg = DimmunixConfig::detection_only();
-        cfg.break_policy = BreakPolicy::LeaveDeadlocked;
-        let mut c = DimmunixCore::new(cfg, Arc::new(VirtualClock::new()));
-        c.request(ThreadId(1), LockId(1), cs(&[("a", 1)]));
-        c.request(ThreadId(2), LockId(2), cs(&[("b", 2)]));
-        c.request(ThreadId(1), LockId(2), cs(&[("a", 1), ("w", 3)]));
-        let (o, _) = c.request(ThreadId(2), LockId(1), cs(&[("b", 2), ("w", 4)]));
-        assert_eq!(o, RequestOutcome::Parked);
-        assert_eq!(c.stats().deadlocks_detected, 1);
-        assert_eq!(c.stats().aborts, 0);
-        assert_eq!(c.history().len(), 1);
     }
 
     #[test]

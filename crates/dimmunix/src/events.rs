@@ -1,87 +1,18 @@
-//! Events emitted by the Dimmunix core, consumed by runtimes, the
-//! Communix plugin, and tests.
+//! What the Dimmunix core reports to the runtime hosting it: events for
+//! the host to read, wakes for it to apply.
 
-use crate::ids::{LockId, ThreadId};
+use crate::ids::ThreadId;
 use crate::signature::Signature;
 
-/// An observable state transition inside Dimmunix.
+/// What Dimmunix reports to its host beyond a request's outcome and
+/// wakes. Lock operations themselves are not reported: [`crate::CoreStats`]
+/// counts them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
-    /// A thread acquired a lock (including reentrant re-acquisition).
-    Acquired {
-        /// Acquiring thread.
-        thread: ThreadId,
-        /// Acquired lock.
-        lock: LockId,
-        /// Whether this was a reentrant re-acquisition.
-        reentrant: bool,
-    },
-    /// A thread blocked on a busy lock (normal mutex contention).
-    Blocked {
-        /// Blocked thread.
-        thread: ThreadId,
-        /// Contended lock.
-        lock: LockId,
-    },
-    /// The avoidance module suspended a thread because its acquisition
-    /// would instantiate a history signature (§II-A).
-    Suspended {
-        /// Suspended thread.
-        thread: ThreadId,
-        /// Requested lock.
-        lock: LockId,
-        /// History index of the signature that would be instantiated.
-        sig_index: usize,
-    },
-    /// A previously suspended thread's request became safe and was
-    /// re-admitted.
-    Resumed {
-        /// Resumed thread.
-        thread: ThreadId,
-        /// Requested lock.
-        lock: LockId,
-    },
-    /// An avoidance yield was cancelled to resolve avoidance-induced
-    /// starvation: the suspended thread was let through even though the
-    /// signature still matched.
-    ForcedGrant {
-        /// The thread let through.
-        thread: ThreadId,
-        /// Requested lock.
-        lock: LockId,
-        /// Signature whose yield was cancelled.
-        sig_index: usize,
-    },
-    /// A lock was released (outermost exit only).
-    Released {
-        /// Releasing thread.
-        thread: ThreadId,
-        /// Released lock.
-        lock: LockId,
-    },
-    /// A queued waiter was granted a released lock.
-    Granted {
-        /// The new owner.
-        thread: ThreadId,
-        /// The lock.
-        lock: LockId,
-    },
     /// The detection module found a deadlock and extracted its signature.
     DeadlockDetected {
         /// The extracted signature (already added to the history).
         signature: Signature,
-        /// Threads in the cycle.
-        threads: Vec<ThreadId>,
-        /// Locks in the cycle.
-        locks: Vec<LockId>,
-    },
-    /// A deadlock victim's pending acquisition was aborted so the
-    /// application can unwind (modelling the user restarting a hung app).
-    VictimAborted {
-        /// The aborted thread.
-        thread: ThreadId,
-        /// The lock it was waiting for.
-        lock: LockId,
     },
     /// The false-positive detector flagged a signature (§III-C1: ≥100
     /// instantiations, no true positive, >10 instantiations in some 1 s

@@ -11,52 +11,38 @@ use std::collections::VecDeque;
 
 use communix_clock::{Duration, Instant};
 
+/// Instantiation count after which a signature with no true positives
+/// becomes suspect ("after 100 instantiations").
+const INSTANTIATION_THRESHOLD: u64 = 100;
+/// Burst size that must be exceeded within one window ("more than 10").
+const BURST_THRESHOLD: usize = 10;
+/// Burst window length ("an interval of 1 second").
+const BURST_WINDOW: Duration = Duration::from_secs(1);
+
 /// Per-signature instantiation statistics.
 #[derive(Debug, Clone, Default)]
 struct SigStats {
     instantiations: u64,
     true_positives: u64,
-    /// Timestamps of recent instantiations, pruned to the burst window.
+    /// Timestamps of recent instantiations, pruned to [`BURST_WINDOW`].
     recent: VecDeque<Instant>,
-    /// Whether some window of `burst_window` ever saw more than
-    /// `burst_threshold` instantiations.
+    /// Whether some window of [`BURST_WINDOW`] ever saw more than
+    /// [`BURST_THRESHOLD`] instantiations.
     burst_seen: bool,
     warned: bool,
 }
 
 /// Tracks instantiations and true positives per history signature and
-/// raises at most one warning per signature.
-#[derive(Debug, Clone)]
+/// raises at most one warning per signature, by the paper's thresholds.
+#[derive(Debug, Clone, Default)]
 pub struct FalsePositiveDetector {
     stats: Vec<SigStats>,
-    /// Instantiation count after which a signature with no true positives
-    /// becomes suspect (paper: 100).
-    instantiation_threshold: u64,
-    /// Burst size that must be exceeded within one window (paper: 10).
-    burst_threshold: usize,
-    /// Burst window length (paper: 1 second).
-    burst_window: Duration,
-}
-
-impl Default for FalsePositiveDetector {
-    fn default() -> Self {
-        FalsePositiveDetector::new(100, 10, Duration::from_secs(1))
-    }
 }
 
 impl FalsePositiveDetector {
-    /// Creates a detector with explicit thresholds.
-    pub fn new(
-        instantiation_threshold: u64,
-        burst_threshold: usize,
-        burst_window: Duration,
-    ) -> Self {
-        FalsePositiveDetector {
-            stats: Vec::new(),
-            instantiation_threshold,
-            burst_threshold,
-            burst_window,
-        }
+    /// Creates a detector that has seen nothing.
+    pub fn new() -> Self {
+        FalsePositiveDetector::default()
     }
 
     fn ensure(&mut self, sig_index: usize) -> &mut SigStats {
@@ -70,26 +56,23 @@ impl FalsePositiveDetector {
     /// `now`. Returns `true` if this event makes the signature a
     /// false-positive suspect (fires once per signature).
     pub fn record_instantiation(&mut self, sig_index: usize, now: Instant) -> bool {
-        let burst_threshold = self.burst_threshold;
-        let burst_window = self.burst_window;
-        let instantiation_threshold = self.instantiation_threshold;
         let s = self.ensure(sig_index);
         s.instantiations += 1;
         s.recent.push_back(now);
         while let Some(front) = s.recent.front() {
-            if now.saturating_duration_since(*front) > burst_window {
+            if now.saturating_duration_since(*front) > BURST_WINDOW {
                 s.recent.pop_front();
             } else {
                 break;
             }
         }
-        if s.recent.len() > burst_threshold {
+        if s.recent.len() > BURST_THRESHOLD {
             s.burst_seen = true;
         }
         if !s.warned
             && s.true_positives == 0
             && s.burst_seen
-            && s.instantiations >= instantiation_threshold
+            && s.instantiations >= INSTANTIATION_THRESHOLD
         {
             s.warned = true;
             return true;
@@ -122,13 +105,6 @@ impl FalsePositiveDetector {
     /// signature, or the history is replaced wholesale).
     pub fn reset(&mut self) {
         self.stats.clear();
-    }
-
-    /// Forgets stats for one signature (history slot reused after merge).
-    pub fn reset_signature(&mut self, sig_index: usize) {
-        if let Some(s) = self.stats.get_mut(sig_index) {
-            *s = SigStats::default();
-        }
     }
 }
 
@@ -224,18 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_signature_clears_slot() {
-        let mut d = FalsePositiveDetector::default();
-        for i in 0..100 {
-            d.record_instantiation(0, t(i as f64 * 0.005));
-        }
-        assert!(d.is_suspect(0));
-        d.reset_signature(0);
-        assert!(!d.is_suspect(0));
-        assert_eq!(d.instantiations(0), 0);
-    }
-
-    #[test]
     fn reset_clears_everything() {
         let mut d = FalsePositiveDetector::default();
         d.record_true_positive(2);
@@ -244,25 +208,20 @@ mod tests {
     }
 
     #[test]
-    fn custom_thresholds_respected() {
-        let mut d = FalsePositiveDetector::new(5, 2, Duration::from_secs(1));
-        let mut warned = false;
-        for i in 0..5 {
-            warned |= d.record_instantiation(0, t(i as f64 * 0.1));
-        }
-        assert!(warned);
-    }
-
-    #[test]
     fn exactly_burst_threshold_in_window_is_not_enough() {
-        // "more than 10": exactly 10 in a window must not set the flag.
-        let mut d = FalsePositiveDetector::new(10, 10, Duration::from_secs(1));
+        // "more than 10": 90 instantiations 2 s apart, then exactly 10
+        // within 0.9 s — the count reaches 100, but no window ever held
+        // more than 10, so no warning. The 11th in the window is a burst.
+        let mut d = FalsePositiveDetector::new();
         let mut warned = false;
+        for i in 0..90 {
+            warned |= d.record_instantiation(0, t(i as f64 * 2.0));
+        }
         for i in 0..10 {
-            // 10 events spread over exactly 0.9s: window holds 10, not >10.
-            warned |= d.record_instantiation(0, t(i as f64 * 0.1));
+            warned |= d.record_instantiation(0, t(1000.0 + i as f64 * 0.1));
         }
         assert!(!warned);
         assert!(!d.is_suspect(0));
+        assert!(d.record_instantiation(0, t(1000.95)));
     }
 }

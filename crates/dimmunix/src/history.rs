@@ -8,7 +8,7 @@
 //! repository log and folds them back through [`History::add`] and
 //! [`History::add_generalizing`] in log order at the next start.
 
-use crate::signature::{SigOrigin, Signature};
+use crate::signature::Signature;
 
 /// What [`History::add`] did with a signature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,16 +106,6 @@ impl History {
             out.push('\n');
         }
         out
-    }
-
-    /// Counts signatures by origin `(local, remote)`.
-    pub fn count_by_origin(&self) -> (usize, usize) {
-        let local = self
-            .sigs
-            .iter()
-            .filter(|s| s.origin() == SigOrigin::Local)
-            .count();
-        (local, self.sigs.len() - local)
     }
 }
 

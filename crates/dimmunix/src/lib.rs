@@ -42,7 +42,7 @@ mod matcher;
 mod signature;
 mod sites;
 
-pub use config::{BreakPolicy, DimmunixConfig};
+pub use config::DimmunixConfig;
 pub use core::{CoreStats, DimmunixCore, RequestOutcome};
 pub use events::{Event, Wake};
 pub use fp::FalsePositiveDetector;

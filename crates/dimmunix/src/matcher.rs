@@ -222,21 +222,6 @@ impl AvoidanceMatcher {
         None
     }
 
-    /// Whether the current records alone (no candidate) instantiate
-    /// signature `si`. Used by re-check logic and tests.
-    pub fn is_instantiated(
-        &mut self,
-        si: usize,
-        records: &[LockRecord],
-    ) -> Option<Vec<(ThreadId, LockId)>> {
-        let record_ids = self.lookup(records);
-        let outers = self.positions.get(si)?;
-        let mut assignment = vec![None; outers.len()];
-        let records = by_ref(records, &record_ids);
-        backtrack(&mut self.work, outers, &records, &mut assignment, 0, None)
-            .then(|| assignment.into_iter().flatten().collect())
-    }
-
     /// The ids of each record's stack, a site the table lacks as an id
     /// that matches nothing.
     fn lookup(&self, records: &[LockRecord]) -> Vec<Vec<SiteId>> {
@@ -434,18 +419,6 @@ mod tests {
         let records = vec![rec(9, 7, &[("run", 2), ("lockB", 20)])];
         let cand = rec(1, 1, &[("run", 1), ("lockA", 10)]);
         assert!(m.would_instantiate(&cand, &records).is_some());
-    }
-
-    #[test]
-    fn is_instantiated_without_candidate() {
-        let mut m = AvoidanceMatcher::new(&history_ab());
-        let records = vec![
-            rec(1, 1, &[("run", 1), ("lockA", 10)]),
-            rec(2, 2, &[("run", 2), ("lockB", 20)]),
-        ];
-        assert!(m.is_instantiated(0, &records).is_some());
-        assert!(m.is_instantiated(0, &records[..1]).is_none());
-        assert!(m.is_instantiated(7, &records).is_none()); // no such sig
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! `AvoidanceMatcher::would_instantiate`; every recheck clones the
 //! suspended request. It is kept here, test-only, as the statement of what
 //! the core must still decide. Random schedules of requests, releases and
-//! thread exits must produce the same outcomes, wakes, events and counters
-//! from both.
+//! thread exits must produce the same outcomes, wakes, counters and
+//! reported deadlocks and warnings from both.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -78,11 +78,7 @@ impl Model {
         Model {
             matcher: AvoidanceMatcher::new(&history),
             history,
-            fp: FalsePositiveDetector::new(
-                config.fp_instantiation_threshold,
-                config.fp_burst_threshold,
-                config.fp_burst_window,
-            ),
+            fp: FalsePositiveDetector::new(),
             locks: HashMap::new(),
             threads: BTreeMap::new(),
             suspended: Vec::new(),
@@ -140,11 +136,6 @@ impl Model {
     ) -> (RequestOutcome, Vec<Wake>) {
         if let Some(hold) = self.threads.entry(thread).or_default().holds.get_mut(&lock) {
             hold.reentrancy += 1;
-            self.events.push(Event::Acquired {
-                thread,
-                lock,
-                reentrant: true,
-            });
             return (RequestOutcome::Acquired, Vec::new());
         }
         self.stats.requests += 1;
@@ -164,11 +155,6 @@ impl Model {
                         sig_index: inst.sig_index,
                     });
                 }
-                self.events.push(Event::Suspended {
-                    thread,
-                    lock,
-                    sig_index: inst.sig_index,
-                });
                 let blockers = inst
                     .participants
                     .iter()
@@ -186,11 +172,6 @@ impl Model {
                 if self.in_extended_cycle(thread) {
                     self.suspended.retain(|s| s.thread != thread);
                     self.stats.forced_grants += 1;
-                    self.events.push(Event::ForcedGrant {
-                        thread,
-                        lock,
-                        sig_index: inst.sig_index,
-                    });
                 } else {
                     return (RequestOutcome::Parked, Vec::new());
                 }
@@ -207,7 +188,6 @@ impl Model {
             return Vec::new();
         }
         ts.holds.remove(&lock);
-        self.events.push(Event::Released { thread, lock });
 
         let mut wakes = Vec::new();
         let ls = self.locks.entry(lock).or_default();
@@ -223,7 +203,6 @@ impl Model {
                     reentrancy: 1,
                 },
             );
-            self.events.push(Event::Granted { thread: next, lock });
             wakes.push(Wake::Granted(next));
         }
         self.recheck_suspended(&mut wakes);
@@ -262,17 +241,11 @@ impl Model {
                 },
             );
             self.stats.immediate_acquisitions += 1;
-            self.events.push(Event::Acquired {
-                thread,
-                lock,
-                reentrant: false,
-            });
             return (RequestOutcome::Acquired, Vec::new());
         }
         ls.queue.push_back(thread);
         self.threads.entry(thread).or_default().waiting = Some(Wait { lock, stack });
         self.stats.blocks += 1;
-        self.events.push(Event::Blocked { thread, lock });
         match self.find_wait_cycle(thread) {
             Some(cycle) => (self.handle_deadlock(thread, lock, cycle), Vec::new()),
             None => (RequestOutcome::Parked, Vec::new()),
@@ -301,7 +274,6 @@ impl Model {
         self.stats.deadlocks_detected += 1;
         let n = cycle.len();
         let mut entries = Vec::new();
-        let mut locks = Vec::new();
         for (i, &t) in cycle.iter().enumerate() {
             let prev = cycle[(i + n - 1) % n];
             let ts = &self.threads[&t];
@@ -315,7 +287,6 @@ impl Model {
                 ts.holds[&held_lock].stack.clone(),
                 wait.stack.clone(),
             ));
-            locks.push(held_lock);
         }
         let signature = Signature::local(entries);
         for (i, s) in self.history.signatures().iter().enumerate() {
@@ -326,11 +297,7 @@ impl Model {
         if self.history.add(signature.clone()) == AddOutcome::Added {
             self.matcher.rebuild(&self.history);
         }
-        self.events.push(Event::DeadlockDetected {
-            signature,
-            threads: cycle,
-            locks,
-        });
+        self.events.push(Event::DeadlockDetected { signature });
         self.stats.aborts += 1;
         self.threads
             .get_mut(&requester)
@@ -339,10 +306,6 @@ impl Model {
         if let Some(ls) = self.locks.get_mut(&requested_lock) {
             ls.queue.retain(|t| *t != requester);
         }
-        self.events.push(Event::VictimAborted {
-            thread: requester,
-            lock: requested_lock,
-        });
         RequestOutcome::Aborted
     }
 
@@ -360,10 +323,6 @@ impl Model {
             match self.matcher.would_instantiate(&candidate, &records) {
                 None => {
                     self.suspended.remove(i);
-                    self.events.push(Event::Resumed {
-                        thread: req.thread,
-                        lock: req.lock,
-                    });
                 }
                 Some(inst) => {
                     self.suspended[i].blockers = inst
@@ -378,11 +337,6 @@ impl Model {
                     }
                     self.suspended.remove(i);
                     self.stats.forced_grants += 1;
-                    self.events.push(Event::ForcedGrant {
-                        thread: req.thread,
-                        lock: req.lock,
-                        sig_index: inst.sig_index,
-                    });
                 }
             }
             let (outcome, mut w) = self.publish_request(req.thread, req.lock, req.stack);
@@ -507,9 +461,25 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// What one call left behind: the wakes it returned and the number of
+/// requests still suspended.
+#[derive(Debug)]
+struct After {
+    wakes: Vec<Wake>,
+    suspended: usize,
+}
+
+/// What [`compare`] saw of the core: its final counters, every event it
+/// reported, and per op what the call left behind (`None` for an op the
+/// schedule skipped: a parked thread's call, a release of nothing).
+struct Run {
+    stats: CoreStats,
+    events: Vec<Event>,
+    after: Vec<Option<After>>,
+}
+
 /// Runs `ops` on the core and on the model, comparing after every call.
-/// Returns the core's final counters and every event it emitted.
-fn compare(ops: &[Op]) -> Result<(CoreStats, Vec<Event>), TestCaseError> {
+fn compare(ops: &[Op]) -> Result<Run, TestCaseError> {
     let config = DimmunixConfig::default();
     let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
     let mut core = DimmunixCore::with_history(config.clone(), clock.clone(), seeded_history());
@@ -519,6 +489,7 @@ fn compare(ops: &[Op]) -> Result<(CoreStats, Vec<Event>), TestCaseError> {
     // names it.
     let mut parked = [false; THREADS as usize + 1];
     let mut events = Vec::new();
+    let mut after = Vec::new();
 
     for &op in ops {
         let wakes = match op {
@@ -528,6 +499,7 @@ fn compare(ops: &[Op]) -> Result<(CoreStats, Vec<Event>), TestCaseError> {
                 stack,
             } => {
                 if parked[thread as usize] {
+                    after.push(None);
                     continue;
                 }
                 let (t, l, s) = (ThreadId(thread), LockId(lock), &stacks[stack]);
@@ -540,6 +512,7 @@ fn compare(ops: &[Op]) -> Result<(CoreStats, Vec<Event>), TestCaseError> {
             Op::Release { thread, pick } => {
                 let held = model.held(ThreadId(thread));
                 if parked[thread as usize] || held.is_empty() {
+                    after.push(None);
                     continue;
                 }
                 let l = held[pick % held.len()];
@@ -550,6 +523,7 @@ fn compare(ops: &[Op]) -> Result<(CoreStats, Vec<Event>), TestCaseError> {
             }
             Op::Exit { thread } => {
                 if parked[thread as usize] {
+                    after.push(None);
                     continue;
                 }
                 let wakes = core.thread_exited(ThreadId(thread));
@@ -557,7 +531,7 @@ fn compare(ops: &[Op]) -> Result<(CoreStats, Vec<Event>), TestCaseError> {
                 wakes
             }
         };
-        for w in wakes {
+        for w in &wakes {
             parked[w.thread().0 as usize] = false;
         }
         let emitted = core.drain_events();
@@ -565,15 +539,23 @@ fn compare(ops: &[Op]) -> Result<(CoreStats, Vec<Event>), TestCaseError> {
         events.extend(emitted);
         prop_assert_eq!(core.stats(), model.stats());
         prop_assert_eq!(core.suspended_count(), model.suspended.len());
+        after.push(Some(After {
+            wakes,
+            suspended: core.suspended_count(),
+        }));
     }
     prop_assert_eq!(core.history().signatures(), model.history.signatures());
-    Ok((core.stats(), events))
+    Ok(Run {
+        stats: core.stats(),
+        events,
+        after,
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Same schedule, same outcome sequence, wakes, events and counters.
+    /// Same schedule, same outcome sequence, wakes, counters and reports.
     #[test]
     fn core_decides_as_the_clone_and_collect_model(
         ops in proptest::collection::vec(arb_op(), 1..80),
@@ -592,7 +574,11 @@ fn comparison_covers_suspension_resumption_forced_grant_and_deadlock() {
         stack,
     };
     let rel = |thread| Op::Release { thread, pick: 0 };
-    let (stats, events) = compare(&[
+    let Run {
+        stats,
+        events,
+        after,
+    } = compare(&[
         // t1 fills the lockA position; t2 at the lockB position is
         // suspended, and resumed by t1's release.
         req(1, 1, 0),
@@ -613,16 +599,29 @@ fn comparison_covers_suspension_resumption_forced_grant_and_deadlock() {
         req(2, 1, 5),
     ])
     .expect("core and model agree");
-    let (thread, lock) = (ThreadId(2), LockId(2));
+    let after: Vec<After> = after
+        .into_iter()
+        .map(|a| a.expect("no op is skipped"))
+        .collect();
+    let t2 = ThreadId(2);
+    // Suspension: t2's first request parks with nothing queued on l2.
+    assert_eq!(after[1].suspended, 1);
+    // Resumption: t1's release grants t2 its l2 and leaves no one
+    // suspended.
+    assert_eq!(after[2].wakes, vec![Wake::Granted(t2)]);
+    assert_eq!(after[2].suspended, 0);
     assert_eq!(stats.suspensions, 2);
-    assert!(events.contains(&Event::Resumed { thread, lock }));
+    // Forced grant: t3's release lets the suspended t2 through.
+    assert_eq!(after[6].suspended, 1);
+    assert!(after[9].wakes.contains(&Wake::Granted(t2)));
+    assert_eq!(after[9].suspended, 0);
     assert_eq!(stats.forced_grants, 1);
-    assert!(events.contains(&Event::ForcedGrant {
-        thread,
-        lock,
-        sig_index: 0
-    }));
+    // Deadlock: detected, reported once and its requester aborted.
     assert_eq!(stats.deadlocks_detected, 1);
     assert_eq!(stats.aborts, 1);
+    assert!(matches!(
+        events.as_slice(),
+        [Event::DeadlockDetected { signature }] if signature.arity() == 2
+    ));
     assert!(stats.match_work > 0);
 }

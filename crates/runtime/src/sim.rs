@@ -8,10 +8,10 @@
 //! measurements reproducible.
 //!
 //! Virtual-time cost model:
-//! * `Work { ticks }` costs `ticks × config.tick`;
-//! * every other instruction costs `config.instr_cost`;
-//! * lock operations add `config.lock_op_cost`;
-//! * avoidance matching adds `config.match_unit_cost` per stack-suffix
+//! * `Work { ticks }` costs `ticks × TICK` (10 µs);
+//! * every other instruction costs `INSTR_COST` (100 ns);
+//! * lock operations add `LOCK_OP_COST` (500 ns);
+//! * avoidance matching adds `MATCH_UNIT_NANOS` (200 ns) per stack-suffix
 //!   comparison the matcher performed (so shallow, promiscuous signatures
 //!   — the depth-1 DoS attack — cost more than deep ones, as in §IV-B).
 
@@ -25,19 +25,20 @@ use communix_dimmunix::{
     SiteId, ThreadId, Wake,
 };
 
+/// Virtual duration of one work tick.
+const TICK: Duration = Duration::from_micros(10);
+/// Virtual cost of a non-work instruction.
+const INSTR_COST: Duration = Duration::from_nanos(100);
+/// Virtual cost of a monitor operation (uncontended bookkeeping).
+const LOCK_OP_COST: Duration = Duration::from_nanos(500);
+/// Virtual cost of one avoidance suffix comparison, in nanoseconds.
+const MATCH_UNIT_NANOS: u64 = 200;
+
 /// Simulator tunables.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Schedule/branch seed.
     pub seed: u64,
-    /// Virtual duration of one work tick.
-    pub tick: Duration,
-    /// Virtual cost of a non-work instruction.
-    pub instr_cost: Duration,
-    /// Virtual cost of a monitor operation (uncontended bookkeeping).
-    pub lock_op_cost: Duration,
-    /// Virtual cost of one avoidance suffix comparison.
-    pub match_unit_cost: Duration,
     /// Hard cap on executed instructions per run (runaway guard).
     pub max_steps: u64,
 }
@@ -46,10 +47,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             seed: 0x5EED,
-            tick: Duration::from_micros(10),
-            instr_cost: Duration::from_nanos(100),
-            lock_op_cost: Duration::from_nanos(500),
-            match_unit_cost: Duration::from_nanos(200),
             max_steps: 50_000_000,
         }
     }
@@ -82,8 +79,8 @@ pub enum ThreadResult {
     Finished,
     /// Aborted as a deadlock victim (the modelled "application restart").
     DeadlockVictim,
-    /// Still blocked when the simulation ended (deadlocked with
-    /// [`communix_dimmunix::BreakPolicy::LeaveDeadlocked`], or starved).
+    /// Still blocked when the simulation ended (deadlocked with detection
+    /// off, or starved).
     Hung,
     /// Failed on a program error (e.g. call to a missing method).
     Error,
@@ -300,12 +297,10 @@ impl Simulator {
 
             self.step(ti, &mut threads, &mut touched, &mut prev_match_work);
 
-            // Collect per-step events of interest.
             for ev in self.core.drain_events() {
                 match ev {
-                    Event::DeadlockDetected { signature, .. } => deadlocks.push(signature),
+                    Event::DeadlockDetected { signature } => deadlocks.push(signature),
                     Event::FalsePositiveSuspect { sig_index } => fp_suspects.push(sig_index),
-                    _ => {}
                 }
             }
 
@@ -354,7 +349,7 @@ impl Simulator {
         prev_match_work: &mut u64,
     ) {
         let now = self.clock.now();
-        let (instr, site_info) = {
+        let instr = {
             let t = &threads[ti];
             let Some(act) = t.stack.last() else {
                 threads[ti].phase = ThreadPhase::Done(ThreadResult::Finished);
@@ -364,14 +359,12 @@ impl Simulator {
                 threads[ti].phase = ThreadPhase::Done(ThreadResult::Error);
                 return;
             };
-            (method.code[act.pc].clone(), act.mref.clone())
+            method.code[act.pc].clone()
         };
-        let _ = site_info;
 
         match instr {
             Instr::Work { ticks } => {
-                threads[ti].ready_at =
-                    now + Duration::from_nanos(self.config.tick.as_nanos() as u64 * ticks as u64);
+                threads[ti].ready_at = now + TICK * ticks;
                 Self::advance_pc(&mut threads[ti]);
             }
             Instr::Call { target, .. } => {
@@ -387,7 +380,7 @@ impl Simulator {
                     pc: 0,
                     loop_counts: HashMap::new(),
                 });
-                threads[ti].ready_at = now + self.config.instr_cost;
+                threads[ti].ready_at = now + INSTR_COST;
             }
             Instr::Branch { target } => {
                 let t = &mut threads[ti];
@@ -397,12 +390,12 @@ impl Simulator {
                 } else {
                     act.pc = target; // else-arm
                 }
-                t.ready_at = now + self.config.instr_cost;
+                t.ready_at = now + INSTR_COST;
             }
             Instr::Jump { target } => {
                 let t = &mut threads[ti];
                 t.stack.last_mut().unwrap().pc = target;
-                t.ready_at = now + self.config.instr_cost;
+                t.ready_at = now + INSTR_COST;
             }
             Instr::LoopHead { times, exit } => {
                 let t = &mut threads[ti];
@@ -416,7 +409,7 @@ impl Simulator {
                     *remaining -= 1;
                     act.pc += 1;
                 }
-                t.ready_at = now + self.config.instr_cost;
+                t.ready_at = now + INSTR_COST;
             }
             Instr::Return => {
                 let t = &mut threads[ti];
@@ -424,7 +417,7 @@ impl Simulator {
                 if t.stack.is_empty() {
                     t.phase = ThreadPhase::Done(ThreadResult::Finished);
                 } else {
-                    t.ready_at = now + self.config.instr_cost;
+                    t.ready_at = now + INSTR_COST;
                 }
             }
             Instr::MonitorEnter { lock, site } => {
@@ -437,8 +430,7 @@ impl Simulator {
                 let work = self.core.stats().match_work;
                 let delta = work - *prev_match_work;
                 *prev_match_work = work;
-                let cost = self.config.lock_op_cost
-                    + Duration::from_nanos(self.config.match_unit_cost.as_nanos() as u64 * delta);
+                let cost = LOCK_OP_COST + Duration::from_nanos(MATCH_UNIT_NANOS * delta);
                 match outcome {
                     RequestOutcome::Acquired => {
                         threads[ti].monitor_scope.push(lid);
@@ -463,12 +455,12 @@ impl Simulator {
                     threads[ti].monitor_scope.remove(pos);
                 }
                 Self::advance_pc(&mut threads[ti]);
-                threads[ti].ready_at = self.clock.now() + self.config.lock_op_cost;
+                threads[ti].ready_at = self.clock.now() + LOCK_OP_COST;
                 self.apply_wakes(wakes, threads);
             }
             Instr::ExplicitLock { .. } | Instr::ExplicitUnlock { .. } => {
                 // Invisible to Communix (§III-C1); modelled as plain cost.
-                threads[ti].ready_at = now + self.config.instr_cost;
+                threads[ti].ready_at = now + INSTR_COST;
                 Self::advance_pc(&mut threads[ti]);
             }
         }
@@ -495,7 +487,7 @@ impl Simulator {
                     threads[ti].monitor_scope.push(lock);
                     threads[ti].phase = ThreadPhase::Ready;
                     Self::advance_pc(&mut threads[ti]);
-                    threads[ti].ready_at = self.clock.now() + self.config.lock_op_cost;
+                    threads[ti].ready_at = self.clock.now() + LOCK_OP_COST;
                 }
                 Wake::Aborted(_) => {
                     self.fail_thread(ti, threads, ThreadResult::DeadlockVictim);

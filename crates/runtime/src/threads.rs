@@ -121,8 +121,10 @@ impl DlxRuntime {
         self.inner.sites.len()
     }
 
-    /// Drains events accumulated since the last call (deadlocks,
-    /// suspensions, FP warnings…).
+    /// Drains the deadlocks detected and the false-positive warnings
+    /// raised since the last call. Lock operations add nothing here
+    /// ([`stats`](Self::stats) counts them), so a runtime nobody drains
+    /// does not grow with its acquisitions.
     pub fn drain_events(&self) -> Vec<Event> {
         self.inner.core.lock().drain_events()
     }
