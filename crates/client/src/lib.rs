@@ -2,12 +2,13 @@
 //! the Communix server by a background daemon (§III-B).
 //!
 //! The server is reached through the [`Connector`] trait — one open
-//! request/reply channel. The blocking helpers ([`sync_delta`],
-//! [`upload_batch`] and the paper's one-signature verbs [`sync_once`],
-//! [`upload_signature`]) run over any connector; over TCP the connector
-//! is [`PipelinedConnector`], the blocking face of the
-//! [`PipelinedClient`] engine, which keeps a window of requests in
-//! flight on one nonblocking connection.
+//! request/reply channel. The four request helpers ([`sync_delta`],
+//! [`upload_batch`], [`obtain_id`], [`fetch_stats`]) run over any
+//! connector; over TCP the connector is [`PipelinedConnector`], the
+//! blocking face of the [`PipelinedClient`] engine, which keeps a window
+//! of requests in flight on one nonblocking connection. The paper's
+//! one-signature `GET`/`ADD` remain wire verbs that any caller can send
+//! through [`Connector::call`].
 //!
 //! On disk, [`LocalRepository`] is one append-only file of the server
 //! WAL's CRC-framed records ([`communix_net::record`]).
@@ -32,7 +33,4 @@ pub use pipeline::{
     Completion, PipelineConfig, PipelineError, PipelinedClient, PipelinedConnector,
 };
 pub use repo::LocalRepository;
-pub use sync::{
-    fetch_stats, obtain_id, sync_delta, sync_once, upload_batch, upload_signature, Connector,
-    SyncError,
-};
+pub use sync::{fetch_stats, obtain_id, sync_delta, upload_batch, Connector, SyncError};

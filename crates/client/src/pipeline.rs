@@ -20,8 +20,8 @@
 //! makes all progress that needs no waiting, [`PipelinedClient::wait`]
 //! parks on socket readiness, and callbacks fire from within `pump` on
 //! the caller's thread. [`PipelinedConnector`] wraps the engine into
-//! the blocking [`Connector`] trait, which is how `sync_delta`,
-//! `upload_batch`, the paper's one-signature verbs and
+//! the blocking [`Connector`] trait, which is how the request helpers
+//! (`sync_delta`, `upload_batch`, `obtain_id`, `fetch_stats`) and
 //! [`crate::ClientDaemon`] reach a server over TCP.
 
 use std::collections::VecDeque;
@@ -74,30 +74,16 @@ impl fmt::Display for PipelineError {
 impl std::error::Error for PipelineError {}
 
 /// Tuning knobs of a [`PipelinedClient`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Maximum wire frames in flight (sent, reply not yet received).
     /// `1` degenerates to blocking request→reply behavior.
     pub window: usize,
-    /// Metrics sink; `None` gives the client a private registry.
-    pub registry: Option<Arc<Registry>>,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
-        PipelineConfig {
-            window: 16,
-            registry: None,
-        }
-    }
-}
-
-impl fmt::Debug for PipelineConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PipelineConfig")
-            .field("window", &self.window)
-            .field("registry", &self.registry.is_some())
-            .finish()
+        PipelineConfig { window: 16 }
     }
 }
 
@@ -113,8 +99,7 @@ struct InFlight {
 ///
 /// # Telemetry
 ///
-/// Records into its [`Registry`] (own or shared via
-/// [`PipelineConfig::registry`]):
+/// Records into its own [`Registry`] ([`PipelinedClient::telemetry`]):
 ///
 /// * `client.inflight` — gauge of wire frames in flight (peak tracks
 ///   how much of the window a workload actually uses);
@@ -154,7 +139,7 @@ impl PipelinedClient {
     /// Propagates connection and socket-setup failures.
     pub fn connect(addr: SocketAddr, config: PipelineConfig) -> io::Result<PipelinedClient> {
         let conn = NonblockingClient::connect(addr)?;
-        let registry = config.registry.unwrap_or_else(|| Arc::new(Registry::new()));
+        let registry = Arc::new(Registry::new());
         let inflight_gauge = registry.gauge("client.inflight");
         let rtt = registry.histogram("client.rtt");
         let flush_frames = registry.histogram("client.flush_frames");
@@ -330,8 +315,8 @@ impl PipelinedClient {
 
 /// Blocking [`Connector`] facade over a [`PipelinedClient`]: each
 /// [`Connector::call`] submits, then pumps until that request's reply
-/// arrives. The TCP connector for `sync_once`, `sync_delta`,
-/// `upload_signature`, `upload_batch`, and [`crate::ClientDaemon`].
+/// arrives. The TCP connector for the request helpers and
+/// [`crate::ClientDaemon`].
 #[derive(Debug)]
 pub struct PipelinedConnector {
     client: PipelinedClient,
@@ -344,28 +329,9 @@ impl PipelinedConnector {
     ///
     /// Propagates connection failures.
     pub fn connect(addr: SocketAddr) -> io::Result<PipelinedConnector> {
-        Self::with_config(addr, PipelineConfig::default())
-    }
-
-    /// Connects with an explicit config.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    pub fn with_config(addr: SocketAddr, config: PipelineConfig) -> io::Result<PipelinedConnector> {
         Ok(PipelinedConnector {
-            client: PipelinedClient::connect(addr, config)?,
+            client: PipelinedClient::connect(addr, PipelineConfig::default())?,
         })
-    }
-
-    /// The engine underneath, e.g. for its telemetry.
-    pub fn client(&self) -> &PipelinedClient {
-        &self.client
-    }
-
-    /// Unwraps back into the engine.
-    pub fn into_inner(self) -> PipelinedClient {
-        self.client
     }
 }
 

@@ -3,13 +3,12 @@
 //! [`Connector`] abstracts "a way to reach the server": over TCP in real
 //! deployments, or in-process for tests and the benchmark.
 //!
-//! Two sync flavors share the connector:
-//!
-//! * the paper's single-signature protocol — [`sync_once`] /
-//!   [`upload_signature`], one round trip per signature;
-//! * the batched protocol — [`sync_delta`] / [`upload_batch`], one round
-//!   trip per *sync* (the server windows oversized deltas, and the
-//!   client loops only when a window was cut short).
+//! A node syncs with the batched verbs: [`sync_delta`] downloads with
+//! `GET_DELTA` and [`upload_batch`] uploads with `ADD_BATCH`, one round
+//! trip per *sync* (the server windows oversized deltas, and the client
+//! loops only when a window was cut short). The paper's one-signature
+//! `GET`/`ADD` stay on the wire for older clients; a caller that wants
+//! them sends the [`Request`] through [`Connector::call`] itself.
 
 use std::fmt;
 
@@ -62,66 +61,6 @@ impl std::error::Error for SyncError {}
 impl From<std::io::Error> for SyncError {
     fn from(e: std::io::Error) -> Self {
         SyncError::Io(e)
-    }
-}
-
-/// Downloads the signatures the repository does not have yet:
-/// `GET(repo.len())`, exactly the paper's incremental update.
-///
-/// Returns the number of new signatures stored.
-///
-/// # Errors
-///
-/// Returns [`SyncError`] on transport, protocol, or persistence failures;
-/// the repository is left unchanged on failure.
-pub fn sync_once(
-    connector: &mut dyn Connector,
-    repo: &mut LocalRepository,
-) -> Result<usize, SyncError> {
-    let from = repo.len() as u64;
-    let reply = connector
-        .call(Request::Get { from })
-        .map_err(SyncError::Transport)?;
-    match reply {
-        Reply::Sigs {
-            from: got_from,
-            sigs,
-        } => {
-            if got_from != from {
-                return Err(SyncError::Protocol(format!(
-                    "asked for index {from}, server answered from {got_from}"
-                )));
-            }
-            Ok(repo.append(sigs)?)
-        }
-        Reply::Error { message } => Err(SyncError::Protocol(message)),
-        other => Err(SyncError::Protocol(format!(
-            "unexpected reply to GET: {other:?}"
-        ))),
-    }
-}
-
-/// Uploads one signature with the sender's encrypted id (the plugin's
-/// ADD). Returns whether the server accepted it, with the server's
-/// reason on rejection.
-///
-/// # Errors
-///
-/// Returns [`SyncError`] on transport or protocol failures.
-pub fn upload_signature(
-    connector: &mut dyn Connector,
-    sender: EncryptedId,
-    sig_text: String,
-) -> Result<(bool, String), SyncError> {
-    let reply = connector
-        .call(Request::Add { sender, sig_text })
-        .map_err(SyncError::Transport)?;
-    match reply {
-        Reply::AddAck { accepted, reason } => Ok((accepted, reason)),
-        Reply::Error { message } => Err(SyncError::Protocol(message)),
-        other => Err(SyncError::Protocol(format!(
-            "unexpected reply to ADD: {other:?}"
-        ))),
     }
 }
 
@@ -328,68 +267,48 @@ mod tests {
     }
 
     #[test]
-    fn sync_appends_new_sigs() {
-        let mut repo = LocalRepository::in_memory();
-        let mut conn = Script(vec![Reply::Sigs {
-            from: 0,
-            sigs: vec!["s1".into(), "s2".into()],
-        }]);
-        let n = sync_once(&mut conn, &mut repo).unwrap();
-        assert_eq!(n, 2);
-        assert_eq!(repo.len(), 2);
-    }
-
-    #[test]
-    fn sync_requests_from_current_length() {
+    fn sync_delta_asks_from_the_sync_cursor() {
         let mut repo = LocalRepository::in_memory();
         repo.append(["a".into(), "b".into()]).unwrap();
         let mut asked = None;
         let mut conn = |req: Request| -> Result<Reply, String> {
-            if let Request::Get { from } = req {
+            if let Request::GetDelta { from, .. } = req {
                 asked = Some(from);
             }
-            Ok(Reply::Sigs {
+            Ok(Reply::Delta {
                 from: 2,
+                total: 2,
                 sigs: vec![],
             })
         };
-        let n = sync_once(&mut conn, &mut repo).unwrap();
+        let n = sync_delta(&mut conn, &mut repo, 0).unwrap();
         assert_eq!(n, 0);
         assert_eq!(asked, Some(2));
     }
 
     #[test]
-    fn mismatched_from_is_protocol_error() {
-        let mut repo = LocalRepository::in_memory();
-        let mut conn = Script(vec![Reply::Sigs {
-            from: 5,
-            sigs: vec![],
-        }]);
-        assert!(matches!(
-            sync_once(&mut conn, &mut repo),
-            Err(SyncError::Protocol(_))
-        ));
-        assert_eq!(repo.len(), 0);
-    }
-
-    #[test]
-    fn transport_failure_propagates() {
+    fn sync_delta_transport_failure_propagates() {
         let mut repo = LocalRepository::in_memory();
         let mut conn = Script(vec![]);
         assert!(matches!(
-            sync_once(&mut conn, &mut repo),
+            sync_delta(&mut conn, &mut repo, 0),
             Err(SyncError::Transport(_))
         ));
     }
 
     #[test]
-    fn unexpected_reply_is_protocol_error() {
+    fn sync_delta_unexpected_reply_is_protocol_error() {
+        // The answer to a paper `GET` is not an answer to `GET_DELTA`.
         let mut repo = LocalRepository::in_memory();
-        let mut conn = Script(vec![Reply::Id { id: [0u8; 16] }]);
+        let mut conn = Script(vec![Reply::Sigs {
+            from: 0,
+            sigs: vec!["s1".into()],
+        }]);
         assert!(matches!(
-            sync_once(&mut conn, &mut repo),
+            sync_delta(&mut conn, &mut repo, 0),
             Err(SyncError::Protocol(_))
         ));
+        assert_eq!(repo.len(), 0);
     }
 
     #[test]
@@ -678,14 +597,16 @@ mod tests {
     }
 
     #[test]
-    fn upload_roundtrip() {
-        let mut conn = Script(vec![Reply::AddAck {
-            accepted: false,
-            reason: "adjacent signature from same sender".into(),
+    fn upload_batch_carries_the_servers_reason() {
+        let mut conn = Script(vec![Reply::BatchAck {
+            results: vec![AddResult {
+                accepted: false,
+                reason: "adjacent signature from same sender".into(),
+            }],
         }]);
-        let (accepted, reason) = upload_signature(&mut conn, [0u8; 16], "sig".into()).unwrap();
-        assert!(!accepted);
-        assert!(reason.contains("adjacent"));
+        let results = upload_batch(&mut conn, vec![([0u8; 16], "sig".into())]).unwrap();
+        assert!(!results[0].accepted);
+        assert!(results[0].reason.contains("adjacent"));
     }
 
     #[test]

@@ -19,18 +19,12 @@
 //! # Example: two nodes immunizing each other
 //!
 //! ```
-//! use std::sync::Arc;
-//! use communix_clock::SystemClock;
 //! use communix_core::{CommunixNode, NodeConfig};
 //! use communix_net::{Reply, Request};
-//! use communix_server::{CommunixServer, ServerConfig};
 //! use communix_workloads::DeadlockApp;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let server = Arc::new(CommunixServer::new(
-//!     ServerConfig::default(),
-//!     Arc::new(SystemClock::new()),
-//! ));
+//! let server = communix_server::builder().build()?;
 //! let app = DeadlockApp::new(4);
 //!
 //! // Node A deadlocks and shares the signature.

@@ -320,9 +320,8 @@ impl CommunixNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use communix_clock::SystemClock;
     use communix_net::{Reply, Request};
-    use communix_server::{CommunixServer, ServerConfig};
+    use communix_server::CommunixServer;
     use communix_workloads::DeadlockApp;
     use std::sync::Arc;
 
@@ -332,10 +331,7 @@ mod tests {
     }
 
     fn server() -> Arc<CommunixServer> {
-        Arc::new(CommunixServer::new(
-            ServerConfig::default(),
-            Arc::new(SystemClock::new()),
-        ))
+        communix_server::builder().build().unwrap()
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl NonblockingClient {
         frame_request_into(request, &mut self.out);
     }
 
-    /// Bytes queued but not yet accepted by the kernel.
-    pub fn queued_bytes(&self) -> usize {
-        self.out.len()
-    }
-
     /// Writes queued bytes until done or the kernel would block.
     /// Returns `true` when the write buffer fully drained.
     ///
@@ -265,7 +260,6 @@ mod tests {
         let server = echo_server();
         let mut conn = NonblockingClient::connect(server.addr()).unwrap();
         assert!(conn.try_recv().unwrap().is_none());
-        assert_eq!(conn.queued_bytes(), 0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The one door for standing up a Communix server.
 //!
-//! Every knob (server tunables, durability, reactor shards, idle
-//! timeout, telemetry, clock) is a chainable method of
-//! [`ServerBuilder`]; [`build`](ServerBuilder::build) yields an unbound
-//! server, [`serve`](ServerBuilder::serve) also binds its TCP transport.
+//! Every value (the §III-C budget, the store's shards and durability,
+//! the `GET_DELTA` window, reactor shards, the clock) has one chainable
+//! setter on [`ServerBuilder`]; [`build`](ServerBuilder::build) yields
+//! an unbound server, [`serve`](ServerBuilder::serve) also binds its TCP
+//! transport.
 //!
 //! ```no_run
 //! let (server, tcp) = communix_server::builder()
@@ -18,8 +19,10 @@
 //! With durability:
 //!
 //! ```no_run
+//! use communix_server::DurabilityConfig;
+//!
 //! let (server, tcp) = communix_server::builder()
-//!     .durable("/var/lib/communix")
+//!     .durability(DurabilityConfig::new("/var/lib/communix"))
 //!     .serve("0.0.0.0:7077")
 //!     .unwrap();
 //! println!("recovered {:?}", server.store().recovery());
@@ -28,14 +31,13 @@
 
 use std::io;
 use std::sync::Arc;
-use std::time::Duration;
 
 use communix_clock::{Clock, SystemClock};
 use communix_net::{Handler, TcpServer, TcpServerConfig};
 use communix_telemetry::Registry;
 
 use crate::server::{CommunixServer, ServerConfig};
-use crate::store::DurabilityConfig;
+use crate::store::{DurabilityConfig, Store};
 
 /// Builder for a [`CommunixServer`] and (optionally) its TCP transport.
 /// Start from [`builder`](crate::builder); finish with
@@ -45,9 +47,8 @@ use crate::store::DurabilityConfig;
 pub struct ServerBuilder {
     config: ServerConfig,
     durability: Option<DurabilityConfig>,
-    tcp: TcpServerConfig,
+    reactors: usize,
     clock: Option<Arc<dyn Clock>>,
-    registry: Option<Arc<Registry>>,
 }
 
 impl ServerBuilder {
@@ -58,61 +59,37 @@ impl ServerBuilder {
         self
     }
 
-    /// Signature-store shards (`0` clamps to one).
+    /// Signature-store shards, which also shard the per-user validation
+    /// state (`0` clamps to one).
     #[must_use]
     pub fn db_shards(mut self, shards: usize) -> Self {
         self.config.db_shards = shards;
         self
     }
 
-    /// Server-side `GET_DELTA` reply window.
+    /// Most signatures in one `GET_DELTA` reply, whatever the client
+    /// asks for (default 4096).
     #[must_use]
     pub fn delta_window(mut self, window: usize) -> Self {
         self.config.delta_window = window;
         self
     }
 
-    /// Replaces the whole [`ServerConfig`] at once.
-    #[must_use]
-    pub fn config(mut self, config: ServerConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Journals the signature store under `dir` with default durability
-    /// knobs (see [`DurabilityConfig::new`]); recovery runs inside
-    /// [`build`](ServerBuilder::build).
-    #[must_use]
-    pub fn durable(self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.durability(DurabilityConfig::new(dir))
-    }
-
-    /// Journals the signature store with explicit durability knobs.
+    /// Journals the signature store (see [`DurabilityConfig::new`] for
+    /// the defaults); recovery runs inside
+    /// [`build`](ServerBuilder::build). Without it the store is in
+    /// memory.
     #[must_use]
     pub fn durability(mut self, config: DurabilityConfig) -> Self {
         self.durability = Some(config);
         self
     }
 
-    /// Reactor shards of the transport (`0` sizes to the machine).
+    /// Reactor shards of the transport (`0`, the default, sizes to the
+    /// machine).
     #[must_use]
     pub fn reactors(mut self, reactors: usize) -> Self {
-        self.tcp.reactors = reactors;
-        self
-    }
-
-    /// Idle-connection eviction bound (`None` disables eviction).
-    #[must_use]
-    pub fn idle_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.tcp.idle_timeout = timeout;
-        self
-    }
-
-    /// Telemetry registry the server (and transport) record into;
-    /// default is a fresh registry per server.
-    #[must_use]
-    pub fn registry(mut self, registry: Arc<Registry>) -> Self {
-        self.registry = Some(registry);
+        self.reactors = reactors;
         self
     }
 
@@ -142,8 +119,12 @@ impl ServerBuilder {
     ///
     /// Propagates durable-store recovery and bind failures.
     pub fn serve(self, addr: &str) -> io::Result<(Arc<CommunixServer>, TcpServer)> {
-        let (server, mut tcp) = self.build_parts()?;
-        tcp.registry = Some(server.telemetry().clone());
+        let (server, reactors) = self.build_parts()?;
+        let tcp = TcpServerConfig {
+            reactors,
+            registry: Some(server.telemetry().clone()),
+            ..TcpServerConfig::default()
+        };
         let handler: Handler = {
             let server = server.clone();
             Arc::new(move |req| server.handle(req))
@@ -152,16 +133,15 @@ impl ServerBuilder {
         Ok((server, tcp_server))
     }
 
-    fn build_parts(self) -> io::Result<(Arc<CommunixServer>, TcpServerConfig)> {
+    fn build_parts(self) -> io::Result<(Arc<CommunixServer>, usize)> {
         let clock = self.clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
-        let registry = self.registry.unwrap_or_else(|| Arc::new(Registry::new()));
-        let server = match self.durability {
-            Some(durability) => {
-                CommunixServer::open_durable(self.config, durability, clock, registry)?
-            }
-            None => CommunixServer::with_registry(self.config, clock, registry),
+        let registry = Arc::new(Registry::new());
+        let store = match self.durability {
+            Some(durability) => Store::open(self.config.db_shards, durability, &registry)?,
+            None => Store::in_memory_with(self.config.db_shards, &registry),
         };
-        Ok((Arc::new(server), self.tcp))
+        let server = CommunixServer::new(self.config, clock, registry, store);
+        Ok((Arc::new(server), self.reactors))
     }
 }
 
@@ -179,25 +159,45 @@ mod tests {
         assert!(!server.store().is_durable());
     }
 
+    /// The verdict of one `ADD` of `sig_text` from `user`.
+    fn add(server: &CommunixServer, user: u64, sig_text: String) -> (bool, String) {
+        let sender = server.authority().issue(user);
+        let Reply::AddAck { accepted, reason } = server.handle(Request::Add { sender, sig_text })
+        else {
+            panic!("expected AddAck")
+        };
+        (accepted, reason)
+    }
+
     #[test]
     fn builder_knobs_reach_the_server() {
         let clock = Arc::new(VirtualClock::new());
-        let registry = Arc::new(Registry::new());
         let server = crate::builder()
             .daily_limit(2)
             .db_shards(0)
             .delta_window(1)
-            .clock(clock)
-            .registry(registry.clone())
+            .clock(clock.clone())
             .build()
             .unwrap();
         assert_eq!(server.db().shard_count(), 1, "db_shards(0) clamps to one");
-        assert!(Arc::ptr_eq(server.telemetry(), &registry));
-        let Reply::SharedDelta { sigs, .. } = server.handle(Request::GetDelta { from: 0, max: 0 })
+        // daily_limit(2): the sender's third ADD of the day is refused.
+        assert_eq!(add(&server, 7, sig_with(100)), (true, String::new()));
+        assert_eq!(add(&server, 7, sig_with(1100)), (true, String::new()));
+        assert_eq!(
+            add(&server, 7, sig_with(2100)),
+            (false, "daily signature budget exhausted".to_string())
+        );
+        // delta_window(1): an uncapped GET_DELTA over two stored
+        // signatures returns one.
+        let Reply::SharedDelta { total, sigs, .. } =
+            server.handle(Request::GetDelta { from: 0, max: 0 })
         else {
             panic!("expected Delta")
         };
-        assert!(sigs.is_empty());
+        assert_eq!((total, sigs.len()), (2, 1));
+        // clock(..): the budget refreshes once the virtual day is over.
+        clock.advance(communix_clock::DAY + communix_clock::Duration::from_secs(1));
+        assert_eq!(add(&server, 7, sig_with(2100)), (true, String::new()));
     }
 
     #[test]
@@ -287,9 +287,12 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("communix-builder-durable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let sig = test_sig();
+        let sig = sig_with(100);
         {
-            let (server, tcp) = crate::builder().durable(&dir).serve("127.0.0.1:0").unwrap();
+            let (server, tcp) = crate::builder()
+                .durability(DurabilityConfig::new(&dir))
+                .serve("127.0.0.1:0")
+                .unwrap();
             assert!(server.store().is_durable());
             let id = server.authority().issue(1);
             let mut c = PipelinedConnector::connect(tcp.addr()).unwrap();
@@ -305,21 +308,26 @@ mod tests {
             assert!(accepted);
             server.store().sync().unwrap();
         }
-        let server = crate::builder().durable(&dir).build().unwrap();
+        let server = crate::builder()
+            .durability(DurabilityConfig::new(&dir))
+            .build()
+            .unwrap();
         assert_eq!(server.store().recovery().wal_records, 1);
         assert_eq!(server.db().get_from(0), vec![sig]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A minimal parseable signature (depth ≥ 1 on both stacks).
-    fn test_sig() -> String {
+    /// A parseable depth-6 signature whose frames all sit at lines
+    /// `base..base + 506`: bases 1000 apart give signatures with
+    /// disjoint frames (never adjacent).
+    fn sig_with(base: u32) -> String {
         use communix_dimmunix::{CallStack, Frame, SigEntry, Signature};
         let deep = |base: u32| -> CallStack {
             (0..6).map(|i| Frame::new("app.C", "f", base + i)).collect()
         };
         Signature::local(vec![
-            SigEntry::new(deep(100), deep(500)),
-            SigEntry::new(deep(200), deep(600)),
+            SigEntry::new(deep(base), deep(base + 400)),
+            SigEntry::new(deep(base + 100), deep(base + 500)),
         ])
         .to_string()
     }

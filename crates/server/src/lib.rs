@@ -3,10 +3,11 @@
 //! server-side validation of §III-C2 (encrypted sender ids, adjacency
 //! rejection, 10-per-day rate limiting).
 //!
-//! Standing a server up goes through one door, [`builder`]: reactor
-//! shards, durability, and telemetry are all chainable knobs (see
-//! [`ServerBuilder`]). The signature store is durable when asked
-//! ([`ServerBuilder::durable`]): accepted signatures are journaled to a
+//! Standing a server up goes through one door, [`builder`]: the
+//! §III-C budget, the store's shards and durability, the reply window,
+//! reactor shards and the clock each have one chainable setter on
+//! [`ServerBuilder`]. The signature store is durable when asked
+//! ([`ServerBuilder::durability`]): accepted signatures are journaled to a
 //! write-ahead log whose segments are the store — nothing is rewritten —
 //! and recovered by replaying them in order on the next boot (see the
 //! [`store`] module docs for the format and the epoch rule).
@@ -23,11 +24,12 @@ pub mod store;
 pub use auth::IdAuthority;
 pub use builder::ServerBuilder;
 pub use db::{ShardStats, SignatureDb, DEFAULT_SHARDS};
-pub use server::{CommunixServer, RejectReason, ServerConfig, ServerStats};
+pub use server::{CommunixServer, RejectReason, ServerStats};
 pub use store::{DurabilityConfig, RecoveryReport, Store};
 
-/// Starts a [`ServerBuilder`] with every knob at its default
-/// (in-memory store, fresh telemetry registry).
+/// Starts a [`ServerBuilder`] with every value at its default: the
+/// paper's 10 signatures per sender per day, an in-memory store, the
+/// system clock.
 pub fn builder() -> ServerBuilder {
     ServerBuilder::default()
 }

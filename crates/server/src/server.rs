@@ -27,8 +27,11 @@
 //!   per bucket, never a lock.
 //!
 //! Batched requests (`ADD_BATCH`, `GET_DELTA`) run the same per-item
-//! validation as their single-signature counterparts; `GET_DELTA`
-//! windows its reply to [`ServerConfig::delta_window`] signatures.
+//! validation as their single-signature counterparts. `GET` and
+//! `GET_DELTA` read through one window: `GET_DELTA` caps it at
+//! [`delta_window`](crate::ServerBuilder::delta_window) signatures, and
+//! both close it at the last signature that keeps the reply within
+//! [`MAX_FRAME`] — the bound every client enforces on what it reads.
 //!
 //! # Observability
 //!
@@ -45,13 +48,13 @@ use std::sync::Arc;
 
 use communix_clock::{Clock, Instant, DAY};
 use communix_dimmunix::{Signature, Site};
-use communix_net::{AddResult, EncryptedId, Reply, Request};
+use communix_net::{AddResult, EncryptedId, Reply, Request, MAX_FRAME};
 use communix_telemetry::{Counter, Histogram, Registry, Snapshot};
 use parking_lot::Mutex;
 
 use crate::auth::IdAuthority;
 use crate::db::SignatureDb;
-use crate::store::{DurabilityConfig, Store};
+use crate::store::Store;
 
 /// Why an ADD was rejected (mirrored into the wire reply's reason text).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +67,8 @@ pub enum RejectReason {
     Adjacent,
     /// The sender exhausted its daily budget.
     RateLimited,
+    /// The text is too long for any reply frame to carry it.
+    TooLarge,
 }
 
 impl RejectReason {
@@ -73,13 +78,14 @@ impl RejectReason {
             RejectReason::Malformed => "malformed signature",
             RejectReason::Adjacent => "adjacent signature from same sender",
             RejectReason::RateLimited => "daily signature budget exhausted",
+            RejectReason::TooLarge => "signature too large to serve",
         }
     }
 }
 
-/// Server tunables.
+/// Server tunables, set through [`ServerBuilder`](crate::ServerBuilder).
 #[derive(Debug, Clone)]
-pub struct ServerConfig {
+pub(crate) struct ServerConfig {
     /// Maximum signatures processed per sender per day (paper: 10).
     pub daily_limit: usize,
     /// Signature-store shards (also shards the per-user validation
@@ -145,6 +151,7 @@ struct ServerMetrics {
     reject_malformed: Arc<Counter>,
     reject_adjacent: Arc<Counter>,
     reject_rate_limited: Arc<Counter>,
+    reject_too_large: Arc<Counter>,
     latency_add: Arc<Histogram>,
     latency_get: Arc<Histogram>,
     latency_issue_id: Arc<Histogram>,
@@ -170,6 +177,7 @@ impl ServerMetrics {
             reject_malformed: registry.counter("server.reject.malformed"),
             reject_adjacent: registry.counter("server.reject.adjacent"),
             reject_rate_limited: registry.counter("server.reject.rate_limited"),
+            reject_too_large: registry.counter("server.reject.too_large"),
             latency_add: registry.histogram("server.latency.add"),
             latency_get: registry.histogram("server.latency.get"),
             latency_issue_id: registry.histogram("server.latency.issue_id"),
@@ -197,6 +205,7 @@ impl ServerMetrics {
             RejectReason::Malformed => &self.reject_malformed,
             RejectReason::Adjacent => &self.reject_adjacent,
             RejectReason::RateLimited => &self.reject_rate_limited,
+            RejectReason::TooLarge => &self.reject_too_large,
         }
     }
 }
@@ -227,12 +236,9 @@ struct UserState {
 /// # Example
 ///
 /// ```
-/// use std::sync::Arc;
-/// use communix_clock::SystemClock;
 /// use communix_net::{Reply, Request};
-/// use communix_server::{CommunixServer, IdAuthority, ServerConfig};
 ///
-/// let server = CommunixServer::new(ServerConfig::default(), Arc::new(SystemClock::new()));
+/// let server = communix_server::builder().build().unwrap();
 /// let id = server.authority().issue(1);
 /// match server.handle(Request::Get { from: 0 }) {
 ///     Reply::Sigs { sigs, .. } => assert!(sigs.is_empty()),
@@ -254,44 +260,9 @@ pub struct CommunixServer {
 }
 
 impl CommunixServer {
-    /// Creates a server with the default id authority key and a fresh
-    /// telemetry registry.
-    pub fn new(config: ServerConfig, clock: Arc<dyn Clock>) -> Self {
-        Self::with_registry(config, clock, Arc::new(Registry::new()))
-    }
-
-    /// Creates a server that records into an existing `registry` — how
-    /// the TCP transports share one registry with the request path, so
-    /// a single `STATS` reply covers both layers.
-    pub fn with_registry(
-        config: ServerConfig,
-        clock: Arc<dyn Clock>,
-        registry: Arc<Registry>,
-    ) -> Self {
-        let store = Store::in_memory_with(config.db_shards, &registry);
-        Self::with_store(config, clock, registry, store)
-    }
-
-    /// Creates a server whose signature store journals to disk: the
-    /// store is recovered (every WAL segment replayed in order) from
-    /// `durability.dir` before the server accepts its first request.
-    /// See [`Store::open`] for the on-disk layout and
-    /// [`CommunixServer::store`]`().recovery()` for what was found.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store-recovery I/O failures.
-    pub fn open_durable(
-        config: ServerConfig,
-        durability: DurabilityConfig,
-        clock: Arc<dyn Clock>,
-        registry: Arc<Registry>,
-    ) -> std::io::Result<Self> {
-        let store = Store::open(config.db_shards, durability, &registry)?;
-        Ok(Self::with_store(config, clock, registry, store))
-    }
-
-    fn with_store(
+    /// A server over `store`, recording into `registry` (the store's
+    /// own). [`builder`](crate::builder) is the public door.
+    pub(crate) fn new(
         config: ServerConfig,
         clock: Arc<dyn Clock>,
         registry: Arc<Registry>,
@@ -346,8 +317,8 @@ impl CommunixServer {
     }
 
     /// The telemetry registry this server records into. Share it with
-    /// the transport (see [`CommunixServer::with_registry`]) to fold
-    /// connection metrics into the same `STATS` snapshot.
+    /// the transport (as [`ServerBuilder::serve`](crate::ServerBuilder::serve)
+    /// does) to fold connection metrics into the same `STATS` snapshot.
     pub fn telemetry(&self) -> &Arc<Registry> {
         &self.registry
     }
@@ -439,6 +410,11 @@ impl CommunixServer {
             return AddDecision::Rejected(RejectReason::BadId);
         };
 
+        // A text no reply can carry would stop every reader's sync at it.
+        if reply_bytes(1, sig_text.len()) > MAX_FRAME {
+            return AddDecision::Rejected(RejectReason::TooLarge);
+        }
+
         // Dedup fast path (read locks only).
         if self.store.contains(sig_text).is_some() {
             self.metrics.dedup_fast_path.inc();
@@ -517,20 +493,23 @@ impl CommunixServer {
         AddResult { accepted, reason }
     }
 
+    /// `GET(k)`: the paper's "everything from index `k`", as far as one
+    /// frame carries it — a `GET_DELTA` with no count cap.
     fn handle_get(&self, from: u64) -> Reply {
-        let sigs = self.store.get_from(from as usize);
+        let (sigs, _) = self.window(from, 0);
         self.metrics.gets.inc();
         self.metrics.sigs_served.add(sigs.len() as u64);
+        let sigs = sigs.iter().map(|s| String::from(&**s)).collect();
         Reply::Sigs { from, sigs }
     }
 
     fn handle_get_delta(&self, from: u64, max: u32) -> Reply {
-        let window = if max == 0 {
+        let max = if max == 0 {
             self.config.delta_window
         } else {
             (max as usize).min(self.config.delta_window)
         };
-        let (sigs, total) = self.store.delta(from as usize, window);
+        let (sigs, total) = self.window(from, max);
         self.metrics.deltas.inc();
         self.metrics.sigs_served.add(sigs.len() as u64);
         // Handles to the stored texts: the transport encodes the `DELTA`
@@ -541,6 +520,39 @@ impl CommunixServer {
             sigs,
         }
     }
+
+    /// The one read path behind `GET` and `GET_DELTA`: at most `max`
+    /// signatures from `from` (`0`: no count cap), closed where the next
+    /// one would push the reply past [`MAX_FRAME`], plus the current
+    /// total.
+    fn window(&self, from: u64, max: usize) -> (Vec<Arc<str>>, usize) {
+        let (mut sigs, total) = self.store.delta(from as usize, max);
+        sigs.truncate(fitting(&sigs, MAX_FRAME));
+        (sigs, total)
+    }
+}
+
+/// Payload bytes of a `DELTA` reply carrying `count` texts of `text_bytes`
+/// bytes in all: tag, `from`, `total`, the count, and a length prefix per
+/// text. A `SIGS` reply has no `total`, so it is 8 bytes smaller.
+fn reply_bytes(count: usize, text_bytes: usize) -> usize {
+    1 + 8 + 8 + 4 + 4 * count + text_bytes
+}
+
+/// How many of `sigs`, from the front, one reply of at most `budget`
+/// payload bytes carries — never fewer than one while `sigs` is not
+/// empty, so every window moves its reader forward.
+fn fitting(sigs: &[Arc<str>], budget: usize) -> usize {
+    let mut text_bytes = 0;
+    let fit = sigs
+        .iter()
+        .enumerate()
+        .take_while(|(i, s)| {
+            text_bytes += s.len();
+            reply_bytes(i + 1, text_bytes) <= budget
+        })
+        .count();
+    fit.max(sigs.len().min(1))
 }
 
 #[cfg(test)]
@@ -550,10 +562,10 @@ mod tests {
     use communix_dimmunix::{CallStack, Frame, SigEntry};
     use proptest::prelude::*;
 
-    fn server() -> (CommunixServer, Arc<VirtualClock>) {
+    fn server() -> (Arc<CommunixServer>, Arc<VirtualClock>) {
         let clock = Arc::new(VirtualClock::new());
         (
-            CommunixServer::new(ServerConfig::default(), clock.clone()),
+            crate::builder().clock(clock.clone()).build().unwrap(),
             clock,
         )
     }
@@ -986,14 +998,7 @@ mod tests {
 
     #[test]
     fn delta_window_capped_by_server_config() {
-        let clock = Arc::new(VirtualClock::new());
-        let srv = CommunixServer::new(
-            ServerConfig {
-                delta_window: 2,
-                ..ServerConfig::default()
-            },
-            clock,
-        );
+        let srv = crate::builder().delta_window(2).build().unwrap();
         for i in 0..5 {
             add(&srv, 1, &sig(30 + i));
         }
@@ -1006,10 +1011,81 @@ mod tests {
         assert_eq!(sigs.len(), 2, "server window caps the client's ask");
     }
 
+    fn texts(lens: &[usize]) -> Vec<Arc<str>> {
+        lens.iter().map(|&n| Arc::from("x".repeat(n))).collect()
+    }
+
+    #[test]
+    fn a_window_closes_at_the_last_text_within_the_budget() {
+        // 21 header bytes, then 4 + 10 per text: 35, 49, 63.
+        let sigs = texts(&[10, 10, 10]);
+        assert_eq!(fitting(&sigs, 63), 3);
+        assert_eq!(fitting(&sigs, 62), 2);
+        assert_eq!(fitting(&sigs, 49), 2);
+        assert_eq!(fitting(&sigs, 48), 1);
+        assert_eq!(fitting(&sigs[..0], 63), 0);
+    }
+
+    #[test]
+    fn a_window_holds_one_text_even_past_the_budget() {
+        assert_eq!(fitting(&texts(&[100, 1]), 40), 1);
+        assert_eq!(fitting(&texts(&[100]), 0), 1);
+    }
+
+    #[test]
+    fn reply_bytes_are_the_encoded_payload() {
+        let sigs = vec!["sig-a".to_string(), "sig-bb".to_string()];
+        let delta = Reply::Delta {
+            from: 3,
+            total: 9,
+            sigs: sigs.clone(),
+        };
+        assert_eq!(delta.encode().len(), reply_bytes(2, 11));
+        let get = Reply::Sigs { from: 3, sigs };
+        assert!(get.encode().len() < reply_bytes(2, 11));
+        assert_eq!(
+            Reply::Delta {
+                from: 0,
+                total: 0,
+                sigs: vec![]
+            }
+            .encode()
+            .len(),
+            reply_bytes(0, 0)
+        );
+    }
+
+    #[test]
+    fn a_text_no_reply_can_carry_is_refused_before_it_is_parsed() {
+        let (srv, _) = server();
+        // The largest text one DELTA carries gets as far as the parser…
+        let id = srv.authority().issue(1);
+        let largest = "x".repeat(MAX_FRAME - reply_bytes(1, 0));
+        let Reply::AddAck { accepted, reason } = srv.handle(Request::Add {
+            sender: id,
+            sig_text: largest,
+        }) else {
+            panic!("expected AddAck")
+        };
+        assert_eq!((accepted, reason.as_str()), (false, "malformed signature"));
+        // …one byte more is refused on its length.
+        let Reply::AddAck { accepted, reason } = srv.handle(Request::Add {
+            sender: id,
+            sig_text: "x".repeat(MAX_FRAME - reply_bytes(1, 0) + 1),
+        }) else {
+            panic!("expected AddAck")
+        };
+        assert_eq!(
+            (accepted, reason.as_str()),
+            (false, "signature too large to serve")
+        );
+        let snap = srv.telemetry_snapshot();
+        assert_eq!(snap.counter("server.reject.too_large"), Some(1));
+    }
+
     #[test]
     fn concurrent_mixed_load() {
         let (srv, _) = server();
-        let srv = Arc::new(srv);
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let srv = srv.clone();
@@ -1069,13 +1145,7 @@ mod tests {
                 1..40,
             ),
         ) {
-            let srv = CommunixServer::new(
-                ServerConfig {
-                    daily_limit: usize::MAX,
-                    ..ServerConfig::default()
-                },
-                Arc::new(VirtualClock::new()),
-            );
+            let srv = crate::builder().daily_limit(usize::MAX).build().unwrap();
             let mut stored = std::collections::HashSet::new();
             // (sender, parsed signature) for every accepted ADD.
             let mut kept = Vec::new();

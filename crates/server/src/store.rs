@@ -323,11 +323,6 @@ impl Store {
         self.db().contains(sig_text)
     }
 
-    /// All signatures from index `from`.
-    pub fn get_from(&self, from: usize) -> Vec<String> {
-        self.db().get_from(from)
-    }
-
     /// At most `max` signatures from `from`, plus the current total —
     /// the windowing behind `GET_DELTA`. After a GC the total shrinks
     /// below old cursors: that is the client's epoch-switch signal. The
@@ -724,7 +719,7 @@ mod tests {
         assert_eq!(store.add("a"), (0, false));
         assert_eq!(store.add("b"), (1, true));
         assert_eq!(store.len(), 2);
-        assert_eq!(store.get_from(1), vec!["b"]);
+        assert_eq!(store.db().get_from(1), vec!["b"]);
         assert_eq!(store.delta(0, 1), (vec![Arc::from("a")], 2));
         assert_eq!(store.epoch(), 0);
         assert!(!store.is_durable());
@@ -746,7 +741,7 @@ mod tests {
         let store = Store::open(4, test_config(&dir), &Registry::new()).unwrap();
         assert_eq!(store.len(), 50);
         let expect: Vec<String> = (0..50).map(|i| format!("sig-{i:04}")).collect();
-        assert_eq!(store.get_from(0), expect, "WAL replay preserves order");
+        assert_eq!(store.db().get_from(0), expect, "WAL replay preserves order");
         let report = store.recovery();
         assert_eq!(report.wal_records, 50);
         assert!(!report.torn_tail);
@@ -822,7 +817,11 @@ mod tests {
         assert_eq!(registry.counter("store.wal.bytes").get(), 40 * (10 + 8));
         let store = open(&dir, None, &Registry::new());
         let expect: Vec<String> = (0..40).map(|i| format!("sig-{i:06}")).collect();
-        assert_eq!(store.get_from(0), expect, "segments replay in write order");
+        assert_eq!(
+            store.db().get_from(0),
+            expect,
+            "segments replay in write order"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -875,7 +874,7 @@ mod tests {
             "newest signatures survive"
         );
         // The GC'd state is what a restart recovers.
-        let survivors = store.get_from(0);
+        let survivors = store.db().get_from(0);
         let epoch = store.epoch();
         drop(store);
         let config = DurabilityConfig {
@@ -884,7 +883,7 @@ mod tests {
         };
         let reopened = Store::open(4, config, &Registry::new()).unwrap();
         assert_eq!(reopened.epoch(), epoch);
-        assert_eq!(reopened.get_from(0), survivors);
+        assert_eq!(reopened.db().get_from(0), survivors);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -905,14 +904,14 @@ mod tests {
         let store = open(&dir, Some(400), &Registry::new());
         fill(&store, 0..41); // the 41st trips the GC
         assert_eq!(store.epoch(), 1);
-        let survivors = store.get_from(0);
+        let survivors = store.db().get_from(0);
         drop(store);
         // Nothing was added after the cut: only a name carries the epoch.
         let segments = list_segments(&dir).unwrap().len();
         for _ in 0..5 {
             let store = open(&dir, Some(400), &Registry::new());
             assert_eq!(store.epoch(), 1, "the epoch lives in the segment names");
-            assert_eq!(store.get_from(0), survivors);
+            assert_eq!(store.db().get_from(0), survivors);
             drop(store);
             assert_eq!(list_segments(&dir).unwrap().len(), segments, "grew");
         }
@@ -924,7 +923,7 @@ mod tests {
         let dir = scratch("gc-crash");
         let store = open(&dir, None, &Registry::new());
         fill(&store, 0..60);
-        let log = store.get_from(0);
+        let log = store.db().get_from(0);
         drop(store);
         let old = list_segments(&dir).unwrap();
         assert!(old.len() > 3, "a multi-segment log");
@@ -938,14 +937,14 @@ mod tests {
             }
             let first = open(&dir, None, &Registry::new());
             assert_eq!(first.epoch(), 1, "died after {deleted} deletes");
-            let got = first.get_from(0);
+            let got = first.db().get_from(0);
             assert!(log.ends_with(&got), "a suffix of the log, in order");
             assert_eq!(got.len() == log.len(), deleted == 0);
             assert_eq!(got.is_empty(), deleted == old.len());
             drop(first);
             let again = open(&dir, None, &Registry::new());
             assert_eq!(again.epoch(), 1);
-            assert_eq!(again.get_from(0), got, "recovered differently");
+            assert_eq!(again.db().get_from(0), got, "recovered differently");
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -972,12 +971,12 @@ mod tests {
         assert!(store.contains("sig-000024").is_none(), "unreadable");
         assert_eq!(store.add("served-after-the-gc"), (26, true));
         // Memory never holds more than disk: a restart finds all of it.
-        let memory = store.get_from(0);
+        let memory = store.db().get_from(0);
         drop(store);
         for path in broken {
             fs::remove_dir(path).unwrap();
         }
-        assert_eq!(open(&dir, Some(400), &registry).get_from(0), memory);
+        assert_eq!(open(&dir, Some(400), &registry).db().get_from(0), memory);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1066,7 +1065,7 @@ mod tests {
                 h.join().unwrap();
             }
             assert_eq!(store.len(), 200);
-            store.get_from(0)
+            store.db().get_from(0)
         };
         let store = Store::open(8, test_config(&dir), &Registry::new()).unwrap();
         assert_eq!(store.len(), 200, "every concurrently-acked add recovered");
@@ -1075,7 +1074,11 @@ mod tests {
                 assert!(store.contains(&format!("conc-{t}-{i}")).is_some());
             }
         }
-        assert_eq!(store.get_from(0), served, "recovered in the order served");
+        assert_eq!(
+            store.db().get_from(0),
+            served,
+            "recovered in the order served"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

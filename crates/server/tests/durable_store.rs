@@ -65,7 +65,7 @@ fn durable_server_recovers_over_tcp() {
     {
         let (server, mut tcp) = communix_server::builder()
             .daily_limit(1 << 20)
-            .durable(&dir)
+            .durability(DurabilityConfig::new(&dir))
             .serve("127.0.0.1:0")
             .expect("serve durable");
         upload(tcp.addr(), 1, &texts);
@@ -80,7 +80,7 @@ fn durable_server_recovers_over_tcp() {
     // same client facade reads it back over a fresh connection.
     let (server, mut tcp) = communix_server::builder()
         .daily_limit(1 << 20)
-        .durable(&dir)
+        .durability(DurabilityConfig::new(&dir))
         .serve("127.0.0.1:0")
         .expect("restart durable");
     assert_eq!(server.store().recovery().wal_records, 5);
@@ -161,7 +161,7 @@ fn a_client_that_paged_halfway_misses_nothing_after_a_restart() {
         communix_server::builder()
             .daily_limit(1 << 20)
             .reactors(UPLOADERS as usize)
-            .durable(&dir)
+            .durability(DurabilityConfig::new(&dir))
             .serve("127.0.0.1:0")
             .expect("serve durable")
     };
@@ -264,7 +264,9 @@ fn crash_dir(parent_pid: u32) -> PathBuf {
 fn crash_child_serves_until_killed() {
     let (_server, tcp) = communix_server::builder()
         .daily_limit(1 << 20)
-        .durable(crash_dir(std::os::unix::process::parent_id()))
+        .durability(DurabilityConfig::new(crash_dir(
+            std::os::unix::process::parent_id(),
+        )))
         .serve("127.0.0.1:0")
         .expect("serve durable");
     println!("ADDR {}", tcp.addr());
@@ -276,7 +278,7 @@ fn crash_child_serves_until_killed() {
 fn recover_and_drain(dir: &Path) -> (HashSet<String>, u64) {
     let (server, mut tcp) = communix_server::builder()
         .daily_limit(1 << 20)
-        .durable(dir)
+        .durability(DurabilityConfig::new(dir))
         .serve("127.0.0.1:0")
         .expect("restart on the crashed directory");
     let mut repo = LocalRepository::in_memory();

@@ -15,12 +15,9 @@
 //!
 //! Run with: `cargo run --release --example attack_contained`
 
-use std::sync::Arc;
-
-use communix::clock::SystemClock;
 use communix::dimmunix::{SigEntry, Signature};
 use communix::net::{Reply, Request};
-use communix::server::{CommunixServer, ServerConfig};
+use communix::server::CommunixServer;
 use communix::workloads::{AttackDepth, AttackerFactory, DriverApp, RUBIS_JBOSS};
 use communix::{CommunixNode, NodeConfig};
 
@@ -35,10 +32,7 @@ fn add(server: &CommunixServer, sender: [u8; 16], sig: &Signature) -> (bool, Str
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let server = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
+    let server = communix::server::builder().build()?;
     let factory = AttackerFactory::new();
 
     // ------------------------------------------------------------------

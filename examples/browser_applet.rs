@@ -14,12 +14,8 @@
 //!
 //! Run with: `cargo run --release --example browser_applet`
 
-use std::sync::Arc;
-
-use communix::clock::SystemClock;
 use communix::net::{Reply, Request};
 use communix::runtime::ThreadSpec;
-use communix::server::{CommunixServer, ServerConfig};
 use communix::workloads::ManifestationApp;
 use communix::{CommunixNode, NodeConfig};
 
@@ -38,10 +34,7 @@ fn open_page(browser: &mut CommunixNode, page: usize, app: &ManifestationApp) ->
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let server = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
+    let server = communix::server::builder().build()?;
     let app = browser_page();
 
     // -----------------------------------------------------------------

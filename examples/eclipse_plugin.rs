@@ -13,21 +13,14 @@
 //!
 //! Run with: `cargo run --release --example eclipse_plugin`
 
-use std::sync::Arc;
-
-use communix::clock::SystemClock;
 use communix::net::{Reply, Request};
-use communix::server::{CommunixServer, ServerConfig};
 use communix::workloads::MultiBugApp;
 use communix::{CommunixNode, NodeConfig};
 
 const BUGS: usize = 5;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let server = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
+    let server = communix::server::builder().build()?;
     // The plugin: five independent lock-order inversions, each behind a
     // 3-deep call chain (five distinct "features" that can hang the IDE).
     let plugin = MultiBugApp::new(BUGS, 3);

@@ -3,11 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use std::sync::Arc;
-
-use communix::clock::SystemClock;
 use communix::net::{Reply, Request};
-use communix::server::{CommunixServer, ServerConfig};
 use communix::workloads::DeadlockApp;
 use communix::{CommunixNode, NodeConfig};
 
@@ -45,10 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // experiencing the deadlock.
     // ---------------------------------------------------------------
     println!("\n== Part 2: collaborative immunity (Communix) ==");
-    let server = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ));
+    let server = communix::server::builder().build()?;
 
     // The victim node uploads its signature (plugin attaches bytecode
     // hashes; the server validates the encrypted sender id).

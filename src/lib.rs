@@ -40,18 +40,12 @@
 //! without ever experiencing the bug:
 //!
 //! ```
-//! use std::sync::Arc;
 //! use communix::{CommunixNode, NodeConfig};
-//! use communix::clock::SystemClock;
 //! use communix::net::{Reply, Request};
-//! use communix::server::{CommunixServer, ServerConfig};
 //! use communix::workloads::DeadlockApp;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let server = Arc::new(CommunixServer::new(
-//!     ServerConfig::default(),
-//!     Arc::new(SystemClock::new()),
-//! ));
+//! let server = communix::server::builder().build()?;
 //! let app = DeadlockApp::new(4);
 //!
 //! let mut victim = CommunixNode::new(app.program().clone(), NodeConfig::for_user(1));

@@ -5,14 +5,15 @@
 
 use std::sync::Arc;
 
-use communix::client::{sync_delta, sync_once, upload_batch, LocalRepository};
+use communix::client::{sync_delta, upload_batch, Connector, LocalRepository};
 use communix::clock::VirtualClock;
 use communix::net::{Reply, Request};
-use communix::server::{CommunixServer, ServerConfig};
+use communix::server::{CommunixServer, ServerBuilder};
 use communix::workloads::SigGen;
 
-fn server_with(config: ServerConfig) -> Arc<CommunixServer> {
-    Arc::new(CommunixServer::new(config, Arc::new(VirtualClock::new())))
+/// A server builder on a virtual clock.
+fn builder() -> ServerBuilder {
+    communix::server::builder().clock(Arc::new(VirtualClock::new()))
 }
 
 fn connector(srv: &Arc<CommunixServer>) -> impl FnMut(Request) -> Result<Reply, String> {
@@ -22,7 +23,7 @@ fn connector(srv: &Arc<CommunixServer>) -> impl FnMut(Request) -> Result<Reply, 
 
 #[test]
 fn empty_batch_and_empty_delta_are_clean_noops() {
-    let srv = server_with(ServerConfig::default());
+    let srv = builder().build().unwrap();
     let mut conn = connector(&srv);
 
     // An empty upload batch is acked with an empty verdict list…
@@ -45,7 +46,7 @@ fn empty_batch_and_empty_delta_are_clean_noops() {
 fn forged_id_inside_batch_rejects_only_that_item() {
     // The satellite case: one forged sender id among valid adds. The
     // batch must not be poisoned — every other item lands.
-    let srv = server_with(ServerConfig::default());
+    let srv = builder().build().unwrap();
     let mut conn = connector(&srv);
     let mut gen = SigGen::new(42);
 
@@ -75,11 +76,7 @@ fn windowed_delta_walks_shard_boundaries_in_order() {
     // 40 signatures spread over 4 dedup shards, downloaded through a
     // 7-signature server window: pagination must reassemble the exact
     // global append order no matter which shard each text hashed to.
-    let srv = server_with(ServerConfig {
-        db_shards: 4,
-        delta_window: 7,
-        ..ServerConfig::default()
-    });
+    let srv = builder().db_shards(4).delta_window(7).build().unwrap();
     let mut conn = connector(&srv);
     let mut gen = SigGen::new(7);
     let adds: Vec<_> = (0..40)
@@ -109,10 +106,7 @@ fn windowed_delta_walks_shard_boundaries_in_order() {
 fn delta_sync_resumes_mid_window_after_interruption() {
     // A client that lost connectivity mid-pagination resumes from its
     // repository length — even if that length is not window-aligned.
-    let srv = server_with(ServerConfig {
-        delta_window: 5,
-        ..ServerConfig::default()
-    });
+    let srv = builder().delta_window(5).build().unwrap();
     let mut gen = SigGen::new(9);
     let adds: Vec<_> = (0..12)
         .map(|u| (srv.authority().issue(u), gen.random_signature().to_string()))
@@ -144,7 +138,7 @@ fn delta_sync_resumes_mid_window_after_interruption() {
 fn old_protocol_and_batched_protocol_share_one_server() {
     // Backward compatibility: a seed-era client (single ADD + GET) and a
     // batched client converge to identical repositories.
-    let srv = server_with(ServerConfig::default());
+    let srv = builder().build().unwrap();
     let mut gen = SigGen::new(3);
 
     // Old-style client uploads one signature the paper's way.
@@ -166,27 +160,25 @@ fn old_protocol_and_batched_protocol_share_one_server() {
         .all(|r| r.accepted));
 
     // Both download styles see the same three signatures in the same
-    // order.
-    let mut old_repo = LocalRepository::in_memory();
-    assert_eq!(sync_once(&mut connector(&srv), &mut old_repo).unwrap(), 3);
+    // order: the paper's GET(0) and a delta sync in windows of two.
+    let Reply::Sigs { from: 0, sigs } = connector(&srv).call(Request::Get { from: 0 }).unwrap()
+    else {
+        panic!("expected the SIGS reply to GET(0)")
+    };
     let mut new_repo = LocalRepository::in_memory();
     assert_eq!(
         sync_delta(&mut connector(&srv), &mut new_repo, 2).unwrap(),
         3
     );
-    for i in 0..3 {
-        assert_eq!(old_repo.sig(i), new_repo.sig(i));
-    }
+    let delta: Vec<&str> = (0..3).filter_map(|i| new_repo.sig(i)).collect();
+    assert_eq!(sigs, delta);
 }
 
 #[test]
 fn batch_item_budget_and_adjacency_still_enforced() {
     // Batching is not a validation bypass: per-item daily budgets apply
     // inside one ADD_BATCH exactly as across single ADDs.
-    let srv = server_with(ServerConfig {
-        daily_limit: 3,
-        ..ServerConfig::default()
-    });
+    let srv = builder().daily_limit(3).build().unwrap();
     let mut gen = SigGen::new(5);
     let id = srv.authority().issue(1);
     let adds: Vec<_> = (0..5)

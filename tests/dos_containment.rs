@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use communix::clock::{VirtualClock, DAY};
 use communix::net::{Reply, Request};
-use communix::server::{CommunixServer, ServerConfig};
 use communix::workloads::{AttackDepth, AttackerFactory, DriverApp, DriverProfile, SigGen, JBOSS};
 use communix::{CommunixNode, NodeConfig};
 
@@ -29,7 +28,10 @@ fn tiny_driver() -> DriverProfile {
 #[test]
 fn flood_is_capped_by_budget_and_adjacency() {
     let clock = Arc::new(VirtualClock::new());
-    let srv = CommunixServer::new(ServerConfig::default(), clock.clone());
+    let srv = communix::server::builder()
+        .clock(clock.clone())
+        .build()
+        .unwrap();
     let factory = AttackerFactory::new();
 
     // One attacker id hammers the server for "three days".
@@ -56,7 +58,10 @@ fn flood_is_capped_by_budget_and_adjacency() {
 
 #[test]
 fn adjacency_rejection_is_per_sender_not_global() {
-    let srv = CommunixServer::new(ServerConfig::default(), Arc::new(VirtualClock::new()));
+    let srv = communix::server::builder()
+        .clock(Arc::new(VirtualClock::new()))
+        .build()
+        .unwrap();
     let factory = AttackerFactory::new();
     let base = factory.flood_signature(1, 0);
     let adjacent = factory.adjacent_flood_signature(1, 0);
@@ -96,10 +101,10 @@ fn adjacency_rejection_is_per_sender_not_global() {
 fn malicious_signatures_never_reach_an_unrelated_history() {
     // Server-accepted flood signatures still die at the agent: their
     // classes are not loaded by the protected application.
-    let srv = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(VirtualClock::new()),
-    ));
+    let srv = communix::server::builder()
+        .clock(Arc::new(VirtualClock::new()))
+        .build()
+        .unwrap();
     let factory = AttackerFactory::new();
     for a in 0..5u64 {
         let id = srv.authority().issue(a);

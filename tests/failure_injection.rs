@@ -9,16 +9,16 @@ use communix::client::LocalRepository;
 use communix::clock::{VirtualClock, DAY};
 use communix::dimmunix::Signature;
 use communix::net::{record, Reply, Request};
-use communix::server::{CommunixServer, ServerConfig};
+use communix::server::CommunixServer;
 use communix::workloads::{DeadlockApp, ManifestationApp, SigGen};
 use communix::{CommunixNode, NodeConfig};
 
 /// A fresh server on a virtual clock.
 fn server() -> Arc<CommunixServer> {
-    Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(VirtualClock::new()),
-    ))
+    communix::server::builder()
+        .clock(Arc::new(VirtualClock::new()))
+        .build()
+        .unwrap()
 }
 
 /// Uploads `node`'s pending signatures to a fresh server and returns the
@@ -221,7 +221,10 @@ fn server_clock_abuse_cannot_bank_budget() {
     // The rate limiter uses a trailing window: an attacker cannot "save
     // up" days of budget by staying silent.
     let clock = Arc::new(VirtualClock::new());
-    let srv = CommunixServer::new(ServerConfig::default(), clock.clone());
+    let srv = communix::server::builder()
+        .clock(clock.clone())
+        .build()
+        .unwrap();
     let id = srv.authority().issue(1);
     let mut gen = SigGen::new(7);
 
@@ -294,10 +297,10 @@ fn node_without_id_keeps_signatures_for_later() {
     // Losing the id (or never having obtained one) must not lose
     // locally discovered signatures.
     let app = DeadlockApp::new(4);
-    let srv = Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(VirtualClock::new()),
-    ));
+    let srv = communix::server::builder()
+        .clock(Arc::new(VirtualClock::new()))
+        .build()
+        .unwrap();
     let mut node = CommunixNode::new(app.program().clone(), NodeConfig::for_user(5));
     node.startup();
     node.run(&app.deadlock_specs());

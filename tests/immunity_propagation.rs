@@ -4,17 +4,13 @@
 
 use std::sync::Arc;
 
-use communix::clock::SystemClock;
 use communix::net::{Reply, Request};
-use communix::server::{CommunixServer, DurabilityConfig, ServerConfig};
+use communix::server::{CommunixServer, DurabilityConfig};
 use communix::workloads::{DeadlockApp, MultiBugApp, SigGen};
 use communix::{CommunixNode, NodeConfig};
 
 fn server() -> Arc<CommunixServer> {
-    Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ))
+    communix::server::builder().build().unwrap()
 }
 
 fn connector(server: &Arc<CommunixServer>) -> impl FnMut(Request) -> Result<Reply, String> {

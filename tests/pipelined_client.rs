@@ -10,8 +10,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use communix::client::{
-    fetch_stats, obtain_id, sync_delta, sync_once, upload_batch, upload_signature, LocalRepository,
-    PipelineConfig, PipelineError, PipelinedClient, PipelinedConnector,
+    fetch_stats, obtain_id, sync_delta, upload_batch, Connector, LocalRepository, PipelineConfig,
+    PipelineError, PipelinedClient, PipelinedConnector,
 };
 use communix::net::{EncryptedId, Handler, Reply, Request, TcpServer};
 use communix::server::CommunixServer;
@@ -24,10 +24,7 @@ fn serve() -> (TcpServer, Arc<CommunixServer>) {
 }
 
 fn config(window: usize) -> PipelineConfig {
-    PipelineConfig {
-        window,
-        ..PipelineConfig::default()
-    }
+    PipelineConfig { window }
 }
 
 /// Records the submission index of each completion, in firing order.
@@ -246,12 +243,17 @@ fn blocking_facade_runs_existing_sync_helpers_unchanged() {
     let mut gen = SigGen::new(3);
     let mut conn = PipelinedConnector::connect(tcp.addr()).unwrap();
 
-    // The exact call sites the blocking client uses today, verbatim.
+    // The request helpers and the paper's ADD/GET verbs share one
+    // connection.
     let id = obtain_id(&mut conn, 9).unwrap();
     assert_eq!(id, srv.authority().issue(9));
-    let (accepted, _) =
-        upload_signature(&mut conn, id, gen.random_signature().to_string()).unwrap();
-    assert!(accepted);
+    let reply = conn
+        .call(Request::Add {
+            sender: id,
+            sig_text: gen.random_signature().to_string(),
+        })
+        .unwrap();
+    assert!(matches!(reply, Reply::AddAck { accepted: true, .. }));
     let results = upload_batch(
         &mut conn,
         vec![
@@ -262,13 +264,13 @@ fn blocking_facade_runs_existing_sync_helpers_unchanged() {
     .unwrap();
     assert!(results.iter().all(|r| r.accepted));
 
+    let Reply::Sigs { from: 0, sigs } = conn.call(Request::Get { from: 0 }).unwrap() else {
+        panic!("expected the SIGS reply to GET(0)")
+    };
     let mut repo = LocalRepository::in_memory();
-    assert_eq!(sync_once(&mut conn, &mut repo).unwrap(), 3);
-    let mut repo2 = LocalRepository::in_memory();
-    assert_eq!(sync_delta(&mut conn, &mut repo2, 2).unwrap(), 3);
-    for i in 0..3 {
-        assert_eq!(repo.sig(i), repo2.sig(i));
-    }
+    assert_eq!(sync_delta(&mut conn, &mut repo, 2).unwrap(), 3);
+    let delta: Vec<&str> = (0..3).filter_map(|i| repo.sig(i)).collect();
+    assert_eq!(sigs, delta);
     assert!(fetch_stats(&mut conn).unwrap().contains("\"counters\""));
     tcp.shutdown();
 }

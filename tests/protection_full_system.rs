@@ -6,9 +6,8 @@
 
 use std::sync::Arc;
 
-use communix::clock::SystemClock;
 use communix::net::{Reply, Request};
-use communix::server::{CommunixServer, ServerConfig};
+use communix::server::CommunixServer;
 use communix::workloads::MultiBugApp;
 use communix::{CommunixNode, NodeConfig};
 
@@ -16,10 +15,7 @@ const BUGS: usize = 4;
 const USERS: u64 = 4;
 
 fn server() -> Arc<CommunixServer> {
-    Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ))
+    communix::server::builder().build().unwrap()
 }
 
 fn connector(server: &Arc<CommunixServer>) -> impl FnMut(Request) -> Result<Reply, String> {

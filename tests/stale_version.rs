@@ -5,17 +5,13 @@
 use std::sync::Arc;
 
 use communix::bytecode::{ClassFile, Method, Program, Stmt};
-use communix::clock::SystemClock;
 use communix::net::{Reply, Request};
-use communix::server::{CommunixServer, ServerConfig};
+use communix::server::CommunixServer;
 use communix::workloads::ManifestationApp;
 use communix::{CommunixNode, NodeConfig};
 
 fn server() -> Arc<CommunixServer> {
-    Arc::new(CommunixServer::new(
-        ServerConfig::default(),
-        Arc::new(SystemClock::new()),
-    ))
+    communix::server::builder().build().unwrap()
 }
 
 fn connector(server: &Arc<CommunixServer>) -> impl FnMut(Request) -> Result<Reply, String> {

@@ -4,8 +4,9 @@
 use std::io::Write;
 use std::sync::Arc;
 
-use communix::client::{Connector, PipelinedConnector};
-use communix::net::{Handler, Reply, Request, TcpServer};
+use communix::client::{sync_delta, upload_batch, Connector, LocalRepository, PipelinedConnector};
+use communix::dimmunix::{Frame, SigEntry, Signature};
+use communix::net::{Handler, Reply, Request, TcpServer, MAX_FRAME};
 use communix::server::CommunixServer;
 use communix::workloads::DeadlockApp;
 use communix::{CommunixNode, NodeConfig};
@@ -68,10 +69,16 @@ fn concurrent_uploads_from_many_nodes() {
                 let mut conn = TcpConnector { addr };
                 let id = communix::client::obtain_id(&mut conn, user).unwrap();
                 for _ in 0..5 {
-                    let text = gen.random_signature().to_string();
-                    let (ok, reason) =
-                        communix::client::upload_signature(&mut conn, id, text).unwrap();
-                    assert!(ok, "{reason}");
+                    let reply = conn
+                        .call(Request::Add {
+                            sender: id,
+                            sig_text: gen.random_signature().to_string(),
+                        })
+                        .unwrap();
+                    let Reply::AddAck { accepted, reason } = reply else {
+                        panic!("expected AddAck, got {reply:?}")
+                    };
+                    assert!(accepted, "{reason}");
                 }
                 let _ = server; // keep alive until done
             });
@@ -134,13 +141,59 @@ fn unreachable_server_yields_transport_errors() {
         l.local_addr().unwrap()
     };
     let mut conn = TcpConnector { addr: dead_addr };
-    let mut repo = communix::client::LocalRepository::in_memory();
-    let err = communix::client::sync_once(&mut conn, &mut repo);
+    let mut repo = LocalRepository::in_memory();
+    let err = sync_delta(&mut conn, &mut repo, 0);
     assert!(matches!(
         err,
         Err(communix::client::SyncError::Transport(_))
     ));
     assert_eq!(repo.len(), 0, "repository untouched on failure");
+}
+
+/// A parseable signature of about `bulk` bytes, nearly all of them one
+/// bottom frame's class name; its top frames sit at lines
+/// `base..base + 4`, so distinct bases never make two of them adjacent.
+fn bulky_signature(base: u32, bulk: usize) -> String {
+    let bottom = Frame::new(format!("app.{}", "x".repeat(bulk)), "run", 1);
+    let top = |line: u32| Frame::new("app.C", "f", line);
+    Signature::local(vec![
+        SigEntry::new(
+            [bottom, top(base)].into_iter().collect(),
+            [top(base + 1)].into_iter().collect(),
+        ),
+        SigEntry::new(
+            [top(base + 2)].into_iter().collect(),
+            [top(base + 3)].into_iter().collect(),
+        ),
+    ])
+    .to_string()
+}
+
+#[test]
+fn a_delta_larger_than_one_frame_arrives_in_several_windows() {
+    // Three signatures whose DELTA would be larger than the frame limit
+    // every client enforces: the server closes each window where the
+    // next signature would overflow it, and the client pages on.
+    let bulk = MAX_FRAME / 3 + 1_000_000;
+    let (mut tcp, server) = spawn_server();
+    let mut conn = PipelinedConnector::connect(tcp.addr()).unwrap();
+    let id = server.authority().issue(1);
+    for i in 0..3 {
+        let results = upload_batch(&mut conn, vec![(id, bulky_signature(10 * i, bulk))]).unwrap();
+        assert!(results[0].accepted, "{}", results[0].reason);
+    }
+    assert!(server.db().stored_bytes() > MAX_FRAME);
+
+    let mut repo = LocalRepository::in_memory();
+    assert_eq!(sync_delta(&mut conn, &mut repo, 0).unwrap(), 3);
+    assert_eq!(server.stats().deltas, 2, "windows of two and one");
+    for i in 0..3 {
+        assert_eq!(
+            repo.sig(i as usize),
+            Some(bulky_signature(10 * i, bulk).as_str())
+        );
+    }
+    tcp.shutdown();
 }
 
 #[test]
