@@ -12,8 +12,9 @@
 //! `communix-client`'s `PipelinedClient` builds that on top.
 //!
 //! Mirrors the server's per-connection state machine in
-//! [`crate::event`]: framed reassembly of partial reads, short-write
-//! resumption, and a readiness poller (the same vendored [`polling`]
+//! [`crate::reactor`]: framed reassembly of partial reads, short-write
+//! resumption, a receive buffer that gives a drained large allocation
+//! back, and a readiness poller (the same vendored [`polling`]
 //! backend) for blocking waits. Encoding goes through the codec's
 //! `*_into` path, so a burst of queued requests performs zero per-frame
 //! allocations.
@@ -26,7 +27,7 @@ use std::time::Duration;
 use bytes::{Buf, BytesMut};
 use polling::{Events, Poller};
 
-use crate::codec::{frame_len, frame_request_into, Reply, Request};
+use crate::codec::{frame_len, frame_request_into, give_back, Reply, Request};
 use crate::tcp::ClientError;
 
 /// Poller key of the connection's single descriptor.
@@ -157,8 +158,9 @@ impl NonblockingClient {
 /// source: decodes the frame at the front of `inbuf` where it lies, or
 /// reads more of it in place. Once the header is in, the buffer is sized
 /// for the whole frame (the header was bounded by `MAX_FRAME`, and this
-/// client chose its server) and each read asks for all that is missing.
-fn recv_reply(
+/// client chose its server) and each read asks for all that is missing;
+/// a large buffer is given back once its last frame is decoded.
+pub(crate) fn recv_reply(
     inbuf: &mut BytesMut,
     eof: &mut bool,
     src: &mut impl Read,
@@ -168,6 +170,7 @@ fn recv_reply(
             Some(len) if inbuf.len() >= 4 + len => {
                 let reply = Reply::decode_from(&inbuf[4..4 + len]);
                 inbuf.advance(4 + len);
+                give_back(inbuf);
                 return Ok(Some(reply?));
             }
             Some(len) => 4 + len - inbuf.len(),
@@ -337,15 +340,18 @@ mod tests {
         };
         let mut wire = BytesMut::new();
         crate::codec::frame_reply_into(&reply, &mut wire);
-        let mut src = Scripted::new(wire.chunks(CHUNK).map(<[u8]>::to_vec));
+        let (head, last) = wire.split_at(wire.len() - CHUNK);
+        let mut src = Scripted::new(head.chunks(CHUNK).map(<[u8]>::to_vec));
         let (mut inbuf, mut eof) = (BytesMut::new(), false);
-        let got = recv_reply(&mut inbuf, &mut eof, &mut src).unwrap();
-        assert_eq!(got, Some(reply));
+        assert_eq!(recv_reply(&mut inbuf, &mut eof, &mut src).unwrap(), None);
         assert!(inbuf.capacity() >= wire.len());
         assert!(
             inbuf.capacity() < wire.len() + 2 * CHUNK,
             "sized to the frame, not doubled past it: {}",
             inbuf.capacity()
         );
+        let mut src = Scripted::new([last.to_vec()]);
+        let got = recv_reply(&mut inbuf, &mut eof, &mut src).unwrap();
+        assert_eq!(got, Some(reply));
     }
 }

@@ -58,6 +58,28 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 /// but GET replies batch many signatures).
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 
+/// The payload bytes one `SIGS`/`DELTA` reply window holds: the server
+/// closes a window at the last signature within it (a lone signature
+/// may exceed it), and a server connection with this much of its
+/// replies queued stops reading.
+pub const REPLY_BUDGET: usize = 1 << 20;
+
+/// The longest signature text a server accepts (§III-C): ≈ 21× the
+/// largest any workload, detection or Table II attack in this repository
+/// produces (3,074 B; a generated signature averages 1,745 B).
+pub const MAX_SIG_BYTES: usize = 64 * 1024;
+
+/// Most capacity a drained connection buffer keeps.
+pub(crate) const IDLE_CAPACITY: usize = 64 * 1024;
+
+/// Gives `buf`'s allocation back when it has drained above
+/// [`IDLE_CAPACITY`], so an idle connection does not keep its largest frame.
+pub(crate) fn give_back(buf: &mut BytesMut) {
+    if buf.is_empty() && buf.capacity() > IDLE_CAPACITY {
+        *buf = BytesMut::new();
+    }
+}
+
 /// An encrypted user id: one AES-128 block (§III-C2).
 pub type EncryptedId = [u8; 16];
 

@@ -35,6 +35,6 @@ mod test_io;
 pub use client_conn::NonblockingClient;
 pub use codec::{
     deframe, frame, frame_reply_into, frame_request_into, AddResult, BatchAdd, CodecError,
-    EncryptedId, Reply, Request, MAX_FRAME,
+    EncryptedId, Reply, Request, MAX_FRAME, MAX_SIG_BYTES, REPLY_BUDGET,
 };
 pub use tcp::{ClientError, Handler, TcpServer, TcpServerConfig, TransportStats};

@@ -24,11 +24,14 @@
 //! * **short-write resumption** — whatever the kernel doesn't accept
 //!   stays queued; the connection registers write interest and resumes
 //!   on the next writable event.
-//! * **write backpressure** — while more than [`HIGH_WATER`] bytes of
-//!   replies are queued, the shard stops *reading* (and stops decoding
+//! * **write backpressure** — while [`REPLY_BUDGET`] bytes of replies
+//!   are queued, the shard stops *reading* (and stops decoding
 //!   already-buffered frames) from that connection, so a peer that
 //!   requests faster than it drains replies cannot balloon server
 //!   memory.
+//! * **buffer give-back** — a read or write buffer that drains above
+//!   a small fixed capacity gives its allocation back, so an idle
+//!   connection does not keep the largest frame it ever carried.
 //! * **idle/heartbeat timeout** — a connection that makes no read or
 //!   write progress for the configured idle timeout is evicted. This
 //!   also defuses slow-loris peers that send a length prefix and then
@@ -47,16 +50,13 @@ use bytes::{Buf, BytesMut};
 use communix_telemetry::{Counter, Gauge, Registry};
 use polling::{BackendKind, Events, Poller, Waker};
 
-use crate::codec::{frame_len, frame_reply_into, Reply, Request};
+use crate::codec::{frame_len, frame_reply_into, give_back, Reply, Request, REPLY_BUDGET};
 use crate::tcp::{CloseCause, Handler, SharedStats, TcpServerConfig};
 
 /// Reserved poller key for the shard's waker.
 const KEY_WAKER: usize = 0;
 /// First key handed to a registered connection.
 const KEY_FIRST_CONN: usize = 1;
-
-/// Queued-reply bytes above which a connection stops being read.
-pub(crate) const HIGH_WATER: usize = 1 << 20;
 
 /// Minimum room offered to each socket read; a read that returns less
 /// has drained the kernel buffer. Not a copy granularity: reads land in
@@ -129,8 +129,8 @@ struct Conn<S> {
     /// Currently registered poller interest.
     want_read: bool,
     want_write: bool,
-    /// Whether this connection is currently above the write high-water
-    /// mark (lets the crossing emit exactly one trace event).
+    /// Whether this connection currently has a full reply budget queued
+    /// (lets the crossing emit exactly one trace event).
     backpressured: bool,
 }
 
@@ -349,7 +349,7 @@ fn drive<S: Read + Write>(
 ) -> Result<(), CloseCause> {
     if readable {
         loop {
-            if conn.out.len() >= HIGH_WATER {
+            if conn.out.len() >= REPLY_BUDGET {
                 break; // backpressure: drain before reading more
             }
             match conn.inbuf.read_from(&mut conn.stream, CHUNK) {
@@ -374,9 +374,9 @@ fn drive<S: Read + Write>(
     if (writable || !conn.out.is_empty()) && !flush(conn, now) {
         return Err(CloseCause::Io);
     }
-    // A flush may have drained below the high-water mark: resume
-    // decoding frames that backpressure deferred.
-    if conn.out.len() < HIGH_WATER {
+    // A flush may have drained below the budget: resume decoding frames
+    // that backpressure deferred.
+    if conn.out.len() < REPLY_BUDGET {
         conn.backpressured = false;
     }
     process_frames(handler, stats, frames, conn)?;
@@ -387,8 +387,8 @@ fn drive<S: Read + Write>(
     }
 }
 
-/// Decodes and handles every complete frame in `inbuf`, subject to the
-/// write high-water mark. Fails with [`CloseCause::Framing`] on a
+/// Decodes and handles every complete frame in `inbuf` while less than
+/// a reply budget is queued. Fails with [`CloseCause::Framing`] on a
 /// framing violation and [`CloseCause::HandlerPanic`] when the handler
 /// panics.
 fn process_frames<S>(
@@ -397,7 +397,7 @@ fn process_frames<S>(
     frames: &Counter,
     conn: &mut Conn<S>,
 ) -> Result<(), CloseCause> {
-    while conn.out.len() < HIGH_WATER {
+    while conn.out.len() < REPLY_BUDGET {
         let len = match frame_len(&conn.inbuf) {
             Ok(Some(len)) if conn.inbuf.len() >= 4 + len => len,
             Ok(_) => break,
@@ -424,9 +424,10 @@ fn process_frames<S>(
         conn.inbuf.advance(4 + len);
         frame_reply_into(&reply, &mut conn.out);
     }
-    // Trace the high-water crossing once; the flag resets when a flush
-    // drains the queue back below the mark.
-    if conn.out.len() >= HIGH_WATER && !conn.backpressured {
+    give_back(&mut conn.inbuf);
+    // Trace the budget crossing once; the flag resets when a flush
+    // drains the queue back below it.
+    if conn.out.len() >= REPLY_BUDGET && !conn.backpressured {
         conn.backpressured = true;
         stats.backpressured(conn.id);
     }
@@ -447,13 +448,14 @@ fn flush<S: Write>(conn: &mut Conn<S>, now: Instant) -> bool {
             Err(_) => return false,
         }
     }
+    give_back(&mut conn.out);
     true
 }
 
 /// Re-registers the connection when its desired interest changed:
 /// readable unless backpressured, writable while replies are queued.
 fn sync_interest(poller: &Poller, key: usize, conn: &mut Conn<TcpStream>) -> bool {
-    let want_read = conn.out.len() < HIGH_WATER;
+    let want_read = conn.out.len() < REPLY_BUDGET;
     let want_write = !conn.out.is_empty();
     if (want_read, want_write) != (conn.want_read, conn.want_write) {
         if poller
@@ -471,7 +473,8 @@ fn sync_interest(poller: &Poller, key: usize, conn: &mut Conn<TcpStream>) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{frame_request_into, MAX_FRAME};
+    use crate::client_conn::recv_reply;
+    use crate::codec::{frame_request_into, IDLE_CAPACITY, MAX_FRAME};
     use crate::test_io::{trickle, Scripted};
 
     fn echo() -> Handler {
@@ -558,5 +561,40 @@ mod tests {
             conn.inbuf.capacity()
         );
         assert!(conn.stream.written.is_empty());
+    }
+
+    #[test]
+    fn a_drained_connection_gives_its_buffers_back() {
+        // One 4 MB ADD in, its 4 MB echo out: the server end reads and
+        // writes the frame whole, then keeps neither buffer.
+        let add = Request::Add {
+            sender: [5u8; 16],
+            sig_text: "z".repeat(4 << 20),
+        };
+        let mut wire = BytesMut::new();
+        frame_request_into(&add, &mut wire);
+        let conn = drive_all(vec![wire.to_vec()]);
+        let reply = echo()(add);
+        let mut expected = BytesMut::new();
+        frame_reply_into(&reply, &mut expected);
+        assert_eq!(conn.stream.written, expected.to_vec());
+        assert!(conn.inbuf.is_empty() && conn.out.is_empty());
+        assert!(
+            conn.inbuf.capacity() <= IDLE_CAPACITY && conn.out.capacity() <= IDLE_CAPACITY,
+            "a drained server connection keeps {} + {} bytes",
+            conn.inbuf.capacity(),
+            conn.out.capacity()
+        );
+
+        // The client end receives that reply and keeps no buffer either.
+        let mut src = Scripted::new([conn.stream.written]);
+        let (mut inbuf, mut eof) = (BytesMut::new(), false);
+        let got = recv_reply(&mut inbuf, &mut eof, &mut src).expect("receive");
+        assert_eq!(got, Some(reply));
+        assert!(
+            inbuf.capacity() <= IDLE_CAPACITY,
+            "a drained client connection keeps {} bytes",
+            inbuf.capacity()
+        );
     }
 }

@@ -1,14 +1,16 @@
 //! The one door for standing up a Communix server.
 //!
-//! Every value (the §III-C budget, the store's shards and durability,
-//! the `GET_DELTA` window, reactor shards, the clock) has one chainable
-//! setter on [`ServerBuilder`]; [`build`](ServerBuilder::build) yields
-//! an unbound server, [`serve`](ServerBuilder::serve) also binds its TCP
-//! transport.
+//! Four values have one chainable setter each on [`ServerBuilder`]: the
+//! §III-C daily limit, the store's durability, the reactor shards and
+//! the clock. Sizes are not among them: a reply window closes at
+//! [`REPLY_BUDGET`](communix_net::REPLY_BUDGET) bytes, a signature text
+//! may be [`MAX_SIG_BYTES`](communix_net::MAX_SIG_BYTES) long, and the
+//! store has [`DEFAULT_SHARDS`](crate::DEFAULT_SHARDS) dedup shards.
+//! [`build`](ServerBuilder::build) yields an unbound server,
+//! [`serve`](ServerBuilder::serve) also binds its TCP transport.
 //!
 //! ```no_run
 //! let (server, tcp) = communix_server::builder()
-//!     .db_shards(32)
 //!     .reactors(4)
 //!     .serve("127.0.0.1:0")
 //!     .unwrap();
@@ -36,7 +38,8 @@ use communix_clock::{Clock, SystemClock};
 use communix_net::{Handler, TcpServer, TcpServerConfig};
 use communix_telemetry::Registry;
 
-use crate::server::{CommunixServer, ServerConfig};
+use crate::db::DEFAULT_SHARDS;
+use crate::server::{CommunixServer, DAILY_LIMIT};
 use crate::store::{DurabilityConfig, Store};
 
 /// Builder for a [`CommunixServer`] and (optionally) its TCP transport.
@@ -45,7 +48,7 @@ use crate::store::{DurabilityConfig, Store};
 /// [`serve`](ServerBuilder::serve) to also bind the transport.
 #[derive(Debug, Default)]
 pub struct ServerBuilder {
-    config: ServerConfig,
+    daily_limit: Option<usize>,
     durability: Option<DurabilityConfig>,
     reactors: usize,
     clock: Option<Arc<dyn Clock>>,
@@ -55,23 +58,7 @@ impl ServerBuilder {
     /// Maximum signatures processed per sender per day (paper: 10).
     #[must_use]
     pub fn daily_limit(mut self, limit: usize) -> Self {
-        self.config.daily_limit = limit;
-        self
-    }
-
-    /// Signature-store shards, which also shard the per-user validation
-    /// state (`0` clamps to one).
-    #[must_use]
-    pub fn db_shards(mut self, shards: usize) -> Self {
-        self.config.db_shards = shards;
-        self
-    }
-
-    /// Most signatures in one `GET_DELTA` reply, whatever the client
-    /// asks for (default 4096).
-    #[must_use]
-    pub fn delta_window(mut self, window: usize) -> Self {
-        self.config.delta_window = window;
+        self.daily_limit = Some(limit);
         self
     }
 
@@ -137,10 +124,11 @@ impl ServerBuilder {
         let clock = self.clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
         let registry = Arc::new(Registry::new());
         let store = match self.durability {
-            Some(durability) => Store::open(self.config.db_shards, durability, &registry)?,
-            None => Store::in_memory_with(self.config.db_shards, &registry),
+            Some(durability) => Store::open(DEFAULT_SHARDS, durability, &registry)?,
+            None => Store::in_memory_with(DEFAULT_SHARDS, &registry),
         };
-        let server = CommunixServer::new(self.config, clock, registry, store);
+        let daily_limit = self.daily_limit.unwrap_or(DAILY_LIMIT);
+        let server = CommunixServer::new(daily_limit, clock, registry, store);
         Ok((Arc::new(server), self.reactors))
     }
 }
@@ -174,12 +162,9 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         let server = crate::builder()
             .daily_limit(2)
-            .db_shards(0)
-            .delta_window(1)
             .clock(clock.clone())
             .build()
             .unwrap();
-        assert_eq!(server.db().shard_count(), 1, "db_shards(0) clamps to one");
         // daily_limit(2): the sender's third ADD of the day is refused.
         assert_eq!(add(&server, 7, sig_with(100)), (true, String::new()));
         assert_eq!(add(&server, 7, sig_with(1100)), (true, String::new()));
@@ -187,14 +172,6 @@ mod tests {
             add(&server, 7, sig_with(2100)),
             (false, "daily signature budget exhausted".to_string())
         );
-        // delta_window(1): an uncapped GET_DELTA over two stored
-        // signatures returns one.
-        let Reply::SharedDelta { total, sigs, .. } =
-            server.handle(Request::GetDelta { from: 0, max: 0 })
-        else {
-            panic!("expected Delta")
-        };
-        assert_eq!((total, sigs.len()), (2, 1));
         // clock(..): the budget refreshes once the virtual day is over.
         clock.advance(communix_clock::DAY + communix_clock::Duration::from_secs(1));
         assert_eq!(add(&server, 7, sig_with(2100)), (true, String::new()));

@@ -16,7 +16,7 @@
 //! * **Append log** — texts live in a segmented append-only log whose
 //!   slots are written exactly once, in index order, under the one
 //!   *append lock*. Readers ([`SignatureDb::get_from`],
-//!   [`SignatureDb::delta`]) walk the log up to the *committed*
+//!   [`SignatureDb::window`]) walk the log up to the *committed*
 //!   watermark without taking any per-signature lock, so the O(N) GET(0)
 //!   walk no longer blocks writers (and vice versa).
 //!
@@ -55,7 +55,7 @@
 //! Dedup'd ADDs are never rewritten, so a signature's text is immutable
 //! from the moment its log slot is published. It is therefore stored
 //! once, as an `Arc<str>` in its log slot (an overflow entry shares the
-//! allocation), and [`SignatureDb::delta`] hands readers further handles
+//! allocation), and [`SignatureDb::window`] hands readers further handles
 //! to it instead of copies. Only [`SignatureDb::get_from`] (the old GET
 //! verb's owned reply) copies text out.
 
@@ -64,6 +64,7 @@ use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use communix_net::REPLY_BUDGET;
 use parking_lot::{Mutex, RwLock};
 
 /// Default number of dedup shards (a modest power of two: enough to
@@ -234,29 +235,47 @@ impl SignatureDb {
 
     /// All signatures from index `from` (copies; the caller ships them).
     pub fn get_from(&self, from: usize) -> Vec<String> {
-        let (from, total) = (from as u64, self.log.committed());
-        let mut sigs = Vec::with_capacity(total.saturating_sub(from) as usize);
-        self.log
-            .for_each(from, total, |t| sigs.push(String::from(&**t)));
+        let total = self.log.committed();
+        let from = (from as u64).min(total);
+        let segments = self.log.pinned();
+        let mut sigs = Vec::with_capacity((total - from) as usize);
+        sigs.extend(slots(&segments, from, total).map(|t| String::from(&**t)));
         sigs
     }
 
-    /// At most `max` signatures from index `from`, plus the current
-    /// total — the server-side windowing behind `GET_DELTA`. `max == 0`
-    /// means "no client-side cap" (the server still applies its own).
-    /// The texts are handles to the stored ones, not copies.
-    pub fn delta(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
+    /// The window behind `GET` and `GET_DELTA`: the signatures from index
+    /// `from`, at most `max` of them (`0`: no count cap), closed at the
+    /// last one whose `DELTA` reply stays within [`REPLY_BUDGET`] bytes,
+    /// plus the current total. A window holds at least one signature
+    /// while any is left, so every window moves its reader on. The walk
+    /// measures before it copies: the texts are handles to the stored
+    /// ones, and only those served are handed out.
+    pub fn window(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
         let total = self.log.committed();
         let from = (from as u64).min(total);
-        let cap = if max == 0 {
-            total
-        } else {
-            from.saturating_add(max as u64)
+        let to = match max {
+            0 => total,
+            max => from.saturating_add(max as u64).min(total),
         };
-        let to = cap.min(total);
-        let mut sigs = Vec::with_capacity((to - from) as usize);
-        self.log.for_each(from, to, |t| sigs.push(t.clone()));
+        let segments = self.log.pinned();
+        let mut text_bytes = 0;
+        let fit = slots(&segments, from, to)
+            .enumerate()
+            .take_while(|(i, t)| {
+                text_bytes += t.len();
+                reply_bytes(i + 1, text_bytes) <= REPLY_BUDGET
+            })
+            .count()
+            .max(usize::from(from < to));
+        let mut sigs = Vec::with_capacity(fit);
+        sigs.extend(slots(&segments, from, to).take(fit).cloned());
         (sigs, total as usize)
+    }
+
+    /// [`SignatureDb::window`], by the name `benchmark/` calls (ROADMAP
+    /// item 1A retires it).
+    pub fn delta(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
+        self.window(from, max)
     }
 
     /// Per-shard `(count, bytes)` counters. Their sums equal
@@ -348,34 +367,42 @@ impl AppendLog {
         i
     }
 
-    /// Walks the committed slots in `[from, to)` segment by segment
-    /// (`to` must be ≤ committed).
+    /// The segments as they stand, for a walk up to a committed length
+    /// read before this call.
     ///
     /// The segment-directory lock is released before the walk: holding
     /// it across an O(N) GET(0) would park any add that needs to grow
     /// the directory — and, through lock fairness, every other reader
     /// behind that waiting writer. Segments are `Arc`s precisely so a
     /// reader can pin them and iterate lock-free.
-    fn for_each(&self, from: u64, to: u64, mut f: impl FnMut(&Arc<str>)) {
-        if from >= to {
-            return;
-        }
-        let segments: Vec<Segment> = self.segments.read().clone();
-        let mut seg = (from as usize) >> SEG_SHIFT;
-        let mut off = (from as usize) & (SEG_LEN - 1);
-        let mut remaining = (to - from) as usize;
-        while remaining > 0 {
-            let take = remaining.min(SEG_LEN - off);
-            for slot in &segments[seg][off..off + take] {
-                f(slot
-                    .get()
-                    .expect("slot below the committed watermark is filled"));
-            }
-            remaining -= take;
-            seg += 1;
-            off = 0;
-        }
+    fn pinned(&self) -> Vec<Segment> {
+        self.segments.read().clone()
     }
+}
+
+/// The texts in slots `[from, to)` of pinned `segments`, in order (`to`
+/// must be ≤ the committed length read before pinning).
+fn slots(segments: &[Segment], from: u64, to: u64) -> impl Iterator<Item = &Arc<str>> {
+    let (seg, off) = (
+        (from as usize) >> SEG_SHIFT,
+        (from as usize) & (SEG_LEN - 1),
+    );
+    segments[seg..]
+        .iter()
+        .flat_map(|segment| segment.iter())
+        .skip(off)
+        .take((to - from) as usize)
+        .map(|slot| {
+            slot.get()
+                .expect("slot below the committed watermark is filled")
+        })
+}
+
+/// Payload bytes of a `DELTA` reply carrying `count` texts of `text_bytes`
+/// bytes in all: tag, `from`, `total`, the count, and a length prefix per
+/// text. A `SIGS` reply has no `total`, so it is 8 bytes smaller.
+fn reply_bytes(count: usize, text_bytes: usize) -> usize {
+    1 + 8 + 8 + 4 + 4 * count + text_bytes
 }
 
 #[cfg(test)]
@@ -426,7 +453,7 @@ mod tests {
     enum Op {
         Add(usize),
         Contains(usize),
-        Delta(usize, usize),
+        Window(usize, usize),
         GetFrom(usize),
     }
 
@@ -445,7 +472,7 @@ mod tests {
             (0usize..24).prop_map(Op::Add),
             (0usize..24).prop_map(Op::Contains),
             (arb_index(), prop_oneof![0usize..6, Just(usize::MAX)])
-                .prop_map(|(from, max)| Op::Delta(from, max)),
+                .prop_map(|(from, max)| Op::Window(from, max)),
             arb_index().prop_map(Op::GetFrom),
         ]
     }
@@ -472,14 +499,14 @@ mod tests {
                     let t = text(key);
                     prop_assert_eq!(db.contains(&t), log.iter().position(|s| *s == t));
                 }
-                Op::Delta(from, max) => {
+                Op::Window(from, max) => {
                     let from = from.min(log.len());
                     let to = if max == 0 {
                         log.len()
                     } else {
                         from.saturating_add(max).min(log.len())
                     };
-                    let (sigs, total) = db.delta(from, max);
+                    let (sigs, total) = db.window(from, max);
                     let sigs: Vec<&str> = sigs.iter().map(|s| &**s).collect();
                     prop_assert_eq!(sigs, &log[from..to]);
                     prop_assert_eq!(total, log.len());
@@ -563,7 +590,68 @@ mod tests {
         }
         assert_eq!(db.len(), n);
         assert_eq!(db.get_from(SEG_LEN - 1).len(), 18);
-        assert_eq!(db.delta(SEG_LEN - 2, 4).0.len(), 4);
+        assert_eq!(db.window(SEG_LEN - 2, 4).0.len(), 4);
+    }
+
+    /// A database holding one text of each of `lens` bytes, in order.
+    fn holding(lens: &[usize]) -> SignatureDb {
+        let db = SignatureDb::new();
+        for (i, &n) in lens.iter().enumerate() {
+            db.add(&format!("{i:08}{}", "x".repeat(n - 8)));
+        }
+        db
+    }
+
+    #[test]
+    fn a_window_closes_at_the_last_text_within_the_budget() {
+        // Sixteen texts of 64 KiB with their length prefixes would fill
+        // the budget exactly; the reply's header leaves room for fifteen.
+        let n = 64 * 1024 - 4;
+        let db = holding(&[n; 20]);
+        assert!(reply_bytes(15, 15 * n) <= REPLY_BUDGET);
+        assert!(reply_bytes(16, 16 * n) > REPLY_BUDGET);
+        assert_eq!(db.window(0, 0).0.len(), 15);
+        assert_eq!(db.window(3, 0), (db.window(3, 15).0, 20));
+        assert_eq!(db.window(15, 0).0.len(), 5);
+        // The client's count cap closes it earlier.
+        assert_eq!(db.window(0, 4).0.len(), 4);
+        // A window ends exactly at the budget: one byte less and the last
+        // text waits for the next window.
+        let fits = REPLY_BUDGET - reply_bytes(2, 0) - 1000;
+        assert_eq!(holding(&[1000, fits]).window(0, 0).0.len(), 2);
+        assert_eq!(holding(&[1000, fits + 1]).window(0, 0).0.len(), 1);
+    }
+
+    #[test]
+    fn a_window_holds_one_text_even_past_the_budget() {
+        let db = holding(&[REPLY_BUDGET + 1, 10]);
+        assert_eq!(db.window(0, 0).0.len(), 1);
+        assert_eq!(db.window(1, 0).0.len(), 1);
+        assert_eq!(db.window(2, 0), (Vec::new(), 2));
+    }
+
+    #[test]
+    fn reply_bytes_are_the_encoded_payload() {
+        use communix_net::Reply;
+        let sigs = vec!["sig-a".to_string(), "sig-bb".to_string()];
+        let delta = Reply::Delta {
+            from: 3,
+            total: 9,
+            sigs: sigs.clone(),
+        };
+        assert_eq!(delta.encode().len(), reply_bytes(2, 11));
+        let get = Reply::Sigs { from: 3, sigs };
+        assert!(get.encode().len() < reply_bytes(2, 11));
+        assert_eq!(
+            Reply::Delta {
+                from: 0,
+                total: 0,
+                sigs: vec![]
+            }
+            .encode()
+            .len(),
+            reply_bytes(0, 0)
+        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! rejection, 10-per-day rate limiting).
 //!
 //! Standing a server up goes through one door, [`builder`]: the
-//! §III-C budget, the store's shards and durability, the reply window,
-//! reactor shards and the clock each have one chainable setter on
-//! [`ServerBuilder`]. The signature store is durable when asked
+//! §III-C daily limit, the store's durability, reactor shards and the
+//! clock each have one chainable setter on [`ServerBuilder`]; sizes are
+//! fixed constants, not settings. The signature store is durable when asked
 //! ([`ServerBuilder::durability`]): accepted signatures are journaled to a
 //! write-ahead log whose segments are the store — nothing is rewritten —
 //! and recovered by replaying them in order on the next boot (see the

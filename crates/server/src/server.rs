@@ -28,10 +28,11 @@
 //!
 //! Batched requests (`ADD_BATCH`, `GET_DELTA`) run the same per-item
 //! validation as their single-signature counterparts. `GET` and
-//! `GET_DELTA` read through one window: `GET_DELTA` caps it at
-//! [`delta_window`](crate::ServerBuilder::delta_window) signatures, and
-//! both close it at the last signature that keeps the reply within
-//! [`MAX_FRAME`] — the bound every client enforces on what it reads.
+//! `GET_DELTA` read through one window, [`SignatureDb::window`]: it
+//! holds at most the `GET_DELTA` client's `max` signatures and closes at
+//! the last one within [`REPLY_BUDGET`](communix_net::REPLY_BUDGET)
+//! bytes of reply. An ADD whose text exceeds [`MAX_SIG_BYTES`] is
+//! refused before it costs a dedup probe.
 //!
 //! # Observability
 //!
@@ -48,12 +49,12 @@ use std::sync::Arc;
 
 use communix_clock::{Clock, Instant, DAY};
 use communix_dimmunix::{Signature, Site};
-use communix_net::{AddResult, EncryptedId, Reply, Request, MAX_FRAME};
+use communix_net::{AddResult, EncryptedId, Reply, Request, MAX_SIG_BYTES};
 use communix_telemetry::{Counter, Histogram, Registry, Snapshot};
 use parking_lot::Mutex;
 
 use crate::auth::IdAuthority;
-use crate::db::SignatureDb;
+use crate::db::{SignatureDb, DEFAULT_SHARDS};
 use crate::store::Store;
 
 /// Why an ADD was rejected (mirrored into the wire reply's reason text).
@@ -67,7 +68,7 @@ pub enum RejectReason {
     Adjacent,
     /// The sender exhausted its daily budget.
     RateLimited,
-    /// The text is too long for any reply frame to carry it.
+    /// The text is longer than [`MAX_SIG_BYTES`].
     TooLarge,
 }
 
@@ -83,28 +84,9 @@ impl RejectReason {
     }
 }
 
-/// Server tunables, set through [`ServerBuilder`](crate::ServerBuilder).
-#[derive(Debug, Clone)]
-pub(crate) struct ServerConfig {
-    /// Maximum signatures processed per sender per day (paper: 10).
-    pub daily_limit: usize,
-    /// Signature-store shards (also shards the per-user validation
-    /// state); `0` clamps to one.
-    pub db_shards: usize,
-    /// Maximum signatures per `GET_DELTA` reply, regardless of what the
-    /// client asks for (server-side windowing).
-    pub delta_window: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            daily_limit: 10,
-            db_shards: crate::db::DEFAULT_SHARDS,
-            delta_window: 4096,
-        }
-    }
-}
+/// Signatures processed per sender per day unless the builder sets
+/// another limit (§III-C1).
+pub(crate) const DAILY_LIMIT: usize = 10;
 
 /// Aggregate server counters — a point-in-time view over the server's
 /// telemetry [`Registry`] (the registry owns the live cells; this
@@ -248,11 +230,13 @@ struct UserState {
 /// ```
 #[derive(Debug)]
 pub struct CommunixServer {
-    config: ServerConfig,
+    /// Maximum signatures processed per sender per day.
+    daily_limit: usize,
     store: Store,
     authority: IdAuthority,
-    /// Per-user validation state, sharded by user id (index `user %
-    /// users.len()`) so concurrent senders rarely share a mutex.
+    /// Per-user validation state in [`DEFAULT_SHARDS`] shards by user id
+    /// (index `user % users.len()`), so concurrent senders rarely share
+    /// a mutex.
     users: Box<[Mutex<HashMap<u64, UserState>>]>,
     clock: Arc<dyn Clock>,
     registry: Arc<Registry>,
@@ -263,18 +247,17 @@ impl CommunixServer {
     /// A server over `store`, recording into `registry` (the store's
     /// own). [`builder`](crate::builder) is the public door.
     pub(crate) fn new(
-        config: ServerConfig,
+        daily_limit: usize,
         clock: Arc<dyn Clock>,
         registry: Arc<Registry>,
         store: Store,
     ) -> Self {
-        let user_shards = config.db_shards.max(1);
         let metrics = ServerMetrics::resolve(&registry);
         CommunixServer {
-            config,
+            daily_limit,
             store,
             authority: IdAuthority::default(),
-            users: (0..user_shards)
+            users: (0..DEFAULT_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             clock,
@@ -410,8 +393,9 @@ impl CommunixServer {
             return AddDecision::Rejected(RejectReason::BadId);
         };
 
-        // A text no reply can carry would stop every reader's sync at it.
-        if reply_bytes(1, sig_text.len()) > MAX_FRAME {
+        // §III-C bounds what one sender can make the server keep: a text
+        // many times any real signature's is refused before its probe.
+        if sig_text.len() > MAX_SIG_BYTES {
             return AddDecision::Rejected(RejectReason::TooLarge);
         }
 
@@ -444,7 +428,7 @@ impl CommunixServer {
                 break;
             }
         }
-        if state.processed.len() >= self.config.daily_limit {
+        if state.processed.len() >= self.daily_limit {
             return AddDecision::Rejected(RejectReason::RateLimited);
         }
         state.processed.push_back(now);
@@ -493,10 +477,10 @@ impl CommunixServer {
         AddResult { accepted, reason }
     }
 
-    /// `GET(k)`: the paper's "everything from index `k`", as far as one
-    /// frame carries it — a `GET_DELTA` with no count cap.
+    /// `GET(k)`: the paper's "everything from index `k`", one budgeted
+    /// window at a time — a `GET_DELTA` with no count cap.
     fn handle_get(&self, from: u64) -> Reply {
-        let (sigs, _) = self.window(from, 0);
+        let (sigs, _) = self.store.db().window(from as usize, 0);
         self.metrics.gets.inc();
         self.metrics.sigs_served.add(sigs.len() as u64);
         let sigs = sigs.iter().map(|s| String::from(&**s)).collect();
@@ -504,12 +488,9 @@ impl CommunixServer {
     }
 
     fn handle_get_delta(&self, from: u64, max: u32) -> Reply {
-        let max = if max == 0 {
-            self.config.delta_window
-        } else {
-            (max as usize).min(self.config.delta_window)
-        };
-        let (sigs, total) = self.window(from, max);
+        // After a GC the total falls below old cursors: the client's
+        // signal that the store switched epochs.
+        let (sigs, total) = self.store.db().window(from as usize, max as usize);
         self.metrics.deltas.inc();
         self.metrics.sigs_served.add(sigs.len() as u64);
         // Handles to the stored texts: the transport encodes the `DELTA`
@@ -520,39 +501,6 @@ impl CommunixServer {
             sigs,
         }
     }
-
-    /// The one read path behind `GET` and `GET_DELTA`: at most `max`
-    /// signatures from `from` (`0`: no count cap), closed where the next
-    /// one would push the reply past [`MAX_FRAME`], plus the current
-    /// total.
-    fn window(&self, from: u64, max: usize) -> (Vec<Arc<str>>, usize) {
-        let (mut sigs, total) = self.store.delta(from as usize, max);
-        sigs.truncate(fitting(&sigs, MAX_FRAME));
-        (sigs, total)
-    }
-}
-
-/// Payload bytes of a `DELTA` reply carrying `count` texts of `text_bytes`
-/// bytes in all: tag, `from`, `total`, the count, and a length prefix per
-/// text. A `SIGS` reply has no `total`, so it is 8 bytes smaller.
-fn reply_bytes(count: usize, text_bytes: usize) -> usize {
-    1 + 8 + 8 + 4 + 4 * count + text_bytes
-}
-
-/// How many of `sigs`, from the front, one reply of at most `budget`
-/// payload bytes carries — never fewer than one while `sigs` is not
-/// empty, so every window moves its reader forward.
-fn fitting(sigs: &[Arc<str>], budget: usize) -> usize {
-    let mut text_bytes = 0;
-    let fit = sigs
-        .iter()
-        .enumerate()
-        .take_while(|(i, s)| {
-            text_bytes += s.len();
-            reply_bytes(i + 1, text_bytes) <= budget
-        })
-        .count();
-    fit.max(sigs.len().min(1))
 }
 
 #[cfg(test)]
@@ -963,7 +911,7 @@ mod tests {
     }
 
     #[test]
-    fn get_delta_windows_and_reports_total() {
+    fn get_delta_serves_a_window_and_the_total() {
         let (srv, _) = server();
         for i in 0..7 {
             add(&srv, 1, &sig(10 + i));
@@ -977,7 +925,7 @@ mod tests {
         assert_eq!(sigs.len(), 3);
         let texts: Vec<&str> = sigs.iter().map(|s| &**s).collect();
         assert_eq!(texts, srv.db().get_from(2)[..3]);
-        // max == 0 defers to the server's window.
+        // max == 0: no count cap.
         let Reply::SharedDelta { sigs, .. } = srv.handle(Request::GetDelta { from: 0, max: 0 })
         else {
             panic!("expected Delta");
@@ -997,81 +945,44 @@ mod tests {
     }
 
     #[test]
-    fn delta_window_capped_by_server_config() {
-        let srv = crate::builder().delta_window(2).build().unwrap();
-        for i in 0..5 {
-            add(&srv, 1, &sig(30 + i));
-        }
-        let Reply::SharedDelta { total, sigs, .. } =
-            srv.handle(Request::GetDelta { from: 0, max: 1000 })
-        else {
-            panic!("expected Delta");
-        };
-        assert_eq!(total, 5);
-        assert_eq!(sigs.len(), 2, "server window caps the client's ask");
-    }
-
-    fn texts(lens: &[usize]) -> Vec<Arc<str>> {
-        lens.iter().map(|&n| Arc::from("x".repeat(n))).collect()
-    }
-
-    #[test]
-    fn a_window_closes_at_the_last_text_within_the_budget() {
-        // 21 header bytes, then 4 + 10 per text: 35, 49, 63.
-        let sigs = texts(&[10, 10, 10]);
-        assert_eq!(fitting(&sigs, 63), 3);
-        assert_eq!(fitting(&sigs, 62), 2);
-        assert_eq!(fitting(&sigs, 49), 2);
-        assert_eq!(fitting(&sigs, 48), 1);
-        assert_eq!(fitting(&sigs[..0], 63), 0);
-    }
-
-    #[test]
-    fn a_window_holds_one_text_even_past_the_budget() {
-        assert_eq!(fitting(&texts(&[100, 1]), 40), 1);
-        assert_eq!(fitting(&texts(&[100]), 0), 1);
-    }
-
-    #[test]
-    fn reply_bytes_are_the_encoded_payload() {
-        let sigs = vec!["sig-a".to_string(), "sig-bb".to_string()];
-        let delta = Reply::Delta {
-            from: 3,
-            total: 9,
-            sigs: sigs.clone(),
-        };
-        assert_eq!(delta.encode().len(), reply_bytes(2, 11));
-        let get = Reply::Sigs { from: 3, sigs };
-        assert!(get.encode().len() < reply_bytes(2, 11));
-        assert_eq!(
-            Reply::Delta {
-                from: 0,
-                total: 0,
-                sigs: vec![]
-            }
-            .encode()
-            .len(),
-            reply_bytes(0, 0)
-        );
-    }
-
-    #[test]
-    fn a_text_no_reply_can_carry_is_refused_before_it_is_parsed() {
+    fn get_and_get_delta_read_one_budgeted_window() {
         let (srv, _) = server();
-        // The largest text one DELTA carries gets as far as the parser…
+        for i in 0..40 {
+            srv.db().add(&format!("{i:04}{}", "x".repeat(64 * 1024)));
+        }
+        let Reply::Sigs { sigs, .. } = srv.handle(Request::Get { from: 0 }) else {
+            panic!("expected Sigs")
+        };
+        let fit = sigs.len();
+        assert!((1..40).contains(&fit), "{fit} of 40 texts of 64 KiB");
+        for max in [0, 1000] {
+            let Reply::SharedDelta { total, sigs, .. } =
+                srv.handle(Request::GetDelta { from: 0, max })
+            else {
+                panic!("expected Delta")
+            };
+            assert_eq!((total, sigs.len()), (40, fit), "max {max}");
+        }
+    }
+
+    #[test]
+    fn a_text_past_the_size_cap_is_refused_before_it_is_probed() {
+        let (srv, _) = server();
+        // The longest text accepted gets as far as the parser…
         let id = srv.authority().issue(1);
-        let largest = "x".repeat(MAX_FRAME - reply_bytes(1, 0));
         let Reply::AddAck { accepted, reason } = srv.handle(Request::Add {
             sender: id,
-            sig_text: largest,
+            sig_text: "x".repeat(MAX_SIG_BYTES),
         }) else {
             panic!("expected AddAck")
         };
         assert_eq!((accepted, reason.as_str()), (false, "malformed signature"));
-        // …one byte more is refused on its length.
+        // …one byte more is refused on its length, even when stored.
+        let longer = "x".repeat(MAX_SIG_BYTES + 1);
+        srv.db().add(&longer);
         let Reply::AddAck { accepted, reason } = srv.handle(Request::Add {
             sender: id,
-            sig_text: "x".repeat(MAX_FRAME - reply_bytes(1, 0) + 1),
+            sig_text: longer,
         }) else {
             panic!("expected AddAck")
         };
@@ -1081,6 +992,7 @@ mod tests {
         );
         let snap = srv.telemetry_snapshot();
         assert_eq!(snap.counter("server.reject.too_large"), Some(1));
+        assert_eq!(snap.counter("server.dedup.fast_path_hits"), Some(0));
     }
 
     #[test]

@@ -323,14 +323,6 @@ impl Store {
         self.db().contains(sig_text)
     }
 
-    /// At most `max` signatures from `from`, plus the current total —
-    /// the windowing behind `GET_DELTA`. After a GC the total shrinks
-    /// below old cursors: that is the client's epoch-switch signal. The
-    /// texts are handles to the stored ones, not copies.
-    pub fn delta(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
-        self.db().delta(from, max)
-    }
-
     /// Number of stored signatures (current epoch).
     pub fn len(&self) -> usize {
         self.db().len()
@@ -720,7 +712,7 @@ mod tests {
         assert_eq!(store.add("b"), (1, true));
         assert_eq!(store.len(), 2);
         assert_eq!(store.db().get_from(1), vec!["b"]);
-        assert_eq!(store.delta(0, 1), (vec![Arc::from("a")], 2));
+        assert_eq!(store.db().window(0, 1), (vec![Arc::from("a")], 2));
         assert_eq!(store.epoch(), 0);
         assert!(!store.is_durable());
         assert!(store.sync().is_ok());
@@ -1111,7 +1103,8 @@ mod tests {
                     });
                 }
             });
-            let (served, total) = store.delta(0, 0);
+            let served = store.db().get_from(0);
+            let total = served.len();
             assert_eq!(total, THREADS * PER_THREAD + PER_THREAD / 100);
             assert_eq!(
                 registry.counter("store.wal.appends").get(),
@@ -1121,7 +1114,7 @@ mod tests {
             store.sync().unwrap();
             drop(store);
             let reopened = Store::open(8, DurabilityConfig::new(&dir), &Registry::new()).unwrap();
-            let (recovered, _) = reopened.delta(0, 0);
+            let recovered = reopened.db().get_from(0);
             assert_eq!(recovered.len(), served.len(), "round {round}");
             let moved: Vec<usize> = (0..total).filter(|&i| served[i] != recovered[i]).collect();
             assert!(

@@ -1,7 +1,7 @@
 //! The read path, counted rather than timed: what serving and receiving a
 //! `GET_DELTA` window allocates, what an accepted add allocates, what an
 //! epoch-resync merge allocates — and that none of it changed a byte on
-//! the wire.
+//! the wire, where a window closes at `REPLY_BUDGET` bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use bytes::BytesMut;
 use communix_client::LocalRepository;
 use communix_net::{
-    frame, frame_reply_into, Handler, NonblockingClient, Reply, Request, TcpServer,
+    frame, frame_reply_into, Handler, NonblockingClient, Reply, Request, TcpServer, REPLY_BUDGET,
 };
 use communix_server::{CommunixServer, SignatureDb};
 use proptest::prelude::*;
@@ -71,40 +71,47 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
     (n1 - n0, b1 - b0, out)
 }
 
-const WINDOW: usize = 4096;
+/// Texts the servers below hold: more than one window's worth.
+const STORED: usize = 4096;
 
 /// A signature-sized text (the paper's 1.7 KB), distinct per `i`.
 fn text(i: usize) -> String {
     format!("sig {i:08} {}", "frame a.b.C#method:123\n".repeat(72))
 }
 
-/// An in-memory server holding one full window of texts, and their bytes.
-fn full_window_server() -> (Arc<CommunixServer>, u64) {
+/// An in-memory server holding `n` texts.
+fn server_holding(n: usize) -> Arc<CommunixServer> {
     let server = communix_server::builder().build().expect("in-memory");
-    let mut bytes = 0;
-    for i in 0..WINDOW {
-        let t = text(i);
-        bytes += t.len() as u64;
-        assert!(server.db().add(&t).1);
+    for i in 0..n {
+        assert!(server.db().add(&text(i)).1);
     }
-    (server, bytes)
+    server
+}
+
+/// The texts of a window and their bytes in all.
+fn text_bytes(sigs: &[impl AsRef<str>]) -> u64 {
+    sigs.iter().map(|s| s.as_ref().len() as u64).sum()
 }
 
 #[test]
 fn serving_a_window_copies_text_only_into_the_write_buffer() {
-    let (server, text_bytes) = full_window_server();
-    let mut out = BytesMut::with_capacity(text_bytes as usize + 8 * WINDOW + 64);
-    let (allocs, bytes, ()) = allocations(|| {
-        frame_reply_into(
-            &server.handle(Request::GetDelta { from: 0, max: 0 }),
-            &mut out,
-        );
+    let server = server_holding(STORED);
+    let mut out = BytesMut::with_capacity(2 * REPLY_BUDGET);
+    let (allocs, bytes, reply) = allocations(|| {
+        let reply = server.handle(Request::GetDelta { from: 0, max: 0 });
+        frame_reply_into(&reply, &mut out);
+        reply
     });
+    let Reply::Delta { sigs, .. } = reply.into_owned() else {
+        panic!("expected a delta");
+    };
+    assert!(sigs.len() < STORED, "one budgeted window");
+    let text_bytes = text_bytes(&sigs);
     assert!(out.len() as u64 > text_bytes);
     // The window's handles, the pinned segment list, the timing sample:
     // a handful, whatever the window holds.
     assert!(allocs <= 8, "{allocs} allocations for one window");
-    let handles = (WINDOW * std::mem::size_of::<Arc<str>>()) as u64;
+    let handles = (sigs.len() * std::mem::size_of::<Arc<str>>()) as u64;
     assert!(
         bytes < 2 * handles,
         "{bytes} bytes allocated serving {text_bytes} bytes of text"
@@ -112,8 +119,30 @@ fn serving_a_window_copies_text_only_into_the_write_buffer() {
 }
 
 #[test]
+fn a_budgeted_window_allocates_for_itself_not_for_the_suffix() {
+    // 10,000 texts ≈ 16.7 MB: a walk that cloned the suffix and then cut
+    // it to the budget would allocate 10,000 handles for ≈ 600 served.
+    let db = server_holding(10_000).db();
+    let fit = (REPLY_BUDGET - (1 + 8 + 8 + 4)) / (4 + text(0).len());
+    let handle = std::mem::size_of::<Arc<str>>() as u64;
+    let segments = 10_000u64.div_ceil(1024);
+    for from in [0, 5_000, 9_990] {
+        let (allocs, bytes, (sigs, total)) = allocations(|| db.window(from, 0));
+        assert_eq!(total, 10_000);
+        assert_eq!(sigs.len(), (10_000 - from).min(fit), "served from {from}");
+        // The window's exact handle vector and the pinned directory.
+        assert!(allocs <= 2, "{allocs} allocations for one window");
+        assert!(
+            bytes <= handle * (sigs.len() as u64 + segments),
+            "{bytes} bytes allocated for a window of {} texts from {from}",
+            sigs.len()
+        );
+    }
+}
+
+#[test]
 fn receiving_a_window_copies_text_only_into_its_strings() {
-    let (server, text_bytes) = full_window_server();
+    let server = server_holding(STORED);
     let handler: Handler = {
         let server = server.clone();
         Arc::new(move |request| server.handle(request))
@@ -132,21 +161,24 @@ fn receiving_a_window_copies_text_only_into_its_strings() {
             conn.wait(Some(Duration::from_millis(50))).expect("wait");
         }
     };
-    // The first window sizes the receive buffer; the second finds it warm.
     let first = fetch(&mut conn);
     let (allocs, bytes, second) = allocations(|| fetch(&mut conn));
     assert_eq!(first, second);
+    let frame = (4 + second.encode().len()) as f64;
     let Reply::Delta { sigs, .. } = second else {
         panic!("expected a delta");
     };
-    assert_eq!(sigs.len(), WINDOW);
+    let (count, text_bytes) = (sigs.len() as u64, text_bytes(&sigs));
+    assert!(count < STORED as u64, "one budgeted window");
+    // The strings, their vector, and the receive buffer: a drained
+    // connection gave the first window's buffer back.
     assert!(
-        allocs <= WINDOW as u64 + 8,
-        "{allocs} allocations for {WINDOW} strings and their vector"
+        allocs <= count + 8,
+        "{allocs} allocations for {count} strings and their vector"
     );
     assert!(
-        (bytes as f64) < 1.05 * text_bytes as f64,
-        "{bytes} bytes allocated receiving {text_bytes} bytes of text"
+        (bytes as f64) < 1.05 * text_bytes as f64 + 1.05 * frame,
+        "{bytes} bytes allocated receiving {text_bytes} bytes of text in a {frame} B frame"
     );
 }
 
@@ -184,37 +216,58 @@ fn merging_an_all_duplicate_window_copies_no_held_text() {
     );
 }
 
+/// How many of `rest` one window carries: the longest prefix whose
+/// `DELTA` payload (21 header bytes, then a 4-byte length and the text
+/// per signature) is within `REPLY_BUDGET`, but at least one, and at
+/// most the client's `max` (`0`: no cap).
+fn window_len(rest: &[String], max: u32) -> usize {
+    let mut bytes = 1 + 8 + 8 + 4;
+    let fit = rest
+        .iter()
+        .take_while(|t| {
+            bytes += 4 + t.len();
+            bytes <= REPLY_BUDGET
+        })
+        .count()
+        .max(rest.len().min(1));
+    match max {
+        0 => fit,
+        max => fit.min(max as usize),
+    }
+}
+
 proptest! {
     /// For any store and window, the frame `handle(GET_DELTA)` puts on the
     /// wire is the frame of the owned `Delta` over the same texts, and a
-    /// receiver decodes it to that reply.
+    /// receiver decodes it to that reply. Some texts are padded to
+    /// hundreds of KB, so the budget closes windows as often as `max`.
     #[test]
     fn get_delta_frames_are_those_of_the_owned_reply(
-        texts in proptest::collection::vec("[ -~]{0,120}", 0..40),
+        texts in proptest::collection::vec(
+            ("[ -~]{0,120}", prop_oneof![Just(0usize), Just(0usize), Just(0usize), 0usize..400_000]),
+            0..40,
+        ),
         from in 0u64..48,
         max in 0u32..48,
-        window in 1usize..48,
     ) {
-        let server = communix_server::builder()
-            .delta_window(window)
-            .build()
-            .expect("in-memory");
-        for t in &texts {
-            server.db().add(t);
+        let server = communix_server::builder().build().expect("in-memory");
+        for (t, pad) in &texts {
+            server.db().add(&format!("{t}{}", "x".repeat(*pad)));
         }
         let stored = server.db().get_from(0);
         let start = (from as usize).min(stored.len());
-        let cap = if max == 0 { window } else { window.min(max as usize) };
+        let len = window_len(&stored[start..], max);
         let owned = Reply::Delta {
             from,
             total: stored.len() as u64,
-            sigs: stored[start..(start + cap).min(stored.len())].to_vec(),
+            sigs: stored[start..start + len].to_vec(),
         };
 
         let reply = server.handle(Request::GetDelta { from, max });
         let mut framed = BytesMut::new();
         frame_reply_into(&reply, &mut framed);
         prop_assert_eq!(&framed[..], &frame(&owned.encode())[..]);
+        prop_assert!(framed.len() - 4 <= REPLY_BUDGET || len == 1);
         prop_assert_eq!(Reply::decode(framed.freeze().slice(4..)).unwrap(), owned.clone());
         prop_assert_eq!(reply.into_owned(), owned);
     }

@@ -1,30 +1,29 @@
 //! Integration: the batched sync protocol end to end — empty batches,
 //! partial rejection inside a batch, `GET_DELTA` windowing across shard
 //! boundaries, and coexistence with the paper's single-signature
-//! protocol (old-style clients against the same sharded server).
+//! protocol (old-style clients against the same sharded server). Every
+//! request and reply crosses the codec ([`support::framed`]).
+
+mod support;
 
 use std::sync::Arc;
 
 use communix::client::{sync_delta, upload_batch, Connector, LocalRepository};
 use communix::clock::VirtualClock;
 use communix::net::{Reply, Request};
-use communix::server::{CommunixServer, ServerBuilder};
+use communix::server::{ServerBuilder, DEFAULT_SHARDS};
 use communix::workloads::SigGen;
+use support::framed;
 
 /// A server builder on a virtual clock.
 fn builder() -> ServerBuilder {
     communix::server::builder().clock(Arc::new(VirtualClock::new()))
 }
 
-fn connector(srv: &Arc<CommunixServer>) -> impl FnMut(Request) -> Result<Reply, String> {
-    let srv = srv.clone();
-    move |req| Ok(srv.handle(req))
-}
-
 #[test]
 fn empty_batch_and_empty_delta_are_clean_noops() {
     let srv = builder().build().unwrap();
-    let mut conn = connector(&srv);
+    let mut conn = framed(&srv);
 
     // An empty upload batch is acked with an empty verdict list…
     let results = upload_batch(&mut conn, Vec::new()).unwrap();
@@ -47,7 +46,7 @@ fn forged_id_inside_batch_rejects_only_that_item() {
     // The satellite case: one forged sender id among valid adds. The
     // batch must not be poisoned — every other item lands.
     let srv = builder().build().unwrap();
-    let mut conn = connector(&srv);
+    let mut conn = framed(&srv);
     let mut gen = SigGen::new(42);
 
     let adds = vec![
@@ -73,11 +72,12 @@ fn forged_id_inside_batch_rejects_only_that_item() {
 
 #[test]
 fn windowed_delta_walks_shard_boundaries_in_order() {
-    // 40 signatures spread over 4 dedup shards, downloaded through a
-    // 7-signature server window: pagination must reassemble the exact
-    // global append order no matter which shard each text hashed to.
-    let srv = builder().db_shards(4).delta_window(7).build().unwrap();
-    let mut conn = connector(&srv);
+    // 40 signatures spread over the dedup shards, downloaded in windows
+    // of the client's 7: pagination must reassemble the exact global
+    // append order no matter which shard each text hashed to.
+    let srv = builder().build().unwrap();
+    assert_eq!(srv.db().shard_count(), DEFAULT_SHARDS);
+    let mut conn = framed(&srv);
     let mut gen = SigGen::new(7);
     let adds: Vec<_> = (0..40)
         .map(|u| (srv.authority().issue(u), gen.random_signature().to_string()))
@@ -91,7 +91,7 @@ fn windowed_delta_walks_shard_boundaries_in_order() {
     assert!(spread > 1, "40 signatures landed in one shard");
 
     let mut repo = LocalRepository::in_memory();
-    let n = sync_delta(&mut conn, &mut repo, 0).unwrap();
+    let n = sync_delta(&mut conn, &mut repo, 7).unwrap();
     assert_eq!(n, 40);
     assert_eq!(srv.stats().deltas, 6, "⌈40/7⌉ = 6 windows");
     // Byte-for-byte the server's global order.
@@ -106,30 +106,30 @@ fn windowed_delta_walks_shard_boundaries_in_order() {
 fn delta_sync_resumes_mid_window_after_interruption() {
     // A client that lost connectivity mid-pagination resumes from its
     // repository length — even if that length is not window-aligned.
-    let srv = builder().delta_window(5).build().unwrap();
+    let srv = builder().build().unwrap();
     let mut gen = SigGen::new(9);
     let adds: Vec<_> = (0..12)
         .map(|u| (srv.authority().issue(u), gen.random_signature().to_string()))
         .collect();
-    upload_batch(&mut connector(&srv), adds).unwrap();
+    upload_batch(&mut framed(&srv), adds).unwrap();
 
     // First sync dies after one window: simulate with a connector that
     // fails on the second call.
     let mut repo = LocalRepository::in_memory();
     let mut calls = 0;
-    let srv2 = srv.clone();
+    let mut link = framed(&srv);
     let mut flaky = move |req: Request| -> Result<Reply, String> {
         calls += 1;
         if calls > 1 {
             return Err("link dropped".into());
         }
-        Ok(srv2.handle(req))
+        link(req)
     };
-    assert!(sync_delta(&mut flaky, &mut repo, 0).is_err());
+    assert!(sync_delta(&mut flaky, &mut repo, 5).is_err());
     assert_eq!(repo.len(), 5, "the completed window is kept");
 
     // The next sync starts at index 5 and finishes the job.
-    let n = sync_delta(&mut connector(&srv), &mut repo, 0).unwrap();
+    let n = sync_delta(&mut framed(&srv), &mut repo, 5).unwrap();
     assert_eq!(n, 7);
     assert_eq!(repo.len(), 12);
 }
@@ -154,22 +154,18 @@ fn old_protocol_and_batched_protocol_share_one_server() {
         (srv.authority().issue(2), gen.random_signature().to_string()),
         (srv.authority().issue(3), gen.random_signature().to_string()),
     ];
-    assert!(upload_batch(&mut connector(&srv), adds)
+    assert!(upload_batch(&mut framed(&srv), adds)
         .unwrap()
         .iter()
         .all(|r| r.accepted));
 
     // Both download styles see the same three signatures in the same
     // order: the paper's GET(0) and a delta sync in windows of two.
-    let Reply::Sigs { from: 0, sigs } = connector(&srv).call(Request::Get { from: 0 }).unwrap()
-    else {
+    let Reply::Sigs { from: 0, sigs } = framed(&srv).call(Request::Get { from: 0 }).unwrap() else {
         panic!("expected the SIGS reply to GET(0)")
     };
     let mut new_repo = LocalRepository::in_memory();
-    assert_eq!(
-        sync_delta(&mut connector(&srv), &mut new_repo, 2).unwrap(),
-        3
-    );
+    assert_eq!(sync_delta(&mut framed(&srv), &mut new_repo, 2).unwrap(), 3);
     let delta: Vec<&str> = (0..3).filter_map(|i| new_repo.sig(i)).collect();
     assert_eq!(sigs, delta);
 }
@@ -184,7 +180,7 @@ fn batch_item_budget_and_adjacency_still_enforced() {
     let adds: Vec<_> = (0..5)
         .map(|_| (id, gen.random_signature().to_string()))
         .collect();
-    let results = upload_batch(&mut connector(&srv), adds).unwrap();
+    let results = upload_batch(&mut framed(&srv), adds).unwrap();
     let accepted = results.iter().filter(|r| r.accepted).count();
     assert_eq!(accepted, 3, "daily budget caps items inside the batch");
     assert!(results[3..].iter().all(|r| !r.accepted));

@@ -1,14 +1,21 @@
 //! Integration: every DoS containment mechanism of §III-C, end to end —
-//! encrypted ids, adjacency, daily budgets, hash/depth/nesting
-//! validation, the bounded Table II slowdown, and the false-positive
-//! detector flagging malicious signatures at runtime.
+//! encrypted ids, adjacency, daily budgets, the signature size cap,
+//! hash/depth/nesting validation, the bounded Table II slowdown, and the
+//! false-positive detector flagging malicious signatures at runtime.
 
+mod support;
+
+use std::collections::HashSet;
 use std::sync::Arc;
 
+use communix::client::{sync_delta, upload_batch, LocalRepository};
 use communix::clock::{VirtualClock, DAY};
-use communix::net::{Reply, Request};
+use communix::dimmunix::{Frame, SigEntry, Signature};
+use communix::net::{Reply, Request, MAX_SIG_BYTES};
+use communix::server::DurabilityConfig;
 use communix::workloads::{AttackDepth, AttackerFactory, DriverApp, DriverProfile, SigGen, JBOSS};
 use communix::{CommunixNode, NodeConfig};
+use support::framed;
 
 fn tiny_driver() -> DriverProfile {
     DriverProfile {
@@ -54,6 +61,70 @@ fn flood_is_capped_by_budget_and_adjacency() {
     }
     assert!(accepted_total <= 30);
     assert_eq!(srv.db().len(), accepted_total);
+}
+
+/// A parseable signature of about `bulk` bytes, nearly all of them one
+/// bottom frame's class name; distinct `k` keep top frames disjoint.
+fn bulky_flood(k: u32, bulk: usize) -> String {
+    let bottom = Frame::new(format!("atk.{}", "x".repeat(bulk)), "run", 1);
+    let top = |line: u32| Frame::new("atk.Flood", "f", line);
+    Signature::local(vec![
+        SigEntry::new(
+            [bottom, top(4 * k)].into_iter().collect(),
+            [top(4 * k + 1)].into_iter().collect(),
+        ),
+        SigEntry::new(
+            [top(4 * k + 2)].into_iter().collect(),
+            [top(4 * k + 3)].into_iter().collect(),
+        ),
+    ])
+    .to_string()
+}
+
+#[test]
+fn a_byte_flood_cannot_evict_honest_signatures() {
+    // A durable store capped at 32 MiB holds 1000 honest signatures from
+    // 100 senders (1.7 MB). One fresh id sends three ≈ 12.6 MB ADDs, well
+    // inside its daily ten: stored, they would pass the cap, and the
+    // oldest-first GC would evict every honest signature to keep them.
+    let dir = std::env::temp_dir().join(format!("communix-byte-flood-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut durability = DurabilityConfig::new(&dir);
+    durability.max_bytes = Some(32 << 20);
+    let srv = communix::server::builder()
+        .clock(Arc::new(VirtualClock::new()))
+        .durability(durability)
+        .build()
+        .unwrap();
+    let mut conn = framed(&srv);
+    let honest = SigGen::new(1).random_batch_texts(1000);
+    let adds = (0..1000u64)
+        .map(|i| (srv.authority().issue(i / 10), honest[i as usize].clone()))
+        .collect();
+    assert!(upload_batch(&mut conn, adds)
+        .unwrap()
+        .iter()
+        .all(|r| r.accepted && r.reason.is_empty()));
+
+    let flooder = srv.authority().issue(666);
+    for k in 0..3 {
+        let text = bulky_flood(k, 12_600_000);
+        assert!(text.len() > MAX_SIG_BYTES);
+        let results = upload_batch(&mut conn, vec![(flooder, text)]).unwrap();
+        assert_eq!(
+            (results[0].accepted, results[0].reason.as_str()),
+            (false, "signature too large to serve")
+        );
+    }
+    assert_eq!(srv.store().epoch(), 0, "no GC ran");
+
+    let mut repo = LocalRepository::in_memory();
+    assert_eq!(sync_delta(&mut conn, &mut repo, 0).unwrap(), 1000);
+    let held: HashSet<&str> = (0..repo.len()).filter_map(|i| repo.sig(i)).collect();
+    let survivors = honest.iter().filter(|t| held.contains(t.as_str())).count();
+    assert_eq!(survivors, 1000, "honest signatures left after the flood");
+    drop(srv);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

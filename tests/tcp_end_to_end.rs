@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use communix::client::{sync_delta, upload_batch, Connector, LocalRepository, PipelinedConnector};
 use communix::dimmunix::{Frame, SigEntry, Signature};
-use communix::net::{Handler, Reply, Request, TcpServer, MAX_FRAME};
+use communix::net::{Handler, Reply, Request, TcpServer, MAX_FRAME, MAX_SIG_BYTES, REPLY_BUDGET};
 use communix::server::CommunixServer;
 use communix::workloads::DeadlockApp;
 use communix::{CommunixNode, NodeConfig};
@@ -171,28 +171,38 @@ fn bulky_signature(base: u32, bulk: usize) -> String {
 
 #[test]
 fn a_delta_larger_than_one_frame_arrives_in_several_windows() {
-    // Three signatures whose DELTA would be larger than the frame limit
-    // every client enforces: the server closes each window where the
-    // next signature would overflow it, and the client pages on.
-    let bulk = MAX_FRAME / 3 + 1_000_000;
+    // 40 signatures just under the size cap, 2.6 MB in all: the server
+    // closes each window at the last one within the reply budget, and the
+    // client pages on.
+    let bulk = MAX_SIG_BYTES - 1_000;
     let (mut tcp, server) = spawn_server();
     let mut conn = PipelinedConnector::connect(tcp.addr()).unwrap();
-    let id = server.authority().issue(1);
-    for i in 0..3 {
-        let results = upload_batch(&mut conn, vec![(id, bulky_signature(10 * i, bulk))]).unwrap();
-        assert!(results[0].accepted, "{}", results[0].reason);
-    }
-    assert!(server.db().stored_bytes() > MAX_FRAME);
+    let texts: Vec<String> = (0..40).map(|i| bulky_signature(10 * i, bulk)).collect();
+    assert!(texts.iter().all(|t| t.len() <= MAX_SIG_BYTES));
+    // Ten a day per sender: four senders.
+    let adds = (0..40)
+        .map(|i| (server.authority().issue(i / 10), texts[i as usize].clone()))
+        .collect();
+    let results = upload_batch(&mut conn, adds).unwrap();
+    assert!(results.iter().all(|r| r.accepted), "{results:?}");
+    assert!(server.db().stored_bytes() > 2 * REPLY_BUDGET);
 
     let mut repo = LocalRepository::in_memory();
-    assert_eq!(sync_delta(&mut conn, &mut repo, 0).unwrap(), 3);
-    assert_eq!(server.stats().deltas, 2, "windows of two and one");
-    for i in 0..3 {
-        assert_eq!(
-            repo.sig(i as usize),
-            Some(bulky_signature(10 * i, bulk).as_str())
-        );
+    assert_eq!(sync_delta(&mut conn, &mut repo, 0).unwrap(), 40);
+    assert_eq!(server.stats().deltas, 3, "windows of 16, 16 and 8");
+    for (i, text) in texts.iter().enumerate() {
+        assert_eq!(repo.sig(i), Some(text.as_str()));
     }
+
+    // A text of ≈ 23 MB, a third of the frame limit, is refused on its
+    // length.
+    let huge = bulky_signature(1_000, MAX_FRAME / 3 + 1_000_000);
+    let results = upload_batch(&mut conn, vec![(server.authority().issue(9), huge)]).unwrap();
+    assert_eq!(
+        (results[0].accepted, results[0].reason.as_str()),
+        (false, "signature too large to serve")
+    );
+    assert_eq!(server.db().len(), 40);
     tcp.shutdown();
 }
 
