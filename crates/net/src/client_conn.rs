@@ -13,9 +13,9 @@
 //!
 //! Mirrors the server's per-connection state machine in
 //! [`crate::reactor`]: framed reassembly of partial reads, short-write
-//! resumption, a receive buffer that gives a drained large allocation
-//! back, and a readiness poller (the same vendored [`polling`]
-//! backend) for blocking waits. Encoding goes through the codec's
+//! resumption, buffers that give a drained large allocation back, and
+//! a readiness poller (the same vendored [`polling`] backend) for
+//! blocking waits. Encoding goes through the codec's
 //! `*_into` path, so a burst of queued requests performs zero per-frame
 //! allocations.
 
@@ -98,13 +98,15 @@ impl NonblockingClient {
 
     /// Appends `request`, framed, to the write buffer. Nothing touches
     /// the socket until [`NonblockingClient::flush`]. Allocation-free
-    /// once the buffer has grown to the burst's working size.
+    /// once the buffer has grown to the burst's working size, while that
+    /// stays within the 64 KiB a drained buffer keeps.
     pub fn queue(&mut self, request: &Request) {
         frame_request_into(request, &mut self.out);
     }
 
     /// Writes queued bytes until done or the kernel would block.
-    /// Returns `true` when the write buffer fully drained.
+    /// Returns `true` when the write buffer fully drained; a drained
+    /// buffer gives a large allocation back.
     ///
     /// # Errors
     ///
@@ -119,6 +121,7 @@ impl NonblockingClient {
                 Err(e) => return Err(e.into()),
             }
         }
+        give_back(&mut self.out);
         Ok(self.out.is_empty())
     }
 
@@ -353,5 +356,43 @@ mod tests {
         let mut src = Scripted::new([last.to_vec()]);
         let got = recv_reply(&mut inbuf, &mut eof, &mut src).unwrap();
         assert_eq!(got, Some(reply));
+    }
+
+    #[test]
+    fn a_drained_write_buffer_gives_its_allocation_back() {
+        // A 4 MB ADD_BATCH upload, flushed to a peer that reads it whole:
+        // the connection then keeps no more than an idle buffer.
+        use crate::codec::{BatchAdd, IDLE_CAPACITY};
+        use std::net::TcpListener;
+
+        let adds = (0..64u8)
+            .map(|i| BatchAdd {
+                sender: [i; 16],
+                sig_text: "b".repeat(64 * 1024),
+            })
+            .collect();
+        let batch = Request::AddBatch { adds };
+        let frame = 4 + batch.encode().len();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().expect("accept");
+            let mut got = vec![0u8; frame];
+            sock.read_exact(&mut got).expect("the whole frame");
+        });
+        let mut conn = NonblockingClient::connect(addr).unwrap();
+        conn.queue(&batch);
+        assert!(conn.out.capacity() > IDLE_CAPACITY);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !conn.flush().expect("flush") {
+            assert!(Instant::now() < deadline, "not flushed within 10s");
+            conn.wait(Some(Duration::from_millis(50))).expect("wait");
+        }
+        peer.join().expect("peer");
+        assert!(
+            conn.out.capacity() <= IDLE_CAPACITY,
+            "a drained client connection keeps {} bytes of write buffer",
+            conn.out.capacity()
+        );
     }
 }

@@ -231,11 +231,7 @@ impl DlxThread {
             .request_ids(self.id, lock, stack);
         self.runtime.deliver(wakes);
         match outcome {
-            RequestOutcome::Acquired => Ok(DlxGuard {
-                thread: self,
-                lock,
-                released: false,
-            }),
+            RequestOutcome::Acquired => Ok(DlxGuard { thread: self, lock }),
             RequestOutcome::Aborted => Err(DeadlockAborted { lock }),
             RequestOutcome::Parked => {
                 let parker = self.runtime.parker_of(self.id);
@@ -243,13 +239,7 @@ impl DlxThread {
                 loop {
                     if let Some(wake) = slot.take() {
                         match wake {
-                            Wake::Granted(_) => {
-                                return Ok(DlxGuard {
-                                    thread: self,
-                                    lock,
-                                    released: false,
-                                })
-                            }
+                            Wake::Granted(_) => return Ok(DlxGuard { thread: self, lock }),
                             Wake::Aborted(_) => return Err(DeadlockAborted { lock }),
                         }
                     }
@@ -293,7 +283,6 @@ impl Drop for DlxThread {
 pub struct DlxGuard<'t> {
     thread: &'t DlxThread,
     lock: LockId,
-    released: bool,
 }
 
 impl DlxGuard<'_> {
@@ -305,10 +294,7 @@ impl DlxGuard<'_> {
 
 impl Drop for DlxGuard<'_> {
     fn drop(&mut self) {
-        if !self.released {
-            self.released = true;
-            self.thread.release(self.lock);
-        }
+        self.thread.release(self.lock);
     }
 }
 

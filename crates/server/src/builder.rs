@@ -143,7 +143,6 @@ mod tests {
     #[test]
     fn builder_defaults_match_server_defaults() {
         let server = crate::builder().build().unwrap();
-        assert_eq!(server.db().shard_count(), crate::DEFAULT_SHARDS);
         assert!(!server.store().is_durable());
     }
 

@@ -1,132 +1,107 @@
 //! The server's signature database.
 //!
-//! An append-only, index-addressed store: GET(k) returns everything from
-//! index k (so clients download incrementally, and GET(0) — the worst
-//! case used throughout §IV-A — walks the entire database).
+//! An append-only, index-addressed store: a client asks for the
+//! signatures from index k (§III-B) and is served them one budgeted
+//! window at a time, so it downloads incrementally.
 //!
-//! # Sharding
-//!
-//! The store is split into two cooperating structures so that duplicate
-//! probes and reads never wait behind a writer:
-//!
-//! * **Dedup shards** — a hash → index map, partitioned into N shards
-//!   by the same hash. A duplicate probe takes one shard's *read* lock;
-//!   only a genuinely new signature takes that shard's *write* lock, and
-//!   only for the insert.
-//! * **Append log** — texts live in a segmented append-only log whose
-//!   slots are written exactly once, in index order, under the one
-//!   *append lock*. Readers ([`SignatureDb::get_from`],
-//!   [`SignatureDb::window`]) walk the log up to the *committed*
-//!   watermark without taking any per-signature lock, so the O(N) GET(0)
-//!   walk no longer blocks writers (and vice versa).
-//!
-//! # One order
+//! # Two locks, one order
 //!
 //! Dedup'd adds commute for the stored *set*, but the *index* is the
 //! client's only cursor (`GET_DELTA(from)`), so the order signatures are
-//! numbered in is observable state. A new signature gets its index, its
-//! journal record ([`SignatureDb::add_with`]'s hook: a durable store's
-//! WAL append) and its visibility under the append lock: index order =
-//! journal order = the order a replay recovers. What needs no order —
-//! hashing, the fast-path probe, allocating the text, framing the record
-//! — happens before the lock. The tests hold the store to a `Vec` + set
-//! model, which is the whole reference.
+//! numbered in is observable state and appends take one lock, the
+//! *append lock*. A new signature gets its index, its journal record
+//! ([`SignatureDb::add_with`]'s hook: a durable store's WAL append) and
+//! its visibility under it: index order = journal order = the order a
+//! replay recovers. What needs no order — hashing, the fast-path probe,
+//! allocating the text, framing the record — happens before the lock.
+//!
+//! Bounded reads commute, so they share the other lock: the texts, one
+//! `Vec` in index order. A writer takes it for the push alone, never
+//! across the journal, and a reader for one window of at most
+//! [`REPLY_BUDGET`] bytes, so no reader waits on file I/O. Lock order:
+//! append lock → shard index → texts. The tests hold the store to a
+//! `Vec` + set model, which is the whole reference.
 //!
 //! # One hash per call, exact dedup
 //!
 //! A signature text is ≈ 1.7 KB, so hashing it is most of a probe. Each
 //! call hashes the text once, with the database's keyed `RandomState`
 //! (an adversary who cannot predict the keys cannot aim distinct texts at
-//! one shard or one bucket), and that 64-bit key picks the shard and
-//! finds the index: a new ADD costs two hashes, the server's fast-path
-//! [`SignatureDb::contains`] and [`SignatureDb::add_with`], and a
-//! duplicate probe one. The hash is not carried from one call to the
+//! one shard or one bucket), and that 64-bit key picks the dedup shard
+//! and finds the index: a new ADD costs two hashes, the server's
+//! fast-path [`SignatureDb::contains`] and [`SignatureDb::add_with`], and
+//! a duplicate probe one. The hash is not carried from one call to the
 //! next: GC swaps in a fresh database with fresh keys, so a carried hash
-//! could probe with the wrong ones.
+//! could probe with the wrong ones. A duplicate probe takes one shard's
+//! *read* lock; a new signature takes its write lock for the insert.
 //!
-//! A key only nominates a candidate. Dedup is exact: the candidate's log
-//! slot must hold an equal text, and a different text whose key is taken
-//! goes to the shard's overflow map, keyed by the text itself — the rare
-//! case, hashed a second time there. The shards stay: `DEFAULT_SHARDS`
-//! is part of the API `benchmark/` compiles against.
-//!
-//! # One text, shared
-//!
-//! Dedup'd ADDs are never rewritten, so a signature's text is immutable
-//! from the moment its log slot is published. It is therefore stored
-//! once, as an `Arc<str>` in its log slot (an overflow entry shares the
-//! allocation), and [`SignatureDb::window`] hands readers further handles
-//! to it instead of copies. Only [`SignatureDb::get_from`] (the old GET
-//! verb's owned reply) copies text out.
+//! A key only nominates a candidate. Dedup is exact: the text at the
+//! candidate's index must be equal, and a different text whose key is
+//! taken goes to the shard's overflow map, keyed by the text itself — the
+//! rare case, hashed a second time there. A text is stored once, as an
+//! `Arc<str>` the overflow map shares, and [`SignatureDb::window`] hands
+//! readers further handles to it instead of copies.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, RandomState};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use communix_net::REPLY_BUDGET;
 use parking_lot::{Mutex, RwLock};
 
 /// Default number of dedup shards (a modest power of two: enough to
-/// spread 8–64 writer threads, small enough that per-shard stats stay
-/// readable).
+/// spread 8–64 writer threads).
 pub const DEFAULT_SHARDS: usize = 16;
-
-const SEG_SHIFT: usize = 10;
-/// Signatures per log segment.
-const SEG_LEN: usize = 1 << SEG_SHIFT;
-
-/// Per-shard usage counters (see [`SignatureDb::shard_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Signatures whose dedup entry lives in this shard.
-    pub sigs: usize,
-    /// Total bytes of those signatures' text.
-    pub bytes: usize,
-}
 
 /// Thread-safe append-only signature store with exact-duplicate
 /// suppression.
 #[derive(Debug)]
 pub struct SignatureDb {
-    shards: Box<[Shard]>,
+    shards: Box<[RwLock<Index>]>,
     hasher: RandomState,
     /// Test builds can narrow every key to a few bits, so that nearly
     /// every insert collides and takes the overflow path.
     #[cfg(test)]
     key_mask: u64,
-    log: AppendLog,
+    /// The append lock.
+    tail: Mutex<Tail>,
+    texts: RwLock<Texts>,
 }
 
+/// The append lock's token: `push` takes `&mut Tail`, so minting an
+/// index without the append lock is a compile error.
+#[derive(Debug)]
+struct Tail;
+
+/// Every stored text in index order, and their bytes in all.
 #[derive(Debug, Default)]
-struct Shard {
-    index: RwLock<Index>,
-    count: AtomicUsize,
-    bytes: AtomicUsize,
+struct Texts {
+    all: Vec<Arc<str>>,
+    bytes: usize,
 }
 
-/// One shard's dedup index: keyed text hash → global log index, plus the
-/// texts whose hash an earlier, different text already holds.
+/// One shard's dedup index: keyed text hash → index, plus the texts
+/// whose hash an earlier, different text already holds.
 #[derive(Debug, Default)]
 struct Index {
-    by_key: HashMap<u64, u64>,
+    by_key: HashMap<u64, usize>,
     /// Text → index for the keys taken twice. An entry's key is always
     /// in `by_key` too, so a probe whose key is absent there stops.
-    overflow: HashMap<Arc<str>, u64>,
+    overflow: HashMap<Arc<str>, usize>,
 }
 
 impl Index {
-    /// The index `text` is stored at, if any. `log` holds every index
-    /// this map does (both are published under the shard write lock).
-    fn find(&self, key: u64, text: &str, log: &AppendLog) -> Option<u64> {
+    /// The index `text` is stored at, if any. `texts` holds every index
+    /// this map does (an entry is inserted after its push).
+    fn find(&self, key: u64, text: &str, texts: &RwLock<Texts>) -> Option<usize> {
         let &i = self.by_key.get(&key)?;
-        if log.holds(i, text) {
+        if &*texts.read().all[i] == text {
             return Some(i);
         }
         self.overflow.get(text).copied()
     }
 
-    fn insert(&mut self, key: u64, text: Arc<str>, i: u64) {
+    fn insert(&mut self, key: u64, text: Arc<str>, i: usize) {
         match self.by_key.entry(key) {
             Entry::Vacant(slot) => {
                 slot.insert(i);
@@ -154,17 +129,13 @@ impl SignatureDb {
     /// at least 1).
     pub fn with_shards(shards: usize) -> Self {
         SignatureDb {
-            shards: (0..shards.max(1)).map(|_| Shard::default()).collect(),
+            shards: (0..shards.max(1)).map(|_| RwLock::default()).collect(),
             hasher: RandomState::new(),
             #[cfg(test)]
             key_mask: u64::MAX,
-            log: AppendLog::default(),
+            tail: Mutex::new(Tail),
+            texts: RwLock::default(),
         }
-    }
-
-    /// Number of dedup shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The dedup key of `sig_text`: the one place the database hashes a
@@ -182,8 +153,8 @@ impl SignatureDb {
         key
     }
 
-    /// The shard `key` lives in.
-    fn shard(&self, key: u64) -> &Shard {
+    /// The dedup shard `key` lives in.
+    fn shard(&self, key: u64) -> &RwLock<Index> {
         &self.shards[(key % self.shards.len() as u64) as usize]
     }
 
@@ -201,46 +172,49 @@ impl SignatureDb {
         let key = self.key(sig_text);
         let shard = self.shard(key);
         // Fast path: read lock for the duplicate probe.
-        if let Some(i) = shard.index.read().find(key, sig_text, &self.log) {
-            return (i as usize, false);
+        if let Some(i) = shard.read().find(key, sig_text, &self.texts) {
+            return (i, false);
         }
-        // The one copy of the text: the log slot (and an overflow entry)
-        // share it.
+        // The one copy of the text: the log and an overflow entry share it.
         let text: Arc<str> = Arc::from(sig_text);
-        let mut tail = self.log.tail.lock();
+        let mut tail = self.tail.lock();
         // Every insert happens under the append lock, so this probe is final.
-        if let Some(i) = shard.index.read().find(key, sig_text, &self.log) {
-            return (i as usize, false);
+        if let Some(i) = shard.read().find(key, sig_text, &self.texts) {
+            return (i, false);
         }
         journal(sig_text);
-        // Index entry and log slot appear together under the shard write
-        // lock (held for just these two steps, never across the journal):
-        // a racing duplicate add that finds the entry also finds the
-        // committed slot, and a reader of the slot finds the entry.
-        let mut index = shard.index.write();
-        let i = self.log.push(&mut tail, text.clone());
+        // Index entry and text appear together under the shard write lock
+        // (held for just these two steps, never across the journal): a
+        // racing duplicate add that finds the entry also finds the text.
+        let mut index = shard.write();
+        let i = self.push(&mut tail, text.clone());
         index.insert(key, text, i);
-        shard.count.fetch_add(1, Ordering::AcqRel);
-        shard.bytes.fetch_add(sig_text.len(), Ordering::AcqRel);
-        (i as usize, true)
+        (i, true)
+    }
+
+    /// Appends `text` and returns its index.
+    fn push(&self, _: &mut Tail, text: Arc<str>) -> usize {
+        let mut texts = self.texts.write();
+        texts.bytes += text.len();
+        texts.all.push(text);
+        texts.all.len() - 1
     }
 
     /// Index of `sig_text` if it is already stored. Takes only a shard
     /// *read* lock — this is the server's dedup fast path.
     pub fn contains(&self, sig_text: &str) -> Option<usize> {
         let key = self.key(sig_text);
-        let found = self.shard(key).index.read().find(key, sig_text, &self.log);
-        found.map(|i| i as usize)
+        self.shard(key).read().find(key, sig_text, &self.texts)
     }
 
-    /// All signatures from index `from` (copies; the caller ships them).
+    /// All signatures from index `from` (copies, made after the lock is
+    /// released; the caller ships them).
     pub fn get_from(&self, from: usize) -> Vec<String> {
-        let total = self.log.committed();
-        let from = (from as u64).min(total);
-        let segments = self.log.pinned();
-        let mut sigs = Vec::with_capacity((total - from) as usize);
-        sigs.extend(slots(&segments, from, total).map(|t| String::from(&**t)));
-        sigs
+        let handles = {
+            let texts = self.texts.read();
+            texts.all[from.min(texts.all.len())..].to_vec()
+        };
+        handles.iter().map(|t| String::from(&**t)).collect()
     }
 
     /// The window behind `GET` and `GET_DELTA`: the signatures from index
@@ -251,15 +225,16 @@ impl SignatureDb {
     /// measures before it copies: the texts are handles to the stored
     /// ones, and only those served are handed out.
     pub fn window(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
-        let total = self.log.committed();
-        let from = (from as u64).min(total);
+        let texts = self.texts.read();
+        let total = texts.all.len();
+        let from = from.min(total);
         let to = match max {
             0 => total,
-            max => from.saturating_add(max as u64).min(total),
+            max => from.saturating_add(max).min(total),
         };
-        let segments = self.log.pinned();
         let mut text_bytes = 0;
-        let fit = slots(&segments, from, to)
+        let fit = texts.all[from..to]
+            .iter()
             .enumerate()
             .take_while(|(i, t)| {
                 text_bytes += t.len();
@@ -267,9 +242,7 @@ impl SignatureDb {
             })
             .count()
             .max(usize::from(from < to));
-        let mut sigs = Vec::with_capacity(fit);
-        sigs.extend(slots(&segments, from, to).take(fit).cloned());
-        (sigs, total as usize)
+        (texts.all[from..from + fit].to_vec(), total)
     }
 
     /// [`SignatureDb::window`], by the name `benchmark/` calls (ROADMAP
@@ -278,23 +251,9 @@ impl SignatureDb {
         self.window(from, max)
     }
 
-    /// Per-shard `(count, bytes)` counters. Their sums equal
-    /// [`SignatureDb::len`] / [`SignatureDb::stored_bytes`] whenever no
-    /// add is mid-flight (counters are bumped inside the shard write
-    /// lock the log slot is published under).
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|sh| ShardStats {
-                sigs: sh.count.load(Ordering::Acquire),
-                bytes: sh.bytes.load(Ordering::Acquire),
-            })
-            .collect()
-    }
-
     /// Number of stored signatures.
     pub fn len(&self) -> usize {
-        self.log.committed() as usize
+        self.texts.read().all.len()
     }
 
     /// Whether the database is empty.
@@ -304,98 +263,8 @@ impl SignatureDb {
 
     /// Total bytes of stored signature text (reporting).
     pub fn stored_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|sh| sh.bytes.load(Ordering::Acquire))
-            .sum()
+        self.texts.read().bytes
     }
-}
-
-/// One fixed-size run of log slots, each written exactly once.
-type Segment = Arc<[OnceLock<Arc<str>>]>;
-
-/// A segmented append-only log of signature texts.
-///
-/// Slots are written exactly once (`OnceLock`), in index order, by the
-/// writer holding the `tail` lock; `committed` is the reader-side copy of
-/// the length, stored after the slot is filled, so readers below it never
-/// observe an empty slot and never take the lock. The segment directory
-/// is behind a `RwLock`, but it is only write-locked when a new 1024-slot
-/// segment is allocated — reads share it uncontended.
-#[derive(Debug, Default)]
-struct AppendLog {
-    segments: RwLock<Vec<Segment>>,
-    committed: AtomicU64,
-    /// The append lock. Its guard is the only way to [`AppendLog::push`].
-    tail: Mutex<Tail>,
-}
-
-/// The writer's side of the log: the next index to fill.
-#[derive(Debug, Default)]
-struct Tail(u64);
-
-impl AppendLog {
-    fn committed(&self) -> u64 {
-        self.committed.load(Ordering::Acquire)
-    }
-
-    /// Whether published slot `i` holds `text`. Every dedup hit comes
-    /// here, so all shards' probes share the directory's read lock.
-    fn holds(&self, i: u64, text: &str) -> bool {
-        let (seg, off) = ((i as usize) >> SEG_SHIFT, (i as usize) & (SEG_LEN - 1));
-        let segments = self.segments.read();
-        let slot = segments[seg][off].get();
-        &**slot.expect("an indexed slot is published") == text
-    }
-
-    /// Fills the next slot and publishes it; returns its index. Taking
-    /// the guard's `&mut Tail` is what makes minting an index without the
-    /// append lock a compile error.
-    fn push(&self, tail: &mut Tail, text: Arc<str>) -> u64 {
-        let i = tail.0;
-        let (seg, off) = ((i as usize) >> SEG_SHIFT, (i as usize) & (SEG_LEN - 1));
-        if off == 0 {
-            let fresh = (0..SEG_LEN).map(|_| OnceLock::new()).collect();
-            self.segments.write().push(fresh);
-        }
-        let filled = self.segments.read()[seg][off].set(text);
-        filled.expect("log slot is written exactly once");
-        tail.0 = i + 1;
-        // Release pairs with the Acquire in `committed`: a reader that
-        // sees the new length sees the slot (and its segment) filled.
-        self.committed.store(tail.0, Ordering::Release);
-        i
-    }
-
-    /// The segments as they stand, for a walk up to a committed length
-    /// read before this call.
-    ///
-    /// The segment-directory lock is released before the walk: holding
-    /// it across an O(N) GET(0) would park any add that needs to grow
-    /// the directory — and, through lock fairness, every other reader
-    /// behind that waiting writer. Segments are `Arc`s precisely so a
-    /// reader can pin them and iterate lock-free.
-    fn pinned(&self) -> Vec<Segment> {
-        self.segments.read().clone()
-    }
-}
-
-/// The texts in slots `[from, to)` of pinned `segments`, in order (`to`
-/// must be ≤ the committed length read before pinning).
-fn slots(segments: &[Segment], from: u64, to: u64) -> impl Iterator<Item = &Arc<str>> {
-    let (seg, off) = (
-        (from as usize) >> SEG_SHIFT,
-        (from as usize) & (SEG_LEN - 1),
-    );
-    segments[seg..]
-        .iter()
-        .flat_map(|segment| segment.iter())
-        .skip(off)
-        .take((to - from) as usize)
-        .map(|slot| {
-            slot.get()
-                .expect("slot below the committed watermark is filled")
-        })
 }
 
 /// Payload bytes of a `DELTA` reply carrying `count` texts of `text_bytes`
@@ -517,20 +386,13 @@ mod tests {
             }
             prop_assert_eq!(db.len(), log.len());
             prop_assert_eq!(db.is_empty(), log.is_empty());
+            prop_assert_eq!(
+                db.stored_bytes(),
+                log.iter().map(String::len).sum::<usize>()
+            );
         }
         prop_assert_eq!(&db.get_from(0), &log);
         prop_assert_eq!(&journal, &log);
-        let stats = db.shard_stats();
-        prop_assert_eq!(stats.len(), db.shard_count());
-        prop_assert_eq!(stats.iter().map(|s| s.sigs).sum::<usize>(), db.len());
-        prop_assert_eq!(
-            stats.iter().map(|s| s.bytes).sum::<usize>(),
-            db.stored_bytes()
-        );
-        prop_assert_eq!(
-            db.stored_bytes(),
-            log.iter().map(String::len).sum::<usize>()
-        );
         Ok(())
     }
 
@@ -543,7 +405,7 @@ mod tests {
             ops in proptest::collection::vec(arb_op(), 1..120),
         ) {
             for db in both_keys(shards) {
-                prop_assert_eq!(db.shard_count(), shards.max(1));
+                prop_assert_eq!(db.shards.len(), shards.max(1));
                 check_against_the_model(&db, &ops)?;
             }
         }
@@ -577,20 +439,11 @@ mod tests {
         for i in 0..200 {
             db.add(&format!("sig-{i}"));
         }
-        let used = db.shard_stats().iter().filter(|s| s.sigs > 0).count();
-        assert!(used > 1, "200 hashed texts must land in more than 1 shard");
-    }
-
-    #[test]
-    fn log_grows_past_one_segment() {
-        let db = SignatureDb::with_shards(4);
-        let n = SEG_LEN + 17;
-        for i in 0..n {
-            db.add(&format!("s{i}"));
-        }
-        assert_eq!(db.len(), n);
-        assert_eq!(db.get_from(SEG_LEN - 1).len(), 18);
-        assert_eq!(db.window(SEG_LEN - 2, 4).0.len(), 4);
+        let used = db.shards.iter().filter(|s| !s.read().by_key.is_empty());
+        assert!(
+            used.count() > 1,
+            "200 hashed texts must land in more than 1 shard"
+        );
     }
 
     /// A database holding one text of each of `lens` bytes, in order.
@@ -771,7 +624,7 @@ mod tests {
             })
         };
         // Readers poll while the writer races: every observed prefix must
-        // be fully materialized (no holes below the committed watermark).
+        // be fully materialized (no holes below the observed length).
         for _ in 0..50 {
             let n = db.len();
             let got = db.get_from(0);
@@ -779,5 +632,41 @@ mod tests {
         }
         writer.join().unwrap();
         assert_eq!(db.len(), 2000);
+    }
+
+    #[test]
+    fn no_reader_waits_on_the_journal() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+
+        let db = SignatureDb::new();
+        db.add("stored");
+        let (entered, journaling) = channel();
+        let (release, held) = channel::<()>();
+        let (read, reads) = channel();
+        std::thread::scope(|s| {
+            let db = &db;
+            let writer = s.spawn(move || {
+                db.add_with("new", |_| {
+                    entered.send(()).unwrap();
+                    held.recv().unwrap();
+                })
+            });
+            // The writer holds the append lock inside its journal call.
+            journaling.recv().unwrap();
+            s.spawn(move || {
+                let window = db.window(0, 0);
+                let found = db.contains("stored");
+                read.send((window, found, db.len(), db.stored_bytes()))
+                    .unwrap();
+            });
+            let got = reads.recv_timeout(Duration::from_secs(10));
+            release.send(()).unwrap();
+            let (window, found, len, bytes) = got.expect("a reader waited on the journal");
+            assert_eq!(window, (vec![Arc::from("stored")], 1));
+            assert_eq!((found, len, bytes), (Some(0), 1, 6));
+            assert_eq!(writer.join().unwrap(), (1, true));
+        });
+        assert_eq!(db.get_from(0), ["stored", "new"]);
     }
 }

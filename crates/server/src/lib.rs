@@ -23,7 +23,7 @@ pub mod store;
 
 pub use auth::IdAuthority;
 pub use builder::ServerBuilder;
-pub use db::{ShardStats, SignatureDb, DEFAULT_SHARDS};
+pub use db::{SignatureDb, DEFAULT_SHARDS};
 pub use server::{CommunixServer, RejectReason, ServerStats};
 pub use store::{DurabilityConfig, RecoveryReport, Store};
 

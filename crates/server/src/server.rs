@@ -15,12 +15,12 @@
 //! The request path is built so the common cases never serialize on a
 //! single lock:
 //!
-//! * the database is sharded (see [`SignatureDb`]); exact duplicates are
-//!   detected with shard *read* locks before the signature is even
-//!   parsed, so re-sent signatures never take a write lock or touch
-//!   per-user validation state;
-//! * per-user rate-limit/adjacency state is sharded by user id the same
-//!   way the database is sharded by signature text;
+//! * exact duplicates are detected with one dedup shard's *read* lock
+//!   before the signature is even parsed (see [`SignatureDb`]), so
+//!   re-sent signatures never take a write lock or touch per-user
+//!   validation state; a new signature takes the database's one append
+//!   lock, and reads share the texts' lock, never waiting on the journal;
+//! * per-user rate-limit/adjacency state is sharded by user id;
 //! * counters live in a lock-free telemetry [`Registry`]
 //!   ([`ServerStats`] is a view over it), and every request's latency
 //!   is recorded into a per-opcode histogram — one relaxed atomic add
@@ -38,8 +38,9 @@
 //!
 //! The server answers [`Request::Stats`] with a JSON rendering of its
 //! telemetry snapshot: outcome counters, per-reject-reason counters,
-//! dedup fast-path hits, per-opcode latency histograms, and shard
-//! occupancy gauges (refreshed at snapshot time, not on the hot path).
+//! dedup fast-path hits, per-opcode latency histograms, and the
+//! database's size gauges (refreshed at snapshot time, not on the hot
+//! path).
 //! When served over TCP the transport registers its own connection
 //! gauges and counters in the same registry, so one `STATS` round trip
 //! observes the whole stack.
@@ -306,17 +307,11 @@ impl CommunixServer {
         &self.registry
     }
 
-    /// A point-in-time telemetry snapshot. Shard occupancy gauges
-    /// (`server.shard.<i>.sigs`, `server.db.sigs`, `server.db.bytes`)
-    /// are refreshed from the database here, at snapshot time, rather
-    /// than maintained on the hot path.
+    /// A point-in-time telemetry snapshot. The database gauges
+    /// (`server.db.sigs`, `server.db.bytes`, `server.db.epoch`) are
+    /// refreshed here, at snapshot time, rather than on the hot path.
     pub fn telemetry_snapshot(&self) -> Snapshot {
         let db = self.store.db();
-        for (i, s) in db.shard_stats().iter().enumerate() {
-            self.registry
-                .gauge(&format!("server.shard.{i}.sigs"))
-                .set(s.sigs as u64);
-        }
         self.registry.gauge("server.db.sigs").set(db.len() as u64);
         self.registry
             .gauge("server.db.bytes")

@@ -70,7 +70,7 @@ use communix_net::record;
 use communix_telemetry::{Counter, Histogram, Registry};
 use parking_lot::{Mutex, RwLock};
 
-use crate::db::{ShardStats, SignatureDb};
+use crate::db::SignatureDb;
 
 const WAL_MAGIC: &[u8; 8] = b"CXWAL001";
 /// The second file of the retired snapshotting layout; a directory
@@ -307,7 +307,7 @@ impl Store {
                 }
             })
         };
-        // An uncapped store pays nothing for the cap: no byte sum here.
+        // An uncapped store pays nothing for the cap.
         if let (true, Some(cap)) = (added, self.max_bytes) {
             if self.inner.read().stored_bytes() as u64 > cap {
                 if let Err(e) = self.gc(cap) {
@@ -336,16 +336,6 @@ impl Store {
     /// Total bytes of stored signature text.
     pub fn stored_bytes(&self) -> usize {
         self.db().stored_bytes()
-    }
-
-    /// Per-shard occupancy counters.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.db().shard_stats()
-    }
-
-    /// Number of dedup shards.
-    pub fn shard_count(&self) -> usize {
-        self.db().shard_count()
     }
 
     /// Flushes and fsyncs the WAL now (no-op in-memory). Called on drop;

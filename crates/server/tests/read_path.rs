@@ -108,8 +108,8 @@ fn serving_a_window_copies_text_only_into_the_write_buffer() {
     assert!(sigs.len() < STORED, "one budgeted window");
     let text_bytes = text_bytes(&sigs);
     assert!(out.len() as u64 > text_bytes);
-    // The window's handles, the pinned segment list, the timing sample:
-    // a handful, whatever the window holds.
+    // The window's handles, the timing sample: a handful, whatever the
+    // window holds.
     assert!(allocs <= 8, "{allocs} allocations for one window");
     let handles = (sigs.len() * std::mem::size_of::<Arc<str>>()) as u64;
     assert!(
@@ -125,15 +125,14 @@ fn a_budgeted_window_allocates_for_itself_not_for_the_suffix() {
     let db = server_holding(10_000).db();
     let fit = (REPLY_BUDGET - (1 + 8 + 8 + 4)) / (4 + text(0).len());
     let handle = std::mem::size_of::<Arc<str>>() as u64;
-    let segments = 10_000u64.div_ceil(1024);
     for from in [0, 5_000, 9_990] {
         let (allocs, bytes, (sigs, total)) = allocations(|| db.window(from, 0));
         assert_eq!(total, 10_000);
         assert_eq!(sigs.len(), (10_000 - from).min(fit), "served from {from}");
-        // The window's exact handle vector and the pinned directory.
-        assert!(allocs <= 2, "{allocs} allocations for one window");
+        // The window's exact handle vector, and nothing else.
+        assert_eq!(allocs, 1, "allocations for one window");
         assert!(
-            bytes <= handle * (sigs.len() as u64 + segments),
+            bytes <= handle * sigs.len() as u64,
             "{bytes} bytes allocated for a window of {} texts from {from}",
             sigs.len()
         );
