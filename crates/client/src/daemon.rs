@@ -46,8 +46,8 @@ impl ClientDaemon {
     pub const DEFAULT_PERIOD: Duration = Duration::from_secs(24 * 60 * 60);
 
     /// Spawns a daemon that syncs `repo` every `period` through
-    /// [`sync_delta`] with `window` signatures per reply (0 defers to
-    /// the server's window). The first round runs immediately.
+    /// [`sync_delta`], each reply window closed by the server's byte
+    /// budget. The first round runs immediately.
     ///
     /// `dial` opens a connection to the server. The daemon calls it on
     /// first use and again on the next round whenever a sync fails with
@@ -60,7 +60,6 @@ impl ClientDaemon {
         mut dial: D,
         repo: Arc<Mutex<LocalRepository>>,
         period: Duration,
-        window: u32,
     ) -> ClientDaemon
     where
         D: FnMut() -> Result<C, SyncError> + Send + 'static,
@@ -87,7 +86,7 @@ impl ClientDaemon {
                     }
                 }
                 if let Some(s) = session.as_mut() {
-                    let synced = sync_delta(s, &mut repo.lock(), window);
+                    let synced = sync_delta(s, &mut repo.lock(), 0);
                     let mut stats = stats2.lock();
                     match synced {
                         Ok(n) => stats.downloaded += n as u64,
@@ -163,7 +162,6 @@ mod tests {
             move || Ok(conn.clone()),
             repo.clone(),
             Duration::from_millis(10),
-            0,
         );
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while calls.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
@@ -203,7 +201,7 @@ mod tests {
             })
         };
         let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon = ClientDaemon::spawn(dial, repo.clone(), Duration::from_millis(5), 0);
+        let mut daemon = ClientDaemon::spawn(dial, repo.clone(), Duration::from_millis(5));
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while dials.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
@@ -228,7 +226,7 @@ mod tests {
             Err(SyncError::Transport("connection refused".into()))
         };
         let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon = ClientDaemon::spawn(dial, repo, Duration::from_millis(5), 0);
+        let mut daemon = ClientDaemon::spawn(dial, repo, Duration::from_millis(5));
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while attempts.load(Ordering::SeqCst) < 3 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
@@ -253,7 +251,7 @@ mod tests {
             Err(SyncError::Transport("connect timed out".into()))
         };
         let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let daemon = ClientDaemon::spawn(dial, repo.clone(), Duration::from_millis(5), 0);
+        let daemon = ClientDaemon::spawn(dial, repo.clone(), Duration::from_millis(5));
         // Declared after the daemon, so dropped before it: a failed
         // assertion below un-parks the dial instead of hanging the join.
         let release = release_tx;
@@ -290,7 +288,7 @@ mod tests {
             Err(format!("never reached within the period: {req:?}"))
         };
         let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
-        let mut daemon = ClientDaemon::spawn(move || Ok(conn), repo, Duration::from_secs(3600), 0);
+        let mut daemon = ClientDaemon::spawn(move || Ok(conn), repo, Duration::from_secs(3600));
         daemon.shutdown();
         daemon.shutdown();
         drop(daemon);

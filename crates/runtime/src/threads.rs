@@ -285,13 +285,6 @@ pub struct DlxGuard<'t> {
     lock: LockId,
 }
 
-impl DlxGuard<'_> {
-    /// The held lock.
-    pub fn lock_id(&self) -> LockId {
-        self.lock
-    }
-}
-
 impl Drop for DlxGuard<'_> {
     fn drop(&mut self) {
         self.thread.release(self.lock);

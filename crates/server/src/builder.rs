@@ -5,7 +5,7 @@
 //! the clock. Sizes are not among them: a reply window closes at
 //! [`REPLY_BUDGET`](communix_net::REPLY_BUDGET) bytes, a signature text
 //! may be [`MAX_SIG_BYTES`](communix_net::MAX_SIG_BYTES) long, and the
-//! store has [`DEFAULT_SHARDS`](crate::DEFAULT_SHARDS) dedup shards.
+//! per-sender state has [`DEFAULT_SHARDS`](crate::DEFAULT_SHARDS) shards.
 //! [`build`](ServerBuilder::build) yields an unbound server,
 //! [`serve`](ServerBuilder::serve) also binds its TCP transport.
 //!
@@ -38,7 +38,6 @@ use communix_clock::{Clock, SystemClock};
 use communix_net::{Handler, TcpServer, TcpServerConfig};
 use communix_telemetry::Registry;
 
-use crate::db::DEFAULT_SHARDS;
 use crate::server::{CommunixServer, DAILY_LIMIT};
 use crate::store::{DurabilityConfig, Store};
 
@@ -124,8 +123,8 @@ impl ServerBuilder {
         let clock = self.clock.unwrap_or_else(|| Arc::new(SystemClock::new()));
         let registry = Arc::new(Registry::new());
         let store = match self.durability {
-            Some(durability) => Store::open(DEFAULT_SHARDS, durability, &registry)?,
-            None => Store::in_memory_with(DEFAULT_SHARDS, &registry),
+            Some(durability) => Store::open(0, durability, &registry)?,
+            None => Store::in_memory_with(&registry),
         };
         let daily_limit = self.daily_limit.unwrap_or(DAILY_LIMIT);
         let server = CommunixServer::new(daily_limit, clock, registry, store);

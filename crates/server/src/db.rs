@@ -15,30 +15,30 @@
 //! replay recovers. What needs no order — hashing, the fast-path probe,
 //! allocating the text, framing the record — happens before the lock.
 //!
-//! Bounded reads commute, so they share the other lock: the texts, one
-//! `Vec` in index order. A writer takes it for the push alone, never
-//! across the journal, and a reader for one window of at most
+//! Probes and bounded reads commute, so they share the other lock: the
+//! log, which holds the texts in index order, their byte total and the
+//! dedup index. A writer takes it for the push alone, which inserts the
+//! text and its index entry together, never across the journal; a
+//! reader takes it for one probe or one window of at most
 //! [`REPLY_BUDGET`] bytes, so no reader waits on file I/O. Lock order:
-//! append lock → shard index → texts. The tests hold the store to a
-//! `Vec` + set model, which is the whole reference.
+//! append lock → log. The tests hold the store to a `Vec` + set model,
+//! which is the whole reference.
 //!
 //! # One hash per call, exact dedup
 //!
 //! A signature text is ≈ 1.7 KB, so hashing it is most of a probe. Each
 //! call hashes the text once, with the database's keyed `RandomState`
 //! (an adversary who cannot predict the keys cannot aim distinct texts at
-//! one shard or one bucket), and that 64-bit key picks the dedup shard
-//! and finds the index: a new ADD costs two hashes, the server's
-//! fast-path [`SignatureDb::contains`] and [`SignatureDb::add_with`], and
-//! a duplicate probe one. The hash is not carried from one call to the
-//! next: GC swaps in a fresh database with fresh keys, so a carried hash
-//! could probe with the wrong ones. A duplicate probe takes one shard's
-//! *read* lock; a new signature takes its write lock for the insert.
+//! one bucket), and that 64-bit key finds the index: a new ADD costs two
+//! hashes, the server's fast-path [`SignatureDb::contains`] and
+//! [`SignatureDb::add_with`], and a duplicate probe one. The hash is not
+//! carried from one call to the next: GC swaps in a fresh database with
+//! fresh keys, so a carried hash could probe with the wrong ones.
 //!
 //! A key only nominates a candidate. Dedup is exact: the text at the
 //! candidate's index must be equal, and a different text whose key is
-//! taken goes to the shard's overflow map, keyed by the text itself — the
-//! rare case, hashed a second time there. A text is stored once, as an
+//! taken goes to the overflow map, keyed by the text itself — the rare
+//! case, hashed a second time there. A text is stored once, as an
 //! `Arc<str>` the overflow map shares, and [`SignatureDb::window`] hands
 //! readers further handles to it instead of copies.
 
@@ -49,15 +49,10 @@ use std::sync::Arc;
 use communix_net::REPLY_BUDGET;
 use parking_lot::{Mutex, RwLock};
 
-/// Default number of dedup shards (a modest power of two: enough to
-/// spread 8–64 writer threads).
-pub const DEFAULT_SHARDS: usize = 16;
-
 /// Thread-safe append-only signature store with exact-duplicate
 /// suppression.
 #[derive(Debug)]
 pub struct SignatureDb {
-    shards: Box<[RwLock<Index>]>,
     hasher: RandomState,
     /// Test builds can narrow every key to a few bits, so that nearly
     /// every insert collides and takes the overflow path.
@@ -65,7 +60,7 @@ pub struct SignatureDb {
     key_mask: u64,
     /// The append lock.
     tail: Mutex<Tail>,
-    texts: RwLock<Texts>,
+    log: RwLock<Log>,
 }
 
 /// The append lock's token: `push` takes `&mut Tail`, so minting an
@@ -73,43 +68,43 @@ pub struct SignatureDb {
 #[derive(Debug)]
 struct Tail;
 
-/// Every stored text in index order, and their bytes in all.
+/// Every stored text in index order, their bytes in all, and the dedup
+/// index over them: keyed text hash → index, plus the texts whose hash
+/// an earlier, different text already holds.
 #[derive(Debug, Default)]
-struct Texts {
+struct Log {
     all: Vec<Arc<str>>,
     bytes: usize,
-}
-
-/// One shard's dedup index: keyed text hash → index, plus the texts
-/// whose hash an earlier, different text already holds.
-#[derive(Debug, Default)]
-struct Index {
     by_key: HashMap<u64, usize>,
     /// Text → index for the keys taken twice. An entry's key is always
     /// in `by_key` too, so a probe whose key is absent there stops.
     overflow: HashMap<Arc<str>, usize>,
 }
 
-impl Index {
-    /// The index `text` is stored at, if any. `texts` holds every index
-    /// this map does (an entry is inserted after its push).
-    fn find(&self, key: u64, text: &str, texts: &RwLock<Texts>) -> Option<usize> {
+impl Log {
+    /// The index `text` is stored at, if any.
+    fn find(&self, key: u64, text: &str) -> Option<usize> {
         let &i = self.by_key.get(&key)?;
-        if &*texts.read().all[i] == text {
+        if &*self.all[i] == text {
             return Some(i);
         }
         self.overflow.get(text).copied()
     }
 
-    fn insert(&mut self, key: u64, text: Arc<str>, i: usize) {
+    /// Appends `text` under `key` and returns its index.
+    fn push(&mut self, _: &mut Tail, key: u64, text: Arc<str>) -> usize {
+        let i = self.all.len();
         match self.by_key.entry(key) {
             Entry::Vacant(slot) => {
                 slot.insert(i);
             }
             Entry::Occupied(_) => {
-                self.overflow.insert(text, i);
+                self.overflow.insert(text.clone(), i);
             }
         }
+        self.bytes += text.len();
+        self.all.push(text);
+        i
     }
 }
 
@@ -120,28 +115,21 @@ impl Default for SignatureDb {
 }
 
 impl SignatureDb {
-    /// Creates an empty database with [`DEFAULT_SHARDS`] shards.
+    /// Creates an empty database.
     pub fn new() -> Self {
-        SignatureDb::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Creates an empty database with `shards` dedup shards (clamped to
-    /// at least 1).
-    pub fn with_shards(shards: usize) -> Self {
         SignatureDb {
-            shards: (0..shards.max(1)).map(|_| RwLock::default()).collect(),
             hasher: RandomState::new(),
             #[cfg(test)]
             key_mask: u64::MAX,
             tail: Mutex::new(Tail),
-            texts: RwLock::default(),
+            log: RwLock::default(),
         }
     }
 
     /// The dedup key of `sig_text`: the one place the database hashes a
     /// text. It hashes the whole text: a prefix/suffix shortcut would let
     /// an adversary craft distinct signatures that collapse every dedup
-    /// probe onto one shard (this server's whole point is surviving
+    /// probe onto one key (this server's whole point is surviving
     /// hostile senders, §III-C).
     fn key(&self, sig_text: &str) -> u64 {
         let key = self.hasher.hash_one(sig_text);
@@ -151,11 +139,6 @@ impl SignatureDb {
             key & self.key_mask
         };
         key
-    }
-
-    /// The dedup shard `key` lives in.
-    fn shard(&self, key: u64) -> &RwLock<Index> {
-        &self.shards[(key % self.shards.len() as u64) as usize]
     }
 
     /// Appends `sig_text` unless an identical signature is already
@@ -170,49 +153,37 @@ impl SignatureDb {
     /// happen in index order, and a duplicate makes none.
     pub(crate) fn add_with(&self, sig_text: &str, journal: impl FnOnce(&str)) -> (usize, bool) {
         let key = self.key(sig_text);
-        let shard = self.shard(key);
         // Fast path: read lock for the duplicate probe.
-        if let Some(i) = shard.read().find(key, sig_text, &self.texts) {
+        if let Some(i) = self.log.read().find(key, sig_text) {
             return (i, false);
         }
         // The one copy of the text: the log and an overflow entry share it.
         let text: Arc<str> = Arc::from(sig_text);
         let mut tail = self.tail.lock();
         // Every insert happens under the append lock, so this probe is final.
-        if let Some(i) = shard.read().find(key, sig_text, &self.texts) {
+        if let Some(i) = self.log.read().find(key, sig_text) {
             return (i, false);
         }
         journal(sig_text);
-        // Index entry and text appear together under the shard write lock
-        // (held for just these two steps, never across the journal): a
-        // racing duplicate add that finds the entry also finds the text.
-        let mut index = shard.write();
-        let i = self.push(&mut tail, text.clone());
-        index.insert(key, text, i);
+        // Text and index entry appear together under the log's write lock,
+        // held for the push alone, never across the journal.
+        let i = self.log.write().push(&mut tail, key, text);
         (i, true)
     }
 
-    /// Appends `text` and returns its index.
-    fn push(&self, _: &mut Tail, text: Arc<str>) -> usize {
-        let mut texts = self.texts.write();
-        texts.bytes += text.len();
-        texts.all.push(text);
-        texts.all.len() - 1
-    }
-
-    /// Index of `sig_text` if it is already stored. Takes only a shard
+    /// Index of `sig_text` if it is already stored. Takes only the log's
     /// *read* lock — this is the server's dedup fast path.
     pub fn contains(&self, sig_text: &str) -> Option<usize> {
         let key = self.key(sig_text);
-        self.shard(key).read().find(key, sig_text, &self.texts)
+        self.log.read().find(key, sig_text)
     }
 
     /// All signatures from index `from` (copies, made after the lock is
     /// released; the caller ships them).
     pub fn get_from(&self, from: usize) -> Vec<String> {
         let handles = {
-            let texts = self.texts.read();
-            texts.all[from.min(texts.all.len())..].to_vec()
+            let log = self.log.read();
+            log.all[from.min(log.all.len())..].to_vec()
         };
         handles.iter().map(|t| String::from(&**t)).collect()
     }
@@ -225,15 +196,15 @@ impl SignatureDb {
     /// measures before it copies: the texts are handles to the stored
     /// ones, and only those served are handed out.
     pub fn window(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
-        let texts = self.texts.read();
-        let total = texts.all.len();
+        let log = self.log.read();
+        let total = log.all.len();
         let from = from.min(total);
         let to = match max {
             0 => total,
             max => from.saturating_add(max).min(total),
         };
         let mut text_bytes = 0;
-        let fit = texts.all[from..to]
+        let fit = log.all[from..to]
             .iter()
             .enumerate()
             .take_while(|(i, t)| {
@@ -242,7 +213,7 @@ impl SignatureDb {
             })
             .count()
             .max(usize::from(from < to));
-        (texts.all[from..from + fit].to_vec(), total)
+        (log.all[from..from + fit].to_vec(), total)
     }
 
     /// [`SignatureDb::window`], by the name `benchmark/` calls (ROADMAP
@@ -253,7 +224,7 @@ impl SignatureDb {
 
     /// Number of stored signatures.
     pub fn len(&self) -> usize {
-        self.texts.read().all.len()
+        self.log.read().all.len()
     }
 
     /// Whether the database is empty.
@@ -263,7 +234,7 @@ impl SignatureDb {
 
     /// Total bytes of stored signature text (reporting).
     pub fn stored_bytes(&self) -> usize {
-        self.texts.read().bytes
+        self.log.read().bytes
     }
 }
 
@@ -289,23 +260,20 @@ mod tests {
 
     impl SignatureDb {
         /// A database whose keys keep only their low three bits: eight
-        /// keys in all, so nearly every insert collides and goes to an
+        /// keys in all, so nearly every insert collides and goes to the
         /// overflow map.
-        fn colliding(shards: usize) -> Self {
+        fn colliding() -> Self {
             SignatureDb {
                 key_mask: 0b111,
-                ..SignatureDb::with_shards(shards)
+                ..SignatureDb::new()
             }
         }
     }
 
     /// Both flavours of every database a test builds: real keys, and
     /// keys masked until they collide.
-    fn both_keys(shards: usize) -> [SignatureDb; 2] {
-        [
-            SignatureDb::with_shards(shards),
-            SignatureDb::colliding(shards),
-        ]
+    fn both_keys() -> [SignatureDb; 2] {
+        [SignatureDb::new(), SignatureDb::colliding()]
     }
 
     /// Texts `f` hashes on this thread.
@@ -401,11 +369,9 @@ mod tests {
         /// nearly every insert takes the overflow path.
         #[test]
         fn store_behaves_as_a_vec_and_a_set(
-            shards in 0usize..6,
             ops in proptest::collection::vec(arb_op(), 1..120),
         ) {
-            for db in both_keys(shards) {
-                prop_assert_eq!(db.shards.len(), shards.max(1));
+            for db in both_keys() {
                 check_against_the_model(&db, &ops)?;
             }
         }
@@ -417,7 +383,7 @@ mod tests {
             batch in proptest::collection::vec((0usize..24, any::<u32>()), 0..60),
         ) {
             let stored = |keys: &[usize]| -> HashSet<String> {
-                let db = SignatureDb::with_shards(3);
+                let db = SignatureDb::new();
                 for &key in keys {
                     db.add(&text(key));
                 }
@@ -431,19 +397,6 @@ mod tests {
             let permuted: Vec<usize> = permuted.into_iter().map(|(key, _)| key).collect();
             prop_assert_eq!(stored(&as_given), stored(&permuted));
         }
-    }
-
-    #[test]
-    fn sharded_spreads_entries() {
-        let db = SignatureDb::with_shards(8);
-        for i in 0..200 {
-            db.add(&format!("sig-{i}"));
-        }
-        let used = db.shards.iter().filter(|s| !s.read().by_key.is_empty());
-        assert!(
-            used.count() > 1,
-            "200 hashed texts must land in more than 1 shard"
-        );
     }
 
     /// A database holding one text of each of `lens` bytes, in order.
@@ -565,7 +518,7 @@ mod tests {
         // threads in step race one new text through the fast-path miss
         // and the re-probe; under masked keys the texts share eight keys.
         const TEXTS: usize = 200;
-        for db in both_keys(DEFAULT_SHARDS) {
+        for db in both_keys() {
             let start = std::sync::Barrier::new(8);
             let seen: Vec<Vec<usize>> = std::thread::scope(|s| {
                 let threads: Vec<_> = (0..8)
@@ -593,7 +546,7 @@ mod tests {
 
     #[test]
     fn a_new_add_hashes_its_text_twice_and_a_duplicate_probe_once() {
-        // Every shard is filled first, so the count does not depend on
+        // The index is filled first, so the count does not depend on
         // whether a map skips hashing a probe of an empty table.
         let db = SignatureDb::new();
         for i in 0..256 {

@@ -23,8 +23,8 @@ pub mod store;
 
 pub use auth::IdAuthority;
 pub use builder::ServerBuilder;
-pub use db::{SignatureDb, DEFAULT_SHARDS};
-pub use server::{CommunixServer, RejectReason, ServerStats};
+pub use db::SignatureDb;
+pub use server::{CommunixServer, RejectReason, ServerStats, DEFAULT_SHARDS};
 pub use store::{DurabilityConfig, RecoveryReport, Store};
 
 /// Starts a [`ServerBuilder`] with every value at its default: the

@@ -185,8 +185,6 @@ pub struct Store {
     /// lock across the journaled add so a GC cannot strand an add
     /// between the old database and the new WAL epoch.
     inner: RwLock<Arc<SignatureDb>>,
-    /// Shard count for rebuilds.
-    shards: usize,
     epoch: AtomicU64,
     wal: Option<Arc<Mutex<Wal>>>,
     /// The byte cap (`DurabilityConfig::max_bytes`).
@@ -198,17 +196,17 @@ pub struct Store {
 }
 
 impl Store {
-    /// An in-memory store with `shards` dedup shards, recording into a
-    /// private registry.
-    pub fn in_memory(shards: usize) -> Self {
-        Store::in_memory_with(shards, &Registry::new())
+    /// An in-memory store recording into a private registry. The
+    /// argument is unused: it stays because `benchmark/` passes it
+    /// (ROADMAP item 1A retires it).
+    pub fn in_memory(_shards: usize) -> Self {
+        Store::in_memory_with(&Registry::new())
     }
 
     /// [`Store::in_memory`] recording into an existing `registry`.
-    pub fn in_memory_with(shards: usize, registry: &Registry) -> Self {
+    pub fn in_memory_with(registry: &Registry) -> Self {
         Store {
-            inner: RwLock::new(Arc::new(SignatureDb::with_shards(shards))),
-            shards,
+            inner: RwLock::new(Arc::new(SignatureDb::new())),
             epoch: AtomicU64::new(0),
             wal: None,
             max_bytes: None,
@@ -228,10 +226,12 @@ impl Store {
     /// segment, or opening the fresh WAL segment, and refuses
     /// (`InvalidData`) a directory of the retired snapshotting layout.
     /// A torn trailing WAL record is *not* an error — replay stops there
-    /// and reports it in [`Store::recovery`].
-    pub fn open(shards: usize, config: DurabilityConfig, registry: &Registry) -> io::Result<Self> {
+    /// and reports it in [`Store::recovery`]. The first argument is
+    /// unused: it stays because `benchmark/` passes it (ROADMAP item 1A
+    /// retires it).
+    pub fn open(_shards: usize, config: DurabilityConfig, registry: &Registry) -> io::Result<Self> {
         let metrics = StoreMetrics::resolve(registry);
-        let (db, recovery, wal) = recover(&config, shards)?;
+        let (db, recovery, wal) = recover(&config)?;
         metrics.wal_replayed.add(recovery.wal_records);
         if recovery.torn_tail {
             metrics.wal_torn.inc();
@@ -242,7 +242,6 @@ impl Store {
             .then(|| spawn_flusher(wal.clone(), config.fsync_interval, metrics.clone()));
         Ok(Store {
             inner: RwLock::new(Arc::new(db)),
-            shards,
             epoch: AtomicU64::new(recovery.epoch),
             wal: Some(wal),
             max_bytes: config.max_bytes,
@@ -404,7 +403,7 @@ impl Store {
         }
         // The replay a restart does. A segment that cannot be read is
         // counted and skipped: memory never holds more than disk.
-        let fresh = SignatureDb::with_shards(self.shards);
+        let fresh = SignatureDb::new();
         for (path, _) in &wal.live {
             if let Err(e) = replay_segment(path, &fresh) {
                 self.wal_error("gc replay", &e);
@@ -598,10 +597,7 @@ fn replay_segment(path: &Path, db: &SignatureDb) -> io::Result<(u64, u64, bool)>
 /// Replays every segment under `config.dir` into a fresh database and
 /// opens the log behind them. Returns the database, the report, and the
 /// log with a fresh segment for new writes.
-fn recover(
-    config: &DurabilityConfig,
-    shards: usize,
-) -> io::Result<(SignatureDb, RecoveryReport, Wal)> {
+fn recover(config: &DurabilityConfig) -> io::Result<(SignatureDb, RecoveryReport, Wal)> {
     let dir = &config.dir;
     fs::create_dir_all(dir)?;
     let legacy = dir.join(LEGACY_SNAPSHOT);
@@ -613,7 +609,7 @@ fn recover(
             format!("{}: the snapshotting layout is not read", legacy.display()),
         ));
     }
-    let db = SignatureDb::with_shards(shards);
+    let db = SignatureDb::new();
     let segments = list_segments(dir)?;
     let mut report = RecoveryReport {
         epoch: segments.iter().map(|s| s.0).max().unwrap_or(0),

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let repo = Arc::new(Mutex::new(LocalRepository::in_memory()));
     let dial =
         move || PipelinedConnector::connect(addr).map_err(|e| SyncError::Transport(e.to_string()));
-    let mut daemon = ClientDaemon::spawn(dial, repo.clone(), Duration::from_millis(50), 0);
+    let mut daemon = ClientDaemon::spawn(dial, repo.clone(), Duration::from_millis(50));
 
     // Wait for the daemon's first rounds to land.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);

@@ -1,8 +1,9 @@
 //! Integration: the batched sync protocol end to end — empty batches,
-//! partial rejection inside a batch, `GET_DELTA` windowing across shard
-//! boundaries, and coexistence with the paper's single-signature
-//! protocol (old-style clients against the same sharded server). Every
-//! request and reply crosses the codec ([`support::framed`]).
+//! partial rejection inside a batch, `GET_DELTA` windowing in the
+//! server's append order, and coexistence with the paper's
+//! single-signature protocol (old-style clients against the same
+//! server). Every request and reply crosses the codec
+//! ([`support::framed`]).
 
 mod support;
 
@@ -72,9 +73,10 @@ fn forged_id_inside_batch_rejects_only_that_item() {
 
 #[test]
 fn windowed_delta_walks_shard_boundaries_in_order() {
-    // 40 signatures, whichever dedup shards they hash to, downloaded in
-    // windows of the client's 7: pagination must reassemble the exact
-    // global append order.
+    // 40 signatures from 40 senders, downloaded in windows of the
+    // client's 7: pagination must reassemble the exact global append
+    // order. (The name is older than the one-log store; the boundaries
+    // walked are the windows', not dedup shards'.)
     let srv = builder().build().unwrap();
     let mut conn = framed(&srv);
     let mut gen = SigGen::new(7);
