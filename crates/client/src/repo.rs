@@ -42,12 +42,17 @@
 //! behind a torn one would never replay. A call's state record ends its
 //! write, so a cut leaves the cursors behind its other records, never
 //! ahead: what was admitted, uploaded or synced is redone, harmlessly.
-//! Once an epoch resync has diverged the server cursor from the
-//! signature count, each stored signature moves it by one, in memory and
-//! on replay, and every later window is merged rather than appended, so
-//! re-reading stores nothing twice. Until the cursor record of a resync's
-//! first window lands, the cursor is still the old epoch's, past the new
-//! total, and the next sync resyncs again.
+//! The sync cursor diverges from the signature count when a window
+//! starts elsewhere than the cursor: past it, after the server evicted
+//! a gap, or at 0, when a server that lost its log is re-read. Such a
+//! window's write opens with a state record that puts the cursor at the
+//! window's start, and every stored signature behind it moves a diverged
+//! cursor by one, in memory and on replay; a state record closes the
+//! write if dropped duplicates leave the cursor short of the window's
+//! end. A cut anywhere in it therefore leaves the cursor at or behind
+//! the signatures that landed, never ahead and never in another
+//! numbering, and every later window is merged rather than appended, so
+//! re-reading stores nothing twice.
 
 use std::collections::{BTreeSet, HashSet};
 use std::fs::{self, File, OpenOptions};
@@ -81,10 +86,10 @@ pub struct LocalRepository {
     /// candidates for re-checking after new classes load.
     nesting_retry: BTreeSet<usize>,
     /// Server-side index the next incremental sync asks from. `None`
-    /// means "same as `len()`" — the invariant before store epochs
-    /// existed, and still the steady state. The two diverge only after
-    /// an epoch resync ([`LocalRepository::merge`] drops duplicates, so
-    /// the local count falls behind the server index).
+    /// means "same as `len()`", the steady state. The two diverge after a
+    /// window that skipped an evicted gap, or a re-read of a server that
+    /// lost its log ([`LocalRepository::merge`] drops duplicates, so the
+    /// local count falls behind the server index).
     server_cursor: Option<usize>,
     /// Local detections the server has not acked yet, in detection order.
     pending: Vec<Signature>,
@@ -284,42 +289,47 @@ impl LocalRepository {
     pub fn append(&mut self, sigs: impl IntoIterator<Item = String>) -> io::Result<usize> {
         let before = self.sigs.len();
         self.sigs.extend(sigs);
-        self.commit_sigs(before, None)
+        let start = self.sync_cursor_at(before);
+        self.commit_sigs(before, start, start + self.sigs.len() - before)
     }
 
     /// The server-side index the next incremental sync should request
-    /// from. Equal to [`len`](LocalRepository::len) until an epoch
-    /// resync diverges them (see [`LocalRepository::set_sync_cursor`]).
+    /// from. Equal to [`len`](LocalRepository::len) until a window that
+    /// skipped an evicted gap, or a re-read, diverges them.
     pub fn sync_cursor(&self) -> usize {
-        self.server_cursor.unwrap_or(self.sigs.len())
+        self.sync_cursor_at(self.sigs.len())
     }
 
-    /// Whether an epoch resync has diverged the sync cursor from
+    /// The sync cursor while the repository holds `len` signatures.
+    fn sync_cursor_at(&self, len: usize) -> usize {
+        self.server_cursor.unwrap_or(len)
+    }
+
+    /// Whether the sync cursor has diverged from
     /// [`len`](LocalRepository::len): every later window is then merged.
     pub(crate) fn cursor_diverged(&self) -> bool {
         self.server_cursor.is_some()
     }
 
     /// Records how far into the *server's* log this repository has
-    /// synced. After a store epoch switch (the server compacted and
-    /// renumbered) the cursor tracks the new epoch's indices while
-    /// [`len`](LocalRepository::len) keeps counting locally stored
-    /// signatures.
+    /// synced, while [`len`](LocalRepository::len) keeps counting locally
+    /// stored signatures (a caller that starts at the server's tail skips
+    /// what came before).
     ///
     /// # Errors
     ///
     /// Propagates I/O failures when disk-backed.
     pub fn set_sync_cursor(&mut self, cursor: usize) -> io::Result<()> {
-        self.commit_sigs(self.sigs.len(), Some(cursor)).map(drop)
+        self.commit_sigs(self.sigs.len(), cursor, cursor).map(drop)
     }
 
-    /// Stores only the signatures not already present and moves the sync
-    /// cursor to `cursor`, the server index after them, logging both with
-    /// one write — the epoch-resync counterpart of
-    /// [`append`](LocalRepository::append). When the server's store
-    /// switches epochs (compaction renumbered its log), the client
-    /// re-reads from index 0; signatures it already holds are skipped so
-    /// agent cursors and nesting-retry indices stay valid.
+    /// Stores only the signatures of the server's window ending at index
+    /// `cursor` that are not already present, and moves the sync cursor
+    /// to `cursor`, logging both with one write: the counterpart of
+    /// [`append`](LocalRepository::append) for a window that skipped an
+    /// evicted gap, and for re-reading a server that lost its log from
+    /// index 0. Signatures already held are skipped, so agent cursors and
+    /// nesting-retry indices stay valid.
     ///
     /// Returns the number of genuinely new signatures stored.
     ///
@@ -338,38 +348,48 @@ impl LocalRepository {
         let fresh: Vec<bool> = incoming.iter().map(|s| seen.insert(s)).collect();
         drop(seen);
         let before = self.sigs.len();
+        let start = cursor.saturating_sub(incoming.len());
         self.sigs.extend(
             incoming
                 .into_iter()
                 .zip(fresh)
                 .filter_map(|(s, fresh)| fresh.then_some(s)),
         );
-        self.commit_sigs(before, Some(cursor))
+        self.commit_sigs(before, start, cursor)
     }
 
-    /// Logs the signatures stored from local index `first` on, then a
-    /// state record if `cursor` puts the sync cursor where their replay
-    /// would not: one write. Returns how many signatures there are. A
-    /// failed write takes them back out: a signature the log lost would
-    /// shift every later index on the next open.
-    fn commit_sigs(&mut self, first: usize, cursor: Option<usize>) -> io::Result<usize> {
-        let added = self.sigs.len() - first;
+    /// Logs the signatures stored from local index `first` on as the
+    /// server's window `start..end`, with one write: a state record at
+    /// `start` first if the window does not start at the cursor, the
+    /// signatures, and a state record at `end` if their replay would not
+    /// reach it. Returns how many signatures there are. A failed write
+    /// takes them back out: a signature the log lost would shift every
+    /// later index on the next open.
+    fn commit_sigs(&mut self, first: usize, start: usize, end: usize) -> io::Result<usize> {
         let before = self.server_cursor;
-        self.advance_server_cursor(added);
-        let moved = cursor.filter(|&c| c != self.sync_cursor());
-        if let Some(c) = moved {
-            self.server_cursor = Some(c);
-        }
-        if self.is_durable() {
-            let mut records = frame_all(SIG, &self.sigs[first..]);
-            if moved.is_some() {
+        let durable = self.is_durable();
+        let mut records = Vec::new();
+        if start != self.sync_cursor_at(first) {
+            self.server_cursor = Some(start);
+            if durable {
                 records.extend(self.state_record());
             }
-            if let Err(e) = self.write(&records) {
-                self.sigs.truncate(first);
-                self.server_cursor = before;
-                return Err(e);
+        }
+        let added = self.sigs.len() - first;
+        self.advance_server_cursor(added);
+        if durable {
+            records.extend(frame_all(SIG, &self.sigs[first..]));
+        }
+        if self.sync_cursor() != end {
+            self.server_cursor = Some(end);
+            if durable {
+                records.extend(self.state_record());
             }
+        }
+        if let Err(e) = self.write(&records) {
+            self.sigs.truncate(first);
+            self.server_cursor = before;
+            return Err(e);
         }
         Ok(added)
     }
@@ -759,23 +779,33 @@ mod tests {
         assert!(!r.is_empty());
     }
 
-    /// Cuts the log of three sync windows, the agent's marks, an epoch
-    /// resync, one more window after it and a second resync in windows
-    /// of two — each later window one held signature and one newcomer —
-    /// at every record boundary, and inside each record after the first
-    /// epoch: each cut reopens to a prefix of what was written, the
-    /// appends behind it survive a second reopen, and one sync against
-    /// the server those records came from restores its set exactly once.
+    /// Cuts the log of three sync windows, the agent's marks, a re-read
+    /// of a server that replaced its log, one more window after it, a
+    /// second re-read in windows of two — each later window one held
+    /// signature and one newcomer — and windows of two from a server
+    /// whose GC moved its base past the cursor, at every record boundary
+    /// and inside each record after the first server's: each cut reopens
+    /// to a prefix of what was written, the appends behind it survive a
+    /// second reopen, and one sync against the server those records came
+    /// from restores its set exactly once.
     #[test]
     fn every_crash_prefix_reopens_to_a_prefix_that_one_sync_completes() {
-        let texts: Vec<String> = (0..18).map(|i| sig_text(10 * i)).collect();
-        // Epoch 0 serves the first twelve. After a GC evicted the first
-        // eight, the next epoch serves the other four and then four new
-        // ones, two per window. After a second GC, the third epoch serves
-        // held signatures with the last two new ones in between.
+        let texts: Vec<String> = (0..40).map(|i| sig_text(10 * i)).collect();
+        // The first server serves the first twelve. The second lost its
+        // log and serves four of them, then four new ones, two per window.
+        // The third serves held signatures with two new ones in between.
+        // The fourth holds the third's log and more, and its GC has
+        // evicted past where the third ended.
         let old = communix_server::builder().build().unwrap();
         let new = communix_server::builder().build().unwrap();
         let newest = communix_server::builder().build().unwrap();
+        let gc_dir = scratch("crash-gc");
+        let mut durability = communix_server::DurabilityConfig::new(&gc_dir);
+        durability.max_bytes = Some(8 * sig_text(100).len() as u64);
+        let evicted = communix_server::builder()
+            .durability(durability)
+            .build()
+            .unwrap();
         for t in &texts[..12] {
             old.store().add(t);
         }
@@ -784,16 +814,24 @@ mod tests {
         }
         for i in [1, 3, 5, 16, 7, 17] {
             newest.store().add(&texts[i]);
+            evicted.store().add(&texts[i]);
         }
+        for t in &texts[18..] {
+            if evicted.db().base() > 6 {
+                break;
+            }
+            evicted.store().add(t);
+        }
+        assert!(evicted.db().base() > 6, "the GC passed the third's end");
 
         let dir = scratch("crash");
         let path = dir.join(LOG_FILE);
-        let epoch_len = || fs::metadata(&path).unwrap().len() as usize;
-        let (epoch1, epoch2) = {
+        let log_len = || fs::metadata(&path).unwrap().len() as usize;
+        let (first, second, third, order) = {
             let mut r = LocalRepository::open(&dir).unwrap();
             assert_eq!(sync_delta(&mut via(&old), &mut r, 4).unwrap(), 12);
             r.commit_agent_pass(&[], [1, 5], r.len()).unwrap();
-            let epoch1 = epoch_len();
+            let first = log_len();
             assert_eq!(sync_delta(&mut via(&new), &mut r, 0).unwrap(), 2);
             assert_eq!((r.len(), r.sync_cursor()), (14, 6));
             for t in &texts[14..16] {
@@ -801,11 +839,25 @@ mod tests {
             }
             assert_eq!(sync_delta(&mut via(&new), &mut r, 0).unwrap(), 2);
             assert_eq!((r.len(), r.sync_cursor()), (16, 8));
-            let epoch2 = epoch_len();
+            let second = log_len();
             assert_eq!(sync_delta(&mut via(&newest), &mut r, 2).unwrap(), 2);
             assert_eq!((r.len(), r.sync_cursor()), (18, 6));
-            (epoch1, epoch2)
+            let third = log_len();
+            let live = evicted.db().get_from(0);
+            let total = evicted.db().base() + live.len();
+            assert_eq!(
+                sync_delta(&mut via(&evicted), &mut r, 2).unwrap(),
+                live.len()
+            );
+            assert_eq!((r.len(), r.sync_cursor()), (18 + live.len(), total));
+            (
+                first,
+                second,
+                third,
+                sigs(&r).iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+            )
         };
+        assert_eq!(order[..18], texts[..18]);
         let names: Vec<_> = fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name())
@@ -814,27 +866,32 @@ mod tests {
 
         let written = fs::read(&path).unwrap();
         let ends = record_ends(&written);
-        // 12 signatures and the marks; the resync's 2 newcomers and its
-        // cursor; the 2 signatures of the window after it; the second
-        // resync's cursor, then a newcomer and a cursor per window.
-        assert_eq!(ends.len(), 23);
-        assert_eq!((ends[12], ends[17]), (epoch1, epoch2));
+        // 12 signatures and the marks; the first re-read's cursor at 0,
+        // its 2 newcomers and its cursor at the window's end; the 2
+        // signatures of the window after it; the second re-read's cursor
+        // at 0 and at the end of its first window, then a newcomer and a
+        // cursor per window; the cursor at the fourth server's base, and
+        // a signature per live one there.
+        assert_eq!(ends.len(), 25 + 1 + order.len() - 18);
+        assert_eq!((ends[12], ends[18], ends[24]), (first, second, third));
         let inside = ends[12..].windows(2).map(|pair| (pair[0] + pair[1]) / 2);
         let mut cuts = vec![MAGIC.len()];
         cuts.extend(ends.iter().copied().chain(inside));
 
         for cut in cuts {
             fs::write(&path, &written[..cut]).unwrap();
-            let (server, expect) = if cut <= epoch1 {
-                (&old, &texts[..12])
-            } else if cut <= epoch2 {
-                (&new, &texts[..16])
+            let (server, expect) = if cut <= first {
+                (&old, &order[..12])
+            } else if cut <= second {
+                (&new, &order[..16])
+            } else if cut <= third {
+                (&newest, &order[..18])
             } else {
-                (&newest, &texts[..])
+                (&evicted, &order[..])
             };
             let mut r = LocalRepository::open(&dir).unwrap();
             let held = sigs(&r);
-            assert_eq!(held, texts[..held.len()], "cut {cut}: not a prefix");
+            assert_eq!(held, order[..held.len()], "cut {cut}: not a prefix");
             // The agent cursor is within the data, or this would slice
             // past the end.
             assert_eq!(r.uninspected().count(), r.uninspected_count(), "cut {cut}");
@@ -856,7 +913,9 @@ mod tests {
             assert_eq!(sigs(&r), expect, "cut {cut}: the appends survive a reopen");
             assert_eq!(r.sync_cursor(), cursor, "cut {cut}");
         }
+        drop(evicted);
         std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&gc_dir).ok();
     }
 
     /// The last record boundary at or below `cut`.

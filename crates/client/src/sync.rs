@@ -69,24 +69,28 @@ impl From<std::io::Error> for SyncError {
 /// windows only when the server capped the reply. `max_per_round == 0`
 /// defers the window size entirely to the server.
 ///
-/// # Store epochs
+/// # Evicted gaps
 ///
-/// A durable server compacts its log under a byte cap; when eviction
-/// renumbers the log the server bumps its *store epoch* and `total`
-/// drops below the index the client asks from. That `total < from`
-/// shrink is the (wire-compatible) epoch signal — reliable for clients
-/// that sync to completion, since the GC always evicts at least one
-/// signature and the post-GC total therefore lands strictly below
-/// every fully-synced cursor. The client restarts
-/// from index 0 once, merging replayed windows through
-/// [`LocalRepository::merge`] so signatures it already holds keep their
+/// An index names one signature for the life of a server's log, and a
+/// byte-capped server evicts only a prefix of it. A window therefore
+/// starts at the cursor, or ahead of it when the server evicted what the
+/// client had not fetched yet: the client takes the window's `from` as
+/// given, and the repository records the new cursor in the same write as
+/// the window, so the gap is never asked for again. A window that starts
+/// behind the cursor is a protocol error.
+///
+/// # A lost or replaced log
+///
+/// A server that lost its log (an in-memory server's restart) or part of
+/// it (a suffix not yet fsynced when the power failed) reports a `total`
+/// below the cursor. The client cannot tell what changed from the wire,
+/// so it restarts from index 0 once, merging the windows through
+/// [`LocalRepository::merge`]: signatures it already holds keep their
 /// local indices and only genuine newcomers are stored. The repository's
 /// [`sync_cursor`](LocalRepository::sync_cursor) tracks the server-side
-/// index across syncs, so a post-epoch repository (which may hold more
-/// signatures than the server now serves) does not re-read the world on
-/// every sync; once it has diverged, every later window is merged too.
-/// A second shrink within one sync is reported as a protocol error
-/// rather than looped on.
+/// index from then on, and every later window is merged too. A second
+/// shrink within one sync is reported as a protocol error rather than
+/// looped on. No GC causes a shrink.
 ///
 /// Returns the number of new signatures stored.
 ///
@@ -102,7 +106,7 @@ pub fn sync_delta(
 ) -> Result<usize, SyncError> {
     let mut downloaded = 0;
     let mut from = repo.sync_cursor() as u64;
-    let mut epoch_restart = false;
+    let mut restarted = false;
     loop {
         let reply = connector
             .call(Request::GetDelta {
@@ -114,41 +118,40 @@ pub fn sync_delta(
         // texts still shared with the store; take the decoded form.
         match reply.into_owned() {
             Reply::Delta {
-                from: got_from,
+                from: start,
                 total,
                 sigs,
             } => {
-                if got_from != from {
-                    return Err(SyncError::Protocol(format!(
-                        "asked for delta from index {from}, server answered from {got_from}"
-                    )));
-                }
                 if total < from {
-                    // The server's log shrank below our cursor: its
-                    // store switched epochs (compaction evicted and
-                    // renumbered). Re-read the new epoch from scratch,
+                    // The server's log shrank below our cursor: it lost or
+                    // replaced its log. Re-read it from scratch,
                     // deduplicating as we go.
-                    if epoch_restart {
+                    if restarted {
                         return Err(SyncError::Protocol(format!(
                             "server total shrank twice in one sync (now {total} < {from})"
                         )));
                     }
-                    epoch_restart = true;
+                    restarted = true;
                     from = 0;
                     continue;
                 }
-                if from + sigs.len() as u64 > total {
+                if start < from {
                     return Err(SyncError::Protocol(format!(
-                        "delta overruns the server's own total: {from} + {} > {total}",
-                        sigs.len()
+                        "asked for delta from index {from}, server answered from {start}"
                     )));
                 }
-                // A merged window and its cursor land in one write. Once a
-                // resync has diverged the cursor, every window is merged, so
-                // a resync cut between two windows resumes deduplicating.
                 let got = sigs.len() as u64;
-                from += got;
-                downloaded += if epoch_restart || repo.cursor_diverged() {
+                if start + got > total {
+                    return Err(SyncError::Protocol(format!(
+                        "delta overruns the server's own total: {start} + {got} > {total}"
+                    )));
+                }
+                // A window that skipped an evicted gap, or any window once
+                // the cursor has diverged from the local count, is merged:
+                // the repository logs its cursor with it, in one write.
+                let skipped = start > from;
+                from = start + got;
+                downloaded += if restarted || skipped || repo.cursor_diverged() {
                     repo.merge(sigs, from as usize)?
                 } else {
                     repo.append(sigs)?
@@ -396,37 +399,73 @@ mod tests {
 
     #[test]
     fn sync_delta_mismatched_from_is_protocol_error() {
+        // A window that starts behind the cursor would store what the
+        // repository holds again.
         let mut repo = LocalRepository::in_memory();
+        repo.append(["a".into(), "b".into(), "c".into(), "d".into()])
+            .unwrap();
         let mut conn = Script(vec![Reply::Delta {
-            from: 4,
-            total: 4,
-            sigs: vec![],
+            from: 2,
+            total: 6,
+            sigs: vec!["c".into(), "d".into()],
         }]);
         assert!(matches!(
             sync_delta(&mut conn, &mut repo, 0),
             Err(SyncError::Protocol(_))
         ));
+        assert_eq!((repo.len(), repo.sync_cursor()), (4, 4));
     }
 
     #[test]
-    fn sync_delta_restarts_once_on_epoch_shrink() {
-        // The client synced 4 signatures, then the server GC'd down to a
-        // 2-signature log (new epoch): one survivor the client already
-        // holds, one genuinely new.
+    fn sync_delta_takes_a_window_that_starts_ahead_of_its_cursor() {
+        // The client synced 2 signatures; the server's GC has since
+        // evicted up to index 5, so a window asked from 2 starts at 5.
+        let mut repo = LocalRepository::in_memory();
+        repo.append(["a".into(), "b".into()]).unwrap();
+        let log: Vec<String> = (0..8).map(|i| format!("s{i}")).collect();
+        let asked = std::cell::RefCell::new(Vec::new());
+        let mut conn = |req: Request| -> Result<Reply, String> {
+            let Request::GetDelta { from, max } = req else {
+                return Err(format!("unexpected {req:?}"));
+            };
+            asked.borrow_mut().push(from);
+            let start = from.max(5) as usize;
+            let end = (start + max as usize).min(log.len());
+            Ok(Reply::Delta {
+                from: start as u64,
+                total: log.len() as u64,
+                sigs: log[start..end].to_vec(),
+            })
+        };
+        assert_eq!(sync_delta(&mut conn, &mut repo, 2).unwrap(), 3);
+        assert_eq!(*asked.borrow(), [2, 7], "no restart, no re-read");
+        assert_eq!(repo.sync_cursor(), 8);
+        assert_eq!(repo.len(), 5);
+        assert_eq!(repo.sig(2), Some("s5"), "the gap is skipped");
+        // The next sync asks from the server's index, not the local count.
+        assert_eq!(sync_delta(&mut conn, &mut repo, 2).unwrap(), 0);
+        assert_eq!(*asked.borrow(), [2, 7, 8]);
+    }
+
+    #[test]
+    fn sync_delta_restarts_once_when_the_server_lost_its_log() {
+        // The client synced 4 signatures, then the server lost its log
+        // and now serves 2: one the client already holds, one genuinely
+        // new.
         let mut repo = LocalRepository::in_memory();
         repo.append(["a".into(), "b".into(), "c".into(), "d".into()])
             .unwrap();
-        let epoch: Vec<String> = vec!["c".into(), "new".into()];
+        let served: Vec<String> = vec!["c".into(), "new".into()];
         let mut asked = Vec::new();
         let mut conn = |req: Request| -> Result<Reply, String> {
             match req {
                 Request::GetDelta { from, .. } => {
                     asked.push(from);
-                    let start = (from as usize).min(epoch.len());
+                    let start = (from as usize).min(served.len());
                     Ok(Reply::Delta {
                         from,
-                        total: epoch.len() as u64,
-                        sigs: epoch[start..].to_vec(),
+                        total: served.len() as u64,
+                        sigs: served[start..].to_vec(),
                     })
                 }
                 other => Err(format!("unexpected {other:?}")),
@@ -440,10 +479,10 @@ mod tests {
         assert_eq!(
             repo.sync_cursor(),
             2,
-            "cursor now tracks the new epoch's log, not local len"
+            "cursor now tracks the server's new log, not local len"
         );
-        // The next sync resumes from the epoch cursor — no second
-        // restart, no re-reading the world.
+        // The next sync resumes from that cursor — no second restart, no
+        // re-reading the world.
         let mut conn2 = |req: Request| -> Result<Reply, String> {
             match req {
                 Request::GetDelta { from, .. } => {
@@ -464,7 +503,7 @@ mod tests {
     fn sync_delta_one_shrink_per_sync_converges() {
         let mut repo = LocalRepository::in_memory();
         repo.append(["a".into(), "b".into()]).unwrap();
-        // One epoch switch per sync is the expected shape; each sync
+        // One lost log per sync is the expected shape; each sync
         // resolves its shrink with a single restart and converges.
         let mut conn = Script(vec![
             Reply::Delta {
@@ -478,7 +517,7 @@ mod tests {
                 sigs: vec!["x".into()],
             },
         ]);
-        // First shrink (1 < 2) restarts from 0; the replayed epoch is
+        // First shrink (1 < 2) restarts from 0; the re-read log is
         // consumed normally.
         assert_eq!(sync_delta(&mut conn, &mut repo, 0).unwrap(), 1);
         assert_eq!(repo.sync_cursor(), 1);
@@ -506,7 +545,8 @@ mod tests {
         let mut repo = LocalRepository::in_memory();
         repo.set_sync_cursor(5).unwrap();
         // Shrink at 5 → restart at 0; mid-replay the total shrinks
-        // *again* below the advancing cursor (epoch churn). The client
+        // *again* below the advancing cursor (a server losing its log
+        // over and over). The client
         // must bail instead of restarting forever.
         let mut conn = Script(vec![
             Reply::Delta {

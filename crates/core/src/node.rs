@@ -183,11 +183,12 @@ impl CommunixNode {
     }
 
     /// Downloads new signatures from the server into the local
-    /// repository through the epoch-aware `GET_DELTA` sync
-    /// ([`sync_delta`]): one round trip unless the server windows the
-    /// reply, and a server that garbage-collected its log (its `total`
-    /// fell below the repository's cursor) is re-read from index 0
-    /// instead of silently answering "nothing new" forever.
+    /// repository through the `GET_DELTA` sync ([`sync_delta`]): one
+    /// round trip unless the server windows the reply. A window that
+    /// starts past the cursor (the server evicted a gap the node had not
+    /// fetched) moves the cursor with it, and a server that lost its log
+    /// (its `total` fell below the repository's cursor) is re-read from
+    /// index 0 instead of silently answering "nothing new" forever.
     ///
     /// # Errors
     ///

@@ -9,6 +9,16 @@
 //! ("such a service exceeds the scope of this work"); [`IdAuthority`]
 //! stands in for it so the system is runnable end-to-end, with the same
 //! trust model: only the holder of the predefined key can mint ids.
+//!
+//! Over the wire (`ISSUE_ID`) the server picks the number: it mints each
+//! id for a fresh random one ([`IdAuthority::issue_new`]) and ignores
+//! the number the request names, so no connection can obtain another
+//! sender's id and spend its budget. The cost: a node that asks for an
+//! id again after a restart is a new sender, with a fresh daily budget.
+//! That is no worse than a server restart today, which already refunds
+//! every budget (ROADMAP item 4).
+
+use std::hash::{BuildHasher, RandomState};
 
 use communix_crypto::Aes128;
 use communix_net::EncryptedId;
@@ -49,6 +59,13 @@ impl IdAuthority {
         block[..8].copy_from_slice(MAGIC);
         block[8..].copy_from_slice(&user.to_be_bytes());
         self.cipher.encrypt_block(&block)
+    }
+
+    /// Mints the id of a fresh random user number, one no caller picks:
+    /// 64 bits from std's `RandomState`, whose keys are random per thread
+    /// and move on with every state made.
+    pub fn issue_new(&self) -> EncryptedId {
+        self.issue(RandomState::new().hash_one(()))
     }
 
     /// Decrypts and validates an encrypted id, returning the plain user

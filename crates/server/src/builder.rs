@@ -180,10 +180,21 @@ mod tests {
         let (server, tcp) = crate::builder().serve("127.0.0.1:0").unwrap();
         assert!(tcp.transport().starts_with("event-"));
         let mut c = PipelinedConnector::connect(tcp.addr()).unwrap();
-        let id = server.authority().issue(4);
+        let Reply::Id { id } = c.call(Request::IssueId { user: 4 }).unwrap() else {
+            panic!("expected Id")
+        };
+        assert!(server.authority().verify(&id).is_some());
+        let sig_text = sig_with(100);
         assert_eq!(
-            c.call(Request::IssueId { user: 4 }).unwrap(),
-            Reply::Id { id }
+            c.call(Request::Add {
+                sender: id,
+                sig_text
+            })
+            .unwrap(),
+            Reply::AddAck {
+                accepted: true,
+                reason: String::new()
+            }
         );
         assert!(matches!(
             c.call(Request::Get { from: 0 }).unwrap(),

@@ -2,7 +2,12 @@
 //!
 //! An append-only, index-addressed store: a client asks for the
 //! signatures from index k (§III-B) and is served them one budgeted
-//! window at a time, so it downloads incrementally.
+//! window at a time, so it downloads incrementally. That works only
+//! while an index names one signature forever, so nothing renumbers: a
+//! byte-capped store evicts a prefix of the log
+//! ([`SignatureDb::base`] moves up to the first live index), the
+//! survivors keep their indices, and a window asked for below the base
+//! starts at the base and says so.
 //!
 //! # Two locks, one order
 //!
@@ -10,30 +15,31 @@
 //! client's only cursor (`GET_DELTA(from)`), so the order signatures are
 //! numbered in is observable state and appends take one lock, the
 //! *append lock*. A new signature gets its index, its journal record
-//! ([`SignatureDb::add_with`]'s hook: a durable store's WAL append) and
-//! its visibility under it: index order = journal order = the order a
+//! (the add's journal hook: a durable store's WAL append) and its
+//! visibility under it: index order = journal order = the order a
 //! replay recovers. What needs no order — hashing, the fast-path probe,
 //! allocating the text, framing the record — happens before the lock.
 //!
 //! Probes and bounded reads commute, so they share the other lock: the
-//! log, which holds the texts in index order, their byte total and the
-//! dedup index. A writer takes it for the push alone, which inserts the
-//! text and its index entry together, never across the journal; a
+//! log, which holds the live texts in index order, their byte total and
+//! the dedup index. A writer takes it for the push alone, which inserts
+//! the text and its index entry together, never across the journal; a
 //! reader takes it for one probe or one window of at most
-//! [`REPLY_BUDGET`] bytes, so no reader waits on file I/O. Lock order:
+//! [`REPLY_BUDGET`] bytes, so no reader waits on file I/O; a byte-capped
+//! store's GC takes it for the in-memory prefix drop alone. Lock order:
 //! append lock → log. The tests hold the store to a `Vec` + set model,
 //! which is the whole reference.
 //!
-//! # One hash per call, exact dedup
+//! # One hash per ADD, exact dedup
 //!
-//! A signature text is ≈ 1.7 KB, so hashing it is most of a probe. Each
-//! call hashes the text once, with the database's keyed `RandomState`
-//! (an adversary who cannot predict the keys cannot aim distinct texts at
-//! one bucket), and that 64-bit key finds the index: a new ADD costs two
-//! hashes, the server's fast-path [`SignatureDb::contains`] and
-//! [`SignatureDb::add_with`], and a duplicate probe one. The hash is not
-//! carried from one call to the next: GC swaps in a fresh database with
-//! fresh keys, so a carried hash could probe with the wrong ones.
+//! A signature text is ≈ 1.7 KB, so hashing it is most of a probe. An ADD
+//! hashes its text once, with the database's keyed `RandomState` (an
+//! adversary who cannot predict the keys cannot aim distinct texts at
+//! one bucket): the server's fast-path probe returns the 64-bit key of a
+//! text it did not find, and the add that follows carries it. The keys
+//! live as long as the database, and nothing replaces a database, so a
+//! carried key is always this database's. A new ADD costs one hash, and
+//! so does a duplicate probe.
 //!
 //! A key only nominates a candidate. Dedup is exact: the text at the
 //! candidate's index must be equal, and a different text whose key is
@@ -68,11 +74,18 @@ pub struct SignatureDb {
 #[derive(Debug)]
 struct Tail;
 
-/// Every stored text in index order, their bytes in all, and the dedup
-/// index over them: keyed text hash → index, plus the texts whose hash
-/// an earlier, different text already holds.
+/// A text's dedup key under one database's hasher: what a probe that
+/// missed hands the add that follows it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Key(u64);
+
+/// The live texts in index order from `base`, their bytes in all, and
+/// the dedup index over them: keyed text hash → index, plus the texts
+/// whose hash an earlier, different text already holds.
 #[derive(Debug, Default)]
 struct Log {
+    /// The index of `all[0]`: every index below it was evicted.
+    base: usize,
     all: Vec<Arc<str>>,
     bytes: usize,
     by_key: HashMap<u64, usize>,
@@ -82,10 +95,20 @@ struct Log {
 }
 
 impl Log {
+    /// The index the next text takes.
+    fn end(&self) -> usize {
+        self.base + self.all.len()
+    }
+
+    /// The live texts from index `from` on (from the base, below it).
+    fn from(&self, from: usize) -> &[Arc<str>] {
+        &self.all[from.clamp(self.base, self.end()) - self.base..]
+    }
+
     /// The index `text` is stored at, if any.
     fn find(&self, key: u64, text: &str) -> Option<usize> {
         let &i = self.by_key.get(&key)?;
-        if &*self.all[i] == text {
+        if &*self.all[i - self.base] == text {
             return Some(i);
         }
         self.overflow.get(text).copied()
@@ -93,7 +116,7 @@ impl Log {
 
     /// Appends `text` under `key` and returns its index.
     fn push(&mut self, _: &mut Tail, key: u64, text: Arc<str>) -> usize {
-        let i = self.all.len();
+        let i = self.end();
         match self.by_key.entry(key) {
             Entry::Vacant(slot) => {
                 slot.insert(i);
@@ -117,12 +140,21 @@ impl Default for SignatureDb {
 impl SignatureDb {
     /// Creates an empty database.
     pub fn new() -> Self {
+        SignatureDb::starting_at(0)
+    }
+
+    /// An empty database whose first text takes index `base`: what
+    /// recovery replays into when the log's older segments are evicted.
+    pub(crate) fn starting_at(base: usize) -> Self {
         SignatureDb {
             hasher: RandomState::new(),
             #[cfg(test)]
             key_mask: u64::MAX,
             tail: Mutex::new(Tail),
-            log: RwLock::default(),
+            log: RwLock::new(Log {
+                base,
+                ..Log::default()
+            }),
         }
     }
 
@@ -131,14 +163,14 @@ impl SignatureDb {
     /// an adversary craft distinct signatures that collapse every dedup
     /// probe onto one key (this server's whole point is surviving
     /// hostile senders, §III-C).
-    fn key(&self, sig_text: &str) -> u64 {
+    fn key(&self, sig_text: &str) -> Key {
         let key = self.hasher.hash_one(sig_text);
         #[cfg(test)]
         let key = {
             tests::HASHES.with(|n| n.set(n.get() + 1));
             key & self.key_mask
         };
-        key
+        Key(key)
     }
 
     /// Appends `sig_text` unless an identical signature is already
@@ -147,64 +179,116 @@ impl SignatureDb {
         self.add_with(sig_text, |_| {})
     }
 
-    /// [`SignatureDb::add`], calling `journal` with the text of a
-    /// genuinely new signature under the append lock, after the dedup
-    /// re-probe and before the signature becomes visible: journal calls
-    /// happen in index order, and a duplicate makes none.
+    /// [`SignatureDb::add`], calling `journal` as `add_new` does.
     pub(crate) fn add_with(&self, sig_text: &str, journal: impl FnOnce(&str)) -> (usize, bool) {
-        let key = self.key(sig_text);
-        // Fast path: read lock for the duplicate probe.
-        if let Some(i) = self.log.read().find(key, sig_text) {
-            return (i, false);
+        match self.probe(sig_text) {
+            Ok(i) => (i, false),
+            Err(key) => self.add_new(key, sig_text, journal),
         }
+    }
+
+    /// The index `sig_text` is stored at, or, if it is not, its key for
+    /// the add that follows. Takes only the log's *read* lock — the
+    /// server's dedup fast path.
+    pub(crate) fn probe(&self, sig_text: &str) -> Result<usize, Key> {
+        let key = self.key(sig_text);
+        self.log.read().find(key.0, sig_text).ok_or(key)
+    }
+
+    /// Appends `sig_text`, whose probe missed with `key`, unless an
+    /// identical text arrived since; calls `journal` with it under the
+    /// append lock, after that final probe and before the text becomes
+    /// visible: journal calls happen in index order, and a duplicate
+    /// makes none. Returns `(index, newly_added)`.
+    pub(crate) fn add_new(
+        &self,
+        key: Key,
+        sig_text: &str,
+        journal: impl FnOnce(&str),
+    ) -> (usize, bool) {
         // The one copy of the text: the log and an overflow entry share it.
         let text: Arc<str> = Arc::from(sig_text);
         let mut tail = self.tail.lock();
         // Every insert happens under the append lock, so this probe is final.
-        if let Some(i) = self.log.read().find(key, sig_text) {
+        if let Some(i) = self.log.read().find(key.0, sig_text) {
             return (i, false);
         }
         journal(sig_text);
         // Text and index entry appear together under the log's write lock,
         // held for the push alone, never across the journal.
-        let i = self.log.write().push(&mut tail, key, text);
+        let i = self.log.write().push(&mut tail, key.0, text);
         (i, true)
     }
 
-    /// Index of `sig_text` if it is already stored. Takes only the log's
-    /// *read* lock — this is the server's dedup fast path.
-    pub fn contains(&self, sig_text: &str) -> Option<usize> {
+    /// Appends `sig_text` at the next index even if it is stored already:
+    /// recovery's replay, where a record's index is its place in the log.
+    pub(crate) fn replay(&self, sig_text: &str) {
         let key = self.key(sig_text);
-        self.log.read().find(key, sig_text)
+        let mut tail = self.tail.lock();
+        self.log.write().push(&mut tail, key.0, Arc::from(sig_text));
     }
 
-    /// All signatures from index `from` (copies, made after the lock is
-    /// released; the caller ships them).
+    /// Evicts every text below index `base` — GC's prefix drop, an
+    /// in-memory retain under the log's write lock — and returns how many
+    /// texts and bytes went. The survivors keep their indices. An
+    /// overflow survivor whose key lost its entry takes the key over, so
+    /// every live key stays in `by_key`.
+    pub(crate) fn drop_below(&self, base: usize) -> (usize, usize) {
+        let mut log = self.log.write();
+        let n = base.clamp(log.base, log.end()) - log.base;
+        let log = &mut *log;
+        let bytes: usize = log.all.drain(..n).map(|t| t.len()).sum();
+        log.base += n;
+        log.bytes -= bytes;
+        let (base, by_key) = (log.base, &mut log.by_key);
+        by_key.retain(|_, i| *i >= base);
+        log.overflow.retain(|text, &mut i| {
+            if i < base {
+                return false;
+            }
+            match by_key.entry(self.key(text).0) {
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
+                    false
+                }
+                Entry::Occupied(_) => true,
+            }
+        });
+        (n, bytes)
+    }
+
+    /// Index of `sig_text` if it is already stored. Takes only the log's
+    /// *read* lock.
+    pub fn contains(&self, sig_text: &str) -> Option<usize> {
+        self.probe(sig_text).ok()
+    }
+
+    /// All live signatures from index `from` (copies, made after the lock
+    /// is released).
     pub fn get_from(&self, from: usize) -> Vec<String> {
-        let handles = {
-            let log = self.log.read();
-            log.all[from.min(log.all.len())..].to_vec()
-        };
+        let handles = self.log.read().from(from).to_vec();
         handles.iter().map(|t| String::from(&**t)).collect()
     }
 
     /// The window behind `GET` and `GET_DELTA`: the signatures from index
-    /// `from`, at most `max` of them (`0`: no count cap), closed at the
-    /// last one whose `DELTA` reply stays within [`REPLY_BUDGET`] bytes,
-    /// plus the current total. A window holds at least one signature
-    /// while any is left, so every window moves its reader on. The walk
-    /// measures before it copies: the texts are handles to the stored
-    /// ones, and only those served are handed out.
-    pub fn window(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
+    /// `from` — from the base, if `from` is below it — at most `max` of
+    /// them (`0`: no count cap), closed at the last one whose `DELTA`
+    /// reply stays within [`REPLY_BUDGET`] bytes. Returns the index the
+    /// window starts at, the texts, and the total (the index the next
+    /// signature takes). A window holds at least one signature while any
+    /// is left, so every window moves its reader on. The walk measures
+    /// before it copies: the texts are handles to the stored ones, and
+    /// only those served are handed out.
+    pub fn window(&self, from: usize, max: usize) -> (usize, Vec<Arc<str>>, usize) {
         let log = self.log.read();
-        let total = log.all.len();
-        let from = from.min(total);
-        let to = match max {
-            0 => total,
-            max => from.saturating_add(max).min(total),
+        let from = from.max(log.base);
+        let rest = log.from(from);
+        let rest = match max {
+            0 => rest,
+            max => &rest[..max.min(rest.len())],
         };
         let mut text_bytes = 0;
-        let fit = log.all[from..to]
+        let fit = rest
             .iter()
             .enumerate()
             .take_while(|(i, t)| {
@@ -212,27 +296,33 @@ impl SignatureDb {
                 reply_bytes(i + 1, text_bytes) <= REPLY_BUDGET
             })
             .count()
-            .max(usize::from(from < to));
-        (log.all[from..from + fit].to_vec(), total)
+            .max(usize::from(!rest.is_empty()));
+        (from, rest[..fit].to_vec(), log.end())
     }
 
     /// [`SignatureDb::window`], by the name `benchmark/` calls (ROADMAP
     /// item 1A retires it).
-    pub fn delta(&self, from: usize, max: usize) -> (Vec<Arc<str>>, usize) {
+    pub fn delta(&self, from: usize, max: usize) -> (usize, Vec<Arc<str>>, usize) {
         self.window(from, max)
     }
 
-    /// Number of stored signatures.
+    /// The index of the first live signature: every one below it was
+    /// evicted by a byte-capped store's GC (0 until then).
+    pub fn base(&self) -> usize {
+        self.log.read().base
+    }
+
+    /// Number of live signatures.
     pub fn len(&self) -> usize {
         self.log.read().all.len()
     }
 
-    /// Whether the database is empty.
+    /// Whether no signature is live.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total bytes of stored signature text (reporting).
+    /// Total bytes of live signature text (reporting).
     pub fn stored_bytes(&self) -> usize {
         self.log.read().bytes
     }
@@ -343,7 +433,8 @@ mod tests {
                     } else {
                         from.saturating_add(max).min(log.len())
                     };
-                    let (sigs, total) = db.window(from, max);
+                    let (start, sigs, total) = db.window(from, max);
+                    prop_assert_eq!(start, from);
                     let sigs: Vec<&str> = sigs.iter().map(|s| &**s).collect();
                     prop_assert_eq!(sigs, &log[from..to]);
                     prop_assert_eq!(total, log.len());
@@ -416,24 +507,24 @@ mod tests {
         let db = holding(&[n; 20]);
         assert!(reply_bytes(15, 15 * n) <= REPLY_BUDGET);
         assert!(reply_bytes(16, 16 * n) > REPLY_BUDGET);
-        assert_eq!(db.window(0, 0).0.len(), 15);
-        assert_eq!(db.window(3, 0), (db.window(3, 15).0, 20));
-        assert_eq!(db.window(15, 0).0.len(), 5);
+        assert_eq!(db.window(0, 0).1.len(), 15);
+        assert_eq!(db.window(3, 0), (3, db.window(3, 15).1, 20));
+        assert_eq!(db.window(15, 0).1.len(), 5);
         // The client's count cap closes it earlier.
-        assert_eq!(db.window(0, 4).0.len(), 4);
+        assert_eq!(db.window(0, 4).1.len(), 4);
         // A window ends exactly at the budget: one byte less and the last
         // text waits for the next window.
         let fits = REPLY_BUDGET - reply_bytes(2, 0) - 1000;
-        assert_eq!(holding(&[1000, fits]).window(0, 0).0.len(), 2);
-        assert_eq!(holding(&[1000, fits + 1]).window(0, 0).0.len(), 1);
+        assert_eq!(holding(&[1000, fits]).window(0, 0).1.len(), 2);
+        assert_eq!(holding(&[1000, fits + 1]).window(0, 0).1.len(), 1);
     }
 
     #[test]
     fn a_window_holds_one_text_even_past_the_budget() {
         let db = holding(&[REPLY_BUDGET + 1, 10]);
-        assert_eq!(db.window(0, 0).0.len(), 1);
-        assert_eq!(db.window(1, 0).0.len(), 1);
-        assert_eq!(db.window(2, 0), (Vec::new(), 2));
+        assert_eq!(db.window(0, 0).1.len(), 1);
+        assert_eq!(db.window(1, 0).1.len(), 1);
+        assert_eq!(db.window(2, 0), (2, Vec::new(), 2));
     }
 
     #[test]
@@ -545,7 +636,7 @@ mod tests {
     }
 
     #[test]
-    fn a_new_add_hashes_its_text_twice_and_a_duplicate_probe_once() {
+    fn a_new_add_hashes_its_text_once_and_a_duplicate_probe_once() {
         // The index is filled first, so the count does not depend on
         // whether a map skips hashing a probe of an empty table.
         let db = SignatureDb::new();
@@ -554,12 +645,15 @@ mod tests {
         }
         for i in 256..320 {
             let t = format!("sig-{i}-{}", "h".repeat(1700));
-            // The server's order: the fast-path probe misses, then the add.
+            // The server's order: the fast-path probe misses, and the add
+            // carries the key it returned.
             let new = hashes(|| {
-                assert_eq!(db.contains(&t), None);
-                assert_eq!(db.add(&t), (i, true));
+                let Err(key) = db.probe(&t) else {
+                    panic!("{t} is new")
+                };
+                assert_eq!(db.add_new(key, &t, |_| {}), (i, true));
             });
-            assert_eq!(new, 2, "text hashes per new add");
+            assert_eq!(new, 1, "text hashes per new add");
             let dup = hashes(|| assert_eq!(db.contains(&t), Some(i)));
             assert_eq!(dup, 1, "text hashes per duplicate probe");
         }
@@ -616,10 +710,107 @@ mod tests {
             let got = reads.recv_timeout(Duration::from_secs(10));
             release.send(()).unwrap();
             let (window, found, len, bytes) = got.expect("a reader waited on the journal");
-            assert_eq!(window, (vec![Arc::from("stored")], 1));
+            assert_eq!(window, (0, vec![Arc::from("stored")], 1));
             assert_eq!((found, len, bytes), (Some(0), 1, 6));
             assert_eq!(writer.join().unwrap(), (1, true));
         });
         assert_eq!(db.get_from(0), ["stored", "new"]);
+    }
+
+    /// `ops` with a prefix drop at every `drops` step, against the model
+    /// of a `Vec` whose evicted slots read `None`: every live text keeps
+    /// its index and a window below the base starts at it.
+    fn check_drops_against_the_model(
+        db: &SignatureDb,
+        ops: &[(usize, usize)],
+    ) -> Result<(), TestCaseError> {
+        let mut log: Vec<Option<String>> = Vec::new();
+        for &(key, drop) in ops {
+            let t = text(key);
+            let at = log.iter().position(|s| s.as_deref() == Some(&t));
+            let added = db.add(&t);
+            prop_assert_eq!(added, (at.unwrap_or(log.len()), at.is_none()));
+            if at.is_none() {
+                log.push(Some(t));
+            }
+            // Drop below a base anywhere from the current one to the end.
+            let base = db.base();
+            let to = base + drop % (log.len() - base + 1);
+            let gone: Vec<String> = log[base..to].iter().flatten().cloned().collect();
+            let (sigs, bytes) = db.drop_below(to);
+            prop_assert_eq!(
+                (sigs, bytes),
+                (gone.len(), gone.iter().map(String::len).sum())
+            );
+            log[base..to].iter_mut().for_each(|s| *s = None);
+            prop_assert_eq!(db.base(), to);
+            let live: Vec<String> = log[to..].iter().flatten().cloned().collect();
+            prop_assert_eq!(&db.get_from(0), &live);
+            prop_assert_eq!(db.len(), live.len());
+            for (i, s) in log.iter().enumerate() {
+                let probe = s.as_ref().map(|s| db.contains(s));
+                prop_assert!(probe.is_none() || probe == Some(Some(i)), "index {}", i);
+            }
+            for k in 0..24 {
+                let t = text(k);
+                let want = log.iter().position(|s| s.as_deref() == Some(&t));
+                prop_assert_eq!(db.contains(&t), want);
+            }
+            let (start, sigs, total) = db.window(0, 2);
+            prop_assert_eq!((start, total), (to, log.len()));
+            let sigs: Vec<String> = sigs.iter().map(|s| s.to_string()).collect();
+            prop_assert_eq!(&sigs[..], &live[..live.len().min(2)]);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Prefix drops under real keys and under keys masked until
+        /// overflow survivors must take their evicted key over.
+        #[test]
+        fn a_prefix_drop_keeps_every_live_index_and_key(
+            ops in proptest::collection::vec((0usize..24, 0usize..6), 1..80),
+        ) {
+            for db in both_keys() {
+                check_drops_against_the_model(&db, &ops)?;
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_below_the_base_starts_at_it() {
+        let db = holding(&[10; 6]);
+        assert_eq!(db.drop_below(4), (4, 40));
+        assert_eq!((db.base(), db.len(), db.stored_bytes()), (4, 2, 20));
+        let (start, sigs, total) = db.window(1, 0);
+        assert_eq!((start, sigs.len(), total), (4, 2, 6));
+        assert_eq!(db.window(5, 0).1, db.window(0, 0).1[1..]);
+        assert_eq!(db.window(9, 0), (9, Vec::new(), 6));
+        assert_eq!(db.add("new"), (6, true));
+        // Dropping to the end leaves an empty log that goes on there.
+        assert_eq!(db.drop_below(usize::MAX).0, 3);
+        assert_eq!((db.base(), db.window(0, 0)), (7, (7, Vec::new(), 7)));
+        assert_eq!(db.add("newer"), (7, true));
+        let again = SignatureDb::starting_at(7);
+        assert_eq!(again.add("newer"), (7, true));
+    }
+
+    #[test]
+    fn a_replayed_duplicate_keeps_its_place() {
+        // Recovery puts each record at its place in the log, even a text
+        // stored twice there: the first copy answers probes, and once it
+        // is evicted, the second does.
+        for db in both_keys() {
+            for t in ["a", "b", "a", "c"] {
+                db.replay(t);
+            }
+            assert_eq!(db.get_from(0), ["a", "b", "a", "c"]);
+            assert_eq!(db.contains("a"), Some(0));
+            db.drop_below(1);
+            assert_eq!(db.contains("a"), Some(2));
+            assert_eq!(db.add("a"), (2, false));
+            db.drop_below(3);
+            assert_eq!(db.add("a"), (4, true));
+        }
     }
 }

@@ -18,9 +18,10 @@
 //! * exact duplicates are detected under the signature log's *read*
 //!   lock before the signature is even parsed (see [`SignatureDb`]), so
 //!   re-sent signatures never take a write lock or touch per-user
-//!   validation state; a new signature takes the database's one append
-//!   lock, and probes and reads share the log's lock, never waiting on
-//!   the journal;
+//!   validation state; a new signature carries the key that probe
+//!   computed into the database's one append lock, so its text is
+//!   hashed once, and probes and reads share the log's lock, never
+//!   waiting on the journal;
 //! * per-user rate-limit/adjacency state is sharded by user id, and a
 //!   sender's checks and its add run as one step under its shard's lock;
 //! * counters live in a lock-free telemetry [`Registry`]
@@ -33,16 +34,20 @@
 //! `GET_DELTA` read through one window, [`SignatureDb::window`]: it
 //! holds at most the `GET_DELTA` client's `max` signatures and closes at
 //! the last one within [`REPLY_BUDGET`](communix_net::REPLY_BUDGET)
-//! bytes of reply. An ADD whose text exceeds [`MAX_SIG_BYTES`] is
-//! refused before it costs a dedup probe.
+//! bytes of reply, and starts at the store's base when the client asks
+//! from below it (the reply's `from` says where it starts). An ADD whose
+//! text exceeds [`MAX_SIG_BYTES`] is refused before it costs a dedup
+//! probe. `ISSUE_ID` mints an id for a fresh random number it picks
+//! itself ([`IdAuthority::issue_new`]), so no connection can name
+//! another sender.
 //!
 //! # Observability
 //!
 //! The server answers [`Request::Stats`] with a JSON rendering of its
 //! telemetry snapshot: outcome counters, per-reject-reason counters,
 //! dedup fast-path hits, per-opcode latency histograms, and the
-//! database's size gauges (refreshed at snapshot time, not on the hot
-//! path).
+//! database's size gauges `server.db.sigs` and `server.db.bytes`
+//! (refreshed at snapshot time, not on the hot path).
 //! When served over TCP the transport registers its own connection
 //! gauges and counters in the same registry, so one `STATS` round trip
 //! observes the whole stack.
@@ -281,15 +286,14 @@ impl CommunixServer {
         &self.authority
     }
 
-    /// The current in-memory signature database. The returned `Arc`
-    /// pins one epoch: it stays readable across a concurrent GC swap
-    /// (which installs a fresh database under the store).
+    /// The in-memory signature database, the store's one for its whole
+    /// life: a GC drops a prefix of it in place.
     pub fn db(&self) -> Arc<SignatureDb> {
         self.store.db()
     }
 
-    /// The unified signature store — durability state (epoch, recovery
-    /// report, explicit `sync`) lives here.
+    /// The unified signature store — durability state (recovery report,
+    /// explicit `sync`, the GC counters' registry) lives here.
     pub fn store(&self) -> &Store {
         &self.store
     }
@@ -316,17 +320,15 @@ impl CommunixServer {
     }
 
     /// A point-in-time telemetry snapshot. The database gauges
-    /// (`server.db.sigs`, `server.db.bytes`, `server.db.epoch`) are
-    /// refreshed here, at snapshot time, rather than on the hot path.
+    /// (`server.db.sigs`, `server.db.bytes`) are refreshed here, at
+    /// snapshot time, rather than on the hot path.
     pub fn telemetry_snapshot(&self) -> Snapshot {
-        let db = self.store.db();
-        self.registry.gauge("server.db.sigs").set(db.len() as u64);
+        self.registry
+            .gauge("server.db.sigs")
+            .set(self.store.len() as u64);
         self.registry
             .gauge("server.db.bytes")
-            .set(db.stored_bytes() as u64);
-        self.registry
-            .gauge("server.db.epoch")
-            .set(self.store.epoch());
+            .set(self.store.stored_bytes() as u64);
         self.registry.snapshot()
     }
 
@@ -360,10 +362,12 @@ impl CommunixServer {
             }
             Request::Get { from } => self.handle_get(from),
             Request::GetDelta { from, max } => self.handle_get_delta(from, max),
-            Request::IssueId { user } => {
+            // The caller's number is ignored: naming it would let any
+            // connection spend another sender's budget.
+            Request::IssueId { .. } => {
                 self.metrics.ids_issued.inc();
                 Reply::Id {
-                    id: self.authority.issue(user),
+                    id: self.authority.issue_new(),
                 }
             }
             Request::Stats => {
@@ -402,11 +406,15 @@ impl CommunixServer {
             return AddDecision::Rejected(RejectReason::TooLarge);
         }
 
-        // Dedup fast path (read locks only).
-        if self.store.contains(sig_text).is_some() {
-            self.metrics.dedup_fast_path.inc();
-            return AddDecision::Duplicate;
-        }
+        // Dedup fast path (read locks only). A miss returns the text's key,
+        // which the add below carries: one hash per ADD.
+        let key = match self.store.probe(sig_text) {
+            Ok(_) => {
+                self.metrics.dedup_fast_path.inc();
+                return AddDecision::Duplicate;
+            }
+            Err(key) => key,
+        };
 
         // The signature must parse (a malformed signature cannot be
         // validated, stored, or served). Adjacency reads only its top
@@ -445,7 +453,7 @@ impl CommunixServer {
             return AddDecision::Rejected(RejectReason::Adjacent);
         }
 
-        let (_, added) = self.store.add(sig_text);
+        let (_, added) = self.store.add_new(key, sig_text);
         if added {
             state.accepted.push(sites);
             AddDecision::Accepted
@@ -483,23 +491,28 @@ impl CommunixServer {
     /// `GET(k)`: the paper's "everything from index `k`", one budgeted
     /// window at a time — a `GET_DELTA` with no count cap.
     fn handle_get(&self, from: u64) -> Reply {
-        let (sigs, _) = self.store.db().window(from as usize, 0);
+        let (from, sigs, _) = self.store.window(from as usize, 0);
         self.metrics.gets.inc();
         self.metrics.sigs_served.add(sigs.len() as u64);
         let sigs = sigs.iter().map(|s| String::from(&**s)).collect();
-        Reply::Sigs { from, sigs }
+        Reply::Sigs {
+            from: from as u64,
+            sigs,
+        }
     }
 
+    /// `GET_DELTA(from, max)`: one budgeted window and the total. A
+    /// cursor below the store's base — a GC evicted what it had not
+    /// fetched yet — is served from the base, and the reply's `from`
+    /// tells the client where its window starts; the total never falls.
     fn handle_get_delta(&self, from: u64, max: u32) -> Reply {
-        // After a GC the total falls below old cursors: the client's
-        // signal that the store switched epochs.
-        let (sigs, total) = self.store.db().window(from as usize, max as usize);
+        let (from, sigs, total) = self.store.window(from as usize, max as usize);
         self.metrics.deltas.inc();
         self.metrics.sigs_served.add(sigs.len() as u64);
         // Handles to the stored texts: the transport encodes the `DELTA`
         // frame straight from them.
         Reply::SharedDelta {
-            from,
+            from: from as u64,
             total: total as u64,
             sigs,
         }
@@ -754,7 +767,20 @@ mod tests {
     fn issue_id_request() {
         let (srv, _) = server();
         match srv.handle(Request::IssueId { user: 5 }) {
-            Reply::Id { id } => assert_eq!(srv.authority().verify(&id), Some(5)),
+            Reply::Id { id } => {
+                assert!(srv.authority().verify(&id).is_some());
+                let sig_text = sig(1).to_string();
+                assert_eq!(
+                    srv.handle(Request::Add {
+                        sender: id,
+                        sig_text
+                    }),
+                    Reply::AddAck {
+                        accepted: true,
+                        reason: String::new()
+                    }
+                );
+            }
             other => panic!("unexpected {other:?}"),
         }
     }

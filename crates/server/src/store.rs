@@ -6,71 +6,89 @@
 //! The immunity network is only useful if accumulated signatures survive
 //! a server restart (ROADMAP "Durable store"). Dedup'd ADDs commute for
 //! the stored *set*, but the *index* is the client's cursor
-//! (`GET_DELTA(from)`), so a restart must number the log the way it was
-//! served. One lock does it: [`Store::add`] frames the record first, then
-//! the database assigns the index and the record is written under its
-//! append lock — index order = journal order = recovered order. Recovery
-//! replays the segments with no metadata beyond their sequence order, and
-//! a segment dropped whole is a valid cut of the log. Signatures are
-//! unique, append-only and never modified, so there is nothing to
-//! compact: a second, "compacted" copy of the store would hold the same
-//! bytes in the same framing (the WAL writes 1.005 bytes per byte stored).
+//! (`GET_DELTA(from)`), so an index must name one signature for the life
+//! of the store, across restarts and across GC. One lock does the
+//! numbering: [`Store::add`] frames the record first, then the database
+//! assigns the index and the record is written under its append lock —
+//! index order = journal order = recovered order. Each segment's name
+//! says which index its first record holds, so recovery puts every
+//! record back at its index, and a segment dropped whole is a valid cut
+//! of the log. Signatures are unique, append-only and never modified, so
+//! there is nothing to compact: a second, "compacted" copy of the store
+//! would hold the same bytes in the same framing (the WAL writes 1.005
+//! bytes per byte stored).
 //!
 //! # On-disk layout (`DurabilityConfig::dir`)
 //!
-//! `wal-{epoch:010}-{seq:010}.log` segments and nothing else. Each starts
-//! with the 8-byte magic `CXWAL001` followed by records framed as
+//! `wal-{first:020}.log` segments and nothing else, where `first` is the
+//! index of the segment's first record. Each starts with the 8-byte magic
+//! `CXWAL001` followed by records framed as
 //! `[len: u32 LE][crc32(payload): u32 LE][payload]`, one per accepted
-//! signature, where `payload` is the signature text (UTF-8). The framing,
-//! the CRC and the replay walk live in [`communix_net::record`], the one
-//! log format the client's local repository writes too. Records are
-//! buffered by the OS and fsync'd on a group-commit interval
-//! ([`DurabilityConfig::fsync_interval`]; zero means fsync on every
-//! append). A torn final record — the crash case group commit tolerates
-//! by design — is detected by the length/CRC framing and dropped on
-//! replay. `seq` grows by one per segment for the life of the directory;
-//! `epoch` is the GC generation the segment was opened under.
+//! signature, where `payload` is the signature text (UTF-8); the `k`-th
+//! record holds index `first + k`. The framing, the CRC and the replay
+//! walk live in [`communix_net::record`], the one log format the client's
+//! local repository writes too. Records are buffered by the OS and
+//! fsync'd on a group-commit interval ([`DurabilityConfig::fsync_interval`];
+//! zero means fsync on every append). A torn final record — the crash
+//! case group commit tolerates by design — is detected by the length/CRC
+//! framing and dropped on replay. The log rolls to a new segment past the
+//! size limit, and after a failed append, so that no record is written
+//! behind a torn one or at the wrong index. A directory of the older
+//! `wal-{epoch}-{seq}.log` naming recovers at index 0 in `seq` order and
+//! is renamed into this naming on open.
 //!
-//! # Bounded GC and the epoch rule
+//! # Bounded GC and the base rule
 //!
 //! With [`DurabilityConfig::max_bytes`] set, the store is
-//! capacity-bounded: when stored bytes exceed the cap, GC — under the
-//! database write lock — seals the current segment, opens the next one
-//! under `epoch + 1`, fsyncs the directory, deletes the *oldest* whole
-//! segments until the signature bytes left fit in 3/4 of the cap, and
-//! rebuilds the database by replaying the survivors: the same replay a
-//! restart does, so memory equals disk by construction and a crash
-//! anywhere in the pass leaves a suffix of the log under the new epoch.
-//! Segments roll at 1/8 of the cap at most, so a pass lands between 5/8
-//! and 3/4 of it. Indices restart from zero in the new epoch, so
-//! `GET_DELTA`'s `total` shrinks below a synced client's cursor — that is
-//! the wire-visible epoch signal (`total < from`), and `sync_delta`
-//! reacts by re-syncing from zero with a dedup merge; no wire tag changes.
+//! capacity-bounded: when stored bytes exceed the cap, GC deletes the
+//! *oldest* whole sealed segments until the signature bytes left fit in
+//! 3/4 of the cap, then drops the same prefix from memory, under the
+//! log's write lock: the database's *base*, its first live index, moves
+//! up to the first index of the oldest segment left. GC reads nothing
+//! from disk and renumbers nothing. The survivors keep their indices and
+//! `GET_DELTA`'s `total` never falls; a client whose cursor is below the
+//! new base is served from the base — the reply's `from` says so — and
+//! skips the evicted gap. The segment being written is never deleted:
+//! segments roll at 1/8 of the cap at most, so a pass lands between 5/8
+//! and 3/4 of it, plus what that segment holds.
+//!
+//! Memory never holds more than disk: GC drops from memory every segment
+//! it deleted or failed to delete, and recovery counts a segment GC
+//! failed to delete as evicted. The one exception is a record whose
+//! append failed (counted in `store.wal.errors`): memory serves it until
+//! a restart, and the roll behind it makes recovery evict it, with the
+//! log before it, rather than number a later record in its place.
 //!
 //! # Recovery
 //!
-//! [`Store::open`] takes the epoch from the largest one in the segment
-//! names, replays every segment in sequence order through the dedup'd
-//! add path (idempotent, so a repeated record is harmless), stops within
-//! a segment at its first torn or corrupt record, opens a fresh segment
-//! for new writes, and removes the header-only segments earlier opens
-//! left behind. The [`RecoveryReport`] is kept for inspection and
-//! mirrored into the `store.*` telemetry counters.
+//! [`Store::open`] reads the segments in index order and keeps the
+//! newest *contiguous* run: every record goes back at the index its
+//! segment's name and its place in it give, replay stops within a
+//! segment at its first torn or corrupt record, and a segment whose
+//! successor does not start where its replay ended — GC failed to delete
+//! it, or a corrupt record stopped its replay early — counts as evicted,
+//! with every segment before it. Evicted segments are reported in
+//! [`RecoveryReport::evicted_segments`], counted in
+//! `store.wal.evicted_segments` and deleted; nothing is renumbered. An
+//! empty segment still says where the log goes on. Recovery opens a
+//! fresh segment at the next index — writing over an empty one of that
+//! name — and only then removes the other empty segments. The
+//! [`RecoveryReport`] is kept for inspection and mirrored into the
+//! `store.*` telemetry counters.
 
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use communix_net::record;
 use communix_telemetry::{Counter, Histogram, Registry};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use crate::db::SignatureDb;
+use crate::db::{Key, SignatureDb};
 
 const WAL_MAGIC: &[u8; 8] = b"CXWAL001";
 /// The second file of the retired snapshotting layout; a directory
@@ -92,7 +110,7 @@ pub struct DurabilityConfig {
     /// byte cap the limit is an eighth of the cap if that is smaller.
     pub wal_segment_bytes: u64,
     /// Capacity bound on stored signature bytes. Exceeding it triggers
-    /// the epoch-bumping GC; `None` leaves the store unbounded.
+    /// the oldest-first GC; `None` leaves the store unbounded.
     pub max_bytes: Option<u64>,
 }
 
@@ -112,12 +130,13 @@ impl DurabilityConfig {
 /// What [`Store::open`] found on disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Epoch recovered into: the largest in the segment names, else 0.
-    pub epoch: u64,
-    /// Records replayed from WAL segments (before dedup).
+    /// Records replayed into the recovered log.
     pub wal_records: u64,
-    /// Whether replay stopped at a torn/corrupt trailing record.
+    /// Whether replay stopped at a torn/corrupt record.
     pub torn_tail: bool,
+    /// Segments behind a gap in the indices, evicted rather than
+    /// renumbered.
+    pub evicted_segments: u64,
 }
 
 /// Pre-resolved telemetry handles (same pattern as the server's: resolve
@@ -130,6 +149,7 @@ struct StoreMetrics {
     wal_errors: Arc<Counter>,
     wal_replayed: Arc<Counter>,
     wal_torn: Arc<Counter>,
+    wal_evicted: Arc<Counter>,
     gc_runs: Arc<Counter>,
     gc_evicted_sigs: Arc<Counter>,
     gc_evicted_bytes: Arc<Counter>,
@@ -146,6 +166,7 @@ impl StoreMetrics {
             wal_errors: registry.counter("store.wal.errors"),
             wal_replayed: registry.counter("store.wal.replayed"),
             wal_torn: registry.counter("store.wal.torn_records"),
+            wal_evicted: registry.counter("store.wal.evicted_segments"),
             gc_runs: registry.counter("store.gc.runs"),
             gc_evicted_sigs: registry.counter("store.gc.evicted_sigs"),
             gc_evicted_bytes: registry.counter("store.gc.evicted_bytes"),
@@ -177,15 +198,12 @@ struct Flusher {
 /// In-memory ([`Store::in_memory`]) it is a thin veneer over
 /// [`SignatureDb`]. Durable ([`Store::open`]) it journals every accepted
 /// add to a write-ahead log and — with a byte cap — garbage-collects
-/// oldest-first, whole segments at a time, under a new epoch. All
-/// methods are thread-safe; reads never block on WAL I/O.
+/// oldest-first, whole segments at a time, dropping a prefix of the log
+/// and renumbering nothing. All methods are thread-safe; reads never
+/// block on WAL I/O.
 #[derive(Debug)]
 pub struct Store {
-    /// Swapped wholesale by the epoch-bumping GC; adds hold the read
-    /// lock across the journaled add so a GC cannot strand an add
-    /// between the old database and the new WAL epoch.
-    inner: RwLock<Arc<SignatureDb>>,
-    epoch: AtomicU64,
+    db: Arc<SignatureDb>,
     wal: Option<Arc<Mutex<Wal>>>,
     /// The byte cap (`DurabilityConfig::max_bytes`).
     max_bytes: Option<u64>,
@@ -206,8 +224,7 @@ impl Store {
     /// [`Store::in_memory`] recording into an existing `registry`.
     pub fn in_memory_with(registry: &Registry) -> Self {
         Store {
-            inner: RwLock::new(Arc::new(SignatureDb::new())),
-            epoch: AtomicU64::new(0),
+            db: Arc::new(SignatureDb::new()),
             wal: None,
             max_bytes: None,
             sync_every_append: false,
@@ -218,21 +235,22 @@ impl Store {
     }
 
     /// Opens (or creates) a durable store under `config.dir`,
-    /// recovering by replaying every WAL segment in sequence order.
+    /// recovering the newest contiguous run of WAL segments.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures creating the directory, reading a
-    /// segment, or opening the fresh WAL segment, and refuses
+    /// Propagates I/O failures creating the directory, reading or
+    /// renaming a segment, or opening the fresh WAL segment, and refuses
     /// (`InvalidData`) a directory of the retired snapshotting layout.
-    /// A torn trailing WAL record is *not* an error — replay stops there
-    /// and reports it in [`Store::recovery`]. The first argument is
-    /// unused: it stays because `benchmark/` passes it (ROADMAP item 1A
-    /// retires it).
+    /// A torn WAL record is *not* an error — replay stops there and
+    /// reports it in [`Store::recovery`]. The first argument is unused:
+    /// it stays because `benchmark/` passes it (ROADMAP item 1A retires
+    /// it).
     pub fn open(_shards: usize, config: DurabilityConfig, registry: &Registry) -> io::Result<Self> {
         let metrics = StoreMetrics::resolve(registry);
         let (db, recovery, wal) = recover(&config)?;
         metrics.wal_replayed.add(recovery.wal_records);
+        metrics.wal_evicted.add(recovery.evicted_segments);
         if recovery.torn_tail {
             metrics.wal_torn.inc();
         }
@@ -241,8 +259,7 @@ impl Store {
         let flusher = (!sync_every_append)
             .then(|| spawn_flusher(wal.clone(), config.fsync_interval, metrics.clone()));
         Ok(Store {
-            inner: RwLock::new(Arc::new(db)),
-            epoch: AtomicU64::new(recovery.epoch),
+            db: Arc::new(db),
             wal: Some(wal),
             max_bytes: config.max_bytes,
             sync_every_append,
@@ -250,11 +267,6 @@ impl Store {
             recovery,
             flusher,
         })
-    }
-
-    /// The current database epoch (bumped by each GC pass).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
     }
 
     /// Whether this store journals to disk.
@@ -268,73 +280,86 @@ impl Store {
         self.recovery
     }
 
-    /// The current in-memory database. The `Arc` pins one epoch's
-    /// database: reads through it are coherent even across a concurrent
-    /// GC swap (they just see the pre-GC epoch).
+    /// The in-memory database, the one for the life of the store.
     pub fn db(&self) -> Arc<SignatureDb> {
-        self.inner.read().clone()
+        self.db.clone()
     }
 
     /// Appends `sig_text` unless already stored; journals genuinely new
     /// signatures to the WAL. Returns `(index, newly_added)` — exactly
     /// [`SignatureDb::add`]'s contract.
     pub fn add(&self, sig_text: &str) -> (usize, bool) {
-        let (i, added) = {
-            let db = self.inner.read();
-            let Some(wal) = &self.wal else {
-                return db.add(sig_text);
-            };
-            // Framed (CRC included) before the append lock, written under
-            // it: the record lands in the log at the signature's index.
-            let record = record::frame(sig_text);
-            db.add_with(sig_text, |_| {
-                let mut wal = wal.lock();
-                match wal.append(&record) {
-                    Ok(()) => {
-                        self.metrics.wal_appends.inc();
-                        self.metrics.wal_bytes.add(record.len() as u64);
-                        if self.sync_every_append {
-                            if let Err(e) = self.metrics.sync(&mut wal) {
-                                self.wal_error("fsync", &e);
-                            }
+        match self.db.probe(sig_text) {
+            Ok(i) => (i, false),
+            Err(key) => self.add_new(key, sig_text),
+        }
+    }
+
+    /// [`Store::add`] of a text whose [`Store::probe`] missed with `key`,
+    /// so that the ADD hashes it once.
+    pub(crate) fn add_new(&self, key: Key, sig_text: &str) -> (usize, bool) {
+        let Some(wal) = &self.wal else {
+            return self.db.add_new(key, sig_text, |_| {});
+        };
+        // Framed (CRC included) before the append lock, written under it:
+        // the record lands in the log at the signature's index.
+        let record = record::frame(sig_text);
+        let (i, added) = self.db.add_new(key, sig_text, |_| {
+            let mut wal = wal.lock();
+            match wal.append(&record) {
+                Ok(()) => {
+                    self.metrics.wal_appends.inc();
+                    self.metrics.wal_bytes.add(record.len() as u64);
+                    if self.sync_every_append {
+                        if let Err(e) = self.metrics.sync(&mut wal) {
+                            self.wal_error("fsync", &e);
                         }
                     }
-                    // A WAL write failure degrades durability, not
-                    // availability: the add stays served from memory,
-                    // the failure is counted and logged.
-                    Err(e) => self.wal_error("append", &e),
                 }
-            })
-        };
+                // A WAL write failure degrades durability, not
+                // availability: the add stays served from memory,
+                // the failure is counted and logged.
+                Err(e) => self.wal_error("append", &e),
+            }
+        });
         // An uncapped store pays nothing for the cap.
         if let (true, Some(cap)) = (added, self.max_bytes) {
-            if self.inner.read().stored_bytes() as u64 > cap {
-                if let Err(e) = self.gc(cap) {
-                    self.wal_error("gc", &e);
-                }
+            if self.db.stored_bytes() as u64 > cap {
+                self.gc(cap);
             }
         }
         (i, added)
     }
 
+    /// The index `sig_text` is stored at, or its key for
+    /// [`Store::add_new`] (the dedup fast path).
+    pub(crate) fn probe(&self, sig_text: &str) -> Result<usize, Key> {
+        self.db.probe(sig_text)
+    }
+
     /// Index of `sig_text` if stored (dedup fast path).
     pub fn contains(&self, sig_text: &str) -> Option<usize> {
-        self.db().contains(sig_text)
+        self.db.contains(sig_text)
     }
 
-    /// Number of stored signatures (current epoch).
+    /// [`SignatureDb::window`]: the `GET`/`GET_DELTA` window from `from`.
+    pub fn window(&self, from: usize, max: usize) -> (usize, Vec<Arc<str>>, usize) {
+        self.db.window(from, max)
+    }
+
+    /// Number of live signatures.
     pub fn len(&self) -> usize {
-        self.db().len()
+        self.db.len()
     }
 
-    /// Whether the store is empty.
+    /// Whether no signature is live.
     pub fn is_empty(&self) -> bool {
-        self.db().is_empty()
+        self.db.is_empty()
     }
 
-    /// Total bytes of stored signature text.
+    /// Total bytes of live signature text.
     pub fn stored_bytes(&self) -> usize {
-        self.db().stored_bytes()
+        self.db.stored_bytes()
     }
 
     /// Flushes and fsyncs the WAL now (no-op in-memory). Called on drop;
@@ -365,61 +390,37 @@ impl Store {
         eprintln!("communix store: wal {what} failed: {e}");
     }
 
-    /// Epoch-bumping GC: cut the log under a new epoch, delete the
-    /// oldest whole segments until what is left fits in 3/4 of the cap,
-    /// rebuild the database from the survivors. Holds the database write
-    /// lock throughout — a stop-the-world pass, by design rare (it runs
-    /// once per cap overshoot, not per add).
-    fn gc(&self, cap: u64) -> io::Result<()> {
-        let Some(wal) = &self.wal else { return Ok(()) };
-        let mut guard = self.inner.write();
-        let (old_sigs, old_bytes) = (guard.len(), guard.stored_bytes() as u64);
-        if old_bytes <= cap {
-            return Ok(()); // racer already collected
-        }
+    /// Bounded GC: deletes the oldest sealed segments until what is left
+    /// fits in 3/4 of the cap, then drops their prefix from memory. It
+    /// holds the WAL lock for the unlinks (appends wait, reads do not) and
+    /// the log's write lock for the in-memory drop alone; it reads no
+    /// segment and renumbers nothing. A failed delete is counted and
+    /// passed: memory drops that segment all the same.
+    fn gc(&self, cap: u64) {
+        let Some(wal) = &self.wal else { return };
         let mut wal = wal.lock();
-        let new_epoch = self.epoch() + 1;
-        // Cut first: a failure here leaves the old epoch serving with
-        // nothing deleted. From the directory fsync on, a crash at any
-        // point recovers a suffix of the log under the new epoch.
-        wal.roll(new_epoch)?;
-        if let Ok(d) = File::open(&wal.dir) {
-            let _ = d.sync_all();
+        if self.db.stored_bytes() as u64 <= cap {
+            return; // a racer collected
         }
         let target = cap.saturating_mul(3) / 4;
-        let mut left: u64 = wal.live.iter().map(|&(_, bytes)| bytes).sum();
-        let (mut freed, mut deleted) = (0u64, 0u64);
-        // At least one non-empty segment goes even when the log already
-        // fits (appends had failed): the wire's shrink signal needs the
-        // total to fall. The segment just opened (the back) stays.
-        while wal.live.len() > 1 && (left > target || freed == 0) {
-            let (path, bytes) = wal.live.pop_front().expect("len > 1");
-            if let Err(e) = fs::remove_file(&path) {
+        let mut left: u64 = wal.live.iter().map(|s| s.bytes).sum();
+        let mut deleted = 0;
+        // Only sealed segments go, and every record in one is in memory:
+        // the append that sealed it waited for the last of them under the
+        // append lock. The segment being written (the back) stays.
+        while wal.live.len() > 1 && left > target {
+            let segment = wal.live.pop_front().expect("len > 1");
+            if let Err(e) = fs::remove_file(&segment.path) {
                 self.wal_error("gc delete", &e);
             }
-            left -= bytes;
-            freed += bytes;
+            left -= segment.bytes;
             deleted += 1;
         }
-        // The replay a restart does. A segment that cannot be read is
-        // counted and skipped: memory never holds more than disk.
-        let fresh = SignatureDb::new();
-        for (path, _) in &wal.live {
-            if let Err(e) = replay_segment(path, &fresh) {
-                self.wal_error("gc replay", &e);
-            }
-        }
+        let (sigs, bytes) = self.db.drop_below(wal.live[0].first);
         self.metrics.gc_runs.inc();
-        self.metrics
-            .gc_evicted_sigs
-            .add((old_sigs as u64).saturating_sub(fresh.len() as u64));
-        self.metrics
-            .gc_evicted_bytes
-            .add(old_bytes.saturating_sub(fresh.stored_bytes() as u64));
+        self.metrics.gc_evicted_sigs.add(sigs as u64);
+        self.metrics.gc_evicted_bytes.add(bytes as u64);
         self.metrics.gc_segments_deleted.add(deleted);
-        *guard = Arc::new(fresh);
-        self.epoch.store(new_epoch, Ordering::Release);
-        Ok(())
     }
 }
 
@@ -460,45 +461,68 @@ fn spawn_flusher(wal: Arc<Mutex<Wal>>, interval: Duration, metrics: StoreMetrics
 // ---------------------------------------------------------------------
 
 /// The open write-ahead log: one current segment file, rolled past the
-/// size limit and at each GC cut, plus what every live segment holds.
+/// size limit and after a failed append, plus what every live segment
+/// holds.
 #[derive(Debug)]
 struct Wal {
     dir: PathBuf,
-    epoch: u64,
-    seq: u64,
     file: File,
     seg_bytes: u64,
     segment_limit: u64,
     dirty: bool,
-    /// Every segment on disk, oldest first, with the signature bytes in
-    /// it; the back is the one being written. GC reads what a delete
-    /// frees from here instead of from the files.
-    live: VecDeque<(PathBuf, u64)>,
+    /// The index the next record holds.
+    next: usize,
+    /// An append failed: the next one starts a new segment.
+    broken: bool,
+    /// Every segment on disk, oldest first; the back is the one being
+    /// written. GC reads what a delete frees from here instead of from
+    /// the files.
+    live: VecDeque<Segment>,
 }
 
-fn segment_path(dir: &Path, epoch: u64, seq: u64) -> PathBuf {
-    dir.join(format!("wal-{epoch:010}-{seq:010}.log"))
+/// A live segment: its file, the index of its first record, and the
+/// signature bytes in it.
+#[derive(Debug)]
+struct Segment {
+    path: PathBuf,
+    first: usize,
+    bytes: u64,
 }
 
-/// Parses `wal-{epoch}-{seq}.log` back into `(epoch, seq)`.
-fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
+fn segment_path(dir: &Path, first: usize) -> PathBuf {
+    dir.join(format!("wal-{first:020}.log"))
+}
+
+/// Where a segment file's name puts it in the log: `wal-{first}.log` at
+/// index `first`, or — the older naming, which carries no index —
+/// `wal-{epoch}-{seq}.log` `seq`-th, before every segment named by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Name {
+    Legacy(u64),
+    First(usize),
+}
+
+fn parse_segment_name(name: &str) -> Option<Name> {
     let rest = name.strip_prefix("wal-")?.strip_suffix(".log")?;
-    let (epoch, seq) = rest.split_once('-')?;
-    Some((epoch.parse().ok()?, seq.parse().ok()?))
+    Some(match rest.split_once('-') {
+        Some((epoch, seq)) => {
+            epoch.parse::<u64>().ok()?;
+            Name::Legacy(seq.parse().ok()?)
+        }
+        None => Name::First(rest.parse().ok()?),
+    })
 }
 
-/// Every WAL segment under `dir` as `(epoch, seq, path)`, in `seq`
-/// order — the order they were written in, across epochs.
-fn list_segments(dir: &Path) -> io::Result<Vec<(u64, u64, PathBuf)>> {
+/// Every WAL segment under `dir`, in log order.
+fn list_segments(dir: &Path) -> io::Result<Vec<(Name, PathBuf)>> {
     let mut segments = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
-        let name = entry.file_name();
-        if let Some((epoch, seq)) = name.to_str().and_then(parse_segment_name) {
-            segments.push((epoch, seq, entry.path()));
+        if let Some(name) = entry.file_name().to_str().and_then(parse_segment_name) {
+            segments.push((name, entry.path()));
         }
     }
-    segments.sort_by_key(|&(epoch, seq, _)| (seq, epoch));
+    segments.sort();
     Ok(segments)
 }
 
@@ -509,41 +533,60 @@ fn create_segment(path: &Path) -> io::Result<File> {
 }
 
 impl Wal {
-    /// Opens a fresh segment `seq` under `epoch` behind the `sealed`
-    /// segments recovery replayed.
+    /// Opens a fresh segment at index `next` behind the `live` segments
+    /// recovery replayed.
     fn open(
         dir: PathBuf,
-        epoch: u64,
-        seq: u64,
+        next: usize,
         segment_limit: u64,
-        mut live: VecDeque<(PathBuf, u64)>,
+        mut live: VecDeque<Segment>,
     ) -> io::Result<Self> {
-        let path = segment_path(&dir, epoch, seq);
-        let file = create_segment(&path)?;
-        live.push_back((path, 0));
+        // An empty segment of that name, if any, holds no record: it is
+        // written over, not removed first, so the name is never missing.
+        let path = segment_path(&dir, next);
+        let mut file = OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .write(true)
+            .open(&path)?;
+        file.write_all(WAL_MAGIC)?;
+        live.push_back(Segment {
+            path,
+            first: next,
+            bytes: 0,
+        });
         Ok(Wal {
             dir,
-            epoch,
-            seq,
             file,
             seg_bytes: WAL_MAGIC.len() as u64,
             segment_limit,
             dirty: true, // the magic itself
+            next,
+            broken: false,
             live,
         })
     }
 
-    /// Writes one [`record::frame`]d record. Rolls to a new segment first when
-    /// the current one is full.
+    /// Writes one [`record::frame`]d record, the next index's. The index
+    /// is spent even if the write fails: memory serves it all the same,
+    /// so the next record starts a new segment, whose name keeps it at
+    /// its own index.
     fn append(&mut self, record: &[u8]) -> io::Result<()> {
-        if self.seg_bytes >= self.segment_limit {
-            self.roll(self.epoch)?;
+        let written = self.write(record);
+        self.next += 1;
+        self.broken = written.is_err();
+        written
+    }
+
+    fn write(&mut self, record: &[u8]) -> io::Result<()> {
+        if self.broken || self.seg_bytes >= self.segment_limit {
+            self.roll()?;
         }
         self.file.write_all(record)?;
         self.seg_bytes += record.len() as u64;
         self.dirty = true;
         // Signature bytes: the record less its length and CRC.
-        self.live.back_mut().expect("the open segment").1 += record.len() as u64 - 8;
+        self.live.back_mut().expect("the open segment").bytes += record.len() as u64 - 8;
         Ok(())
     }
 
@@ -557,16 +600,17 @@ impl Wal {
         Ok(true)
     }
 
-    /// Seals the current segment (fsync) and opens the next one under
-    /// `epoch`: the same epoch when the segment is full, the next at a
-    /// GC cut. Sealed segments are never written again.
-    fn roll(&mut self, epoch: u64) -> io::Result<()> {
+    /// Seals the current segment (fsync) and opens the next one at the
+    /// next index. Sealed segments are never written again.
+    fn roll(&mut self) -> io::Result<()> {
         self.sync()?;
-        let path = segment_path(&self.dir, epoch, self.seq + 1);
+        let path = segment_path(&self.dir, self.next);
         self.file = create_segment(&path)?;
-        self.live.push_back((path, 0));
-        self.epoch = epoch;
-        self.seq += 1;
+        self.live.push_back(Segment {
+            path,
+            first: self.next,
+            bytes: 0,
+        });
         self.seg_bytes = WAL_MAGIC.len() as u64;
         self.dirty = true;
         Ok(())
@@ -577,24 +621,22 @@ impl Wal {
 // Replay + recovery
 // ---------------------------------------------------------------------
 
-/// Replays the segment at `path` into `db` through the dedup'd add path
-/// — what recovery and a GC rebuild both do. Returns `(records,
-/// signature bytes, torn)`; a missing or foreign magic is a torn
-/// segment with no records.
-fn replay_segment(path: &Path, db: &SignatureDb) -> io::Result<(u64, u64, bool)> {
-    let data = fs::read(path)?;
+/// Replays a segment file's contents into `db`, each record at the next
+/// index. Returns `(records, signature bytes, torn)`; a missing or
+/// foreign magic is a torn segment with no records.
+fn replay_segment(data: &[u8], db: &SignatureDb) -> (u64, u64, bool) {
     let Some(body) = data.strip_prefix(WAL_MAGIC) else {
-        return Ok((0, 0, true));
+        return (0, 0, true);
     };
     let mut sig_bytes = 0u64;
     let (records, valid_len) = record::replay(body, |text| {
         sig_bytes += text.len() as u64;
-        db.add(text);
+        db.replay(text);
     });
-    Ok((records, sig_bytes, valid_len < body.len()))
+    (records, sig_bytes, valid_len < body.len())
 }
 
-/// Replays every segment under `config.dir` into a fresh database and
+/// Replays the newest contiguous run of segments under `config.dir` and
 /// opens the log behind them. Returns the database, the report, and the
 /// log with a fresh segment for new writes.
 fn recover(config: &DurabilityConfig) -> io::Result<(SignatureDb, RecoveryReport, Wal)> {
@@ -609,35 +651,58 @@ fn recover(config: &DurabilityConfig) -> io::Result<(SignatureDb, RecoveryReport
             format!("{}: the snapshotting layout is not read", legacy.display()),
         ));
     }
-    let db = SignatureDb::new();
-    let segments = list_segments(dir)?;
-    let mut report = RecoveryReport {
-        epoch: segments.iter().map(|s| s.0).max().unwrap_or(0),
-        ..RecoveryReport::default()
-    };
-    let next_seq = segments.last().map_or(0, |s| s.1 + 1);
-    let (mut sealed, mut header_only) = (VecDeque::new(), Vec::new());
-    for (_, _, path) in segments {
-        let (records, sig_bytes, torn) = replay_segment(&path, &db)?;
-        if records == 0 && !torn {
-            header_only.push(path);
-            continue;
+    let mut db = SignatureDb::new();
+    let mut report = RecoveryReport::default();
+    let (mut live, mut stale) = (VecDeque::new(), Vec::new());
+    for (name, path) in list_segments(dir)? {
+        let data = fs::read(&path)?;
+        let next = db.base() + db.len();
+        let first = match name {
+            Name::First(first) => first,
+            Name::Legacy(_) => next,
+        };
+        if first != next {
+            // The log does not go on from what was replayed: all of that
+            // is behind a gap, evicted.
+            report.evicted_segments += live.len() as u64;
+            stale.extend(live.drain(..).map(|s: Segment| s.path));
+            db = SignatureDb::starting_at(first);
         }
-        report.wal_records += records;
+        let (records, bytes, torn) = replay_segment(&data, &db);
         report.torn_tail |= torn;
-        sealed.push_back((path, sig_bytes));
+        if records == 0 {
+            // Holds nothing, but says the log goes on at `first`: an
+            // earlier open's fresh segment, or one whose creation was cut.
+            stale.push(path);
+        } else {
+            live.push_back(Segment { path, first, bytes });
+        }
+    }
+    report.wal_records = db.len() as u64;
+    // Give the older naming its indices, newest first: a failure part way
+    // leaves a prefix in that naming that still starts at index 0 and
+    // ends where the renamed segments begin.
+    for segment in live.iter_mut().rev() {
+        let name = segment.path.file_name().and_then(|n| n.to_str());
+        if let Some(Name::Legacy(_)) = name.and_then(parse_segment_name) {
+            let path = segment_path(dir, segment.first);
+            fs::rename(&segment.path, &path)?;
+            segment.path = path;
+        }
     }
     // Worked out from the cap, not a knob: with at least eight segments
     // to a full store, a GC pass that drops whole segments lands between
     // 5/8 and 3/4 of the cap.
     let limit = config.wal_segment_bytes;
     let limit = config.max_bytes.map_or(limit, |cap| limit.min(cap / 8));
-    let wal = Wal::open(dir.clone(), report.epoch, next_seq, limit, sealed)?;
-    // Every open creates a segment; sweep the ones earlier opens never
-    // wrote to, so a restart loop cannot grow the directory. Only now:
-    // until the fresh segment exists, one of these may be the only name
-    // carrying the epoch.
-    for path in &header_only {
+    let wal = Wal::open(dir.clone(), db.base() + db.len(), limit, live)?;
+    // Only now, with the fresh segment saying where the log goes on: an
+    // empty segment may be the only name that says it, so a restart loop
+    // reuses that name instead of growing the directory.
+    for path in stale
+        .iter()
+        .filter(|&p| *p != wal.live.back().expect("fresh").path)
+    {
         let _ = fs::remove_file(path);
     }
     Ok((db, report, wal))
@@ -646,7 +711,7 @@ fn recover(config: &DurabilityConfig) -> io::Result<(SignatureDb, RecoveryReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     use communix_net::record::frame;
 
@@ -690,6 +755,20 @@ mod tests {
         }
     }
 
+    /// The live log as `(base, texts)`: what a client can be served.
+    fn served(store: &Store) -> (usize, Vec<String>) {
+        (store.db().base(), store.db().get_from(0))
+    }
+
+    /// Every segment under `dir` with its name's first index, in order.
+    fn segments(dir: &Path) -> Vec<(usize, PathBuf)> {
+        let named = |(name, path)| match name {
+            Name::First(first) => (first, path),
+            Name::Legacy(_) => panic!("{path:?}: the older naming is left"),
+        };
+        list_segments(dir).unwrap().into_iter().map(named).collect()
+    }
+
     #[test]
     fn in_memory_store_matches_db_semantics() {
         let store = Store::in_memory(4);
@@ -698,8 +777,7 @@ mod tests {
         assert_eq!(store.add("b"), (1, true));
         assert_eq!(store.len(), 2);
         assert_eq!(store.db().get_from(1), vec!["b"]);
-        assert_eq!(store.db().window(0, 1), (vec![Arc::from("a")], 2));
-        assert_eq!(store.epoch(), 0);
+        assert_eq!(store.window(0, 1), (0, vec![Arc::from("a")], 2));
         assert!(!store.is_durable());
         assert!(store.sync().is_ok());
         assert!(store.snapshot().is_ok());
@@ -736,7 +814,7 @@ mod tests {
             }
         }
         // Truncate the tail of the newest segment: a crash mid-write.
-        let (_, _, last) = list_segments(&dir).unwrap().pop().expect("a segment");
+        let (_, last) = segments(&dir).pop().expect("a segment");
         let data = fs::read(&last).unwrap();
         fs::write(&last, &data[..data.len() - 5]).unwrap();
 
@@ -746,6 +824,9 @@ mod tests {
         assert_eq!(store.len(), 9, "all records before the torn one survive");
         assert!(store.contains("torn-sig-8").is_some());
         assert!(store.contains("torn-sig-9").is_none());
+        // The torn record's index goes to the next signature: no client
+        // was promised it past a restart (ROADMAP item 15).
+        assert_eq!(store.add("after-the-tear"), (9, true));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -764,7 +845,7 @@ mod tests {
         }
         // Flip a payload byte in the middle of the segment: CRC framing
         // must refuse the record and everything after it.
-        let (_, _, seg) = list_segments(&dir).unwrap().pop().unwrap();
+        let (_, seg) = segments(&dir).pop().unwrap();
         let mut data = fs::read(&seg).unwrap();
         let mid = data.len() / 2;
         data[mid] ^= 0xFF;
@@ -777,6 +858,48 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_record_mid_log_evicts_what_is_behind_it_and_renumbers_nothing() {
+        let dir = scratch("gap");
+        let registry = Registry::new();
+        let log = {
+            let store = open(&dir, None, &Registry::new());
+            fill(&store, 0..40);
+            store.db().get_from(0)
+        };
+        // Three records to a segment. Corrupt the middle record of a
+        // segment in the middle: its replay stops one record in, and the
+        // next segment starts two indices past that.
+        let all = segments(&dir);
+        let (first, path) = all[all.len() / 2].clone();
+        let mut data = fs::read(&path).unwrap();
+        data[WAL_MAGIC.len() + 18 + 12] ^= 0xFF;
+        fs::write(&path, &data).unwrap();
+        let behind = all.iter().filter(|(f, _)| *f <= first).count() as u64;
+
+        let store = open(&dir, None, &registry);
+        let after = all[all.len() / 2 + 1].0;
+        let report = store.recovery();
+        assert!(report.torn_tail);
+        assert_eq!(report.evicted_segments, behind, "the gap's segments");
+        assert_eq!(registry.counter("store.wal.evicted_segments").get(), behind);
+        assert_eq!(report.wal_records, (40 - after) as u64);
+        // Every index recovered after the gap keeps its text.
+        assert_eq!(served(&store), (after, log[after..].to_vec()));
+        for (i, text) in log.iter().enumerate().skip(after) {
+            assert_eq!(store.contains(text), Some(i), "{text} moved");
+        }
+        assert_eq!(store.add("after-the-gap"), (40, true));
+        let kept = served(&store);
+        drop(store);
+        // A second recovery is a no-op: the evicted segments are gone.
+        let again = open(&dir, None, &Registry::new());
+        assert_eq!(again.recovery().evicted_segments, 0);
+        assert!(!again.recovery().torn_tail);
+        assert_eq!(served(&again), kept);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn rolled_segments_recover_in_order_and_nothing_rewrites_them() {
         let dir = scratch("segments");
         let registry = Registry::new();
@@ -785,8 +908,14 @@ mod tests {
             fill(&store, 0..40);
             store.snapshot().unwrap(); // `sync` under its old name
         }
-        let rolled = list_segments(&dir).unwrap().len();
-        assert!(rolled > 1, "tiny segments must have rolled");
+        let rolled = segments(&dir);
+        assert!(rolled.len() > 1, "tiny segments must have rolled");
+        // Each name is the index of the segment's first record.
+        let mut at = 0;
+        for (first, path) in &rolled {
+            assert_eq!(*first, at, "{path:?}");
+            at += record::replay(&fs::read(path).unwrap()[8..], |_| {}).0 as usize;
+        }
         for entry in fs::read_dir(&dir).unwrap() {
             let name = entry.unwrap().file_name().into_string().unwrap();
             assert!(parse_segment_name(&name).is_some(), "{name}: not a segment");
@@ -804,64 +933,66 @@ mod tests {
     }
 
     #[test]
-    fn repeated_records_in_a_later_segment_replay_idempotently() {
-        // A segment that re-covers stored signatures must dedup on
-        // replay, not double-store.
-        let dir = scratch("overlap");
-        fill(&open(&dir, None, &Registry::new()), 0..8);
-        // Hand-write a WAL segment duplicating stored contents.
-        {
-            let mut wal = Wal::open(dir.clone(), 0, 9999, 1 << 20, VecDeque::new()).unwrap();
-            for i in 0..8 {
-                wal.append(&frame(&format!("sig-{i:06}"))).unwrap();
+    fn a_directory_of_the_epoch_naming_recovers_at_index_0_and_is_renamed() {
+        let dir = scratch("legacy-names");
+        fs::create_dir_all(&dir).unwrap();
+        // Two epochs' segments, in `seq` order: the second repeats a text,
+        // which takes its own index, as every record does.
+        let legacy = |name: &str, texts: &[&str]| {
+            let mut data = WAL_MAGIC.to_vec();
+            for t in texts {
+                data.extend(frame(t));
             }
-            wal.append(&frame("ov-fresh")).unwrap();
-            wal.sync().unwrap();
-        }
+            fs::write(dir.join(name), data).unwrap();
+        };
+        legacy("wal-0000000000-0000000003.log", &["a", "b", "c"]);
+        legacy("wal-0000000000-0000000004.log", &[]);
+        legacy("wal-0000000001-0000000007.log", &["d", "a", "e"]);
+        let log = ["a", "b", "c", "d", "a", "e"].map(String::from).to_vec();
         let store = open(&dir, None, &Registry::new());
-        assert_eq!(store.recovery().wal_records, 17);
-        assert_eq!(store.len(), 9, "duplicates collapse on replay");
-        assert!(store.contains("ov-fresh").is_some());
+        assert_eq!(served(&store), (0, log.clone()));
+        assert_eq!(store.recovery().wal_records, 6);
+        assert_eq!(store.contains("a"), Some(0));
+        assert_eq!(store.add("f"), (6, true));
+        drop(store);
+        let names: Vec<usize> = segments(&dir).into_iter().map(|(first, _)| first).collect();
+        assert_eq!(names, [0, 3, 6], "renamed by first index");
+        let store = open(&dir, None, &Registry::new());
+        assert_eq!(store.db().get_from(6), ["f"]);
+        assert_eq!(store.len(), 7);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn byte_cap_gc_evicts_oldest_and_bumps_epoch() {
+    fn byte_cap_gc_evicts_a_prefix_and_keeps_every_index() {
         let dir = scratch("gc");
-        let config = DurabilityConfig {
-            max_bytes: Some(400),
-            ..test_config(&dir)
-        };
         let registry = Registry::new();
-        let store = Store::open(4, config, &registry).unwrap();
+        let store = open(&dir, Some(400), &registry);
         // 10-byte signatures; the cap admits ~40 before GC.
-        for i in 0..60 {
-            store.add(&format!("gc-sig-{i:03}"));
+        fill(&store, 0..60);
+        assert!(registry.counter("store.gc.runs").get() > 0, "cap overshoot");
+        assert!(store.stored_bytes() <= 400, "under the cap after GC");
+        let (base, live) = served(&store);
+        assert!(base > 0, "the oldest signatures were evicted");
+        assert!(store.contains("sig-000000").is_none());
+        assert_eq!(live.len(), 60 - base);
+        // Nothing renumbered: each survivor is where it was added, and the
+        // total is still the next index.
+        for i in base..60 {
+            assert_eq!(store.contains(&format!("sig-{i:06}")), Some(i));
         }
-        assert!(store.epoch() > 0, "cap overshoot must bump the epoch");
-        assert!(
-            store.stored_bytes() <= 400,
-            "store stays under the cap after GC"
-        );
-        assert!(
-            store.contains("gc-sig-000").is_none(),
-            "oldest signatures evicted first"
-        );
-        assert!(
-            store.contains("gc-sig-059").is_some(),
-            "newest signatures survive"
+        let (from, window, total) = store.window(0, 0);
+        assert_eq!((from, window.len(), total), (base, live.len(), 60));
+        assert_eq!(
+            registry.counter("store.gc.evicted_sigs").get(),
+            base as u64,
+            "every eviction counted"
         );
         // The GC'd state is what a restart recovers.
-        let survivors = store.db().get_from(0);
-        let epoch = store.epoch();
         drop(store);
-        let config = DurabilityConfig {
-            max_bytes: Some(400),
-            ..test_config(&dir)
-        };
-        let reopened = Store::open(4, config, &Registry::new()).unwrap();
-        assert_eq!(reopened.epoch(), epoch);
-        assert_eq!(reopened.db().get_from(0), survivors);
+        let reopened = open(&dir, Some(400), &Registry::new());
+        assert_eq!(served(&reopened), (base, live));
+        assert_eq!(reopened.add("sig-000060"), (60, true));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -877,19 +1008,21 @@ mod tests {
     }
 
     #[test]
-    fn restart_loop_keeps_the_epoch_and_does_not_grow_the_directory() {
+    fn restart_loop_keeps_the_base_and_does_not_grow_the_directory() {
         let dir = scratch("restarts");
-        let store = open(&dir, Some(400), &Registry::new());
+        let registry = Registry::new();
+        let store = open(&dir, Some(400), &registry);
         fill(&store, 0..41); // the 41st trips the GC
-        assert_eq!(store.epoch(), 1);
-        let survivors = store.db().get_from(0);
+        assert_eq!(registry.counter("store.gc.runs").get(), 1);
+        let kept = served(&store);
+        assert!(kept.0 > 0);
         drop(store);
-        // Nothing was added after the cut: only a name carries the epoch.
+        // The first restart adds its fresh segment; later ones reuse it.
+        drop(open(&dir, Some(400), &Registry::new()));
         let segments = list_segments(&dir).unwrap().len();
         for _ in 0..5 {
             let store = open(&dir, Some(400), &Registry::new());
-            assert_eq!(store.epoch(), 1, "the epoch lives in the segment names");
-            assert_eq!(store.db().get_from(0), survivors);
+            assert_eq!(served(&store), kept, "the base lives in the names");
             drop(store);
             assert_eq!(list_segments(&dir).unwrap().len(), segments, "grew");
         }
@@ -897,85 +1030,114 @@ mod tests {
     }
 
     #[test]
-    fn every_gc_crash_point_recovers_a_suffix_under_the_new_epoch() {
+    fn a_log_whose_every_record_was_evicted_goes_on_at_its_next_index() {
+        let dir = scratch("all-evicted");
+        drop(open(&dir, None, &Registry::new()));
+        // A restart's fresh segment, then every record segment deleted:
+        // the empty segment alone says where the log goes on.
+        fill(&open(&dir, None, &Registry::new()), 0..12);
+        drop(open(&dir, None, &Registry::new()));
+        for (first, path) in segments(&dir) {
+            if first < 12 {
+                fs::remove_file(path).unwrap();
+            }
+        }
+        let store = open(&dir, None, &Registry::new());
+        assert_eq!(served(&store), (12, Vec::new()));
+        assert_eq!(store.add("sig-000012"), (12, true));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_gc_crash_point_recovers_a_suffix_at_its_indices() {
         let dir = scratch("gc-crash");
         let store = open(&dir, None, &Registry::new());
         fill(&store, 0..60);
         let log = store.db().get_from(0);
         drop(store);
-        let old = list_segments(&dir).unwrap();
+        let old = segments(&dir);
         assert!(old.len() > 3, "a multi-segment log");
-        // A GC pass by hand. The cut: the next segment, under epoch + 1.
-        let next_seq = old.last().unwrap().1 + 1;
-        drop(Wal::open(dir.clone(), 1, next_seq, 256, VecDeque::new()).unwrap());
-        // Then the deletes, oldest first: die before the first, after each.
-        for deleted in 0..=old.len() {
+        // A GC pass by hand: the deletes, oldest first. Die before the
+        // first, and after each but the last (GC keeps the segment being
+        // written).
+        for deleted in 0..old.len() {
             if deleted > 0 {
-                fs::remove_file(&old[deleted - 1].2).unwrap();
+                fs::remove_file(&old[deleted - 1].1).unwrap();
             }
+            let base = old[deleted].0;
             let first = open(&dir, None, &Registry::new());
-            assert_eq!(first.epoch(), 1, "died after {deleted} deletes");
-            let got = first.db().get_from(0);
-            assert!(log.ends_with(&got), "a suffix of the log, in order");
-            assert_eq!(got.len() == log.len(), deleted == 0);
-            assert_eq!(got.is_empty(), deleted == old.len());
+            assert_eq!(
+                served(&first),
+                (base, log[base..].to_vec()),
+                "died after {deleted} deletes"
+            );
             drop(first);
             let again = open(&dir, None, &Registry::new());
-            assert_eq!(again.epoch(), 1);
-            assert_eq!(again.db().get_from(0), got, "recovered differently");
+            assert_eq!(again.recovery().evicted_segments, 0);
+            assert_eq!(
+                served(&again),
+                (base, log[base..].to_vec()),
+                "recovered differently"
+            );
         }
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn gc_counts_delete_and_replay_errors_and_keeps_serving() {
+    fn gc_counts_delete_errors_and_keeps_serving() {
         let dir = scratch("gc-errors");
         let registry = Registry::new();
         let store = open(&dir, Some(400), &registry);
         fill(&store, 0..30);
-        // Three to a segment. A directory can be neither unlinked nor read
-        // as a file: the oldest will fail its delete, the ninth its replay.
-        let segments = list_segments(&dir).unwrap();
-        let broken = [&segments[0].2, &segments[8].2];
-        for path in broken {
-            fs::remove_file(path).unwrap();
-            fs::create_dir(path).unwrap();
-        }
+        // Three to a segment. A directory cannot be unlinked as a file:
+        // the oldest segment will fail its delete.
+        let (_, oldest) = segments(&dir)[0].clone();
+        let bytes = fs::read(&oldest).unwrap();
+        fs::remove_file(&oldest).unwrap();
+        fs::create_dir(&oldest).unwrap();
         fill(&store, 30..41); // the 41st trips the GC
-        assert_eq!(store.epoch(), 1, "the pass finished");
-        assert_eq!(registry.counter("store.wal.errors").get(), 2);
+        assert_eq!(
+            registry.counter("store.gc.runs").get(),
+            1,
+            "the pass finished"
+        );
+        assert_eq!(registry.counter("store.wal.errors").get(), 1);
         assert_eq!(registry.counter("store.gc.segments_deleted").get(), 4);
-        assert_eq!(store.len(), 41 - 4 * 3 - 3, "rebuilt from what was read");
-        assert!(store.contains("sig-000024").is_none(), "unreadable");
-        assert_eq!(store.add("served-after-the-gc"), (26, true));
-        // Memory never holds more than disk: a restart finds all of it.
-        let memory = store.db().get_from(0);
+        // Memory dropped the segment it failed to delete all the same.
+        assert_eq!(served(&store), (12, store.db().get_from(12)));
+        assert_eq!(store.len(), 41 - 12);
+        assert_eq!(store.add("served-after-the-gc"), (41, true));
+        let memory = served(&store);
         drop(store);
-        for path in broken {
-            fs::remove_dir(path).unwrap();
-        }
-        assert_eq!(open(&dir, Some(400), &registry).db().get_from(0), memory);
+        // The segment GC failed to delete is back as a file: behind the
+        // gap its deleted neighbours leave, it is evicted, not served.
+        fs::remove_dir(&oldest).unwrap();
+        fs::write(&oldest, bytes).unwrap();
+        let reopened = open(&dir, Some(400), &registry);
+        assert_eq!(reopened.recovery().evicted_segments, 1);
+        assert_eq!(served(&reopened), memory);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn gc_drops_a_non_empty_segment_even_when_the_log_already_fits() {
-        let dir = scratch("gc-min");
-        let registry = Registry::new();
-        let store = open(&dir, Some(400), &registry);
-        fill(&store, 0..40); // at the cap, not over it
-                             // As if appends had failed: the log accounts for far less than
-                             // memory holds, so by bytes alone the pass would delete nothing.
-        for segment in store.wal.as_ref().unwrap().lock().live.iter_mut() {
-            segment.1 = 1;
+    fn an_append_after_a_failed_one_starts_a_segment_at_its_own_index() {
+        let dir = scratch("append-error");
+        let store = open(&dir, None, &Registry::new());
+        fill(&store, 0..2);
+        {
+            let mut wal = store.wal.as_ref().unwrap().lock();
+            wal.broken = true; // as if the append of index 2 had failed
+            wal.next += 1;
         }
-        fill(&store, 40..41);
-        assert_eq!(store.epoch(), 1);
-        assert_eq!(registry.counter("store.gc.segments_deleted").get(), 1);
+        fill(&store, 3..5);
+        drop(store);
+        let names: Vec<usize> = segments(&dir).into_iter().map(|(first, _)| first).collect();
+        assert_eq!(names.last(), Some(&3), "index 2 is nobody's on disk");
+        let store = open(&dir, None, &Registry::new());
+        assert_eq!(store.recovery().evicted_segments, 1);
         assert_eq!(
-            store.len(),
-            41 - 3,
-            "the total fell: the wire's shrink signal"
+            served(&store),
+            (3, vec!["sig-000003".into(), "sig-000004".into()])
         );
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1118,13 +1280,18 @@ mod tests {
     fn segment_names_roundtrip() {
         assert_eq!(
             parse_segment_name("wal-0000000003-0000000041.log"),
-            Some((3, 41))
+            Some(Name::Legacy(41))
         );
-        assert_eq!(parse_segment_name("wal-3-41.log"), Some((3, 41)));
+        assert_eq!(parse_segment_name("wal-3-41.log"), Some(Name::Legacy(41)));
+        assert_eq!(parse_segment_name("wal-41.log"), Some(Name::First(41)));
         assert_eq!(parse_segment_name("snapshot.bin"), None);
         assert_eq!(parse_segment_name("wal-x-1.log"), None);
-        let p = segment_path(Path::new("/d"), 3, 41);
-        let (e, s) = parse_segment_name(p.file_name().unwrap().to_str().unwrap()).unwrap();
-        assert_eq!((e, s), (3, 41));
+        let p = segment_path(Path::new("/d"), 41);
+        let name = parse_segment_name(p.file_name().unwrap().to_str().unwrap());
+        assert_eq!(name, Some(Name::First(41)));
+        assert!(
+            Name::Legacy(u64::MAX) < Name::First(0),
+            "the older naming first"
+        );
     }
 }

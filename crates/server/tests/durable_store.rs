@@ -3,8 +3,8 @@
 //! with the real client facade (`obtain_id` / `upload_batch` /
 //! `sync_delta`). The unit suites in `store.rs` prove the WAL and
 //! GC machinery; this suite proves the promises the *API*
-//! makes — restart recovery and the epoch resync rule — hold across
-//! the wire, and across a SIGKILL.
+//! makes — restart recovery, and a GC that drops a prefix of the log and
+//! renumbers nothing — hold across the wire, and across a SIGKILL.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader};
@@ -12,7 +12,7 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use communix_client::{
@@ -95,9 +95,31 @@ fn durable_server_recovers_over_tcp() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A signature of 1765 bytes, the size of a real one (`sig`'s shape with
+/// a 66-byte class name), for tags below 10,000.
+fn sized(tag: u32) -> String {
+    use communix_dimmunix::{CallStack, Frame, SigEntry, Signature};
+    let class = format!("app.C{tag:04}{}", "x".repeat(56));
+    let deep = |base: u32| -> CallStack {
+        (0..6)
+            .map(|i| Frame::new(class.as_str(), "f", base + i))
+            .collect()
+    };
+    Signature::local(vec![
+        SigEntry::new(deep(100), deep(500)),
+        SigEntry::new(deep(200), deep(600)),
+    ])
+    .to_string()
+}
+
+/// The GC counter: each pass that ran.
+fn gc_runs(server: &communix_server::CommunixServer) -> u64 {
+    server.telemetry().counter("store.gc.runs").get()
+}
+
 #[test]
-fn epoch_compaction_resyncs_clients_end_to_end() {
-    let dir = scratch_dir("epoch");
+fn gc_keeps_indices_so_a_synced_client_fetches_only_the_new_signature() {
+    let dir = scratch_dir("skip-ahead");
     // Single-digit tags serialize to identical lengths, so the byte
     // math below is exact: a 7.5-signature cap lets seven signatures
     // in, and the eighth ADD trips the GC (which keeps the newest five
@@ -112,38 +134,134 @@ fn epoch_compaction_resyncs_clients_end_to_end() {
         .serve("127.0.0.1:0")
         .expect("serve durable");
 
-    // A fully synced client: cursor at the epoch-0 total. (Only full
-    // syncs make the shrink signal reliable — the GC always evicts at
-    // least one signature, so the post-GC total lands strictly below
-    // every fully-synced cursor.)
     upload(tcp.addr(), 1, &(0..7).map(sig).collect::<Vec<_>>());
     let mut repo = LocalRepository::in_memory();
     let mut session = dial(tcp.addr());
     assert_eq!(sync_delta(&mut session, &mut repo, 0).unwrap(), 7);
     assert_eq!(repo.sync_cursor(), 7);
 
-    // Overflow the byte cap: the store garbage-collects, bumps the
-    // epoch, and renumbers the surviving log from zero.
+    // Overflow the byte cap: the store drops the oldest three from memory
+    // and disk, and every survivor keeps its index.
     upload(tcp.addr(), 1, &[sig(7)]);
-    assert_eq!(server.store().epoch(), 1, "eighth ADD should trip the GC");
+    assert_eq!(gc_runs(&server), 1, "eighth ADD should trip the GC");
     let served = server.db().get_from(0);
     assert_eq!(served.len(), 5, "GC keeps the newest ¾-cap of signatures");
+    assert_eq!(server.db().base(), 3);
+    assert_eq!(server.store().contains(&sig(7)), Some(7));
 
-    // The stale-cursor client resyncs through the epoch signal: one
-    // restart from zero, merged without disturbing what it holds.
-    let n = sync_delta(&mut session, &mut repo, 0).expect("epoch resync");
+    // The synced client asks from its cursor, once, and is sent only the
+    // eighth signature: nothing restarts.
+    let before = server.stats();
+    let n = sync_delta(&mut session, &mut repo, 0).expect("sync after the GC");
     assert_eq!(n, 1, "exactly the eighth signature is new to the client");
-    assert_eq!(repo.sync_cursor(), served.len());
+    assert_eq!(repo.sync_cursor(), 8);
+    assert_eq!(server.stats().deltas - before.deltas, 1, "one window");
+    assert_eq!(server.stats().sigs_served - before.sigs_served, 1);
     let have: HashSet<&str> = (0..repo.len()).filter_map(|i| repo.sig(i)).collect();
-    for t in &served {
-        assert!(have.contains(t.as_str()), "missing {t:?} after resync");
-    }
+    assert!(served.iter().all(|t| have.contains(t.as_str())));
     // Evicted signatures the client saw before the GC stay local.
-    assert!(repo.len() > served.len());
+    assert_eq!(repo.len(), 8);
 
-    // Steady state again: the next sync is an ordinary empty delta.
+    // Steady state: the next sync is an ordinary empty delta.
     assert_eq!(sync_delta(&mut session, &mut repo, 0).unwrap(), 0);
-    assert_eq!(repo.sync_cursor(), served.len());
+    assert_eq!(repo.sync_cursor(), 8);
+    tcp.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable server capped at 1 MiB, 64 KiB segments, over TCP.
+fn capped_server(
+    dir: &Path,
+) -> (
+    Arc<communix_server::CommunixServer>,
+    communix_net::TcpServer,
+) {
+    let mut config = DurabilityConfig::new(dir);
+    config.max_bytes = Some(1 << 20);
+    config.wal_segment_bytes = 64 << 10;
+    communix_server::builder()
+        .daily_limit(1 << 20)
+        .durability(config)
+        .serve("127.0.0.1:0")
+        .expect("serve durable")
+}
+
+/// The live texts of `server` the repository does not hold.
+fn lacking(server: &communix_server::CommunixServer, repo: &LocalRepository) -> usize {
+    let have: HashSet<&str> = (0..repo.len()).filter_map(|i| repo.sig(i)).collect();
+    let live = server.db().get_from(0);
+    live.iter().filter(|t| !have.contains(t.as_str())).count()
+}
+
+#[test]
+fn a_client_behind_a_gc_that_regrew_past_its_cursor_lacks_nothing() {
+    let dir = scratch_dir("regrew");
+    let (server, mut tcp) = capped_server(&dir);
+    let texts: Vec<String> = (0..2000).map(sized).collect();
+    upload(tcp.addr(), 1, &texts[..500]);
+    let mut repo = LocalRepository::in_memory();
+    assert_eq!(
+        sync_delta(&mut dial(tcp.addr()), &mut repo, 0).unwrap(),
+        500
+    );
+
+    // GC runs at about the 600th ADD; the store regrows past 500 live
+    // signatures before the client syncs again.
+    let (mut next, mut gc_at) = (500, None);
+    while gc_at.is_none() || server.store().len() <= 500 {
+        upload(tcp.addr(), 1, &texts[next..next + 5]);
+        next += 5;
+        gc_at = gc_at.or((gc_runs(&server) > 0).then_some(next));
+    }
+    assert_eq!(gc_runs(&server), 1);
+    let gc_at = gc_at.unwrap();
+    assert!((580..600).contains(&gc_at), "GC at the {gc_at}th ADD");
+    assert!(server.db().base() < 500, "the cursor is still live");
+
+    sync_delta(&mut dial(tcp.addr()), &mut repo, 0).unwrap();
+    assert_eq!(
+        lacking(&server, &repo),
+        0,
+        "of {} live",
+        server.store().len()
+    );
+    assert_eq!(repo.sync_cursor(), next);
+    assert_eq!(repo.len(), next, "every signature once");
+    tcp.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn after_a_gc_a_synced_client_fetches_only_what_was_added() {
+    let dir = scratch_dir("no-refetch");
+    let (server, mut tcp) = capped_server(&dir);
+    let texts: Vec<String> = (0..2000).map(sized).collect();
+    // Fully synced, below the cap.
+    upload(tcp.addr(), 1, &texts[..480]);
+    let mut repo = LocalRepository::in_memory();
+    let mut session = dial(tcp.addr());
+    assert_eq!(sync_delta(&mut session, &mut repo, 0).unwrap(), 480);
+    assert_eq!(gc_runs(&server), 0);
+
+    // 245 more, and one GC among them (at about the 587th).
+    upload(tcp.addr(), 1, &texts[480..725]);
+    assert_eq!(gc_runs(&server), 1);
+    assert!(server.db().base() > 0);
+    let before = server.stats().sigs_served;
+    let kept = repo.len();
+    assert_eq!(sync_delta(&mut session, &mut repo, 0).unwrap(), 245);
+    let fetched = server.stats().sigs_served - before;
+    assert_eq!(fetched, 245, "the signatures added since the last sync");
+    let bytes: usize = (kept..repo.len())
+        .filter_map(|i| repo.sig(i))
+        .map(str::len)
+        .sum();
+    assert_eq!(
+        bytes,
+        texts[480..725].iter().map(String::len).sum::<usize>()
+    );
+    assert!(bytes < 500_000, "{bytes} bytes fetched");
+    assert_eq!(lacking(&server, &repo), 0);
     tcp.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,6 @@
 //! The read path, counted rather than timed: what serving and receiving a
-//! `GET_DELTA` window allocates, what an accepted add allocates, what an
-//! epoch-resync merge allocates — and that none of it changed a byte on
+//! `GET_DELTA` window allocates, what an accepted add allocates, what a
+//! resync merge allocates — and that none of it changed a byte on
 //! the wire, where a window closes at `REPLY_BUDGET` bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -126,7 +126,7 @@ fn a_budgeted_window_allocates_for_itself_not_for_the_suffix() {
     let fit = (REPLY_BUDGET - (1 + 8 + 8 + 4)) / (4 + text(0).len());
     let handle = std::mem::size_of::<Arc<str>>() as u64;
     for from in [0, 5_000, 9_990] {
-        let (allocs, bytes, (sigs, total)) = allocations(|| db.window(from, 0));
+        let (allocs, bytes, (_, sigs, total)) = allocations(|| db.window(from, 0));
         assert_eq!(total, 10_000);
         assert_eq!(sigs.len(), (10_000 - from).min(fit), "served from {from}");
         // The window's exact handle vector, and nothing else.

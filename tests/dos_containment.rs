@@ -8,7 +8,7 @@ mod support;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use communix::client::{sync_delta, upload_batch, LocalRepository};
+use communix::client::{obtain_id, sync_delta, upload_batch, LocalRepository};
 use communix::clock::{VirtualClock, DAY};
 use communix::dimmunix::{Frame, SigEntry, Signature};
 use communix::net::{Reply, Request, MAX_SIG_BYTES};
@@ -116,7 +116,11 @@ fn a_byte_flood_cannot_evict_honest_signatures() {
             (false, "signature too large to serve")
         );
     }
-    assert_eq!(srv.store().epoch(), 0, "no GC ran");
+    assert_eq!(
+        srv.telemetry().counter("store.gc.runs").get(),
+        0,
+        "no GC ran"
+    );
 
     let mut repo = LocalRepository::in_memory();
     assert_eq!(sync_delta(&mut conn, &mut repo, 0).unwrap(), 1000);
@@ -125,6 +129,36 @@ fn a_byte_flood_cannot_evict_honest_signatures() {
     assert_eq!(survivors, 1000, "honest signatures left after the flood");
     drop(srv);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_issued_id_cannot_spend_another_senders_budget() {
+    // A connection asks for user 5's id and spends a day's budget with
+    // what it gets. The server picks the number, so that id is not user
+    // 5's: user 5's own next ADD is accepted.
+    let srv = communix::server::builder()
+        .clock(Arc::new(VirtualClock::new()))
+        .build()
+        .unwrap();
+    let mut conn = framed(&srv);
+    let stolen = obtain_id(&mut conn, 5).unwrap();
+    let texts = SigGen::new(5).random_batch_texts(11);
+    let adds = texts[..10].iter().map(|t| (stolen, t.clone())).collect();
+    let results = upload_batch(&mut conn, adds).unwrap();
+    assert!(results.iter().all(|r| r.accepted && r.reason.is_empty()));
+    let own = srv.authority().issue(5);
+    let results = upload_batch(&mut conn, vec![(own, texts[10].clone())]).unwrap();
+    assert_eq!(
+        (results[0].accepted, results[0].reason.as_str()),
+        (true, ""),
+        "user 5's own ADD"
+    );
+    // Two requests naming the same user get two different senders.
+    assert_ne!(
+        obtain_id(&mut conn, 5).unwrap(),
+        obtain_id(&mut conn, 5).unwrap()
+    );
+    assert_ne!(stolen, own);
 }
 
 #[test]
