@@ -52,10 +52,9 @@ impl ClientDaemon {
     /// `dial` opens a connection to the server. The daemon calls it on
     /// first use and again on the next round whenever a sync fails with
     /// a transport error — which is exactly what a durable-server
-    /// restart looks like from here (dead connection, recovered store,
-    /// every index where it was; [`sync_delta`] also re-reads a server
-    /// that lost its log). Failed rounds count
-    /// in [`DaemonStats::failures`]; successful dials in
+    /// restart looks like from here (dead connection, recovered store;
+    /// [`sync_delta`] re-reads a server that lost its log). Failed rounds
+    /// count in [`DaemonStats::failures`]; successful dials in
     /// [`DaemonStats::reconnects`].
     pub fn spawn<D, C>(
         mut dial: D,

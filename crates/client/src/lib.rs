@@ -15,9 +15,8 @@
 //!
 //! [`ClientDaemon::spawn`] takes a *dial* closure rather than a live
 //! connector, so it redials after a server restart and resumes syncing
-//! against the recovered durable store, whose indices are where they
-//! were ([`sync_delta`] skips a gap the server evicted, and re-reads a
-//! server that lost its log).
+//! against the recovered durable store ([`sync_delta`] skips a gap the
+//! server evicted and re-reads a server that lost its log).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

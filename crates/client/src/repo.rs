@@ -42,20 +42,17 @@
 //! behind a torn one would never replay. A call's state record ends its
 //! write, so a cut leaves the cursors behind its other records, never
 //! ahead: what was admitted, uploaded or synced is redone, harmlessly.
-//! The sync cursor diverges from the signature count when a window
-//! starts elsewhere than the cursor: past it, after the server evicted
-//! a gap, or at 0, when a server that lost its log is re-read. Such a
-//! window's write opens with a state record that puts the cursor at the
-//! window's start, and every stored signature behind it moves a diverged
-//! cursor by one, in memory and on replay; a state record closes the
-//! write if dropped duplicates leave the cursor short of the window's
-//! end. A cut anywhere in it therefore leaves the cursor at or behind
-//! the signatures that landed, never ahead and never in another
-//! numbering, and every later window is merged rather than appended, so
-//! re-reading stores nothing twice.
+//! A window that does not start at the sync cursor (it skipped an
+//! evicted gap, or re-reads a lost log from 0) opens its write with a
+//! state record at its start; each signature behind it moves a diverged
+//! cursor by one, and a closing state record covers dropped duplicates.
+//! A cut anywhere leaves the cursor at or behind what landed, and every
+//! window is checked against what the repository holds, so nothing is
+//! stored twice.
 
 use std::collections::{BTreeSet, HashSet};
 use std::fs::{self, File, OpenOptions};
+use std::hash::{BuildHasher, RandomState};
 use std::io::{self, Read as _, Write as _};
 use std::path::Path;
 
@@ -80,16 +77,19 @@ pub struct LocalRepository {
     log: Option<Log>,
     /// Downloaded signature texts, in server index order.
     sigs: Vec<String>,
+    /// Keys under `hasher` of `sigs[..hashed]`, computed when a window is
+    /// first checked against them; a text with a present key is looked for.
+    held: HashSet<u64>,
+    hasher: RandomState,
+    hashed: usize,
     /// First signature the agent has not inspected yet.
     agent_cursor: usize,
     /// Indices that passed hash validation but failed the nesting check —
     /// candidates for re-checking after new classes load.
     nesting_retry: BTreeSet<usize>,
-    /// Server-side index the next incremental sync asks from. `None`
-    /// means "same as `len()`", the steady state. The two diverge after a
-    /// window that skipped an evicted gap, or a re-read of a server that
-    /// lost its log ([`LocalRepository::merge`] drops duplicates, so the
-    /// local count falls behind the server index).
+    /// Server-side index the next incremental sync asks from; `None`
+    /// means `len()`. They diverge when a window skips an evicted gap or
+    /// a duplicate is dropped.
     server_cursor: Option<usize>,
     /// Local detections the server has not acked yet, in detection order.
     pending: Vec<Signature>,
@@ -280,22 +280,19 @@ impl LocalRepository {
         self.sigs.get(index).map(String::as_str)
     }
 
-    /// Appends newly downloaded signatures — the server's next ones, in
-    /// its order — and persists them.
+    /// Appends the server's next signatures, in its order, unchecked
+    /// ([`sync_delta`](crate::sync_delta) merges), and persists them.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures when disk-backed.
     pub fn append(&mut self, sigs: impl IntoIterator<Item = String>) -> io::Result<usize> {
-        let before = self.sigs.len();
-        self.sigs.extend(sigs);
-        let start = self.sync_cursor_at(before);
-        self.commit_sigs(before, start, start + self.sigs.len() - before)
+        let (first, start) = (self.sigs.len(), self.sync_cursor());
+        let n = self.hold(sigs, 0);
+        self.commit_sigs(first, start, start + n)
     }
 
-    /// The server-side index the next incremental sync should request
-    /// from. Equal to [`len`](LocalRepository::len) until a window that
-    /// skipped an evicted gap, or a re-read, diverges them.
+    /// The server-side index the next incremental sync requests from.
     pub fn sync_cursor(&self) -> usize {
         self.sync_cursor_at(self.sigs.len())
     }
@@ -303,12 +300,6 @@ impl LocalRepository {
     /// The sync cursor while the repository holds `len` signatures.
     fn sync_cursor_at(&self, len: usize) -> usize {
         self.server_cursor.unwrap_or(len)
-    }
-
-    /// Whether the sync cursor has diverged from
-    /// [`len`](LocalRepository::len): every later window is then merged.
-    pub(crate) fn cursor_diverged(&self) -> bool {
-        self.server_cursor.is_some()
     }
 
     /// Records how far into the *server's* log this repository has
@@ -323,15 +314,10 @@ impl LocalRepository {
         self.commit_sigs(self.sigs.len(), cursor, cursor).map(drop)
     }
 
-    /// Stores only the signatures of the server's window ending at index
-    /// `cursor` that are not already present, and moves the sync cursor
-    /// to `cursor`, logging both with one write: the counterpart of
-    /// [`append`](LocalRepository::append) for a window that skipped an
-    /// evicted gap, and for re-reading a server that lost its log from
-    /// index 0. Signatures already held are skipped, so agent cursors and
-    /// nesting-retry indices stay valid.
-    ///
-    /// Returns the number of genuinely new signatures stored.
+    /// Stores the signatures of the server's window ending at index
+    /// `cursor` that the repository does not hold, wherever the sync
+    /// cursor is (past an evicted gap, or at 0 re-reading a lost log),
+    /// and returns how many.
     ///
     /// # Errors
     ///
@@ -341,30 +327,50 @@ impl LocalRepository {
         sigs: impl IntoIterator<Item = String>,
         cursor: usize,
     ) -> io::Result<usize> {
-        // Membership is decided against borrowed texts — the held ones and
-        // the batch's own — and only then are the newcomers moved in.
-        let incoming: Vec<String> = sigs.into_iter().collect();
-        let mut seen: HashSet<&str> = self.sigs.iter().map(String::as_str).collect();
-        let fresh: Vec<bool> = incoming.iter().map(|s| seen.insert(s)).collect();
-        drop(seen);
-        let before = self.sigs.len();
-        let start = cursor.saturating_sub(incoming.len());
-        self.sigs.extend(
-            incoming
-                .into_iter()
-                .zip(fresh)
-                .filter_map(|(s, fresh)| fresh.then_some(s)),
-        );
-        self.commit_sigs(before, start, cursor)
+        self.merge_read(sigs, cursor, usize::MAX)
+    }
+
+    /// [`merge`](LocalRepository::merge) of a window of one read of the
+    /// server's log begun when the repository held `held` signatures: the
+    /// server's live log holds no text twice, so only those are checked,
+    /// and a read into an empty repository hashes nothing.
+    pub(crate) fn merge_read(
+        &mut self,
+        sigs: impl IntoIterator<Item = String>,
+        cursor: usize,
+        held: usize,
+    ) -> io::Result<usize> {
+        let first = self.sigs.len();
+        let n = self.hold(sigs, held);
+        self.commit_sigs(first, cursor.saturating_sub(n), cursor)
+    }
+
+    /// Moves into `sigs` each of `incoming` that none of the first
+    /// `against` of them holds, and returns how many came in.
+    fn hold(&mut self, incoming: impl IntoIterator<Item = String>, against: usize) -> usize {
+        let mut n = 0;
+        for text in incoming {
+            n += 1;
+            let check = self.sigs.len().min(against);
+            if check > 0 {
+                for sig in &self.sigs[self.hashed.min(check)..check] {
+                    self.held.insert(self.hasher.hash_one(sig));
+                }
+                self.hashed = self.hashed.max(check);
+                let key = self.hasher.hash_one(&text);
+                if self.held.contains(&key) && self.sigs[..check].contains(&text) {
+                    continue;
+                }
+            }
+            self.sigs.push(text);
+        }
+        n
     }
 
     /// Logs the signatures stored from local index `first` on as the
-    /// server's window `start..end`, with one write: a state record at
-    /// `start` first if the window does not start at the cursor, the
-    /// signatures, and a state record at `end` if their replay would not
-    /// reach it. Returns how many signatures there are. A failed write
-    /// takes them back out: a signature the log lost would shift every
-    /// later index on the next open.
+    /// server's window `start..end` in one write (module docs: crash
+    /// rule) and returns how many there are. A failed write takes them
+    /// back out, or every later index would shift on the next open.
     fn commit_sigs(&mut self, first: usize, start: usize, end: usize) -> io::Result<usize> {
         let before = self.server_cursor;
         let durable = self.is_durable();
@@ -387,7 +393,9 @@ impl LocalRepository {
             }
         }
         if let Err(e) = self.write(&records) {
+            // A key left for a text taken back out costs only a look.
             self.sigs.truncate(first);
+            self.hashed = self.hashed.min(first);
             self.server_cursor = before;
             return Err(e);
         }

@@ -69,28 +69,18 @@ impl From<std::io::Error> for SyncError {
 /// windows only when the server capped the reply. `max_per_round == 0`
 /// defers the window size entirely to the server.
 ///
-/// # Evicted gaps
+/// A byte-capped server evicts only a prefix of its log and renumbers
+/// nothing, so a window starts at the cursor, or ahead of it when the
+/// server evicted what the client had not fetched: the repository takes
+/// the window's end as its cursor, in the same write. A window behind the
+/// cursor is a protocol error. Each window is merged
+/// ([`LocalRepository::merge`]): a text the repository held when the
+/// sync began is not stored again, as when the server re-accepts one it
+/// evicted.
 ///
-/// An index names one signature for the life of a server's log, and a
-/// byte-capped server evicts only a prefix of it. A window therefore
-/// starts at the cursor, or ahead of it when the server evicted what the
-/// client had not fetched yet: the client takes the window's `from` as
-/// given, and the repository records the new cursor in the same write as
-/// the window, so the gap is never asked for again. A window that starts
-/// behind the cursor is a protocol error.
-///
-/// # A lost or replaced log
-///
-/// A server that lost its log (an in-memory server's restart) or part of
-/// it (a suffix not yet fsynced when the power failed) reports a `total`
-/// below the cursor. The client cannot tell what changed from the wire,
-/// so it restarts from index 0 once, merging the windows through
-/// [`LocalRepository::merge`]: signatures it already holds keep their
-/// local indices and only genuine newcomers are stored. The repository's
-/// [`sync_cursor`](LocalRepository::sync_cursor) tracks the server-side
-/// index from then on, and every later window is merged too. A second
-/// shrink within one sync is reported as a protocol error rather than
-/// looped on. No GC causes a shrink.
+/// A server that lost its log, or a suffix of it not yet fsynced, reports
+/// a `total` below the cursor; the client re-reads it from index 0, once.
+/// A second shrink in one sync is a protocol error. No GC causes one.
 ///
 /// Returns the number of new signatures stored.
 ///
@@ -106,6 +96,7 @@ pub fn sync_delta(
 ) -> Result<usize, SyncError> {
     let mut downloaded = 0;
     let mut from = repo.sync_cursor() as u64;
+    let held = repo.len();
     let mut restarted = false;
     loop {
         let reply = connector
@@ -123,9 +114,7 @@ pub fn sync_delta(
                 sigs,
             } => {
                 if total < from {
-                    // The server's log shrank below our cursor: it lost or
-                    // replaced its log. Re-read it from scratch,
-                    // deduplicating as we go.
+                    // The server lost or replaced its log: re-read it.
                     if restarted {
                         return Err(SyncError::Protocol(format!(
                             "server total shrank twice in one sync (now {total} < {from})"
@@ -146,16 +135,9 @@ pub fn sync_delta(
                         "delta overruns the server's own total: {start} + {got} > {total}"
                     )));
                 }
-                // A window that skipped an evicted gap, or any window once
-                // the cursor has diverged from the local count, is merged:
-                // the repository logs its cursor with it, in one write.
-                let skipped = start > from;
+                // The window's end is the cursor, so a skipped gap stays so.
                 from = start + got;
-                downloaded += if restarted || skipped || repo.cursor_diverged() {
-                    repo.merge(sigs, from as usize)?
-                } else {
-                    repo.append(sigs)?
-                };
+                downloaded += repo.merge_read(sigs, from as usize, held)?;
                 if from >= total {
                     return Ok(downloaded);
                 }

@@ -10,13 +10,11 @@
 //! stands in for it so the system is runnable end-to-end, with the same
 //! trust model: only the holder of the predefined key can mint ids.
 //!
-//! Over the wire (`ISSUE_ID`) the server picks the number: it mints each
-//! id for a fresh random one ([`IdAuthority::issue_new`]) and ignores
-//! the number the request names, so no connection can obtain another
-//! sender's id and spend its budget. The cost: a node that asks for an
-//! id again after a restart is a new sender, with a fresh daily budget.
-//! That is no worse than a server restart today, which already refunds
-//! every budget (ROADMAP item 4).
+//! Over the wire (`ISSUE_ID`) the server mints each id for a fresh
+//! random number ([`IdAuthority::issue_new`]), so no connection obtains
+//! another sender's id. The cost: a node that asks again after a restart
+//! is a new sender with a fresh daily budget, no worse than a server
+//! restart, which refunds every budget (ROADMAP item 4).
 
 use std::hash::{BuildHasher, RandomState};
 
@@ -61,9 +59,8 @@ impl IdAuthority {
         self.cipher.encrypt_block(&block)
     }
 
-    /// Mints the id of a fresh random user number, one no caller picks:
-    /// 64 bits from std's `RandomState`, whose keys are random per thread
-    /// and move on with every state made.
+    /// Mints the id of a random user number no caller picks: 64 bits
+    /// from std's `RandomState`, whose keys move on with every state.
     pub fn issue_new(&self) -> EncryptedId {
         self.issue(RandomState::new().hash_one(()))
     }

@@ -1,52 +1,31 @@
-//! The server's signature database.
-//!
-//! An append-only, index-addressed store: a client asks for the
-//! signatures from index k (§III-B) and is served them one budgeted
-//! window at a time, so it downloads incrementally. That works only
-//! while an index names one signature forever, so nothing renumbers: a
-//! byte-capped store evicts a prefix of the log
-//! ([`SignatureDb::base`] moves up to the first live index), the
-//! survivors keep their indices, and a window asked for below the base
-//! starts at the base and says so.
+//! The server's signature database: append-only and index-addressed. A
+//! client asks for the signatures from index k (§III-B), served one
+//! budgeted window at a time. An index names one signature forever: a
+//! byte-capped store evicts a prefix ([`SignatureDb::base`] moves up),
+//! and a window asked for below the base starts at the base.
 //!
 //! # Two locks, one order
 //!
-//! Dedup'd adds commute for the stored *set*, but the *index* is the
-//! client's only cursor (`GET_DELTA(from)`), so the order signatures are
-//! numbered in is observable state and appends take one lock, the
-//! *append lock*. A new signature gets its index, its journal record
-//! (the add's journal hook: a durable store's WAL append) and its
-//! visibility under it: index order = journal order = the order a
-//! replay recovers. What needs no order — hashing, the fast-path probe,
-//! allocating the text, framing the record — happens before the lock.
-//!
-//! Probes and bounded reads commute, so they share the other lock: the
-//! log, which holds the live texts in index order, their byte total and
-//! the dedup index. A writer takes it for the push alone, which inserts
-//! the text and its index entry together, never across the journal; a
-//! reader takes it for one probe or one window of at most
-//! [`REPLY_BUDGET`] bytes, so no reader waits on file I/O; a byte-capped
-//! store's GC takes it for the in-memory prefix drop alone. Lock order:
-//! append lock → log. The tests hold the store to a `Vec` + set model,
-//! which is the whole reference.
+//! The index is the client's only cursor, so numbering order is
+//! observable: a new signature gets its index, its journal record (a
+//! durable store's WAL append) and its visibility under one *append
+//! lock* — index order = journal order = replay order. Hashing, the
+//! fast-path probe, allocating and framing happen before it. Probes and
+//! windows share the other lock, the log (texts in index order, their
+//! byte total, the dedup index), which a writer holds for the push alone,
+//! a reader for one probe or one window of at most [`REPLY_BUDGET`]
+//! bytes, and GC for the prefix drop. Lock order: append lock → log. The
+//! tests hold the store to a `Vec` + set model, the whole reference.
 //!
 //! # One hash per ADD, exact dedup
 //!
-//! A signature text is ≈ 1.7 KB, so hashing it is most of a probe. An ADD
-//! hashes its text once, with the database's keyed `RandomState` (an
-//! adversary who cannot predict the keys cannot aim distinct texts at
-//! one bucket): the server's fast-path probe returns the 64-bit key of a
-//! text it did not find, and the add that follows carries it. The keys
-//! live as long as the database, and nothing replaces a database, so a
-//! carried key is always this database's. A new ADD costs one hash, and
-//! so does a duplicate probe.
-//!
-//! A key only nominates a candidate. Dedup is exact: the text at the
-//! candidate's index must be equal, and a different text whose key is
-//! taken goes to the overflow map, keyed by the text itself — the rare
-//! case, hashed a second time there. A text is stored once, as an
-//! `Arc<str>` the overflow map shares, and [`SignatureDb::window`] hands
-//! readers further handles to it instead of copies.
+//! A ≈ 1.7 KB text's hash is most of a probe, so an ADD hashes it once,
+//! with the database's keyed `RandomState` (no one can aim texts at one
+//! bucket): a probe that misses hands its key to the add that follows,
+//! and the database lives as long as the store, so the key is its own.
+//! A key only nominates: the text at its index must be equal, and a
+//! different text whose key is taken goes to the overflow map, keyed by
+//! text. A text is stored once, an `Arc<str>` every window shares.
 
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, RandomState};
@@ -69,13 +48,13 @@ pub struct SignatureDb {
     log: RwLock<Log>,
 }
 
-/// The append lock's token: `push` takes `&mut Tail`, so minting an
-/// index without the append lock is a compile error.
+/// The append lock's token: `push` takes `&mut Tail`, so no index is
+/// minted without the lock.
 #[derive(Debug)]
 struct Tail;
 
-/// A text's dedup key under one database's hasher: what a probe that
-/// missed hands the add that follows it.
+/// A text's dedup key under one database's hasher, from a probe that
+/// missed.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Key(u64);
 
@@ -89,8 +68,8 @@ struct Log {
     all: Vec<Arc<str>>,
     bytes: usize,
     by_key: HashMap<u64, usize>,
-    /// Text → index for the keys taken twice. An entry's key is always
-    /// in `by_key` too, so a probe whose key is absent there stops.
+    /// Text → index for the keys taken twice: a rare map, looked in only
+    /// when it holds anything.
     overflow: HashMap<Arc<str>, usize>,
 }
 
@@ -107,11 +86,11 @@ impl Log {
 
     /// The index `text` is stored at, if any.
     fn find(&self, key: u64, text: &str) -> Option<usize> {
-        let &i = self.by_key.get(&key)?;
-        if &*self.all[i - self.base] == text {
-            return Some(i);
+        match self.by_key.get(&key) {
+            Some(&i) if &*self.all[i - self.base] == text => Some(i),
+            _ if self.overflow.is_empty() => None,
+            _ => self.overflow.get(text).copied(),
         }
-        self.overflow.get(text).copied()
     }
 
     /// Appends `text` under `key` and returns its index.
@@ -143,8 +122,7 @@ impl SignatureDb {
         SignatureDb::starting_at(0)
     }
 
-    /// An empty database whose first text takes index `base`: what
-    /// recovery replays into when the log's older segments are evicted.
+    /// An empty database whose first text takes index `base`.
     pub(crate) fn starting_at(base: usize) -> Self {
         SignatureDb {
             hasher: RandomState::new(),
@@ -158,11 +136,9 @@ impl SignatureDb {
         }
     }
 
-    /// The dedup key of `sig_text`: the one place the database hashes a
-    /// text. It hashes the whole text: a prefix/suffix shortcut would let
-    /// an adversary craft distinct signatures that collapse every dedup
-    /// probe onto one key (this server's whole point is surviving
-    /// hostile senders, §III-C).
+    /// The dedup key of `sig_text`, the one place a text is hashed, and
+    /// wholly: a prefix/suffix shortcut would let hostile senders (§III-C)
+    /// collapse distinct signatures onto one key.
     fn key(&self, sig_text: &str) -> Key {
         let key = self.hasher.hash_one(sig_text);
         #[cfg(test)]
@@ -187,19 +163,17 @@ impl SignatureDb {
         }
     }
 
-    /// The index `sig_text` is stored at, or, if it is not, its key for
-    /// the add that follows. Takes only the log's *read* lock — the
-    /// server's dedup fast path.
+    /// The index `sig_text` is stored at, or its key for the add that
+    /// follows. Takes only the log's *read* lock: the dedup fast path.
     pub(crate) fn probe(&self, sig_text: &str) -> Result<usize, Key> {
         let key = self.key(sig_text);
         self.log.read().find(key.0, sig_text).ok_or(key)
     }
 
-    /// Appends `sig_text`, whose probe missed with `key`, unless an
-    /// identical text arrived since; calls `journal` with it under the
-    /// append lock, after that final probe and before the text becomes
-    /// visible: journal calls happen in index order, and a duplicate
-    /// makes none. Returns `(index, newly_added)`.
+    /// Appends `sig_text`, whose probe missed with `key`, unless it
+    /// arrived since; `journal` runs under the append lock, after that
+    /// final probe and before the text is visible, so journal calls come
+    /// in index order and a duplicate makes none. `(index, newly_added)`.
     pub(crate) fn add_new(
         &self,
         key: Key,
@@ -214,8 +188,6 @@ impl SignatureDb {
             return (i, false);
         }
         journal(sig_text);
-        // Text and index entry appear together under the log's write lock,
-        // held for the push alone, never across the journal.
         let i = self.log.write().push(&mut tail, key.0, text);
         (i, true)
     }
@@ -228,57 +200,39 @@ impl SignatureDb {
         self.log.write().push(&mut tail, key.0, Arc::from(sig_text));
     }
 
-    /// Evicts every text below index `base` — GC's prefix drop, an
-    /// in-memory retain under the log's write lock — and returns how many
-    /// texts and bytes went. The survivors keep their indices. An
-    /// overflow survivor whose key lost its entry takes the key over, so
-    /// every live key stays in `by_key`.
+    /// Evicts every text below index `base` under the log's write lock
+    /// and returns how many texts and bytes went; the survivors keep
+    /// their indices.
     pub(crate) fn drop_below(&self, base: usize) -> (usize, usize) {
         let mut log = self.log.write();
         let n = base.clamp(log.base, log.end()) - log.base;
-        let log = &mut *log;
+        if n == 0 {
+            return (0, 0);
+        }
         let bytes: usize = log.all.drain(..n).map(|t| t.len()).sum();
         log.base += n;
         log.bytes -= bytes;
-        let (base, by_key) = (log.base, &mut log.by_key);
-        by_key.retain(|_, i| *i >= base);
-        log.overflow.retain(|text, &mut i| {
-            if i < base {
-                return false;
-            }
-            match by_key.entry(self.key(text).0) {
-                Entry::Vacant(slot) => {
-                    slot.insert(i);
-                    false
-                }
-                Entry::Occupied(_) => true,
-            }
-        });
+        let base = log.base;
+        log.by_key.retain(|_, i| *i >= base);
+        log.overflow.retain(|_, i| *i >= base);
         (n, bytes)
     }
 
-    /// Index of `sig_text` if it is already stored. Takes only the log's
-    /// *read* lock.
+    /// Index of `sig_text` if it is stored (the log's read lock only).
     pub fn contains(&self, sig_text: &str) -> Option<usize> {
         self.probe(sig_text).ok()
     }
 
-    /// All live signatures from index `from` (copies, made after the lock
-    /// is released).
+    /// Copies of the live signatures from index `from`.
     pub fn get_from(&self, from: usize) -> Vec<String> {
         let handles = self.log.read().from(from).to_vec();
         handles.iter().map(|t| String::from(&**t)).collect()
     }
 
-    /// The window behind `GET` and `GET_DELTA`: the signatures from index
-    /// `from` — from the base, if `from` is below it — at most `max` of
-    /// them (`0`: no count cap), closed at the last one whose `DELTA`
-    /// reply stays within [`REPLY_BUDGET`] bytes. Returns the index the
-    /// window starts at, the texts, and the total (the index the next
-    /// signature takes). A window holds at least one signature while any
-    /// is left, so every window moves its reader on. The walk measures
-    /// before it copies: the texts are handles to the stored ones, and
-    /// only those served are handed out.
+    /// The window behind `GET` and `GET_DELTA`: where it starts (`from`,
+    /// or the base if later), the texts — at most `max` (`0`: no cap),
+    /// closed at the last whose `DELTA` reply fits [`REPLY_BUDGET`], but
+    /// at least one while any is left — and the total, the next index.
     pub fn window(&self, from: usize, max: usize) -> (usize, Vec<Arc<str>>, usize) {
         let log = self.log.read();
         let from = from.max(log.base);
@@ -306,8 +260,7 @@ impl SignatureDb {
         self.window(from, max)
     }
 
-    /// The index of the first live signature: every one below it was
-    /// evicted by a byte-capped store's GC (0 until then).
+    /// The index of the first live signature (0 until a GC evicts one).
     pub fn base(&self) -> usize {
         self.log.read().base
     }

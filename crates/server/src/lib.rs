@@ -9,10 +9,8 @@
 //! fixed constants, not settings. The signature store is durable when asked
 //! ([`ServerBuilder::durability`]): accepted signatures are journaled to a
 //! write-ahead log whose segments are the store — nothing is rewritten —
-//! and recovered by replaying them in order on the next boot. An index
-//! names one signature for the life of the store: a byte cap evicts a
-//! prefix of the log and renumbers nothing (see the [`store`] module docs
-//! for the format and the base rule).
+//! and recovered by replaying them on the next boot; a byte cap evicts a
+//! prefix and renumbers nothing (see the [`store`] module docs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,13 +15,9 @@
 //! The request path is built so the common cases never serialize on a
 //! single lock:
 //!
-//! * exact duplicates are detected under the signature log's *read*
-//!   lock before the signature is even parsed (see [`SignatureDb`]), so
-//!   re-sent signatures never take a write lock or touch per-user
-//!   validation state; a new signature carries the key that probe
-//!   computed into the database's one append lock, so its text is
-//!   hashed once, and probes and reads share the log's lock, never
-//!   waiting on the journal;
+//! * exact duplicates are acked off the signature log's *read* lock
+//!   before the signature is parsed, touching no per-user state, and a
+//!   new one carries that probe's key into the add (see [`SignatureDb`]);
 //! * per-user rate-limit/adjacency state is sharded by user id, and a
 //!   sender's checks and its add run as one step under its shard's lock;
 //! * counters live in a lock-free telemetry [`Registry`]
@@ -34,20 +30,15 @@
 //! `GET_DELTA` read through one window, [`SignatureDb::window`]: it
 //! holds at most the `GET_DELTA` client's `max` signatures and closes at
 //! the last one within [`REPLY_BUDGET`](communix_net::REPLY_BUDGET)
-//! bytes of reply, and starts at the store's base when the client asks
-//! from below it (the reply's `from` says where it starts). An ADD whose
-//! text exceeds [`MAX_SIG_BYTES`] is refused before it costs a dedup
-//! probe. `ISSUE_ID` mints an id for a fresh random number it picks
-//! itself ([`IdAuthority::issue_new`]), so no connection can name
-//! another sender.
+//! bytes of reply. An ADD whose text exceeds [`MAX_SIG_BYTES`] is
+//! refused before it costs a dedup probe.
 //!
 //! # Observability
 //!
 //! The server answers [`Request::Stats`] with a JSON rendering of its
 //! telemetry snapshot: outcome counters, per-reject-reason counters,
 //! dedup fast-path hits, per-opcode latency histograms, and the
-//! database's size gauges `server.db.sigs` and `server.db.bytes`
-//! (refreshed at snapshot time, not on the hot path).
+//! database's gauges `server.db.sigs` and `server.db.bytes`.
 //! When served over TCP the transport registers its own connection
 //! gauges and counters in the same registry, so one `STATS` round trip
 //! observes the whole stack.
@@ -125,10 +116,8 @@ pub struct ServerStats {
     pub deltas: u64,
 }
 
-/// Pre-resolved telemetry handles. Registering a metric takes the
-/// registry's lock, so the server resolves every series it records on
-/// the request path once at construction; recording through the
-/// [`Arc`] handles afterwards is lock-free.
+/// Pre-resolved telemetry handles: registering takes the registry's
+/// lock, recording through the [`Arc`] handles does not.
 #[derive(Debug)]
 struct ServerMetrics {
     adds_accepted: Arc<Counter>,
@@ -286,14 +275,12 @@ impl CommunixServer {
         &self.authority
     }
 
-    /// The in-memory signature database, the store's one for its whole
-    /// life: a GC drops a prefix of it in place.
+    /// The in-memory signature database, the store's one for its life.
     pub fn db(&self) -> Arc<SignatureDb> {
         self.store.db()
     }
 
-    /// The unified signature store — durability state (recovery report,
-    /// explicit `sync`, the GC counters' registry) lives here.
+    /// The unified signature store: recovery report, explicit `sync`.
     pub fn store(&self) -> &Store {
         &self.store
     }
@@ -319,16 +306,15 @@ impl CommunixServer {
         &self.registry
     }
 
-    /// A point-in-time telemetry snapshot. The database gauges
-    /// (`server.db.sigs`, `server.db.bytes`) are refreshed here, at
-    /// snapshot time, rather than on the hot path.
+    /// A point-in-time telemetry snapshot; the database gauges are
+    /// refreshed here rather than on the hot path.
     pub fn telemetry_snapshot(&self) -> Snapshot {
         self.registry
             .gauge("server.db.sigs")
             .set(self.store.len() as u64);
         self.registry
             .gauge("server.db.bytes")
-            .set(self.store.stored_bytes() as u64);
+            .set(self.store.db.stored_bytes() as u64);
         self.registry.snapshot()
     }
 
@@ -362,8 +348,7 @@ impl CommunixServer {
             }
             Request::Get { from } => self.handle_get(from),
             Request::GetDelta { from, max } => self.handle_get_delta(from, max),
-            // The caller's number is ignored: naming it would let any
-            // connection spend another sender's budget.
+            // The caller's number is ignored (see `IdAuthority::issue_new`).
             Request::IssueId { .. } => {
                 self.metrics.ids_issued.inc();
                 Reply::Id {
@@ -387,13 +372,9 @@ impl CommunixServer {
         Self::verdict(decision)
     }
 
-    /// The ADD decision: validation (§III-C) plus storage.
-    ///
-    /// The dedup probe runs *first*, before the signature is parsed and
-    /// before any per-user state is locked: an exact duplicate of a
-    /// stored signature was already validated when it was accepted, so
-    /// re-sends are acked off the log's read lock alone — they take no
-    /// write lock and consume no daily budget.
+    /// The ADD decision: validation (§III-C) plus storage. The dedup
+    /// probe runs before the parse and any per-user lock: a duplicate
+    /// was validated when it was accepted, so a re-send costs no budget.
     fn process_add(&self, sender: &EncryptedId, sig_text: &str) -> AddDecision {
         // Check 1: the encrypted id must verify (§III-C2).
         let Some(user) = self.authority.verify(sender) else {
@@ -406,9 +387,8 @@ impl CommunixServer {
             return AddDecision::Rejected(RejectReason::TooLarge);
         }
 
-        // Dedup fast path (read locks only). A miss returns the text's key,
-        // which the add below carries: one hash per ADD.
-        let key = match self.store.probe(sig_text) {
+        // Dedup fast path (read locks only); a miss hands the add its key.
+        let key = match self.store.db.probe(sig_text) {
             Ok(_) => {
                 self.metrics.dedup_fast_path.inc();
                 return AddDecision::Duplicate;
@@ -491,7 +471,7 @@ impl CommunixServer {
     /// `GET(k)`: the paper's "everything from index `k`", one budgeted
     /// window at a time — a `GET_DELTA` with no count cap.
     fn handle_get(&self, from: u64) -> Reply {
-        let (from, sigs, _) = self.store.window(from as usize, 0);
+        let (from, sigs, _) = self.store.db.window(from as usize, 0);
         self.metrics.gets.inc();
         self.metrics.sigs_served.add(sigs.len() as u64);
         let sigs = sigs.iter().map(|s| String::from(&**s)).collect();
@@ -501,12 +481,10 @@ impl CommunixServer {
         }
     }
 
-    /// `GET_DELTA(from, max)`: one budgeted window and the total. A
-    /// cursor below the store's base — a GC evicted what it had not
-    /// fetched yet — is served from the base, and the reply's `from`
-    /// tells the client where its window starts; the total never falls.
+    /// `GET_DELTA(from, max)`: one budgeted window, from the base if
+    /// `from` was evicted (the reply's `from` says), and the total.
     fn handle_get_delta(&self, from: u64, max: u32) -> Reply {
-        let (from, sigs, total) = self.store.window(from as usize, max as usize);
+        let (from, sigs, total) = self.store.db.window(from as usize, max as usize);
         self.metrics.deltas.inc();
         self.metrics.sigs_served.add(sigs.len() as u64);
         // Handles to the stored texts: the transport encodes the `DELTA`

@@ -1,80 +1,43 @@
-//! Durable signature store: a write-ahead log + bounded GC wrapped
-//! around [`SignatureDb`], behind one unified [`Store`] API. The log *is*
-//! the store: its segments are the only on-disk format and nothing in
-//! them is ever rewritten.
-//!
-//! The immunity network is only useful if accumulated signatures survive
-//! a server restart (ROADMAP "Durable store"). Dedup'd ADDs commute for
-//! the stored *set*, but the *index* is the client's cursor
-//! (`GET_DELTA(from)`), so an index must name one signature for the life
-//! of the store, across restarts and across GC. One lock does the
-//! numbering: [`Store::add`] frames the record first, then the database
-//! assigns the index and the record is written under its append lock —
-//! index order = journal order = recovered order. Each segment's name
-//! says which index its first record holds, so recovery puts every
-//! record back at its index, and a segment dropped whole is a valid cut
-//! of the log. Signatures are unique, append-only and never modified, so
-//! there is nothing to compact: a second, "compacted" copy of the store
-//! would hold the same bytes in the same framing (the WAL writes 1.005
-//! bytes per byte stored).
+//! Durable signature store: a write-ahead log + bounded GC around
+//! [`SignatureDb`], behind one [`Store`] API. The log *is* the store,
+//! never rewritten. An index is a client's cursor, so it names one
+//! signature for the life of the store: it is assigned and its record
+//! written under one append lock (index = journal = recovered order), and
+//! each segment's name gives its first index.
 //!
 //! # On-disk layout (`DurabilityConfig::dir`)
 //!
-//! `wal-{first:020}.log` segments and nothing else, where `first` is the
-//! index of the segment's first record. Each starts with the 8-byte magic
-//! `CXWAL001` followed by records framed as
-//! `[len: u32 LE][crc32(payload): u32 LE][payload]`, one per accepted
-//! signature, where `payload` is the signature text (UTF-8); the `k`-th
-//! record holds index `first + k`. The framing, the CRC and the replay
-//! walk live in [`communix_net::record`], the one log format the client's
-//! local repository writes too. Records are buffered by the OS and
-//! fsync'd on a group-commit interval ([`DurabilityConfig::fsync_interval`];
-//! zero means fsync on every append). A torn final record — the crash
-//! case group commit tolerates by design — is detected by the length/CRC
-//! framing and dropped on replay. The log rolls to a new segment past the
-//! size limit, and after a failed append, so that no record is written
-//! behind a torn one or at the wrong index. A directory of the older
-//! `wal-{epoch}-{seq}.log` naming recovers at index 0 in `seq` order and
-//! is renamed into this naming on open.
+//! `wal-{first:020}.log` segments: the magic `CXWAL001`, then one
+//! [`communix_net::record`] per accepted signature, the `k`-th at index
+//! `first + k`, fsync'd on a group-commit interval
+//! ([`DurabilityConfig::fsync_interval`]; zero: every append). A torn
+//! final record is dropped on replay. A record whose write fails is kept
+//! and written first by the next append or sync, in a new segment named
+//! by its index, so the log on disk has no gap. Segments named
+//! `wal-{epoch}-{seq}.log` recover at index 0 in `seq` order and are
+//! renamed on open.
 //!
 //! # Bounded GC and the base rule
 //!
-//! With [`DurabilityConfig::max_bytes`] set, the store is
-//! capacity-bounded: when stored bytes exceed the cap, GC deletes the
-//! *oldest* whole sealed segments until the signature bytes left fit in
-//! 3/4 of the cap, then drops the same prefix from memory, under the
-//! log's write lock: the database's *base*, its first live index, moves
-//! up to the first index of the oldest segment left. GC reads nothing
-//! from disk and renumbers nothing. The survivors keep their indices and
-//! `GET_DELTA`'s `total` never falls; a client whose cursor is below the
-//! new base is served from the base — the reply's `from` says so — and
-//! skips the evicted gap. The segment being written is never deleted:
-//! segments roll at 1/8 of the cap at most, so a pass lands between 5/8
-//! and 3/4 of it, plus what that segment holds.
-//!
-//! Memory never holds more than disk: GC drops from memory every segment
-//! it deleted or failed to delete, and recovery counts a segment GC
-//! failed to delete as evicted. The one exception is a record whose
-//! append failed (counted in `store.wal.errors`): memory serves it until
-//! a restart, and the roll behind it makes recovery evict it, with the
-//! log before it, rather than number a later record in its place.
+//! Over [`DurabilityConfig::max_bytes`], GC picks the oldest sealed
+//! segments until what is left fits in 3/4 of the cap, drops their prefix
+//! from memory (the base, the first live index, moves up), then unlinks
+//! them. It reads no segment and renumbers nothing; a cursor below the
+//! base is served from the base. Segments roll at 1/8 of the cap at most,
+//! so a pass lands between 5/8 and 3/4 of it, plus the segment being
+//! written, which stays. Memory never holds more than disk, but for
+//! records awaiting a retry.
 //!
 //! # Recovery
 //!
-//! [`Store::open`] reads the segments in index order and keeps the
-//! newest *contiguous* run: every record goes back at the index its
-//! segment's name and its place in it give, replay stops within a
-//! segment at its first torn or corrupt record, and a segment whose
-//! successor does not start where its replay ended — GC failed to delete
-//! it, or a corrupt record stopped its replay early — counts as evicted,
-//! with every segment before it. Evicted segments are reported in
-//! [`RecoveryReport::evicted_segments`], counted in
-//! `store.wal.evicted_segments` and deleted; nothing is renumbered. An
-//! empty segment still says where the log goes on. Recovery opens a
-//! fresh segment at the next index — writing over an empty one of that
-//! name — and only then removes the other empty segments. The
-//! [`RecoveryReport`] is kept for inspection and mirrored into the
-//! `store.*` telemetry counters.
+//! [`Store::open`] replays the segments in index order, each record at
+//! its index, stopping within a segment at a torn or corrupt record, and
+//! keeps the newest contiguous run. A segment whose successor does not
+//! start where its replay ended, every one before it, and one holding
+//! bytes but no record are renamed `*.log.evicted` (never deleted or
+//! renumbered) and counted in [`RecoveryReport::evicted_segments`]. A
+//! header-only segment still says where the log goes on: the fresh
+//! segment opens at the next index, over one of that name.
 
 use std::collections::VecDeque;
 use std::fs::{self, File, OpenOptions};
@@ -134,8 +97,8 @@ pub struct RecoveryReport {
     pub wal_records: u64,
     /// Whether replay stopped at a torn/corrupt record.
     pub torn_tail: bool,
-    /// Segments behind a gap in the indices, evicted rather than
-    /// renumbered.
+    /// Segments set aside, not replayed: behind a gap in the indices, or
+    /// holding bytes but no record.
     pub evicted_segments: u64,
 }
 
@@ -175,8 +138,10 @@ impl StoreMetrics {
         }
     }
 
-    /// Fsyncs `wal` if dirty, counting and timing a sync that happened.
+    /// Writes the records still to be retried, then fsyncs `wal` if
+    /// dirty, counting and timing a sync that happened.
     fn sync(&self, wal: &mut Wal) -> io::Result<()> {
+        wal.write_pending()?;
         let start = Instant::now();
         if wal.sync()? {
             self.wal_fsyncs.inc();
@@ -192,18 +157,14 @@ struct Flusher {
     join: JoinHandle<()>,
 }
 
-/// The unified signature store: [`SignatureDb`] semantics (dedup'd
-/// append-only adds, index-addressed reads) with optional durability.
-///
-/// In-memory ([`Store::in_memory`]) it is a thin veneer over
-/// [`SignatureDb`]. Durable ([`Store::open`]) it journals every accepted
-/// add to a write-ahead log and — with a byte cap — garbage-collects
-/// oldest-first, whole segments at a time, dropping a prefix of the log
-/// and renumbering nothing. All methods are thread-safe; reads never
-/// block on WAL I/O.
+/// The unified signature store: a [`SignatureDb`], in memory
+/// ([`Store::in_memory`]) or journaled to a write-ahead log with an
+/// optional byte cap ([`Store::open`]). Thread-safe; reads never block on
+/// WAL I/O.
 #[derive(Debug)]
 pub struct Store {
-    db: Arc<SignatureDb>,
+    /// The one for the life of the store; the server reads it directly.
+    pub(crate) db: Arc<SignatureDb>,
     wal: Option<Arc<Mutex<Wal>>>,
     /// The byte cap (`DurabilityConfig::max_bytes`).
     max_bytes: Option<u64>,
@@ -235,17 +196,14 @@ impl Store {
     }
 
     /// Opens (or creates) a durable store under `config.dir`,
-    /// recovering the newest contiguous run of WAL segments.
+    /// recovering the newest contiguous run of WAL segments. The first
+    /// argument is unused, as in [`Store::in_memory`].
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures creating the directory, reading or
-    /// renaming a segment, or opening the fresh WAL segment, and refuses
-    /// (`InvalidData`) a directory of the retired snapshotting layout.
-    /// A torn WAL record is *not* an error — replay stops there and
-    /// reports it in [`Store::recovery`]. The first argument is unused:
-    /// it stays because `benchmark/` passes it (ROADMAP item 1A retires
-    /// it).
+    /// Propagates I/O failures on the directory and its segments, and
+    /// refuses (`InvalidData`) the retired snapshotting layout. A torn
+    /// record is not an error: [`Store::recovery`] reports it.
     pub fn open(_shards: usize, config: DurabilityConfig, registry: &Registry) -> io::Result<Self> {
         let metrics = StoreMetrics::resolve(registry);
         let (db, recovery, wal) = recover(&config)?;
@@ -274,8 +232,7 @@ impl Store {
         self.wal.is_some()
     }
 
-    /// What [`Store::open`] found on disk (all-zero for in-memory
-    /// stores).
+    /// What [`Store::open`] found on disk (all-zero in memory).
     pub fn recovery(&self) -> RecoveryReport {
         self.recovery
     }
@@ -285,9 +242,7 @@ impl Store {
         self.db.clone()
     }
 
-    /// Appends `sig_text` unless already stored; journals genuinely new
-    /// signatures to the WAL. Returns `(index, newly_added)` — exactly
-    /// [`SignatureDb::add`]'s contract.
+    /// [`SignatureDb::add`], journaling a new signature to the WAL.
     pub fn add(&self, sig_text: &str) -> (usize, bool) {
         match self.db.probe(sig_text) {
             Ok(i) => (i, false),
@@ -295,8 +250,8 @@ impl Store {
         }
     }
 
-    /// [`Store::add`] of a text whose [`Store::probe`] missed with `key`,
-    /// so that the ADD hashes it once.
+    /// [`Store::add`] of a text whose [`SignatureDb::probe`] missed with
+    /// `key`, so that the ADD hashes it once.
     pub(crate) fn add_new(&self, key: Key, sig_text: &str) -> (usize, bool) {
         let Some(wal) = &self.wal else {
             return self.db.add_new(key, sig_text, |_| {});
@@ -316,9 +271,8 @@ impl Store {
                         }
                     }
                 }
-                // A WAL write failure degrades durability, not
-                // availability: the add stays served from memory,
-                // the failure is counted and logged.
+                // Degrades durability, not availability: memory serves
+                // the add and the record is retried.
                 Err(e) => self.wal_error("append", &e),
             }
         });
@@ -331,22 +285,6 @@ impl Store {
         (i, added)
     }
 
-    /// The index `sig_text` is stored at, or its key for
-    /// [`Store::add_new`] (the dedup fast path).
-    pub(crate) fn probe(&self, sig_text: &str) -> Result<usize, Key> {
-        self.db.probe(sig_text)
-    }
-
-    /// Index of `sig_text` if stored (dedup fast path).
-    pub fn contains(&self, sig_text: &str) -> Option<usize> {
-        self.db.contains(sig_text)
-    }
-
-    /// [`SignatureDb::window`]: the `GET`/`GET_DELTA` window from `from`.
-    pub fn window(&self, from: usize, max: usize) -> (usize, Vec<Arc<str>>, usize) {
-        self.db.window(from, max)
-    }
-
     /// Number of live signatures.
     pub fn len(&self) -> usize {
         self.db.len()
@@ -357,17 +295,12 @@ impl Store {
         self.db.is_empty()
     }
 
-    /// Total bytes of live signature text.
-    pub fn stored_bytes(&self) -> usize {
-        self.db.stored_bytes()
-    }
-
-    /// Flushes and fsyncs the WAL now (no-op in-memory). Called on drop;
-    /// tests call it before simulating a crash that must be durable.
+    /// Writes any record awaiting a retry and fsyncs the WAL (no-op
+    /// in-memory). Called on drop.
     ///
     /// # Errors
     ///
-    /// Propagates the flush/fsync failure.
+    /// Propagates the write/fsync failure.
     pub fn sync(&self) -> io::Result<()> {
         match &self.wal {
             Some(wal) => self.metrics.sync(&mut wal.lock()),
@@ -390,12 +323,11 @@ impl Store {
         eprintln!("communix store: wal {what} failed: {e}");
     }
 
-    /// Bounded GC: deletes the oldest sealed segments until what is left
-    /// fits in 3/4 of the cap, then drops their prefix from memory. It
-    /// holds the WAL lock for the unlinks (appends wait, reads do not) and
-    /// the log's write lock for the in-memory drop alone; it reads no
-    /// segment and renumbers nothing. A failed delete is counted and
-    /// passed: memory drops that segment all the same.
+    /// Bounded GC (module docs). The WAL lock is held to pick the
+    /// segments and for the prefix drop, under the log's write lock; the
+    /// unlinks run after both, so appends and reads go on meanwhile (disk
+    /// holds more than memory until they end). A failed delete is counted
+    /// and passed.
     fn gc(&self, cap: u64) {
         let Some(wal) = &self.wal else { return };
         let mut wal = wal.lock();
@@ -404,23 +336,28 @@ impl Store {
         }
         let target = cap.saturating_mul(3) / 4;
         let mut left: u64 = wal.live.iter().map(|s| s.bytes).sum();
-        let mut deleted = 0;
-        // Only sealed segments go, and every record in one is in memory:
-        // the append that sealed it waited for the last of them under the
-        // append lock. The segment being written (the back) stays.
+        let mut doomed = Vec::new();
+        // Only sealed segments go (the back is being written), and every
+        // record in one is in memory: it was appended under the append lock.
         while wal.live.len() > 1 && left > target {
             let segment = wal.live.pop_front().expect("len > 1");
-            if let Err(e) = fs::remove_file(&segment.path) {
-                self.wal_error("gc delete", &e);
-            }
             left -= segment.bytes;
-            deleted += 1;
+            doomed.push(segment.path);
+        }
+        if doomed.is_empty() {
+            return; // disk fits: what memory holds over it awaits a retry
         }
         let (sigs, bytes) = self.db.drop_below(wal.live[0].first);
+        drop(wal);
+        for path in &doomed {
+            if let Err(e) = fs::remove_file(path) {
+                self.wal_error("gc delete", &e);
+            }
+        }
         self.metrics.gc_runs.inc();
         self.metrics.gc_evicted_sigs.add(sigs as u64);
         self.metrics.gc_evicted_bytes.add(bytes as u64);
-        self.metrics.gc_segments_deleted.add(deleted);
+        self.metrics.gc_segments_deleted.add(doomed.len() as u64);
     }
 }
 
@@ -430,9 +367,7 @@ impl Drop for Store {
             drop(flusher.stop);
             let _ = flusher.join.join();
         }
-        if let Some(wal) = &self.wal {
-            let _ = wal.lock().sync();
-        }
+        let _ = self.sync();
     }
 }
 
@@ -460,9 +395,8 @@ fn spawn_flusher(wal: Arc<Mutex<Wal>>, interval: Duration, metrics: StoreMetrics
 // WAL
 // ---------------------------------------------------------------------
 
-/// The open write-ahead log: one current segment file, rolled past the
-/// size limit and after a failed append, plus what every live segment
-/// holds.
+/// The open write-ahead log: the segment being written, and what every
+/// live segment holds.
 #[derive(Debug)]
 struct Wal {
     dir: PathBuf,
@@ -470,13 +404,11 @@ struct Wal {
     seg_bytes: u64,
     segment_limit: u64,
     dirty: bool,
-    /// The index the next record holds.
+    /// The index the next record written holds.
     next: usize,
-    /// An append failed: the next one starts a new segment.
-    broken: bool,
-    /// Every segment on disk, oldest first; the back is the one being
-    /// written. GC reads what a delete frees from here instead of from
-    /// the files.
+    /// Records whose write failed, in index order, from `next` on.
+    pending: VecDeque<Vec<u8>>,
+    /// Every segment on disk, oldest first, the one being written last.
     live: VecDeque<Segment>,
 }
 
@@ -526,65 +458,52 @@ fn list_segments(dir: &Path) -> io::Result<Vec<(Name, PathBuf)>> {
     Ok(segments)
 }
 
+/// A new segment at `path`, written over one that holds no record.
 fn create_segment(path: &Path) -> io::Result<File> {
-    let mut file = OpenOptions::new().create_new(true).write(true).open(path)?;
+    let mut file = OpenOptions::new()
+        .create(true)
+        .truncate(true)
+        .write(true)
+        .open(path)?;
     file.write_all(WAL_MAGIC)?;
     Ok(file)
 }
 
 impl Wal {
-    /// Opens a fresh segment at index `next` behind the `live` segments
-    /// recovery replayed.
-    fn open(
-        dir: PathBuf,
-        next: usize,
-        segment_limit: u64,
-        mut live: VecDeque<Segment>,
-    ) -> io::Result<Self> {
-        // An empty segment of that name, if any, holds no record: it is
-        // written over, not removed first, so the name is never missing.
-        let path = segment_path(&dir, next);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(&path)?;
-        file.write_all(WAL_MAGIC)?;
-        live.push_back(Segment {
-            path,
-            first: next,
-            bytes: 0,
-        });
-        Ok(Wal {
-            dir,
-            file,
-            seg_bytes: WAL_MAGIC.len() as u64,
-            segment_limit,
-            dirty: true, // the magic itself
-            next,
-            broken: false,
-            live,
-        })
-    }
-
-    /// Writes one [`record::frame`]d record, the next index's. The index
-    /// is spent even if the write fails: memory serves it all the same,
-    /// so the next record starts a new segment, whose name keeps it at
-    /// its own index.
+    /// Writes one [`record::frame`]d record, the next index's, behind any
+    /// awaiting a retry; one whose write fails awaits it too.
     fn append(&mut self, record: &[u8]) -> io::Result<()> {
-        let written = self.write(record);
-        self.next += 1;
-        self.broken = written.is_err();
+        let written = self.write_pending().and_then(|()| self.write(record));
+        if written.is_err() {
+            self.pending.push_back(record.to_vec());
+        }
         written
     }
 
+    /// Writes the records awaiting a retry, in a new segment at the first
+    /// one's index: the one a write failed in may end in a torn record.
+    fn write_pending(&mut self) -> io::Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        self.roll()?;
+        while let Some(record) = self.pending.pop_front() {
+            if let Err(e) = self.write(&record) {
+                self.pending.push_front(record);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
     fn write(&mut self, record: &[u8]) -> io::Result<()> {
-        if self.broken || self.seg_bytes >= self.segment_limit {
+        if self.seg_bytes >= self.segment_limit {
             self.roll()?;
         }
         self.file.write_all(record)?;
         self.seg_bytes += record.len() as u64;
         self.dirty = true;
+        self.next += 1;
         // Signature bytes: the record less its length and CRC.
         self.live.back_mut().expect("the open segment").bytes += record.len() as u64 - 8;
         Ok(())
@@ -600,15 +519,19 @@ impl Wal {
         Ok(true)
     }
 
-    /// Seals the current segment (fsync) and opens the next one at the
-    /// next index. Sealed segments are never written again.
+    /// Seals the current segment (fsync) and opens one at the next index,
+    /// in place of the current one if that holds no record.
     fn roll(&mut self) -> io::Result<()> {
         self.sync()?;
         let path = segment_path(&self.dir, self.next);
         self.file = create_segment(&path)?;
+        if self.live.back().is_some_and(|s| s.first == self.next) {
+            self.live.pop_back();
+        }
+        let first = self.next;
         self.live.push_back(Segment {
             path,
-            first: self.next,
+            first,
             bytes: 0,
         });
         self.seg_bytes = WAL_MAGIC.len() as u64;
@@ -621,9 +544,8 @@ impl Wal {
 // Replay + recovery
 // ---------------------------------------------------------------------
 
-/// Replays a segment file's contents into `db`, each record at the next
-/// index. Returns `(records, signature bytes, torn)`; a missing or
-/// foreign magic is a torn segment with no records.
+/// Replays a segment's bytes into `db`, each record at the next index:
+/// `(records, signature bytes, torn)`. A foreign magic is torn.
 fn replay_segment(data: &[u8], db: &SignatureDb) -> (u64, u64, bool) {
     let Some(body) = data.strip_prefix(WAL_MAGIC) else {
         return (0, 0, true);
@@ -637,8 +559,7 @@ fn replay_segment(data: &[u8], db: &SignatureDb) -> (u64, u64, bool) {
 }
 
 /// Replays the newest contiguous run of segments under `config.dir` and
-/// opens the log behind them. Returns the database, the report, and the
-/// log with a fresh segment for new writes.
+/// opens the log behind it.
 fn recover(config: &DurabilityConfig) -> io::Result<(SignatureDb, RecoveryReport, Wal)> {
     let dir = &config.dir;
     fs::create_dir_all(dir)?;
@@ -653,7 +574,7 @@ fn recover(config: &DurabilityConfig) -> io::Result<(SignatureDb, RecoveryReport
     }
     let mut db = SignatureDb::new();
     let mut report = RecoveryReport::default();
-    let (mut live, mut stale) = (VecDeque::new(), Vec::new());
+    let (mut live, mut aside, mut empty) = (VecDeque::new(), Vec::new(), Vec::new());
     for (name, path) in list_segments(dir)? {
         let data = fs::read(&path)?;
         let next = db.base() + db.len();
@@ -662,23 +583,25 @@ fn recover(config: &DurabilityConfig) -> io::Result<(SignatureDb, RecoveryReport
             Name::Legacy(_) => next,
         };
         if first != next {
-            // The log does not go on from what was replayed: all of that
-            // is behind a gap, evicted.
-            report.evicted_segments += live.len() as u64;
-            stale.extend(live.drain(..).map(|s: Segment| s.path));
+            // What was replayed is behind a gap.
+            aside.extend(live.drain(..).map(|s: Segment| s.path));
             db = SignatureDb::starting_at(first);
         }
         let (records, bytes, torn) = replay_segment(&data, &db);
         report.torn_tail |= torn;
-        if records == 0 {
-            // Holds nothing, but says the log goes on at `first`: an
-            // earlier open's fresh segment, or one whose creation was cut.
-            stale.push(path);
-        } else {
+        if records > 0 {
             live.push_back(Segment { path, first, bytes });
+        } else if data.len() > WAL_MAGIC.len() {
+            aside.push(path);
+        } else {
+            empty.push(path);
         }
     }
     report.wal_records = db.len() as u64;
+    report.evicted_segments = aside.len() as u64;
+    for path in &aside {
+        fs::rename(path, path.with_extension("log.evicted"))?;
+    }
     // Give the older naming its indices, newest first: a failure part way
     // leaves a prefix in that naming that still starts at index 0 and
     // ends where the renamed segments begin.
@@ -690,19 +613,30 @@ fn recover(config: &DurabilityConfig) -> io::Result<(SignatureDb, RecoveryReport
             segment.path = path;
         }
     }
-    // Worked out from the cap, not a knob: with at least eight segments
-    // to a full store, a GC pass that drops whole segments lands between
-    // 5/8 and 3/4 of the cap.
+    // Eighth of the cap at most, so a GC pass lands within 5/8–3/4 of it.
     let limit = config.wal_segment_bytes;
-    let limit = config.max_bytes.map_or(limit, |cap| limit.min(cap / 8));
-    let wal = Wal::open(dir.clone(), db.base() + db.len(), limit, live)?;
-    // Only now, with the fresh segment saying where the log goes on: an
-    // empty segment may be the only name that says it, so a restart loop
-    // reuses that name instead of growing the directory.
-    for path in stale
-        .iter()
-        .filter(|&p| *p != wal.live.back().expect("fresh").path)
-    {
+    let next = db.base() + db.len();
+    let path = segment_path(dir, next);
+    let file = create_segment(&path)?;
+    live.push_back(Segment {
+        path,
+        first: next,
+        bytes: 0,
+    });
+    let wal = Wal {
+        dir: dir.clone(),
+        file,
+        seg_bytes: WAL_MAGIC.len() as u64,
+        segment_limit: config.max_bytes.map_or(limit, |cap| limit.min(cap / 8)),
+        dirty: true, // the magic itself
+        next,
+        pending: VecDeque::new(),
+        live,
+    };
+    // Only now that the fresh segment says where the log goes on; a
+    // restart loop reuses one name instead of growing the directory.
+    let fresh = &wal.live.back().expect("fresh").path;
+    for path in empty.iter().filter(|&p| p != fresh) {
         let _ = fs::remove_file(path);
     }
     Ok((db, report, wal))
@@ -777,7 +711,7 @@ mod tests {
         assert_eq!(store.add("b"), (1, true));
         assert_eq!(store.len(), 2);
         assert_eq!(store.db().get_from(1), vec!["b"]);
-        assert_eq!(store.window(0, 1), (0, vec![Arc::from("a")], 2));
+        assert_eq!(store.db.window(0, 1), (0, vec![Arc::from("a")], 2));
         assert!(!store.is_durable());
         assert!(store.sync().is_ok());
         assert!(store.snapshot().is_ok());
@@ -822,8 +756,8 @@ mod tests {
         let report = store.recovery();
         assert!(report.torn_tail, "truncation must be detected");
         assert_eq!(store.len(), 9, "all records before the torn one survive");
-        assert!(store.contains("torn-sig-8").is_some());
-        assert!(store.contains("torn-sig-9").is_none());
+        assert!(store.db.contains("torn-sig-8").is_some());
+        assert!(store.db.contains("torn-sig-9").is_none());
         // The torn record's index goes to the next signature: no client
         // was promised it past a restart (ROADMAP item 15).
         assert_eq!(store.add("after-the-tear"), (9, true));
@@ -859,44 +793,54 @@ mod tests {
 
     #[test]
     fn a_corrupt_record_mid_log_evicts_what_is_behind_it_and_renumbers_nothing() {
-        let dir = scratch("gap");
-        let registry = Registry::new();
-        let log = {
-            let store = open(&dir, None, &Registry::new());
-            fill(&store, 0..40);
-            store.db().get_from(0)
-        };
-        // Three records to a segment. Corrupt the middle record of a
-        // segment in the middle: its replay stops one record in, and the
-        // next segment starts two indices past that.
-        let all = segments(&dir);
-        let (first, path) = all[all.len() / 2].clone();
-        let mut data = fs::read(&path).unwrap();
-        data[WAL_MAGIC.len() + 18 + 12] ^= 0xFF;
-        fs::write(&path, &data).unwrap();
-        let behind = all.iter().filter(|(f, _)| *f <= first).count() as u64;
+        // Corrupt the first, then the second record of the middle segment:
+        // its replay stops short of where the next segment starts.
+        for corrupt in 0..2 {
+            let dir = scratch("gap");
+            let registry = Registry::new();
+            let log = {
+                let store = open(&dir, None, &Registry::new());
+                fill(&store, 0..40);
+                store.db().get_from(0)
+            };
+            let all = segments(&dir);
+            let (first, path) = all[all.len() / 2].clone();
+            let mut data = fs::read(&path).unwrap();
+            data[WAL_MAGIC.len() + 18 * corrupt + 12] ^= 0xFF;
+            fs::write(&path, &data).unwrap();
+            let behind: Vec<_> = all.iter().filter(|(f, _)| *f <= first).collect();
+            let bytes: Vec<_> = behind.iter().map(|(_, p)| fs::read(p).unwrap()).collect();
 
-        let store = open(&dir, None, &registry);
-        let after = all[all.len() / 2 + 1].0;
-        let report = store.recovery();
-        assert!(report.torn_tail);
-        assert_eq!(report.evicted_segments, behind, "the gap's segments");
-        assert_eq!(registry.counter("store.wal.evicted_segments").get(), behind);
-        assert_eq!(report.wal_records, (40 - after) as u64);
-        // Every index recovered after the gap keeps its text.
-        assert_eq!(served(&store), (after, log[after..].to_vec()));
-        for (i, text) in log.iter().enumerate().skip(after) {
-            assert_eq!(store.contains(text), Some(i), "{text} moved");
+            let store = open(&dir, None, &registry);
+            let after = all[all.len() / 2 + 1].0;
+            let report = store.recovery();
+            assert!(report.torn_tail);
+            assert_eq!(report.evicted_segments, bytes.len() as u64, "the gap's");
+            assert_eq!(
+                registry.counter("store.wal.evicted_segments").get(),
+                bytes.len() as u64
+            );
+            assert_eq!(report.wal_records, (40 - after) as u64);
+            // Every index recovered after the gap keeps its text.
+            assert_eq!(served(&store), (after, log[after..].to_vec()));
+            for (i, text) in log.iter().enumerate().skip(after) {
+                assert_eq!(store.db.contains(text), Some(i), "{text} moved");
+            }
+            assert_eq!(store.add("after-the-gap"), (40, true));
+            let kept = served(&store);
+            drop(store);
+            // Set aside, not deleted: every evicted segment keeps its bytes.
+            for ((_, path), data) in behind.iter().zip(&bytes) {
+                assert!(!path.exists());
+                assert_eq!(&fs::read(path.with_extension("log.evicted")).unwrap(), data);
+            }
+            // A second recovery is a no-op: the evicted segments are aside.
+            let again = open(&dir, None, &Registry::new());
+            assert_eq!(again.recovery().evicted_segments, 0);
+            assert!(!again.recovery().torn_tail);
+            assert_eq!(served(&again), kept);
+            let _ = fs::remove_dir_all(&dir);
         }
-        assert_eq!(store.add("after-the-gap"), (40, true));
-        let kept = served(&store);
-        drop(store);
-        // A second recovery is a no-op: the evicted segments are gone.
-        let again = open(&dir, None, &Registry::new());
-        assert_eq!(again.recovery().evicted_segments, 0);
-        assert!(!again.recovery().torn_tail);
-        assert_eq!(served(&again), kept);
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -952,7 +896,7 @@ mod tests {
         let store = open(&dir, None, &Registry::new());
         assert_eq!(served(&store), (0, log.clone()));
         assert_eq!(store.recovery().wal_records, 6);
-        assert_eq!(store.contains("a"), Some(0));
+        assert_eq!(store.db.contains("a"), Some(0));
         assert_eq!(store.add("f"), (6, true));
         drop(store);
         let names: Vec<usize> = segments(&dir).into_iter().map(|(first, _)| first).collect();
@@ -971,17 +915,17 @@ mod tests {
         // 10-byte signatures; the cap admits ~40 before GC.
         fill(&store, 0..60);
         assert!(registry.counter("store.gc.runs").get() > 0, "cap overshoot");
-        assert!(store.stored_bytes() <= 400, "under the cap after GC");
+        assert!(store.db.stored_bytes() <= 400, "under the cap after GC");
         let (base, live) = served(&store);
         assert!(base > 0, "the oldest signatures were evicted");
-        assert!(store.contains("sig-000000").is_none());
+        assert!(store.db.contains("sig-000000").is_none());
         assert_eq!(live.len(), 60 - base);
         // Nothing renumbered: each survivor is where it was added, and the
         // total is still the next index.
         for i in base..60 {
-            assert_eq!(store.contains(&format!("sig-{i:06}")), Some(i));
+            assert_eq!(store.db.contains(&format!("sig-{i:06}")), Some(i));
         }
-        let (from, window, total) = store.window(0, 0);
+        let (from, window, total) = store.db.window(0, 0);
         assert_eq!((from, window.len(), total), (base, live.len(), 60));
         assert_eq!(
             registry.counter("store.gc.evicted_sigs").get(),
@@ -1115,30 +1059,37 @@ mod tests {
         fs::write(&oldest, bytes).unwrap();
         let reopened = open(&dir, Some(400), &registry);
         assert_eq!(reopened.recovery().evicted_segments, 1);
+        assert!(oldest.with_extension("log.evicted").exists(), "set aside");
         assert_eq!(served(&reopened), memory);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn an_append_after_a_failed_one_starts_a_segment_at_its_own_index() {
+    fn a_failed_append_is_retried_at_its_own_index_and_a_restart_keeps_every_one() {
         let dir = scratch("append-error");
-        let store = open(&dir, None, &Registry::new());
-        fill(&store, 0..2);
-        {
+        let registry = Registry::new();
+        let store = open(&dir, None, &registry);
+        // A read-only handle on the segment being written: the next write
+        // fails, as on EIO or ENOSPC.
+        let fail_next_write = |store: &Store| {
             let mut wal = store.wal.as_ref().unwrap().lock();
-            wal.broken = true; // as if the append of index 2 had failed
-            wal.next += 1;
-        }
-        fill(&store, 3..5);
+            wal.file = File::open(&wal.live.back().unwrap().path).unwrap();
+        };
+        fill(&store, 0..2);
+        fail_next_write(&store);
+        fill(&store, 2..5); // index 2 fails; index 3's append writes it first
+        assert_eq!(registry.counter("store.wal.errors").get(), 1);
+        fail_next_write(&store);
+        fill(&store, 5..6); // fails; the sync on drop writes it
+        let log = store.db().get_from(0);
         drop(store);
+        assert_eq!(registry.counter("store.wal.errors").get(), 2);
         let names: Vec<usize> = segments(&dir).into_iter().map(|(first, _)| first).collect();
-        assert_eq!(names.last(), Some(&3), "index 2 is nobody's on disk");
+        assert_eq!(names, [0, 2, 5], "each retry opens a segment at its index");
         let store = open(&dir, None, &Registry::new());
-        assert_eq!(store.recovery().evicted_segments, 1);
-        assert_eq!(
-            served(&store),
-            (3, vec!["sig-000003".into(), "sig-000004".into()])
-        );
+        assert_eq!(store.recovery().evicted_segments, 0);
+        assert_eq!(served(&store), (0, log));
+        assert_eq!(store.add("sig-000006"), (6, true));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1211,7 +1162,7 @@ mod tests {
         assert_eq!(store.len(), 200, "every concurrently-acked add recovered");
         for t in 0..4 {
             for i in 0..50 {
-                assert!(store.contains(&format!("conc-{t}-{i}")).is_some());
+                assert!(store.db.contains(&format!("conc-{t}-{i}")).is_some());
             }
         }
         assert_eq!(

@@ -147,7 +147,7 @@ fn gc_keeps_indices_so_a_synced_client_fetches_only_the_new_signature() {
     let served = server.db().get_from(0);
     assert_eq!(served.len(), 5, "GC keeps the newest ¾-cap of signatures");
     assert_eq!(server.db().base(), 3);
-    assert_eq!(server.store().contains(&sig(7)), Some(7));
+    assert_eq!(server.db().contains(&sig(7)), Some(7));
 
     // The synced client asks from its cursor, once, and is sent only the
     // eighth signature: nothing restarts.
@@ -165,6 +165,13 @@ fn gc_keeps_indices_so_a_synced_client_fetches_only_the_new_signature() {
     // Steady state: the next sync is an ordinary empty delta.
     assert_eq!(sync_delta(&mut session, &mut repo, 0).unwrap(), 0);
     assert_eq!(repo.sync_cursor(), 8);
+
+    // A text the GC evicted is new to the server again. The client, which
+    // holds it, reads past it and stores nothing twice.
+    upload(tcp.addr(), 2, &[sig(0)]);
+    assert_eq!(server.db().contains(&sig(0)), Some(8));
+    assert_eq!(sync_delta(&mut session, &mut repo, 0).unwrap(), 0);
+    assert_eq!((repo.len(), repo.sync_cursor()), (8, 9));
     tcp.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

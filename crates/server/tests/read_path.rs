@@ -208,7 +208,7 @@ fn merging_an_all_duplicate_window_copies_no_held_text() {
     let (_, bytes, added) = allocations(|| repo.merge(window, 1024).expect("in-memory"));
     assert_eq!(added, 0);
     assert_eq!(repo.len(), 1024);
-    // A set of borrowed keys and a flag per incoming text.
+    // The held texts' 64-bit keys, and no copy of any text.
     assert!(
         bytes < held_bytes / 20,
         "{bytes} bytes allocated merging into {held_bytes} held bytes"
