@@ -175,9 +175,9 @@ impl CommunixAgent {
     }
 
     /// Builds the validator for the current analyses and configuration.
-    fn validator<'a>(&'a self, app_hashes: &HashMap<String, Digest>) -> SignatureValidator<'a> {
-        let v = SignatureValidator::new(
-            app_hashes.iter().map(|(k, h)| (k.clone(), *h)),
+    fn validator<'a>(&'a self, app_hashes: &'a HashMap<String, Digest>) -> SignatureValidator<'a> {
+        let v = SignatureValidator::borrowing(
+            app_hashes,
             self.nesting.as_ref(),
             self.config.validator.clone(),
         );

@@ -17,6 +17,7 @@
 //!    sites (checked against the precomputed nesting analysis); this
 //!    bounds signature-flooding attacks to N = #nested sites.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use communix_analysis::{Nesting, NestingReport};
@@ -120,8 +121,10 @@ impl Default for ValidatorConfig {
 /// and nesting report.
 #[derive(Debug)]
 pub struct SignatureValidator<'a> {
-    /// Bytecode hash per loaded class name.
-    hashes: HashMap<String, Digest>,
+    /// Bytecode hash per loaded class name: the agent's pipeline
+    /// borrows the node's index, a caller of [`SignatureValidator::new`]
+    /// hands one over.
+    hashes: Cow<'a, HashMap<String, Digest>>,
     /// Nesting classification of the application's synchronized sites.
     nesting: Option<&'a NestingReport>,
     /// Per-site minimal achievable stack depths (adaptive threshold).
@@ -140,7 +143,22 @@ impl<'a> SignatureValidator<'a> {
         config: ValidatorConfig,
     ) -> Self {
         SignatureValidator {
-            hashes: hashes.into_iter().collect(),
+            hashes: Cow::Owned(hashes.into_iter().collect()),
+            nesting,
+            min_depths: None,
+            config,
+        }
+    }
+
+    /// A validator over a borrowed hash index: the pipeline's, which
+    /// validates at every start-up against the one index its node built.
+    pub(crate) fn borrowing(
+        hashes: &'a HashMap<String, Digest>,
+        nesting: Option<&'a NestingReport>,
+        config: ValidatorConfig,
+    ) -> Self {
+        SignatureValidator {
+            hashes: Cow::Borrowed(hashes),
             nesting,
             min_depths: None,
             config,

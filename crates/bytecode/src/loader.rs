@@ -10,14 +10,13 @@
 //!
 //! [`ClassLoader`] tracks which classes of a [`Program`] are loaded in the
 //! current run, remembers the set from previous runs, and reports the
-//! delta. It does the second; it does **not** yet do the first: nothing
-//! here keeps a digest, so [`ClassLoader::loaded_hashes`] runs
+//! delta: the second. The first is the node's: it hashes every class
+//! once, when it is created, and its start-ups, which load every class,
+//! validate against that one index. Nothing here keeps a digest, so
+//! [`ClassLoader::loaded_hashes`] runs
 //! [`ClassFile::bytecode_hash`](crate::ClassFile::bytecode_hash) for every
-//! loaded class on every call, and a node calls it at every start-up. That
-//! hash streams the class's canonical bytes straight into SHA-256 without
-//! building the text or allocating, so what each call repeats is the
-//! SHA-256 itself. Hashing each class once per loader is the rest of
-//! ROADMAP item 6 (step 1).
+//! loaded class on every call. No product code calls it; it stays for
+//! `benchmark/`'s replay of a start-up, whose files are frozen.
 
 use std::collections::BTreeSet;
 

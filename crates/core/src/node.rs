@@ -39,7 +39,6 @@
 use communix_agent::{AgentConfig, CommunixAgent, StartupReport};
 use communix_bytecode::{ClassLoader, LoweredProgram, Program};
 use communix_client::{obtain_id, sync_delta, Connector, LocalRepository, SyncError};
-use communix_crypto::Digest;
 use communix_dimmunix::{DimmunixConfig, History, Signature};
 use communix_net::EncryptedId;
 use communix_runtime::{SimConfig, SimOutcome, Simulator, ThreadSpec};
@@ -106,7 +105,9 @@ impl CommunixNode {
     /// Creates a node with an existing (possibly disk-backed) repository.
     /// Dimmunix starts from the deadlock history the repository's log
     /// folds to ([`LocalRepository::take_history`]): every detection and
-    /// every admission it recorded, in order.
+    /// every admission it recorded, in order. The class-hash index is
+    /// built here, one SHA-256 pass per class, and serves the plugin and
+    /// every later start-up and shutdown.
     pub fn with_repo(program: Program, config: NodeConfig, mut repo: LocalRepository) -> Self {
         let lowered = LoweredProgram::lower(&program);
         let history = repo.take_history(config.agent.validator.min_outer_depth);
@@ -211,11 +212,18 @@ impl CommunixNode {
     /// Application start: loads the program's classes and runs the
     /// agent's start-up pipeline over the not-yet-inspected repository
     /// signatures, updating the deadlock history.
+    ///
+    /// Every class is loaded, so the loaded classes' hashes are the
+    /// plugin's index, built once when the node was created: the agent
+    /// "computes the hash of a class \[the\] first time the class is
+    /// loaded, then reuses the computed hash value" (§III-C3), and no
+    /// start-up hashes a class.
     pub fn startup(&mut self) -> StartupReport {
         self.loader.load_all(&self.program);
-        let hashes = self.loaded_hashes();
         let mut history = self.simulator.history().clone();
-        let report = self.agent.startup(&hashes, &mut self.repo, &mut history);
+        let report = self
+            .agent
+            .startup(self.plugin.class_hashes(), &mut self.repo, &mut history);
         self.simulator.set_history(history);
         report
     }
@@ -289,32 +297,17 @@ impl CommunixNode {
             // Re-check deferred signatures now that nesting is known.
             // Classes are unloaded after shutdown, but their hashes are
             // version identities, not load state — reuse the full index.
-            let hashes = self.all_hashes();
             let mut history = self.simulator.history().clone();
-            let recheck =
-                self.agent
-                    .recheck_after_class_load(&hashes, &mut self.repo, &mut history);
+            let recheck = self.agent.recheck_after_class_load(
+                self.plugin.class_hashes(),
+                &mut self.repo,
+                &mut history,
+            );
             self.simulator.set_history(history);
             report.rechecked = recheck.inspected;
             report.recheck_accepted = recheck.accepted + recheck.merged;
         }
         report
-    }
-
-    fn loaded_hashes(&self) -> std::collections::HashMap<String, Digest> {
-        self.loader
-            .loaded_hashes(&self.program)
-            .into_iter()
-            .map(|(k, v)| (k.as_str().to_string(), v))
-            .collect()
-    }
-
-    fn all_hashes(&self) -> std::collections::HashMap<String, Digest> {
-        self.program
-            .hash_index()
-            .into_iter()
-            .map(|(k, v)| (k.as_str().to_string(), v))
-            .collect()
     }
 }
 

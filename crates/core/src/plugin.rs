@@ -47,6 +47,13 @@ impl CommunixPlugin {
         self.hashes.len()
     }
 
+    /// The class-hash index: bytecode hash per class name. A node's
+    /// agent validates against this same index at start-up and
+    /// shutdown, so each class is hashed once per node.
+    pub fn class_hashes(&self) -> &HashMap<String, Digest> {
+        &self.hashes
+    }
+
     /// Returns `sig` with the declaring class's bytecode hash attached to
     /// every frame. Frames whose class is unknown (should not happen for
     /// signatures produced by the local Dimmunix) keep their existing

@@ -8,6 +8,7 @@
 //! respectively *inner* lock statements. A deadlock bug is uniquely
 //! delimited by the outer and inner lock statements." (§II-A)
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -160,14 +161,46 @@ impl Signature {
     /// not all) top frames" (§III-C2). The server rejects a signature
     /// adjacent to one already sent by the same user.
     pub fn adjacent_to(&self, other: &Signature) -> bool {
-        Signature::sites_adjacent(&self.top_frame_sites(), &other.top_frame_sites())
+        Signature::sorted_adjacent(&self.top_frame_sites(), &other.top_frame_sites())
     }
 
-    /// Adjacency over two [`Signature::top_frame_sites`] sets — the one
-    /// definition: some sites shared, not all equal. The server keeps
-    /// only these sets of a sender's accepted signatures and asks this.
-    pub fn sites_adjacent(a: &BTreeSet<Site>, b: &BTreeSet<Site>) -> bool {
-        a.intersection(b).next().is_some() && a != b
+    /// Adjacency over two top-frame site sets, each given as a sorted
+    /// sequence without repeats — the one definition: some sites shared,
+    /// not all equal. [`Signature::adjacent_to`] asks it of two
+    /// [`Signature::top_frame_sites`]; the server keeps each sender's
+    /// sets as sorted site keys and asks it of those. One merge walk,
+    /// which stops once both answers are known.
+    pub fn sorted_adjacent<T: Ord>(
+        a: impl IntoIterator<Item = T>,
+        b: impl IntoIterator<Item = T>,
+    ) -> bool {
+        let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+        let (mut shared, mut equal) = (false, true);
+        loop {
+            match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) => match x.cmp(y) {
+                    Ordering::Less => {
+                        equal = false;
+                        a.next();
+                    }
+                    Ordering::Greater => {
+                        equal = false;
+                        b.next();
+                    }
+                    Ordering::Equal => {
+                        shared = true;
+                        a.next();
+                        b.next();
+                    }
+                },
+                (None, None) => return shared && !equal,
+                // What is left on one side is on that side only.
+                _ => return shared,
+            }
+            if shared && !equal {
+                return true;
+            }
+        }
     }
 
     /// Merges two signatures of the same bug into their generalization:

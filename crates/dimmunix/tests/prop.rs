@@ -3,6 +3,7 @@
 //! held to the split-based parser and `bug_id`-based merge they replaced,
 //! kept here as reference models.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use communix_crypto::{sha256, Digest};
@@ -127,6 +128,22 @@ proptest! {
     fn adjacency_irreflexive_symmetric(a in arb_signature(), b in arb_signature()) {
         prop_assert!(!a.adjacent_to(&a));
         prop_assert_eq!(a.adjacent_to(&b), b.adjacent_to(&a));
+    }
+
+    /// The merge walk that `adjacent_to` and the server's site-key check
+    /// share answers as the set definition it replaced — some element
+    /// shared, the sets not equal — on small sets that overlap often,
+    /// given as sets and as sorted slices.
+    #[test]
+    fn sorted_adjacency_is_the_set_definition(
+        a in proptest::collection::vec(0..6u64, 0..5),
+        b in proptest::collection::vec(0..6u64, 0..5),
+    ) {
+        let (a, b): (BTreeSet<u64>, BTreeSet<u64>) = (a.into_iter().collect(), b.into_iter().collect());
+        let model = a.intersection(&b).next().is_some() && a != b;
+        prop_assert_eq!(Signature::sorted_adjacent(&a, &b), model);
+        let (a, b): (Vec<u64>, Vec<u64>) = (a.into_iter().collect(), b.into_iter().collect());
+        prop_assert_eq!(Signature::sorted_adjacent(a.iter(), b.iter()), model);
     }
 
     /// The matcher never reports an instantiation whose participants

@@ -43,11 +43,12 @@
 //! gauges and counters in the same registry, so one `STATS` round trip
 //! observes the whole stack.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasher, RandomState};
 use std::sync::Arc;
 
 use communix_clock::{Clock, Instant, DAY};
-use communix_dimmunix::{Signature, Site};
+use communix_dimmunix::Signature;
 use communix_net::{AddResult, EncryptedId, Reply, Request, MAX_SIG_BYTES};
 use communix_telemetry::{Counter, Histogram, Registry, Snapshot};
 use parking_lot::Mutex;
@@ -207,9 +208,10 @@ enum AddDecision {
 #[derive(Debug, Default)]
 struct UserState {
     /// The top-frame sites of each signature accepted from this sender —
-    /// all the adjacency check compares — built once per ADD; the parsed
-    /// signature itself is dropped (its text lives in the store).
-    accepted: Vec<BTreeSet<Site>>,
+    /// all the adjacency check compares — as [`CommunixServer::site_keys`]
+    /// keys them: 8 B per site. The parsed signature is dropped (its
+    /// text lives in the store).
+    accepted: Vec<Box<[u64]>>,
     /// Times of processed ADDs within the trailing day (rate limiting).
     processed: VecDeque<Instant>,
 }
@@ -237,6 +239,9 @@ pub struct CommunixServer {
     daily_limit: usize,
     store: Store,
     authority: IdAuthority,
+    /// Keys top-frame sites for the adjacency check, with a key of this
+    /// server's own (as the signature log keys texts).
+    site_hasher: RandomState,
     /// Per-user validation state in [`DEFAULT_SHARDS`] shards by user id
     /// (index `user % users.len()`), so concurrent senders rarely share
     /// a mutex.
@@ -260,6 +265,7 @@ impl CommunixServer {
             daily_limit,
             store,
             authority: IdAuthority::default(),
+            site_hasher: RandomState::new(),
             users: (0..DEFAULT_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
@@ -398,10 +404,10 @@ impl CommunixServer {
 
         // The signature must parse (a malformed signature cannot be
         // validated, stored, or served). Adjacency reads only its top
-        // frames, so those are all that outlive the parse.
+        // frames, so their keys are all that outlive the parse.
         let Ok(sites) = sig_text
             .parse::<Signature>()
-            .map(|sig| sig.top_frame_sites())
+            .map(|sig| self.site_keys(&sig))
         else {
             return AddDecision::Rejected(RejectReason::Malformed);
         };
@@ -428,7 +434,7 @@ impl CommunixServer {
         if state
             .accepted
             .iter()
-            .any(|prior| Signature::sites_adjacent(prior, &sites))
+            .any(|prior| Signature::sorted_adjacent(prior.iter(), sites.iter()))
         {
             return AddDecision::Rejected(RejectReason::Adjacent);
         }
@@ -442,6 +448,32 @@ impl CommunixServer {
             // the fast-path probe.
             AddDecision::Duplicate
         }
+    }
+
+    /// The keys of `sig`'s top-frame sites, sorted and without repeats:
+    /// check 2 asks [`Signature::sorted_adjacent`] of two such sets,
+    /// which answers as [`Signature::adjacent_to`] does on the sites
+    /// unless two distinct sites share a key. A keyed 64-bit collision
+    /// can only make two distinct sites look like one shared site, so it
+    /// can turn "disjoint" into "adjacent" (a false rejection) or, if
+    /// every site two adjacent sets do not share collides, "adjacent"
+    /// into "equal". Under the server's random key, the `s` distinct
+    /// sites one sender holds contain such a pair with odds ≈ s²/2⁶⁵:
+    /// ≈ 10⁻¹² at s = 6,000, the top frames of ten 300-entry ADDs.
+    fn site_keys(&self, sig: &Signature) -> Box<[u64]> {
+        let mut keys = Vec::with_capacity(2 * sig.arity());
+        for entry in sig.entries() {
+            let sites = [entry.outer_site(), entry.inner_site()];
+            keys.extend(
+                sites
+                    .into_iter()
+                    .flatten()
+                    .map(|site| self.site_hasher.hash_one(site)),
+            );
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_boxed_slice()
     }
 
     fn user_shard(&self, user: u64) -> &Mutex<HashMap<u64, UserState>> {

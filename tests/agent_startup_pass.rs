@@ -85,20 +85,38 @@ fn startup_pass_tally_and_history_are_pinned() {
 
 /// The pass parses, validates and generalizes each signature without
 /// copying its text, re-allocating a name its previous frame already
-/// holds or rebuilding its bug identity per history probe: 20,336
-/// allocations per start-up, ≈ 20 per signature (68,269 when it did all
-/// three). Every frame of these signatures repeats its predecessor's
-/// class and method, so name sharing saves the most it can here.
+/// holds or rebuilding its bug identity per history probe, and without
+/// hashing a class or copying the node's class-hash index: 20,049
+/// allocations per start-up, ≈ 20 per signature. It was 68,269 when the
+/// pass did the first three, 20,336 while every start-up re-hashed the
+/// classes into a fresh `String`-keyed map that the validator then
+/// copied, and 20,189 with the re-hash gone but the copy kept. Every
+/// frame of these signatures repeats its predecessor's class and
+/// method, so name sharing saves the most it can here.
 #[test]
 fn a_startup_pass_allocates_at_most_25_per_signature() {
     let mut node = node(1);
     let mut report = None;
     let n = allocations(|| report = Some(node.startup()));
     assert_eq!(report.expect("ran").inspected, SIGS);
-    assert!(
-        n <= 25 * SIGS as u64,
-        "{n} allocations for a {SIGS}-signature start-up"
-    );
+    assert_eq!(n, 20_049, "allocations for a {SIGS}-signature start-up");
+    assert!(n <= 25 * SIGS as u64);
+}
+
+/// A start-up with nothing uninspected, on the node that has just
+/// inspected all `SIGS`: it loads the classes and clones and reinstalls
+/// the 12-signature history, and hashes and copies no class name: 169
+/// allocations. It was 456 while each start-up rebuilt a `String`-keyed
+/// map of all 139 classes and the validator copied it, and 309 with
+/// only the copy left.
+#[test]
+fn an_idle_startup_allocates_a_pinned_count() {
+    let mut node = node(1);
+    node.startup();
+    let mut report = None;
+    let n = allocations(|| report = Some(node.startup()));
+    assert_eq!(report.expect("ran").inspected, 0);
+    assert_eq!(n, 169, "allocations for an idle start-up");
 }
 
 fn allocations(f: impl FnOnce()) -> u64 {
